@@ -141,8 +141,8 @@ func run(args []string, out io.Writer) (err error) {
 		defer eng.Close()
 		recovered = eng.Store()
 		rs := eng.Recovery()
-		fmt.Fprintf(out, "storage: %s (fsync=%s): recovered %d meters — %d points from %d segments, %d replayed from %d WAL records (%d torn tails truncated)\n",
-			*dataDir, eng.Sync(), rs.Meters, rs.SegmentPoints, rs.Segments, rs.ReplayedPoints, rs.WALRecords, rs.TornTails)
+		fmt.Fprintf(out, "storage: %s (fsync=%s): recovered %d meters — %d points from %d segments, %d replayed from %d WAL records (%d torn tails truncated) in %s\n",
+			*dataDir, eng.Sync(), rs.Meters, rs.SegmentPoints, rs.Segments, rs.ReplayedPoints, rs.WALRecords, rs.TornTails, rs.Duration.Round(time.Microsecond))
 	}
 	// Each meter will stream one symbol per window; reserving that capacity
 	// at handshake keeps the per-batch store commits allocation-free.

@@ -8,9 +8,11 @@ package storage_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -465,6 +467,98 @@ func TestOpenUnwindsCleanly(t *testing.T) {
 	// And the directory is still fully recoverable once the faults clear.
 	ffs.SetFaults()
 	re := chaosOpen(t, dir, ffs, storage.SyncOff, time.Hour)
+	requireStoresEqual(t, re.Store(), buildOracle(t, table, meters, acked), meters)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ob, mb := ffs.OpenBalance(), ffs.MmapBalance(); ob != 0 || mb != 0 {
+		t.Fatalf("final lifecycle leaked: open balance %d, mmap balance %d", ob, mb)
+	}
+}
+
+// TestOpenUnwindsCleanlyConcurrent is TestOpenUnwindsCleanly with every
+// shard pipeline in flight at once: 16 shards on 16 workers, a fault scoped
+// to one shard's files. Open must wait for the other 15 pipelines before it
+// unwinds — a worker still holding a descriptor or a mapping would show in
+// the balances — and with two shards failing it must report the
+// lower-numbered shard's error whatever order the workers finished in.
+func TestOpenUnwindsCleanlyConcurrent(t *testing.T) {
+	const shards = 16
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(shards))
+	dir := t.TempDir()
+	ffs := faultfs.New()
+	table := chaosTable(t)
+	opts := storage.Options{Dir: dir, Shards: shards, SegmentBytes: 64 << 10, FS: ffs, ProbeInterval: time.Hour}
+	eng, err := storage.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meters := make([]uint64, 96)
+	for i := range meters {
+		meters[i] = uint64(i + 1)
+	}
+	startMeters(t, eng, table, meters)
+	acked := map[uint64][]int{}
+	for idx := 0; idx < 12; idx++ {
+		for _, m := range meters {
+			if _, err := eng.Append(m, chaosBatch(m, idx, table)); err != nil {
+				t.Fatal(err)
+			}
+			acked[m] = append(acked[m], idx)
+		}
+	}
+	if err := eng.Close(); err != nil { // finished segments: the mmap paths
+		t.Fatal(err)
+	}
+	for i := 0; i < shards; i++ {
+		for _, pat := range []string{"wal/shard-%04d.wal", "seg/%04d-*.seg"} {
+			if got, _ := filepath.Glob(filepath.Join(dir, fmt.Sprintf(pat, i))); len(got) == 0 {
+				t.Fatalf("shard %d has no %s: the fixture must load every pipeline", i, pat)
+			}
+		}
+	}
+	haveMmap := ffs.Counts()[faultfs.OpMmap] > 0
+
+	wal := func(shard int, err error) faultfs.Fault {
+		return faultfs.Fault{Op: faultfs.OpReadFile, Path: fmt.Sprintf("shard-%04d.wal", shard), Err: err, Sticky: true}
+	}
+	seg := func(shard int, err error) faultfs.Fault {
+		return faultfs.Fault{Op: faultfs.OpMmap, Path: fmt.Sprintf("%cseg%c%04d-", filepath.Separator, filepath.Separator, shard), Err: err, Sticky: true}
+	}
+	cases := []struct {
+		name   string
+		faults []faultfs.Fault
+		want   error
+		mmap   bool
+	}{
+		{"one-wal-read", []faultfs.Fault{wal(9, nil)}, faultfs.ErrIO, false},
+		{"one-segment-mmap", []faultfs.Fault{seg(6, nil)}, faultfs.ErrIO, true},
+		{"two-wal-reads-lower-wins", []faultfs.Fault{wal(12, faultfs.ErrNoSpace), wal(3, faultfs.ErrIO)}, faultfs.ErrIO, false},
+		{"two-wal-reads-lower-wins-swapped", []faultfs.Fault{wal(3, faultfs.ErrNoSpace), wal(12, faultfs.ErrIO)}, faultfs.ErrNoSpace, false},
+		{"segment-mmap-below-wal-read", []faultfs.Fault{wal(14, faultfs.ErrNoSpace), seg(2, faultfs.ErrIO)}, faultfs.ErrIO, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.mmap && !haveMmap {
+				t.Skip("no mmap on this platform")
+			}
+			for round := 0; round < 5; round++ { // different interleavings, same verdict
+				ffs.SetFaults(tc.faults...)
+				if _, err := storage.Open(opts); !errors.Is(err, tc.want) {
+					t.Fatalf("round %d: Open returned %v, want %v", round, err, tc.want)
+				}
+				if ob, mb := ffs.OpenBalance(), ffs.MmapBalance(); ob != 0 || mb != 0 {
+					t.Fatalf("round %d: failed Open leaked: open balance %d, mmap balance %d", round, ob, mb)
+				}
+			}
+		})
+	}
+
+	ffs.SetFaults()
+	re, err := storage.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	requireStoresEqual(t, re.Store(), buildOracle(t, table, meters, acked), meters)
 	if err := re.Close(); err != nil {
 		t.Fatal(err)

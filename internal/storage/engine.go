@@ -17,14 +17,20 @@
 // live tails, summaries and directories no matter how much history
 // accumulates.
 //
-// Recovery replays in two layers: manifest-listed segments rebuild each
-// meter's sealed chain (summaries and the firstT directory come from the
-// segment footer — no payload is decoded), then the WAL replays through the
-// normal Append path with each meter's already-restored point count skipped,
-// rebuilding the live tails and any blocks that sealed after the last
-// finished segment. Anything torn at the very end of a WAL was never
-// acknowledged and is truncated; damage anywhere else fails recovery loudly
-// (ErrWALCorrupt) rather than silently dropping acknowledged data.
+// Recovery runs one independent pipeline per shard, on min(GOMAXPROCS, shards)
+// workers — a meter lives in exactly one shard of both the log and the store.
+// Each pipeline rebuilds its meters' sealed chains from the manifest-listed
+// segments (summaries and the firstT directory come from the segment footer —
+// no payload is decoded), then walks its WAL generations straight off the
+// read buffer and replays them through the normal Append path with each
+// meter's already-restored point count skipped, rebuilding the live tails and
+// any blocks that sealed after the last finished segment. A batch the
+// segments cover whole is skipped before it is decoded: its CRC, its header
+// fields and length, and its epoch against the log position are all still
+// checked, but its symbols are never unpacked. Anything torn at the very end
+// of a WAL was never acknowledged and is truncated; damage anywhere else
+// fails recovery loudly (ErrWALCorrupt) rather than silently dropping
+// acknowledged data.
 //
 // Every filesystem operation goes through the FS seam (fs.go), and every
 // durability failure is classified by the health state machine (health.go):
@@ -33,12 +39,15 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -98,6 +107,30 @@ type RecoveryStats struct {
 	TornTails int
 	// Meters is the number of recovered meters.
 	Meters int
+	// Duration is the wall-clock time recovery took inside Open.
+	// SegmentRestore, WALParse and Replay split the work by phase — footer
+	// load plus sealed-chain restore, log read plus framing scan, replay of
+	// the uncovered tail — each summed over the shard pipelines, which run in
+	// parallel: together they can exceed Duration.
+	Duration       time.Duration
+	SegmentRestore time.Duration
+	WALParse       time.Duration
+	Replay         time.Duration
+}
+
+// add sums one shard pipeline's counts and phase times into r.
+func (r *RecoveryStats) add(o RecoveryStats) {
+	r.Segments += o.Segments
+	r.SegmentBlocks += o.SegmentBlocks
+	r.SegmentPoints += o.SegmentPoints
+	r.WALRecords += o.WALRecords
+	r.ReplayedPoints += o.ReplayedPoints
+	r.SkippedPoints += o.SkippedPoints
+	r.TornTails += o.TornTails
+	r.Meters += o.Meters
+	r.SegmentRestore += o.SegmentRestore
+	r.WALParse += o.WALParse
+	r.Replay += o.Replay
 }
 
 // meterMeta is the engine's per-meter ingest state (current epoch and symbol
@@ -216,6 +249,7 @@ func Open(opts Options) (*Engine, error) {
 		e.unwind()
 		return nil, err
 	}
+	e.registerRecoveryMetrics()
 	e.stop = make(chan struct{})
 	// The probe runs for the engine's lifetime (idle while Healthy) so a
 	// degrade never has to race a goroutine start against Close.
@@ -268,23 +302,34 @@ func walGenOf(name string) (gen uint64, ok bool) {
 	return 0, false
 }
 
-// recover rebuilds the store: orphan cleanup, segment restore, WAL replay,
-// torn-tail truncation, seal-sink installation. On error the caller (Open)
-// unwinds every file and mapping opened so far.
+// recover rebuilds the store: orphan cleanup, then one independent pipeline
+// per shard (recoverShard) on min(GOMAXPROCS, shards) workers. A meter lives
+// in exactly one shard of both the WAL and the store, so the pipelines share
+// nothing but what live ingest already shares across shards. On error the
+// caller (Open) unwinds every file and mapping opened so far — recover waits
+// for every worker first, so nothing is still being opened when it does.
 func (e *Engine) recover() error {
+	start := time.Now()
 	shards := e.opts.Shards
 
-	// 1. Drop segment files the manifest does not list — the open segment of
-	// a crashed run has no footer and its blocks replay from the WAL — and
-	// WAL generations above the manifest's: a heal that crashed before its
-	// manifest barrier never acknowledged anything into them.
+	// Drop segment files the manifest does not list — the open segment of a
+	// crashed run has no footer and its blocks replay from the WAL — and WAL
+	// generations above the manifest's: a heal that crashed before its
+	// manifest barrier never acknowledged anything into them. The manifest's
+	// segments are bucketed by shard here, before any pipeline can finish a
+	// respilled segment into e.man.
 	listed := make(map[string]bool, len(e.man.Segments))
 	nextSeq := make([]uint64, shards)
+	shardSegs := make([][]manifestSegment, shards)
 	for _, ms := range e.man.Segments {
+		if ms.Shard < 0 || ms.Shard >= shards {
+			return fmt.Errorf("storage: manifest segment %s claims shard %d of %d", ms.File, ms.Shard, shards)
+		}
 		listed[ms.File] = true
-		if ms.Shard >= 0 && ms.Shard < shards && ms.Seq >= nextSeq[ms.Shard] {
+		if ms.Seq >= nextSeq[ms.Shard] {
 			nextSeq[ms.Shard] = ms.Seq + 1
 		}
+		shardSegs[ms.Shard] = append(shardSegs[ms.Shard], ms)
 	}
 	entries, err := e.fs.ReadDir(e.segDir())
 	if err != nil {
@@ -309,108 +354,7 @@ func (e *Engine) recover() error {
 		}
 	}
 
-	// 2. Load manifest segments: sealed chains per meter, in spill order
-	// (manifest order is per-shard finish order), plus per-meter skip
-	// counts for the replay.
-	perMeter := make(map[uint64][]server.SealedBlock)
-	skip := make(map[uint64]int64)
-	for _, ms := range e.man.Segments {
-		if ms.Shard < 0 || ms.Shard >= shards {
-			return fmt.Errorf("storage: manifest segment %s claims shard %d of %d", ms.File, ms.Shard, shards)
-		}
-		blocks, mapping, err := loadSegment(e.fs, filepath.Join(e.segDir(), ms.File))
-		if err != nil {
-			return err
-		}
-		e.trackMapping(mapping)
-		e.recovered.Segments++
-		for _, sb := range blocks {
-			perMeter[sb.meterID] = append(perMeter[sb.meterID], sb.blk)
-			skip[sb.meterID] += int64(sb.blk.N)
-			e.recovered.SegmentBlocks++
-			e.recovered.SegmentPoints += int64(sb.blk.N)
-		}
-	}
-
-	// 3. Read and parse every shard's WAL — all generations up to the
-	// manifest's, oldest first; a shard's record stream is their
-	// concatenation. Each file tolerates its own torn tail (truncated here);
-	// damage anywhere else is corruption. Collect each meter's table
-	// history (pass 1 — the segment restore needs tables up front).
-	type shardLog struct {
-		recs  []walRecord
-		valid int64 // current generation's intact byte length
-	}
-	logs := make([]shardLog, shards)
-	tables := make(map[uint64][]*symbolic.Table)
-	for i := 0; i < shards; i++ {
-		for g := uint64(0); g <= e.man.WALGen; g++ {
-			path := e.walGenPath(i, g)
-			raw, err := e.fs.ReadFile(path)
-			if errors.Is(err, fs.ErrNotExist) {
-				continue
-			}
-			if err != nil {
-				return err
-			}
-			recs, valid, torn, err := parseWAL(raw)
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			if torn {
-				if err := e.fs.Truncate(path, valid); err != nil {
-					return err
-				}
-				e.recovered.TornTails++
-			}
-			logs[i].recs = append(logs[i].recs, recs...)
-			if g == e.man.WALGen {
-				logs[i].valid = valid
-			}
-			e.recovered.WALRecords += len(recs)
-			for _, rec := range recs {
-				typ, _, data, err := stripSeq(rec)
-				if err != nil {
-					return fmt.Errorf("%s: %w", path, err)
-				}
-				if typ == recTable {
-					m, t, err := decodeTable(data)
-					if err != nil {
-						return fmt.Errorf("%s: %w", path, err)
-					}
-					tables[m] = append(tables[m], t)
-				}
-			}
-		}
-	}
-
-	// 4. Restore sealed chains. Only the tables the restored blocks
-	// reference are installed here; the replay pushes the rest in order.
-	installed := make(map[uint64]int, len(perMeter))
-	restoreOrder := make([]uint64, 0, len(perMeter))
-	for m := range perMeter {
-		restoreOrder = append(restoreOrder, m)
-	}
-	sort.Slice(restoreOrder, func(i, j int) bool { return restoreOrder[i] < restoreOrder[j] })
-	for _, m := range restoreOrder {
-		blks := perMeter[m]
-		maxEpoch := 0
-		for _, b := range blks {
-			if b.Epoch > maxEpoch {
-				maxEpoch = b.Epoch
-			}
-		}
-		tl := tables[m]
-		if len(tl) <= maxEpoch {
-			return fmt.Errorf("%w: meter %d segments reference epoch %d but the log holds %d tables", ErrWALCorrupt, m, maxEpoch, len(tl))
-		}
-		if err := e.store.RestoreMeter(m, tl[:maxEpoch+1], blks); err != nil {
-			return err
-		}
-		installed[m] = maxEpoch + 1
-	}
-
-	// 5. Install the seal sink before replaying, so blocks that seal during
+	// Install the seal sink before any replay, so blocks that seal during
 	// replay spill to fresh segments exactly as live ones do and recovery's
 	// resident memory stays bounded too.
 	e.segs = make([]*segmentWriter, shards)
@@ -418,104 +362,246 @@ func (e *Engine) recover() error {
 		e.segs[i] = &segmentWriter{eng: e, shard: i, seq: nextSeq[i], cap: e.opts.SegmentBytes}
 	}
 	e.store.SetSealSink(e)
-
-	// 6. Replay the logs through the normal ingest path, skipping the
-	// already-restored prefix of each meter. Sequenced records ('t'/'b')
-	// replay identically to their legacy twins and additionally advance the
-	// meter's sequence high-water mark — a seq is tracked even for batches
-	// the segment restore already covers, since those were committed too.
-	tseen := make(map[uint64]int)
-	maxSeq := make(map[uint64]uint64)
-	var ptsScratch []symbolic.SymbolPoint
-	var symScratch []symbolic.Symbol
-	for i := 0; i < shards; i++ {
-		for _, rec := range logs[i].recs {
-			typ, seq, data, err := stripSeq(rec)
-			if err != nil {
-				return fmt.Errorf("shard %d wal: %w", i, err)
-			}
-			switch typ {
-			case recTable:
-				m, t, err := decodeTable(data)
-				if err != nil {
-					return fmt.Errorf("shard %d wal: %w", i, err)
-				}
-				if seq > maxSeq[m] {
-					maxSeq[m] = seq
-				}
-				tseen[m]++
-				if tseen[m] > installed[m] {
-					if err := e.ensureMeter(m); err != nil {
-						return err
-					}
-					if err := e.store.PushTable(m, t); err != nil {
-						return replayErr(err)
-					}
-				}
-			case recBatch:
-				var br batchRecord
-				br, ptsScratch, symScratch, err = decodeBatch(data, ptsScratch, symScratch)
-				if err != nil {
-					return fmt.Errorf("shard %d wal: %w", i, err)
-				}
-				if seq > maxSeq[br.meterID] {
-					maxSeq[br.meterID] = seq
-				}
-				if int(br.epoch) != tseen[br.meterID]-1 {
-					return fmt.Errorf("%w: meter %d batch under epoch %d, log position implies %d", ErrWALCorrupt, br.meterID, br.epoch, tseen[br.meterID]-1)
-				}
-				if sk := skip[br.meterID]; sk > 0 {
-					n := int64(len(br.pts))
-					if sk >= n {
-						skip[br.meterID] = sk - n
-						e.recovered.SkippedPoints += n
-						continue
-					}
-					br.pts = br.pts[sk:]
-					skip[br.meterID] = 0
-					e.recovered.SkippedPoints += sk
-				}
-				if err := e.ensureMeter(br.meterID); err != nil {
-					return err
-				}
-				if _, err := e.store.Append(br.meterID, br.pts); err != nil {
-					return replayErr(err)
-				}
-				e.recovered.ReplayedPoints += int64(len(br.pts))
-			default:
-				return fmt.Errorf("%w: unknown record type %#x in shard %d wal", ErrWALCorrupt, rec.typ, i)
-			}
-		}
-	}
-	// Segments holding points the log no longer reaches means the WAL was
-	// damaged or swapped — refuse rather than serve a silently shorter tail.
-	for m, sk := range skip {
-		if sk > 0 {
-			return fmt.Errorf("%w: meter %d segments hold %d points past the end of the log", ErrWALCorrupt, m, sk)
-		}
-	}
-	e.recovered.Meters = len(tables)
-
-	// 7. Open the current generation's logs for appending (older
-	// generations stay closed — they are replay-only history).
 	e.wals = make([]atomic.Pointer[wal], shards)
-	for i := 0; i < shards; i++ {
-		f, err := e.fs.OpenFile(e.walGenPath(i, e.man.WALGen), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+
+	stats := make([]RecoveryStats, shards)
+	errs := make([]error, shards)
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), shards); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(cursor.Add(1)) - 1; i < shards; i = int(cursor.Add(1)) - 1 {
+				stats[i], errs[i] = e.recoverShard(i, shardSegs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	// Every shard ran to its own verdict, so the error reported is the
+	// lowest-numbered failing shard's whatever the scheduling was.
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
-		e.wals[i].Store(newWAL(f, logs[i].valid))
+	}
+	for _, rs := range stats {
+		e.recovered.add(rs)
+	}
+	e.recovered.Duration = time.Since(start)
+	return nil
+}
+
+// meterReplay is one meter's recovery state, local to its shard's pipeline.
+type meterReplay struct {
+	blocks    []server.SealedBlock // restored from manifest segments, in spill order
+	skip      int64                // leading points of the log those blocks cover
+	tables    []*symbolic.Table    // the log's whole table history, in order
+	installed int                  // tables the segment restore installed
+	tseen     int                  // table records replayed so far
+	maxSeq    uint64
+}
+
+// recoverShard is one shard's recovery pipeline: load its manifest segments,
+// scan its WAL generations, restore the sealed chains, replay the part of the
+// log the segments do not cover, and open the current generation for
+// appending.
+func (e *Engine) recoverShard(shard int, segs []manifestSegment) (RecoveryStats, error) {
+	var rs RecoveryStats
+	meters := make(map[uint64]*meterReplay)
+	meter := func(id uint64) *meterReplay {
+		mr := meters[id]
+		if mr == nil {
+			mr = new(meterReplay)
+			meters[id] = mr
+		}
+		return mr
 	}
 
-	// 8. Hand each recovered meter its ingest state for live sessions,
-	// including the sequence high-water mark the next session's handshake
-	// ack will carry.
-	for m, tl := range tables {
-		if len(tl) > 0 {
-			e.meters.Store(m, &meterMeta{epoch: len(tl) - 1, level: tl[len(tl)-1].Level(), seq: maxSeq[m]})
+	// 1. Manifest segments: each meter's sealed chain in spill order
+	// (manifest order is per-shard finish order) and how many points of the
+	// log it covers. Summaries and the firstT directory come from the footer.
+	phase := time.Now()
+	for _, ms := range segs {
+		blocks, mapping, err := loadSegment(e.fs, filepath.Join(e.segDir(), ms.File))
+		if err != nil {
+			return rs, err
+		}
+		e.trackMapping(mapping)
+		rs.Segments++
+		rs.SegmentBlocks += len(blocks)
+		for _, sb := range blocks {
+			mr := meter(sb.meterID)
+			mr.blocks = append(mr.blocks, sb.blk)
+			mr.skip += int64(sb.blk.N)
+			rs.SegmentPoints += int64(sb.blk.N)
 		}
 	}
-	return nil
+	rs.SegmentRestore = time.Since(phase)
+
+	// 2. Scan the shard's log — every generation up to the manifest's, oldest
+	// first; the record stream is their concatenation. Each file tolerates its
+	// own torn tail (truncated here); damage anywhere else is corruption. This
+	// pass validates the framing and collects each meter's table history,
+	// which the segment restore needs up front.
+	phase = time.Now()
+	var gens [][]byte // each generation's intact prefix
+	var valid int64   // the current generation's
+	for g := uint64(0); g <= e.man.WALGen; g++ {
+		path := e.walGenPath(shard, g)
+		raw, err := e.fs.ReadFile(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return rs, err
+		}
+		sc := walScan{data: raw}
+		for {
+			body, err := sc.next()
+			if err != nil {
+				return rs, fmt.Errorf("%s: %w", path, err)
+			}
+			if body == nil {
+				break
+			}
+			rs.WALRecords++
+			typ, _, data, err := stripSeq(body)
+			if err != nil {
+				return rs, fmt.Errorf("%s: %w", path, err)
+			}
+			if typ != recTable {
+				continue
+			}
+			m, t, err := decodeTable(data)
+			if err != nil {
+				return rs, fmt.Errorf("%s: %w", path, err)
+			}
+			if e.store.ShardFor(m) != shard {
+				return rs, fmt.Errorf("%s: %w: meter %d belongs to shard %d's log", path, ErrWALCorrupt, m, e.store.ShardFor(m))
+			}
+			mr := meter(m)
+			mr.tables = append(mr.tables, t)
+		}
+		if sc.off < len(raw) {
+			if err := e.fs.Truncate(path, int64(sc.off)); err != nil {
+				return rs, err
+			}
+			rs.TornTails++
+		}
+		gens = append(gens, raw[:sc.off])
+		if g == e.man.WALGen {
+			valid = int64(sc.off)
+		}
+	}
+	rs.WALParse = time.Since(phase)
+
+	// 3. Restore the sealed chains, in meter order so the shard's directory
+	// comes back the same on every run. Only the tables the restored blocks
+	// reference are installed here; the replay pushes the rest in order.
+	phase = time.Now()
+	ids := slices.Sorted(maps.Keys(meters))
+	for _, m := range ids {
+		mr := meters[m]
+		if len(mr.blocks) == 0 {
+			continue
+		}
+		maxEpoch := 0
+		for _, b := range mr.blocks {
+			maxEpoch = max(maxEpoch, b.Epoch)
+		}
+		if len(mr.tables) <= maxEpoch {
+			return rs, fmt.Errorf("%w: meter %d segments reference epoch %d but the log holds %d tables", ErrWALCorrupt, m, maxEpoch, len(mr.tables))
+		}
+		if err := e.store.RestoreMeter(m, mr.tables[:maxEpoch+1], mr.blocks); err != nil {
+			return rs, err
+		}
+		mr.installed = maxEpoch + 1
+	}
+	rs.SegmentRestore += time.Since(phase)
+
+	// 4. Replay the log through the normal ingest path, skipping each meter's
+	// already-restored prefix. A batch the segments cover whole is consumed on
+	// its validated header alone — its points are never unpacked; only the
+	// batch straddling the covered boundary and the uncovered tail decode.
+	// Sequenced records ('t'/'b') replay identically to their legacy twins and
+	// additionally advance the meter's sequence high-water mark — tracked even
+	// for covered batches, since those were committed too.
+	phase = time.Now()
+	var pts []symbolic.SymbolPoint
+	var syms []symbolic.Symbol
+	for _, data := range gens {
+		for off := 0; off < len(data); {
+			var body []byte
+			body, off = recordAt(data, off)
+			typ, seq, payload, _ := stripSeq(body) // the scan already vetted it
+			switch typ {
+			case recTable:
+				m := binary.BigEndian.Uint64(payload)
+				mr := meters[m]
+				mr.maxSeq = max(mr.maxSeq, seq)
+				t := mr.tables[mr.tseen] // decoded once, by the scan
+				mr.tseen++
+				if mr.tseen <= mr.installed {
+					continue
+				}
+				if err := e.ensureMeter(m); err != nil {
+					return rs, err
+				}
+				if err := e.store.PushTable(m, t); err != nil {
+					return rs, replayErr(err)
+				}
+			case recBatch:
+				h, err := parseBatchHeader(payload)
+				if err != nil {
+					return rs, fmt.Errorf("shard %d wal: %w", shard, err)
+				}
+				mr := meters[h.meterID]
+				if mr == nil || int(h.epoch) != mr.tseen-1 {
+					return rs, fmt.Errorf("%w: meter %d batch under epoch %d does not follow that table in shard %d's log", ErrWALCorrupt, h.meterID, h.epoch, shard)
+				}
+				mr.maxSeq = max(mr.maxSeq, seq)
+				from := min(mr.skip, int64(h.count))
+				mr.skip -= from
+				rs.SkippedPoints += from
+				if from == int64(h.count) {
+					continue
+				}
+				pts, syms = decodeBatchPoints(h, payload, int(from), pts, syms)
+				if _, err := e.store.Append(h.meterID, pts); err != nil {
+					return rs, replayErr(err)
+				}
+				rs.ReplayedPoints += int64(len(pts))
+			default:
+				return rs, fmt.Errorf("%w: unknown record type %#x in shard %d wal", ErrWALCorrupt, body[0], shard)
+			}
+		}
+	}
+	rs.Replay = time.Since(phase)
+
+	// Segments holding points the log no longer reaches means the WAL was
+	// damaged or swapped — refuse rather than serve a silently shorter tail.
+	// Otherwise hand each meter its ingest state for live sessions, including
+	// the sequence high-water mark the next session's handshake ack carries.
+	for _, m := range ids {
+		mr := meters[m]
+		if mr.skip > 0 {
+			return rs, fmt.Errorf("%w: meter %d segments hold %d points past the end of the log", ErrWALCorrupt, m, mr.skip)
+		}
+		if n := len(mr.tables); n > 0 {
+			e.meters.Store(m, &meterMeta{epoch: n - 1, level: mr.tables[n-1].Level(), seq: mr.maxSeq})
+			rs.Meters++
+		}
+	}
+
+	// 5. Open the current generation's log for appending (older generations
+	// stay closed — they are replay-only history).
+	f, err := e.fs.OpenFile(e.walGenPath(shard, e.man.WALGen), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return rs, err
+	}
+	e.wals[shard].Store(newWAL(f, valid))
+	return rs, nil
 }
 
 // unwind releases everything a failed recover() opened — WAL fds, segment

@@ -71,6 +71,24 @@ func (e *Engine) registerHealthMetrics() {
 		func() float64 { return float64(h.heals.Load()) })
 }
 
+// registerRecoveryMetrics exposes what the last Open rebuilt. The values are
+// fixed once recovery returns, so the gauges read the stats Recovery()
+// reports and the two can never disagree. Called once from Open, after a
+// successful recover.
+func (e *Engine) registerRecoveryMetrics() {
+	reg := e.met.reg
+	rs := &e.recovered
+	reg.GaugeFunc("symmeter_storage_recovery_seconds",
+		"Wall-clock time the last recovery took inside Open.",
+		func() float64 { return rs.Duration.Seconds() })
+	reg.GaugeFunc("symmeter_storage_recovery_replayed_points",
+		"Points the last recovery re-appended from the WAL (tails plus post-manifest seals).",
+		func() float64 { return float64(rs.ReplayedPoints) })
+	reg.GaugeFunc("symmeter_storage_recovery_skipped_points",
+		"Points of the WAL the last recovery skipped as already covered by segments.",
+		func() float64 { return float64(rs.SkippedPoints) })
+}
+
 // Metrics returns the engine's registry — the one Options.Metrics supplied,
 // or the private one created in its absence.
 func (e *Engine) Metrics() *metrics.Registry { return e.met.reg }

@@ -1,0 +1,408 @@
+package storage
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+
+	"symmeter/internal/server"
+	"symmeter/internal/symbolic"
+)
+
+// copyDir clones a data directory so two recoveries can run on identical
+// bytes.
+func copyDir(t testing.TB, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	if err := os.CopyFS(dst, os.DirFS(src)); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// equivMeters spreads over all 8 shards of the equivalence fixture; the odd
+// ones ingest sequenced, the even ones through the legacy calls.
+var equivMeters = func() []uint64 {
+	ids := make([]uint64, 40)
+	for i := range ids {
+		ids[i] = uint64(3*i + 1)
+	}
+	return ids
+}()
+
+// buildEquivDir writes a directory holding everything the shard pipelines
+// branch on: two WAL generations, manifest-listed segments whose coverage
+// ends inside a batch (512-point blocks under 96-point batches), a table
+// change, and an uncovered tail that seals more blocks during replay.
+func buildEquivDir(t testing.TB, clean bool) string {
+	t.Helper()
+	dir := t.TempDir()
+	table := testTable(t)
+	eng, err := Open(Options{Dir: dir, Shards: 8, Sync: SyncOff, SegmentBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := make(map[uint64]uint64)
+	pushTable := func(m uint64) {
+		var err error
+		if m%2 == 1 {
+			seq[m]++
+			_, err = eng.PushTableSeq(m, seq[m], table)
+		} else {
+			err = eng.PushTable(m, table)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendRange := func(from, to int) {
+		for idx := from; idx < to; idx++ {
+			for _, m := range equivMeters {
+				var err error
+				if m%2 == 1 {
+					seq[m]++
+					_, _, err = eng.AppendSeq(m, seq[m], genBatch(m, idx, table))
+				} else {
+					_, err = eng.Append(m, genBatch(m, idx, table))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, m := range equivMeters {
+		if err := eng.StartSession(m); err != nil {
+			t.Fatal(err)
+		}
+		pushTable(m)
+	}
+	// genBatch breaks the stride at batches 3 and 4, sealing blocks of 288
+	// and 96 points; the next block fills to 512 inside batch 9. Flushing
+	// here leaves segments covering 896 points — 9⅓ batches — per meter.
+	appendRange(0, 10)
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.rotateWALs(); err != nil { // generation 1, as a heal would
+		t.Fatal(err)
+	}
+	appendRange(10, 20)
+	for _, m := range equivMeters[:len(equivMeters)/2] {
+		pushTable(m) // second epoch for half the meters, after the covered prefix
+	}
+	appendRange(20, 31)
+	if clean {
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		eng.Abandon()
+	}
+	return dir
+}
+
+// blockImage is one CollectRange view reduced to what must come back
+// bit-identical.
+type blockImage struct {
+	FirstT, Stride int64
+	N, Epoch       int
+	Payload        []byte
+	Hist           []uint32
+}
+
+func meterImage(t testing.TB, st *server.Store, m uint64) []blockImage {
+	t.Helper()
+	h, ok := st.Meter(m)
+	if !ok {
+		t.Fatalf("meter %d missing", m)
+	}
+	image := func(v server.BlockView) blockImage {
+		return blockImage{
+			FirstT: v.FirstT, Stride: v.Stride, N: v.N, Epoch: v.Epoch,
+			Payload: bytes.Clone(v.Payload[:(v.N*v.Level+7)/8]),
+			Hist:    slices.Clone(v.Hist),
+		}
+	}
+	var tail []blockImage
+	views := h.CollectRange(math.MinInt64, math.MaxInt64, nil, func(v server.BlockView) {
+		tail = append(tail, image(v))
+	})
+	var out []blockImage
+	for _, v := range views {
+		out = append(out, image(v))
+	}
+	return append(out, tail...)
+}
+
+// openAt recovers dir with the worker pool sized by procs.
+func openAt(t testing.TB, dir string, procs int) *Engine {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	eng, err := Open(Options{Dir: dir, Shards: 8, Sync: SyncOff, SegmentBytes: 64 << 10})
+	if err != nil {
+		t.Fatalf("Open at GOMAXPROCS=%d: %v", procs, err)
+	}
+	return eng
+}
+
+// TestRecoverySerialEqualsParallel: one worker and four workers must rebuild
+// the same store from the same bytes — same stats, same sequence marks, and
+// bit-identical block chains — for crash-shaped and clean directories.
+func TestRecoverySerialEqualsParallel(t *testing.T) {
+	for _, shape := range []struct {
+		name  string
+		clean bool
+	}{{"crash", false}, {"clean", true}} {
+		t.Run(shape.name, func(t *testing.T) {
+			dirA := buildEquivDir(t, shape.clean)
+			dirB := copyDir(t, dirA)
+			serial := openAt(t, dirA, 1)
+			defer serial.Close()
+			parallel := openAt(t, dirB, 4)
+			defer parallel.Close()
+
+			counts := func(rs RecoveryStats) RecoveryStats {
+				rs.Duration, rs.SegmentRestore, rs.WALParse, rs.Replay = 0, 0, 0, 0
+				return rs
+			}
+			sr, pr := counts(serial.Recovery()), counts(parallel.Recovery())
+			if sr != pr {
+				t.Fatalf("RecoveryStats differ:\n serial   %+v\n parallel %+v", sr, pr)
+			}
+			// The fixture must really exercise every branch of the pipeline.
+			if sr.Segments == 0 || sr.SkippedPoints == 0 || sr.ReplayedPoints == 0 || sr.Meters != len(equivMeters) {
+				t.Fatalf("fixture too thin: %+v", sr)
+			}
+			if sr.SkippedPoints%96 == 0 {
+				t.Fatalf("no batch straddles the covered boundary: skipped %d", sr.SkippedPoints)
+			}
+			if got, err := filepath.Glob(filepath.Join(dirA, "wal", "shard-0000*.wal")); err != nil || len(got) != 2 {
+				t.Fatalf("want two WAL generations for shard 0, have %v (err %v)", got, err)
+			}
+			for _, m := range equivMeters {
+				if s, p := serial.LastSeq(m), parallel.LastSeq(m); s != p || (m%2 == 1) != (s > 0) {
+					t.Fatalf("meter %d LastSeq: serial %d, parallel %d", m, s, p)
+				}
+				si, pi := meterImage(t, serial.Store(), m), meterImage(t, parallel.Store(), m)
+				if !reflect.DeepEqual(si, pi) {
+					t.Fatalf("meter %d: block chains differ between 1 and 4 workers", m)
+				}
+				n := 0
+				for _, b := range si {
+					n += b.N
+				}
+				if n != 31*96 {
+					t.Fatalf("meter %d recovered %d points, want %d", m, n, 31*96)
+				}
+			}
+		})
+	}
+}
+
+// coveredLogDir builds a cleanly closed single-shard directory whose log sits
+// almost wholly under manifest-listed segments: two meters of 10 batches, the
+// first 9⅓ of each covered (see buildEquivDir), so the last batch straddles
+// the boundary. It returns the directory, its log bytes and the scanned
+// records.
+func coveredLogDir(t testing.TB) (dir string, raw []byte, recs []walRecord) {
+	t.Helper()
+	dir = t.TempDir()
+	table := testTable(t)
+	eng, err := Open(Options{Dir: dir, Shards: 1, Sync: SyncOff, SegmentBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyBatches(t, eng, table, testMeters[:2], 10)
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err = os.ReadFile(filepath.Join(dir, "wal", "shard-0000.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, torn, err := parseWAL(raw)
+	if err != nil || torn {
+		t.Fatalf("fixture log must scan clean: torn=%v err=%v", torn, err)
+	}
+	return dir, raw, recs
+}
+
+// withLog clones dir and replaces its log with walBytes.
+func withLog(t testing.TB, dir string, walBytes []byte) string {
+	t.Helper()
+	out := copyDir(t, dir)
+	if err := os.WriteFile(filepath.Join(out, "wal", "shard-0000.wal"), walBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// restamp rewrites record rec's body through edit and re-frames it with a
+// valid length and CRC, so only the content checks stand between the damage
+// and the store. The edited body may change length.
+func restamp(raw []byte, recs []walRecord, rec int, edit func(body []byte) []byte) []byte {
+	start := int(recordEnd(recs, rec))
+	body := edit(bytes.Clone(raw[start+walHeaderLen : recs[rec].end]))
+	out := bytes.Clone(raw[:start])
+	out = binary.BigEndian.AppendUint32(out, uint32(len(body)))
+	out = binary.BigEndian.AppendUint32(out, ^uint32(len(body)))
+	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(body, crcC))
+	out = append(out, body...)
+	return append(out, raw[recs[rec].end:]...)
+}
+
+// TestSkippedBatchStillValidated: replay consumes a segment-covered batch on
+// its header alone, so every way the full decode used to reject such a
+// record must still fail recovery loudly — never a silent skip.
+func TestSkippedBatchStillValidated(t *testing.T) {
+	dir, raw, recs := coveredLogDir(t)
+	// The first batch record: covered by the segments of its meter.
+	victim := slices.IndexFunc(recs, func(r walRecord) bool { return r.typ == recBatch })
+	if victim < 0 {
+		t.Fatal("fixture has no batch record")
+	}
+	re, err := Open(Options{Dir: copyDir(t, dir), Shards: 1, Sync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs := re.Recovery(); rs.SkippedPoints < 96 {
+		t.Fatalf("fixture's first batch is not segment-covered: %+v", rs)
+	}
+	re.Close()
+
+	// Body offsets: type(1) | meterID(8) epoch(4) level(1) kind(1) count(4).
+	cases := []struct {
+		name string
+		edit func(body []byte) []byte
+	}{
+		{"level 0", func(b []byte) []byte { b[13] = 0; return b }},
+		{"level above MaxLevel", func(b []byte) []byte { b[13] = symbolic.MaxLevel + 1; return b }},
+		{"timestamp kind 2", func(b []byte) []byte { b[14] = 2; return b }},
+		{"count larger than the payload", func(b []byte) []byte { binary.BigEndian.PutUint32(b[15:], 97); return b }},
+		{"payload longer than the count", func(b []byte) []byte { return append(b, 0) }},
+		{"count 0", func(b []byte) []byte { binary.BigEndian.PutUint32(b[15:], 0); return b[:1+batchHeaderLen+16] }},
+		{"epoch ahead of the log position", func(b []byte) []byte { binary.BigEndian.PutUint32(b[9:], 1); return b }},
+		{"truncated below the fixed header", func(b []byte) []byte { return b[:1+batchHeaderLen-1] }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mut := restamp(raw, recs, victim, tc.edit)
+			if got, _, torn, err := parseWAL(mut); err != nil || torn || len(got) != len(recs) {
+				t.Fatalf("restamped log must still frame clean: %d records torn=%v err=%v", len(got), torn, err)
+			}
+			_, err := Open(Options{Dir: withLog(t, dir, mut), Shards: 1, Sync: SyncOff})
+			if !errors.Is(err, ErrWALCorrupt) {
+				t.Fatalf("Open returned %v, want ErrWALCorrupt", err)
+			}
+		})
+	}
+}
+
+// TestFooterRoomRunningTotal: the segment writer's O(1) footer-size total
+// must equal the recomputed sum after every seal, across rollovers and mixed
+// histogram widths, and every finished segment must fit its preallocation.
+func TestFooterRoomRunningTotal(t *testing.T) {
+	dir := t.TempDir()
+	const segCap = 64 << 10
+	eng, err := Open(Options{Dir: dir, Shards: 1, Sync: SyncOff, SegmentBytes: segCap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	sw := eng.segs[0]
+	rollovers := 0
+	for i := 0; i < 600; i++ {
+		level := []int{2, 4, 8, 12}[i%4]
+		blk := server.SealedBlock{
+			Level: level, N: 512, FirstT: int64(i) * 512, Stride: 1,
+			Payload: make([]byte, 512*level/8),
+		}
+		if level <= 8 {
+			blk.Hist = make([]uint32, 1<<level)
+		}
+		seq := sw.seq
+		if _, err := sw.SealedBlock(uint64(i%3), blk); err != nil {
+			t.Fatal(err)
+		}
+		if sw.seq != seq && seq > 0 {
+			// Rolled over: the segment just finished must fit its capacity.
+			rollovers++
+			st, err := os.Stat(filepath.Join(dir, "seg", segName(0, seq-1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Size() > segCap {
+				t.Fatalf("segment %d finished at %d bytes, past its %d-byte preallocation", seq-1, st.Size(), segCap)
+			}
+		}
+		want := 0
+		for _, e := range sw.meta {
+			want += segBlockMetaLen + 4*len(e.blk.Hist)
+		}
+		if sw.metaBytes != want {
+			t.Fatalf("after seal %d: running total %d, recomputed %d", i, sw.metaBytes, want)
+		}
+	}
+	if rollovers < 3 {
+		t.Fatalf("only %d rollovers: the fixture never refills a segment", rollovers)
+	}
+	path := sw.path
+	if err := sw.finish(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() > segCap {
+		t.Fatalf("final segment finished at %d bytes, past its %d-byte preallocation", st.Size(), segCap)
+	}
+	blocks, mapping, err := loadSegment(OsFS{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer OsFS{}.Munmap(mapping)
+	if len(blocks) == 0 {
+		t.Fatal("final segment read back empty")
+	}
+}
+
+// TestRecoveryMetricsMatchStats: the recovery gauges are the same numbers
+// Recovery() reports.
+func TestRecoveryMetricsMatchStats(t *testing.T) {
+	dir := buildEquivDir(t, true)
+	eng, err := Open(Options{Dir: dir, Shards: 8, Sync: SyncOff, SegmentBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	rs := eng.Recovery()
+	if rs.Duration <= 0 || rs.SegmentRestore <= 0 || rs.WALParse <= 0 || rs.Replay <= 0 {
+		t.Fatalf("recovery timings not recorded: %+v", rs)
+	}
+	var buf bytes.Buffer
+	if err := eng.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]float64{
+		"symmeter_storage_recovery_seconds":         rs.Duration.Seconds(),
+		"symmeter_storage_recovery_replayed_points": float64(rs.ReplayedPoints),
+		"symmeter_storage_recovery_skipped_points":  float64(rs.SkippedPoints),
+	} {
+		line := name + " " + strconv.FormatFloat(want, 'g', -1, 64) + "\n"
+		if !strings.Contains(buf.String(), line) {
+			t.Errorf("exposition lacks %q", line)
+		}
+	}
+}

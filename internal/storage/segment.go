@@ -75,6 +75,9 @@ type segmentWriter struct {
 	path string
 	off  int64
 	meta []segBlock
+	// metaBytes is the footer size the blocks in meta encode to, kept as a
+	// running total so the per-seal headroom check is O(1).
+	metaBytes int
 }
 
 func segName(shard int, seq uint64) string {
@@ -108,6 +111,7 @@ func (sw *segmentWriter) open() error {
 	sw.f = f
 	sw.off = int64(len(segMagic))
 	sw.meta = sw.meta[:0]
+	sw.metaBytes = 0
 	sw.seq++
 	return nil
 }
@@ -142,6 +146,7 @@ func (sw *segmentWriter) SealedBlock(meterID uint64, blk server.SealedBlock) ([]
 		off:     sw.off,
 		crc:     crc32.Checksum(blk.Payload, crcC),
 	})
+	sw.metaBytes += segBlockMetaLen + 4*len(blk.Hist)
 	sw.off = (sw.off + need + 7) &^ 7
 	return adopted, nil
 }
@@ -150,11 +155,7 @@ func (sw *segmentWriter) SealedBlock(meterID uint64, blk server.SealedBlock) ([]
 // finished right now, plus one more max-width entry — the headroom check
 // that guarantees finish() always fits inside the preallocated capacity.
 func (sw *segmentWriter) footerRoom() int {
-	room := 0
-	for i := range sw.meta {
-		room += segBlockMetaLen + 4*len(sw.meta[i].blk.Hist)
-	}
-	return room + segBlockMetaLen + 4*1024
+	return sw.metaBytes + segBlockMetaLen + 4*1024
 }
 
 // finish writes the footer and trailer, fsyncs, shrinks the file to its real

@@ -353,49 +353,58 @@ func (w *wal) close() error {
 
 // --- Replay ----------------------------------------------------------------
 
-// walRecord is one parsed record plus its end offset in the file (the
-// truncation point if everything after it turns out torn).
-type walRecord struct {
-	typ  byte
-	data []byte // payload after the type byte, aliasing the read buffer
-	end  int64
+// walScan walks one log file's bytes record by record, applying the
+// torn-tail rules from the package comment. Records are handed out straight
+// off the read buffer — nothing is materialized per record.
+type walScan struct {
+	data []byte
+	// off is the end of the last record next returned: once next reports the
+	// end, it is the byte length of the file's intact prefix (the truncation
+	// point when bytes remain behind it).
+	off int
 }
 
-// parseWAL splits raw log bytes into records, applying the torn-tail rules
-// from the package comment. valid is the byte length of the intact prefix;
-// torn reports whether trailing bytes were dropped as a torn write.
-func parseWAL(data []byte) (recs []walRecord, valid int64, torn bool, err error) {
-	off := 0
-	for off < len(data) {
-		rem := len(data) - off
-		bad := ""
-		switch n, inv := headerAt(data, off); {
-		case rem < walHeaderLen:
-			bad = "partial header"
-		case inv != ^n:
-			bad = "inconsistent record header"
-		case n < 1 || n > maxWALRecord:
-			bad = fmt.Sprintf("impossible record length %d", n)
-		case rem < walHeaderLen+int(n):
-			bad = "partial body"
-		case crc32.Checksum(data[off+walHeaderLen:off+walHeaderLen+int(n)], crcC) != binary.BigEndian.Uint32(data[off+8:]):
-			bad = "record CRC mismatch"
-		default:
-			body := data[off+walHeaderLen : off+walHeaderLen+int(n)]
-			off += walHeaderLen + int(n)
-			recs = append(recs, walRecord{typ: body[0], data: body[1:], end: int64(off)})
-			continue
-		}
-		// Damage. A torn final write (process or OS crash) leaves nothing
-		// readable behind it; damage with an intact record after it is
-		// mid-log corruption and acknowledged data would be lost silently
-		// by truncating here.
-		if nextValidRecord(data, off+1) {
-			return nil, 0, false, fmt.Errorf("%w: %s at offset %d with intact records after it", ErrWALCorrupt, bad, off)
-		}
-		return recs, int64(off), true, nil
+// next validates the record at the cursor — consistent header, plausible
+// length, matching CRC — and returns its body (type byte first), or nil at
+// the end of the intact prefix. Damage with nothing readable behind it is a
+// torn final write (process or OS crash) and simply ends the scan; damage
+// with an intact record after it is mid-log corruption — truncating there
+// would silently lose acknowledged data — and fails with ErrWALCorrupt.
+func (s *walScan) next() ([]byte, error) {
+	data, off := s.data, s.off
+	if off == len(data) {
+		return nil, nil
 	}
-	return recs, int64(off), false, nil
+	rem := len(data) - off
+	bad := ""
+	switch n, inv := headerAt(data, off); {
+	case rem < walHeaderLen:
+		bad = "partial header"
+	case inv != ^n:
+		bad = "inconsistent record header"
+	case n < 1 || n > maxWALRecord:
+		bad = fmt.Sprintf("impossible record length %d", n)
+	case rem < walHeaderLen+int(n):
+		bad = "partial body"
+	case crc32.Checksum(data[off+walHeaderLen:off+walHeaderLen+int(n)], crcC) != binary.BigEndian.Uint32(data[off+8:]):
+		bad = "record CRC mismatch"
+	default:
+		var body []byte
+		body, s.off = recordAt(data, off)
+		return body, nil
+	}
+	if nextValidRecord(data, off+1) {
+		return nil, fmt.Errorf("%w: %s at offset %d with intact records after it", ErrWALCorrupt, bad, off)
+	}
+	return nil, nil
+}
+
+// recordAt returns the body of the record starting at off and the offset
+// just past it. The framing must already be validated (walScan.next did):
+// the replay pass walks a scanned prefix with it instead of re-checking CRCs.
+func recordAt(data []byte, off int) (body []byte, end int) {
+	end = off + walHeaderLen + int(binary.BigEndian.Uint32(data[off:]))
+	return data[off+walHeaderLen : end], end
 }
 
 // headerAt reads a record header's length fields (zero when fewer than 8
@@ -427,73 +436,88 @@ func nextValidRecord(data []byte, from int) bool {
 	return false
 }
 
-// batchRecord is a decoded 'B' record.
-type batchRecord struct {
+// batchHeaderLen is the fixed prefix of a 'B' payload: meterID, epoch,
+// level, timestamp kind, count.
+const batchHeaderLen = 18
+
+// batchHeader is a 'B' record's fixed header.
+type batchHeader struct {
 	meterID uint64
 	epoch   uint32
 	level   int
-	pts     []symbolic.SymbolPoint
+	kind    byte // 0 arithmetic timestamps, 1 explicit
+	count   int
 }
 
-// decodeBatch parses a 'B' record payload, reusing the caller's point and
-// symbol scratch. Every field is bounds-checked: the payload is disk input.
-func decodeBatch(data []byte, ptsScratch []symbolic.SymbolPoint, symScratch []symbolic.Symbol) (batchRecord, []symbolic.SymbolPoint, []symbolic.Symbol, error) {
-	var br batchRecord
-	if len(data) < 18 {
-		return br, ptsScratch, symScratch, fmt.Errorf("%w: batch record of %d bytes", ErrWALCorrupt, len(data))
+// parseBatchHeader validates a 'B' payload without unpacking a symbol:
+// every field is range-checked and the payload length must be exactly what
+// level, kind and count imply — the payload is disk input. Replay consumes a
+// segment-covered batch on the strength of this alone, so everything the
+// point decode could reject is rejected here.
+func parseBatchHeader(data []byte) (batchHeader, error) {
+	if len(data) < batchHeaderLen {
+		return batchHeader{}, fmt.Errorf("%w: batch record of %d bytes", ErrWALCorrupt, len(data))
 	}
-	br.meterID = binary.BigEndian.Uint64(data[0:])
-	br.epoch = binary.BigEndian.Uint32(data[8:])
-	br.level = int(data[12])
-	kind := data[13]
-	count := int(binary.BigEndian.Uint32(data[14:]))
-	if br.level < 1 || br.level > symbolic.MaxLevel {
-		return br, ptsScratch, symScratch, fmt.Errorf("%w: batch at level %d", ErrWALCorrupt, br.level)
+	h := batchHeader{
+		meterID: binary.BigEndian.Uint64(data[0:]),
+		epoch:   binary.BigEndian.Uint32(data[8:]),
+		level:   int(data[12]),
+		kind:    data[13],
+		count:   int(binary.BigEndian.Uint32(data[14:])),
 	}
-	if kind > 1 {
-		return br, ptsScratch, symScratch, fmt.Errorf("%w: batch timestamp kind %d", ErrWALCorrupt, kind)
+	if h.level < 1 || h.level > symbolic.MaxLevel {
+		return h, fmt.Errorf("%w: batch at level %d", ErrWALCorrupt, h.level)
 	}
-	rest := data[18:]
-	tsBytes := 16
-	if kind == 1 {
-		tsBytes = 8 * count
+	if h.kind > 1 {
+		return h, fmt.Errorf("%w: batch timestamp kind %d", ErrWALCorrupt, h.kind)
 	}
-	packedBytes := (count*br.level + 7) / 8
-	if count < 1 || len(rest) != tsBytes+packedBytes {
-		return br, ptsScratch, symScratch, fmt.Errorf("%w: batch of %d points with %d trailing bytes, want %d", ErrWALCorrupt, count, len(rest), tsBytes+packedBytes)
+	if want := h.tsBytes() + (h.count*h.level+7)/8; h.count < 1 || len(data)-batchHeaderLen != want {
+		return h, fmt.Errorf("%w: batch of %d points with %d trailing bytes, want %d", ErrWALCorrupt, h.count, len(data)-batchHeaderLen, want)
 	}
-	symScratch = symbolic.AppendUnpackRange(symScratch[:0], rest[tsBytes:], br.level, 0, count)
-	if cap(ptsScratch) < count {
-		ptsScratch = make([]symbolic.SymbolPoint, count)
+	return h, nil
+}
+
+func (h batchHeader) tsBytes() int {
+	if h.kind == 1 {
+		return 8 * h.count
 	}
-	pts := ptsScratch[:count]
-	if kind == 0 {
+	return 16
+}
+
+// decodeBatchPoints unpacks points [from, count) of a 'B' payload whose
+// header parseBatchHeader accepted, reusing the caller's point and symbol
+// scratch.
+func decodeBatchPoints(h batchHeader, data []byte, from int, ptsScratch []symbolic.SymbolPoint, symScratch []symbolic.Symbol) ([]symbolic.SymbolPoint, []symbolic.Symbol) {
+	rest := data[batchHeaderLen:]
+	symScratch = symbolic.AppendUnpackRange(symScratch[:0], rest[h.tsBytes():], h.level, from, h.count)
+	pts := ptsScratch[:0]
+	if h.kind == 0 {
 		firstT := int64(binary.BigEndian.Uint64(rest[0:]))
 		stride := int64(binary.BigEndian.Uint64(rest[8:]))
-		for i := range pts {
-			pts[i] = symbolic.SymbolPoint{T: firstT + int64(i)*stride, S: symScratch[i]}
+		for i, s := range symScratch {
+			pts = append(pts, symbolic.SymbolPoint{T: firstT + int64(from+i)*stride, S: s})
 		}
 	} else {
-		for i := range pts {
-			pts[i] = symbolic.SymbolPoint{T: int64(binary.BigEndian.Uint64(rest[8*i:])), S: symScratch[i]}
+		for i, s := range symScratch {
+			pts = append(pts, symbolic.SymbolPoint{T: int64(binary.BigEndian.Uint64(rest[8*(from+i):])), S: s})
 		}
 	}
-	br.pts = pts
-	return br, ptsScratch, symScratch, nil
+	return pts, symScratch
 }
 
-// stripSeq normalizes a possibly-sequenced record to its legacy type and
-// body, returning the sequence number (0 for legacy records) — replay
+// stripSeq normalizes a possibly-sequenced record body to its legacy type
+// and payload, returning the sequence number (0 for legacy records) — replay
 // handles 't'/'b' exactly like 'T'/'B' plus a high-water-mark update.
-func stripSeq(rec walRecord) (typ byte, seq uint64, data []byte, err error) {
-	switch rec.typ {
+func stripSeq(body []byte) (typ byte, seq uint64, data []byte, err error) {
+	typ, data = body[0], body[1:]
+	switch typ {
 	case recSeqTable, recSeqBatch:
-		if len(rec.data) < 8 {
-			return 0, 0, nil, fmt.Errorf("%w: sequenced record of %d bytes", ErrWALCorrupt, len(rec.data))
+		if len(data) < 8 {
+			return 0, 0, nil, fmt.Errorf("%w: sequenced record of %d bytes", ErrWALCorrupt, len(data))
 		}
-		return rec.typ - ('a' - 'A'), binary.BigEndian.Uint64(rec.data), rec.data[8:], nil
+		return typ - ('a' - 'A'), binary.BigEndian.Uint64(data), data[8:], nil
 	}
-	return rec.typ, 0, rec.data, nil
+	return typ, 0, data, nil
 }
 
 // decodeTable parses a 'T' record payload.

@@ -75,6 +75,30 @@ func walDir(t testing.TB, walBytes []byte) string {
 	return dir
 }
 
+// walRecord is one scanned record plus its end offset in the file (the
+// truncation point if everything after it turns out torn).
+type walRecord struct {
+	typ  byte
+	data []byte // payload after the type byte, aliasing the read buffer
+	end  int64
+}
+
+// parseWAL collects everything walScan yields over raw: the records, the
+// byte length of the intact prefix, and whether a torn tail was dropped.
+func parseWAL(raw []byte) (recs []walRecord, valid int64, torn bool, err error) {
+	sc := walScan{data: raw}
+	for {
+		body, err := sc.next()
+		if err != nil {
+			return nil, 0, false, err
+		}
+		if body == nil {
+			return recs, int64(sc.off), sc.off < len(raw), nil
+		}
+		recs = append(recs, walRecord{typ: body[0], data: body[1:], end: int64(sc.off)})
+	}
+}
+
 // applyRecords replays the first upto parsed records into a fresh in-memory
 // store — the oracle for what recovery of that prefix must reproduce.
 func applyRecords(t testing.TB, recs []walRecord, upto int) *server.Store {
@@ -104,13 +128,13 @@ func applyRecords(t testing.TB, recs []walRecord, upto int) *server.Store {
 				t.Fatal(err)
 			}
 		case recBatch:
-			br, p, s, err := decodeBatch(rec.data, pts, syms)
-			pts, syms = p, s
+			h, err := parseBatchHeader(rec.data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ensure(br.meterID)
-			if _, err := st.Append(br.meterID, br.pts); err != nil {
+			pts, syms = decodeBatchPoints(h, rec.data, 0, pts, syms)
+			ensure(h.meterID)
+			if _, err := st.Append(h.meterID, pts); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -230,24 +254,37 @@ func TestCorruptWALFailsLoudly(t *testing.T) {
 	}
 }
 
-// FuzzWALReplay mutates (truncate + single byte-flip) the fixture log and
+// FuzzWALReplay mutates (truncate + single byte-flip) a fixture log and
 // asserts the recovery contract: either recovery fails loudly, or the
 // recovered state is bit-exactly some record prefix of the original log that
 // includes every record lying wholly before the first damaged byte. Silently
 // dropping acknowledged records that sit before the damage — or fabricating
-// state — fails the fuzz.
+// state — fails the fuzz. With covered set, the mutated log sits under
+// manifest-listed segments (coveredLogDir), so the damage lands on records
+// replay consumes by their header alone; otherwise the directory is WAL-only.
 func FuzzWALReplay(f *testing.F) {
 	raw := buildWALFixture(f)
 	recs, _, _, err := parseWAL(raw)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(uint32(0), byte(0), uint32(0))
-	f.Add(uint32(13), byte(0x80), uint32(0))
-	f.Add(uint32(5), byte(0), uint32(100))
-	f.Add(uint32(len(raw)-3), byte(0xFF), uint32(0))
-	f.Add(uint32(40), byte(1), uint32(uint(len(raw)-1)))
-	f.Fuzz(func(t *testing.T, pos uint32, xor byte, trunc uint32) {
+	covDir, covRaw, covRecs := coveredLogDir(f)
+	f.Add(uint32(0), byte(0), uint32(0), false)
+	f.Add(uint32(13), byte(0x80), uint32(0), false)
+	f.Add(uint32(5), byte(0), uint32(100), false)
+	f.Add(uint32(len(raw)-3), byte(0xFF), uint32(0), false)
+	f.Add(uint32(40), byte(1), uint32(uint(len(raw)-1)), false)
+	covered := int(recordEnd(covRecs, 3)) // past both tables: inside the first covered batch
+	f.Add(uint32(0), byte(0), uint32(0), true)
+	f.Add(uint32(covered+walHeaderLen+13), byte(0x03), uint32(0), true) // its level byte
+	f.Add(uint32(covered+walHeaderLen+16), byte(0x01), uint32(0), true) // its count
+	f.Add(uint32(len(covRaw)-3), byte(0xFF), uint32(0), true)           // the straddling batch
+	f.Add(uint32(0), byte(0), uint32(covered), true)                    // log cut below the segments
+	f.Fuzz(func(t *testing.T, pos uint32, xor byte, trunc uint32, covered bool) {
+		raw, recs := raw, recs
+		if covered {
+			raw, recs = covRaw, covRecs
+		}
 		mut := append([]byte(nil), raw...)
 		damagedFrom := int64(len(mut)) + 1 // "no damage" sentinel: past EOF
 		if trunc != 0 && int(trunc) < len(mut) {
@@ -261,7 +298,12 @@ func FuzzWALReplay(f *testing.F) {
 				damagedFrom = int64(p)
 			}
 		}
-		dir := walDir(t, mut)
+		var dir string
+		if covered {
+			dir = withLog(t, covDir, mut)
+		} else {
+			dir = walDir(t, mut)
+		}
 		eng, err := Open(Options{Dir: dir, Shards: 1, Sync: SyncOff})
 		if err != nil {
 			return // loud failure is always acceptable under corruption
@@ -277,7 +319,7 @@ func FuzzWALReplay(f *testing.F) {
 			}
 		}
 		if match < 0 {
-			t.Fatalf("recovered state matches no prefix of the original log (pos=%d xor=%#x trunc=%d)", pos, xor, trunc)
+			t.Fatalf("recovered state matches no prefix of the original log (pos=%d xor=%#x trunc=%d covered=%v)", pos, xor, trunc, covered)
 		}
 		// …and that prefix must cover every record wholly before the damage:
 		// those were acknowledged and readable, dropping them is data loss.
@@ -288,8 +330,8 @@ func FuzzWALReplay(f *testing.F) {
 			}
 		}
 		if match < mustHave {
-			t.Fatalf("recovery kept %d records but %d lie wholly before the damage at %d (pos=%d xor=%#x trunc=%d)",
-				match, mustHave, damagedFrom, pos, xor, trunc)
+			t.Fatalf("recovery kept %d records but %d lie wholly before the damage at %d (pos=%d xor=%#x trunc=%d covered=%v)",
+				match, mustHave, damagedFrom, pos, xor, trunc, covered)
 		}
 	})
 }
