@@ -93,23 +93,47 @@ func strideFor(firstT, t int64) (int64, bool) {
 
 const maxInt64 = 1<<63 - 1
 
-// accepts reports whether a point at time t under the given epoch can extend
-// the block's arithmetic timestamp progression.
-func (b *block) accepts(t int64, epoch uint32) bool {
+// admit reports how many leading points of an arithmetic run — first
+// timestamp t, step stride, count ≥ 1 points, arriving under epoch — continue
+// the block's timestamp progression, and fixes firstT and stride exactly as
+// the block's first and second point fix them. Zero means the run's first
+// point needs a new block; a run whose step the block cannot take on (a gap,
+// a stride change, a stride strideFor rejects) is admitted one point at a
+// time. Run timestamps are wire or disk input and may wrap int64: strideFor
+// rejects every wrapped second point, and inside an established progression
+// "t matches and the steps agree" is the same test modulo 2^64 as comparing
+// every point.
+func (b *block) admit(t, stride int64, count int, epoch uint32) int {
 	if b.epoch != epoch || b.n >= BlockCap {
-		return false
+		return 0
 	}
 	switch b.n {
 	case 0:
-		return true
+		b.firstT = t
+		if count > 1 {
+			// The run's second point fixes the stride; it must move forward
+			// and keep the whole block's progression inside int64.
+			if _, ok := strideFor(t, t+stride); !ok {
+				return 1
+			}
+			b.stride = stride
+		}
+		return min(count, BlockCap)
 	case 1:
-		// The second point fixes the stride; it must move forward and keep
-		// the whole block's progression inside int64.
-		_, ok := strideFor(b.firstT, t)
-		return ok
+		s, ok := strideFor(b.firstT, t)
+		if !ok {
+			return 0
+		}
+		b.stride = s
 	default:
-		return t == b.firstT+int64(b.n)*b.stride
+		if t != b.firstT+int64(b.n)*b.stride {
+			return 0
+		}
 	}
+	if count > 1 && stride != b.stride {
+		return 1
+	}
+	return min(count, BlockCap-int(b.n))
 }
 
 // seal trims a block that is about to get a successor down to what it
@@ -136,28 +160,19 @@ func (b *block) seal() {
 	}
 }
 
-// push appends one point. The caller must have checked accepts.
-func (b *block) push(t int64, idx uint32, v float64) {
-	switch b.n {
-	case 0:
-		b.firstT = t
-		b.minV = v
-		b.maxV = v
-	case 1:
-		b.stride = t - b.firstT
+// extend appends the m symbols at position pos of the packed payload src —
+// which admit just accepted — with one bit-copy, then folds them into the
+// summary in arrival order, so sum, extremes and histogram come out
+// bit-identical to appending the points one at a time.
+func (b *block) extend(values []float64, src []byte, pos, m int) {
+	level, n := int(b.level), int(b.n)
+	symbolic.CopyPacked(b.payload, n, src, pos, m, level)
+	if n == 0 {
+		v := values[symbolic.PackedSymbolAt(src, level, pos)]
+		b.minV, b.maxV = v, v
 	}
-	symbolic.PackSymbolAt(b.payload, int(b.level), int(b.n), idx)
-	if b.hist != nil {
-		b.hist[idx]++
-	}
-	b.sum += v
-	if v < b.minV {
-		b.minV = v
-	}
-	if v > b.maxV {
-		b.maxV = v
-	}
-	b.n++
+	b.sum, b.minV, b.maxV = symbolic.PackedRangeFold(values, b.hist, b.payload, level, n, n+m, b.sum, b.minV, b.maxV)
+	b.n += uint32(m)
 }
 
 // BlockView is a read-only view of one packed block plus its epoch table's

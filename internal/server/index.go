@@ -2,7 +2,7 @@ package server
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"symmeter/internal/symbolic"
 )
@@ -48,8 +48,9 @@ type sealedIndex struct {
 	// blocks is the sealed prefix of the chain, in append order.
 	blocks []block
 	// firstTs is the sparse time directory: firstTs[i] == blocks[i].firstT.
-	// Kept as a dedicated array so the binary search touches 8 bytes per
-	// probe instead of a whole block struct.
+	// Kept as a dedicated array so a range lookup's binary searches touch 8
+	// bytes per probe; the only block struct rangeBlocks reads is the one
+	// straddling the range start.
 	firstTs []int64
 	// total is the symbol count across all sealed blocks.
 	total int
@@ -77,12 +78,18 @@ func (ix *sealedIndex) rangeBlocks(t0, t1 int64) (lo, hi int) {
 	if !ix.ordered {
 		return 0, n
 	}
-	// First block whose last point is at or past t0: earlier blocks end
-	// before the range starts. lastT is monotone when ordered.
-	lo = sort.Search(n, func(i int) bool { return ix.blocks[i].lastT() >= t0 })
+	// Both bounds search the dense directory, never the block structs. Blocks
+	// from the first one starting at or past t0 onwards all end at or past
+	// t0; of the blocks before it only the last can still reach t0, because an
+	// ordered chain has lastT[i] ≤ firstT[i+1] < t0 for every earlier one.
+	lo, _ = slices.BinarySearch(ix.firstTs, t0)
+	if lo > 0 && ix.blocks[lo-1].lastT() >= t0 {
+		lo--
+	}
 	// First block starting at or past t1: it and everything after begin
 	// outside the half-open range.
-	hi = lo + sort.Search(n-lo, func(i int) bool { return ix.firstTs[lo+i] >= t1 })
+	hi, _ = slices.BinarySearch(ix.firstTs[lo:], t1)
+	hi += lo
 	return lo, hi
 }
 

@@ -157,7 +157,7 @@ func (e *meterEntry) newBlock(epoch uint32, level, k int) *block {
 		e.payloadArena = e.payloadArena[nb:]
 	} else if cap(e.recycle) >= nb {
 		payload = e.recycle[:nb:nb]
-		clear(payload) // PackSymbolAt ORs bits in; the buffer must start zero
+		clear(payload) // a tail's unused bytes read as zero, as in a fresh buffer
 		e.recycle = nil
 	} else {
 		payload = make([]byte, nb)
@@ -223,6 +223,9 @@ func (e *meterEntry) reserveLocked(n int, persist bool) {
 // published index serve everything else without it.
 type shard struct {
 	mu sync.RWMutex
+	// pack is Append's packing scratch, used under mu: a batch is packed and
+	// committed inside one lock hold, so the shard's meters can share it.
+	pack []byte
 	// dir is the published meter directory, swapped copy-on-write under mu
 	// whenever a meter registers. Never nil (points at emptyShardDir).
 	dir atomic.Pointer[shardDir]
@@ -417,7 +420,22 @@ func (s *Store) LastSeq(meterID uint64) uint64 {
 
 // seqCheck classifies seq against the meter's high-water mark: committed
 // already (dup), next in line (proceed), or a gap (client bug, loud error).
-func (s *Store) seqCheck(meterID, seq uint64) (dup bool, err error) {
+// The caller holds the shard write lock, and keeps it until the write it
+// admits has committed and advanced the mark.
+func (e *meterEntry) seqCheck(seq uint64) (dup bool, err error) {
+	if seq <= e.seq {
+		return true, nil
+	}
+	if seq != e.seq+1 {
+		return false, fmt.Errorf("%w: meter %d got seq %d with high-water mark %d", ErrSeqGap, e.id, seq, e.seq)
+	}
+	return false, nil
+}
+
+// PushTableSeq is PushTable for sequenced sessions: seq == hwm+1 commits
+// the table and advances the mark, seq <= hwm is suppressed as a duplicate
+// (dup=true, nothing written, still to be acked), and a gap is refused.
+func (s *Store) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, error) {
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -425,37 +443,11 @@ func (s *Store) seqCheck(meterID, seq uint64) (dup bool, err error) {
 	if e == nil {
 		return false, fmt.Errorf("%w: %d", ErrUnknownMeter, meterID)
 	}
-	if seq <= e.seq {
-		return true, nil
-	}
-	if seq != e.seq+1 {
-		return false, fmt.Errorf("%w: meter %d got seq %d with high-water mark %d", ErrSeqGap, meterID, seq, e.seq)
-	}
-	return false, nil
-}
-
-// seqAdvance commits seq as the meter's new high-water mark.
-func (s *Store) seqAdvance(meterID, seq uint64) {
-	sh := s.shardOf(meterID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e := sh.meter(meterID); e != nil && seq > e.seq {
-		e.seq = seq
-	}
-}
-
-// PushTableSeq is PushTable for sequenced sessions: seq == hwm+1 commits
-// the table and advances the mark, seq <= hwm is suppressed as a duplicate
-// (dup=true, nothing written, still to be acked), and a gap is refused.
-func (s *Store) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, error) {
-	dup, err := s.seqCheck(meterID, seq)
-	if dup || err != nil {
+	if dup, err := e.seqCheck(seq); dup || err != nil {
 		return dup, err
 	}
-	if err := s.PushTable(meterID, t); err != nil {
-		return false, err
-	}
-	s.seqAdvance(meterID, seq)
+	e.pushTable(t, s.sink != nil)
+	e.seq = seq
 	return false, nil
 }
 
@@ -464,16 +456,21 @@ func (s *Store) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, erro
 // the whole batch commits, so a failed append leaves the mark untouched
 // and the client's retry of the same seq is not misread as a duplicate.
 func (s *Store) AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (int, bool, error) {
-	dup, err := s.seqCheck(meterID, seq)
-	if dup || err != nil {
+	sh := s.shardOf(meterID)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e := sh.meter(meterID)
+	if e == nil {
+		return 0, false, fmt.Errorf("%w: %d", ErrUnknownMeter, meterID)
+	}
+	if dup, err := e.seqCheck(seq); dup || err != nil {
 		return 0, dup, err
 	}
-	n, err := s.Append(meterID, pts)
-	if err != nil {
-		return n, false, err
+	n, err := s.appendLocked(sh, meterID, pts)
+	if err == nil {
+		e.seq = seq
 	}
-	s.seqAdvance(meterID, seq)
-	return n, false, nil
+	return n, false, err
 }
 
 // PushTable records a new lookup table for the meter, opening a new epoch:
@@ -486,81 +483,209 @@ func (s *Store) PushTable(meterID uint64, t *symbolic.Table) error {
 	if e == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownMeter, meterID)
 	}
+	e.pushTable(t, s.sink != nil)
+	return nil
+}
+
+// pushTable appends the table and applies a Reserve that was waiting for it.
+func (e *meterEntry) pushTable(t *symbolic.Table, persist bool) {
 	e.tables = append(e.tables, t)
 	if e.pendingReserve > 0 {
-		e.reserveLocked(e.pendingReserve, s.sink != nil)
+		e.reserveLocked(e.pendingReserve, persist)
 		e.pendingReserve = 0
 	}
-	return nil
 }
 
 // ErrBadSymbol reports a symbol whose level does not match the meter's
 // current lookup table, making it undecodable.
 var ErrBadSymbol = errors.New("server: symbol level does not match table")
 
+// Run is a packed arithmetic run, the unit the store commits: Count symbols
+// of Level bits each, read from position Pos of the headerless packed payload
+// Packed, symbol i stamped FirstT + i·Stride. A wire batch packs into one; a
+// write-ahead-log batch record already is one, so replay commits the record's
+// own bytes.
+type Run struct {
+	FirstT, Stride int64
+	Level, Count   int
+	Packed         []byte
+	Pos            int
+}
+
+// PackPoints validates a batch against a table level and packs its symbols
+// once — appended to dst in the layout Run.Packed and the WAL batch record
+// share — so every later stage copies bytes instead of re-deriving them. A
+// symbol at another level fails the whole batch with ErrBadSymbol and leaves
+// dst at its original length.
+func PackPoints(dst []byte, pts []symbolic.SymbolPoint, level int) ([]byte, error) {
+	dst, bad := symbolic.AppendPackPoints(dst, pts, level)
+	if bad >= 0 {
+		return dst, fmt.Errorf("%w: point %d has level %d, table has level %d",
+			ErrBadSymbol, bad, pts[bad].S.Level(), level)
+	}
+	return dst, nil
+}
+
+// LeadingRun returns how many leading points of pts form one arithmetic
+// timestamp progression (any common difference, including zero): all of them
+// for a batch off the wire, fewer where a batch spans a gap.
+func LeadingRun(pts []symbolic.SymbolPoint) int {
+	if len(pts) < 3 {
+		return len(pts)
+	}
+	// Comparing against the extrapolated timestamp rather than the previous
+	// point keeps the iterations independent; modulo 2^64 the tests agree.
+	n, stride, want := 2, pts[1].T-pts[0].T, pts[1].T
+	for ; n < len(pts); n++ {
+		if want += stride; pts[n].T != want {
+			break
+		}
+	}
+	return n
+}
+
+// current returns the meter's entry and current table for a write; the
+// caller holds the shard write lock.
+func (sh *shard) current(meterID uint64) (*meterEntry, *symbolic.Table, error) {
+	e := sh.meter(meterID)
+	if e == nil {
+		return nil, nil, fmt.Errorf("%w: %d", ErrUnknownMeter, meterID)
+	}
+	if len(e.tables) == 0 {
+		return nil, nil, fmt.Errorf("%w: %d", ErrNoTable, meterID)
+	}
+	return e, e.tables[len(e.tables)-1], nil
+}
+
 // Append commits a decoded symbol batch into the meter's packed block chain
 // under its current table epoch. It returns how many points were stored.
 //
-// The whole batch is validated against the table before any point is
-// committed, so a validation error never leaves a partially-appended batch.
-// The one exception is an I/O error from the seal sink mid-batch: points
-// committed before the failing seal stay readable (the return count says how
-// many), so a caller must resume from that count rather than retry the whole
-// batch. Each point
-// costs one bit-pack into the tail block plus O(1) summary updates; a point
-// that breaks the tail's timestamp stride (a gap) or arrives under a new
-// epoch seals the tail, publishes the sealed index (the single point where
-// the lock-free read path learns about new data), and opens a fresh block.
+// The whole batch is validated against the table and packed (PackPoints)
+// before any point is committed, so a validation error never leaves a
+// partially-appended batch; the packed bytes then commit as arithmetic runs
+// (AppendRun). The one exception to all-or-nothing is an I/O error from the
+// seal sink mid-batch: points committed before the failing seal stay readable
+// (the return count says how many), so a caller must resume from that count
+// rather than retry the whole batch.
 func (s *Store) Append(meterID uint64, pts []symbolic.SymbolPoint) (int, error) {
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.meter(meterID)
-	if e == nil {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownMeter, meterID)
+	return s.appendLocked(sh, meterID, pts)
+}
+
+// appendLocked is Append under the shard write lock the caller holds.
+func (s *Store) appendLocked(sh *shard, meterID uint64, pts []symbolic.SymbolPoint) (int, error) {
+	e, table, err := sh.current(meterID)
+	if err != nil {
+		return 0, err
 	}
-	if len(e.tables) == 0 {
-		return 0, fmt.Errorf("%w: %d", ErrNoTable, meterID)
+	packed, err := PackPoints(sh.pack[:0], pts, table.Level())
+	sh.pack = packed[:0]
+	if err != nil {
+		return 0, err
+	}
+	return s.appendPacked(e, table, pts, table.Level(), packed)
+}
+
+// AppendPacked is Append for a caller that already holds the batch validated
+// and packed at the given level by PackPoints (the durability layer packs
+// once, before it logs): timestamps come from pts, symbols from packed.
+func (s *Store) AppendPacked(meterID uint64, pts []symbolic.SymbolPoint, level int, packed []byte) (int, error) {
+	sh := s.shardOf(meterID)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e, table, err := sh.current(meterID)
+	if err != nil {
+		return 0, err
+	}
+	return s.appendPacked(e, table, pts, level, packed)
+}
+
+// appendPacked commits a packed batch as its maximal arithmetic runs.
+func (s *Store) appendPacked(e *meterEntry, table *symbolic.Table, pts []symbolic.SymbolPoint, level int, packed []byte) (int, error) {
+	total := 0
+	for i := 0; i < len(pts); {
+		r := Run{FirstT: pts[i].T, Level: level, Count: LeadingRun(pts[i:]), Packed: packed, Pos: i}
+		if r.Count > 1 {
+			r.Stride = pts[i+1].T - pts[i].T
+		}
+		n, err := s.appendRun(e, table, r)
+		total += n
+		if err != nil {
+			return total, err
+		}
+		i += r.Count
+	}
+	return total, nil
+}
+
+// AppendRun commits one packed run under the meter's current table epoch and
+// returns how many symbols were stored — Append without the unpacked detour,
+// and the entry point WAL replay drives with each record's own bytes.
+func (s *Store) AppendRun(meterID uint64, r Run) (int, error) {
+	sh := s.shardOf(meterID)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e, table, err := sh.current(meterID)
+	if err != nil {
+		return 0, err
+	}
+	return s.appendRun(e, table, r)
+}
+
+// appendRun is the one commit path: it extends the tail block by as many of
+// the run's symbols as continue its timestamp progression — a bit-copy plus
+// an in-order summary fold per stretch (block.extend) — and whenever the next
+// symbol does not fit (block full, gap, stride or epoch change) seals the
+// tail, publishes the sealed index (the single point where the lock-free read
+// path learns about new data), and opens a fresh block. Caller holds the
+// shard write lock.
+func (s *Store) appendRun(e *meterEntry, table *symbolic.Table, r Run) (int, error) {
+	level := table.Level()
+	if r.Level != level {
+		return 0, fmt.Errorf("%w: run has level %d, table has level %d", ErrBadSymbol, r.Level, level)
+	}
+	if r.Count < 0 || r.Pos < 0 || (r.Pos+r.Count)*level > 8*len(r.Packed) {
+		return 0, fmt.Errorf("server: run of %d symbols at position %d overruns %d packed bytes", r.Count, r.Pos, len(r.Packed))
 	}
 	epoch := uint32(len(e.tables) - 1)
-	table := e.tables[epoch]
-	level := table.Level()
-	for i := range pts {
-		if pts[i].S.Level() != level {
-			return 0, fmt.Errorf("%w: point %d has level %d, table has level %d",
-				ErrBadSymbol, i, pts[i].S.Level(), level)
-		}
-	}
 	values := table.ReconstructionValues()
-	k := table.K()
 	tail := e.tail()
-	for i, sp := range pts {
-		if tail == nil || !tail.accepts(sp.T, epoch) {
+	done := 0
+	for done < r.Count {
+		t := r.FirstT + int64(done)*r.Stride
+		m := 0
+		if tail != nil {
+			m = tail.admit(t, r.Stride, r.Count-done, epoch)
+		}
+		if m == 0 {
 			if tail != nil {
 				// Trim (or spill to the durable sink) before publishing: a
 				// block must never mutate after the index that contains it
 				// is visible to lock-free readers.
 				if err := s.sealTail(e, tail); err != nil {
-					// The spill failed mid-batch. Points pushed so far are
+					// The spill failed mid-run. Symbols committed so far are
 					// valid and stay readable (the sealed-but-unpublished
 					// block is still served as the locked tail); account
 					// them and surface the I/O error to the session.
-					e.total.Add(int64(i))
-					return i, err
+					e.total.Add(int64(done))
+					return done, err
 				}
 				e.publish()
 			}
-			tail = e.newBlock(epoch, level, k)
-			// Publish the new tail's start before its first point lands, so
+			tail = e.newBlock(epoch, level, table.K())
+			// Publish the new tail's start before its first symbol lands, so
 			// a lock-free reader that proves a stable index generation can
 			// trust this bound (see Meter.VisitRange).
-			e.tailFirstT.Store(sp.T)
+			e.tailFirstT.Store(t)
+			m = tail.admit(t, r.Stride, r.Count-done, epoch)
 		}
-		idx := uint32(sp.S.Index())
-		tail.push(sp.T, idx, values[idx])
+		tail.extend(values, r.Packed, r.Pos+done, m)
+		done += m
 	}
-	e.total.Add(int64(len(pts)))
-	return len(pts), nil
+	e.total.Add(int64(done))
+	return done, nil
 }
 
 // sealTail finalizes a block that is about to get a successor: through the

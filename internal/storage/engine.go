@@ -22,13 +22,14 @@
 // Each pipeline rebuilds its meters' sealed chains from the manifest-listed
 // segments (summaries and the firstT directory come from the segment footer —
 // no payload is decoded), then walks its WAL generations straight off the
-// read buffer and replays them through the normal Append path with each
-// meter's already-restored point count skipped, rebuilding the live tails and
-// any blocks that sealed after the last finished segment. A batch the
-// segments cover whole is skipped before it is decoded: its CRC, its header
-// fields and length, and its epoch against the log position are all still
-// checked, but its symbols are never unpacked. Anything torn at the very end
-// of a WAL was never acknowledged and is truncated; damage anywhere else
+// read buffer and applies them the way live ingest did — each batch record's
+// packed bytes go to the store's run-granular commit as they lie in the
+// buffer — with each meter's already-restored point count skipped, rebuilding
+// the live tails and any blocks that sealed after the last finished segment.
+// A batch the segments cover whole is skipped on its header: its CRC, its
+// header fields and length, and its epoch against the log position are all
+// still checked. No symbol is unpacked either way. Anything torn at the very
+// end of a WAL was never acknowledged and is truncated; damage anywhere else
 // fails recovery loudly (ErrWALCorrupt) rather than silently dropping
 // acknowledged data.
 //
@@ -134,9 +135,9 @@ func (r *RecoveryStats) add(o RecoveryStats) {
 }
 
 // meterMeta is the engine's per-meter ingest state (current epoch and symbol
-// level), used to frame WAL batch records and pre-validate appends before
-// they are logged, plus the sequenced-ingest high-water mark. Fields are
-// written only by the meter's single session goroutine (the same
+// level), used to validate and pack appends before they are logged and to
+// frame their WAL records, plus the sequenced-ingest high-water mark. Fields
+// are written only by the meter's single session goroutine (the same
 // serialization the wire protocol imposes); cross-session visibility rides
 // the store's shard lock in EndSession/StartSession.
 type meterMeta struct {
@@ -146,6 +147,9 @@ type meterMeta struct {
 	// reconnecting client learns in its handshake ack. It advances only
 	// after the store commit, so an acked seq is always readable.
 	seq uint64
+	// pack is the scratch each batch is packed into, once, for both the WAL
+	// record and the store commit.
+	pack []byte
 }
 
 // Engine wraps a server.Store with the WAL + segment durability layer. It
@@ -520,16 +524,15 @@ func (e *Engine) recoverShard(shard int, segs []manifestSegment) (RecoveryStats,
 	}
 	rs.SegmentRestore += time.Since(phase)
 
-	// 4. Replay the log through the normal ingest path, skipping each meter's
+	// 4. Replay the log through the live commit path, skipping each meter's
 	// already-restored prefix. A batch the segments cover whole is consumed on
-	// its validated header alone — its points are never unpacked; only the
-	// batch straddling the covered boundary and the uncovered tail decode.
+	// its validated header alone; the batch straddling the covered boundary
+	// and the uncovered tail commit straight from the record's packed bytes
+	// (batchHeader.apply → Store.AppendRun) — no symbol is ever unpacked.
 	// Sequenced records ('t'/'b') replay identically to their legacy twins and
 	// additionally advance the meter's sequence high-water mark — tracked even
 	// for covered batches, since those were committed too.
 	phase = time.Now()
-	var pts []symbolic.SymbolPoint
-	var syms []symbolic.Symbol
 	for _, data := range gens {
 		for off := 0; off < len(data); {
 			var body []byte
@@ -567,11 +570,11 @@ func (e *Engine) recoverShard(shard int, segs []manifestSegment) (RecoveryStats,
 				if from == int64(h.count) {
 					continue
 				}
-				pts, syms = decodeBatchPoints(h, payload, int(from), pts, syms)
-				if _, err := e.store.Append(h.meterID, pts); err != nil {
+				n, err := h.apply(e.store, payload, int(from))
+				rs.ReplayedPoints += int64(n)
+				if err != nil {
 					return rs, replayErr(err)
 				}
-				rs.ReplayedPoints += int64(len(pts))
 			default:
 				return rs, fmt.Errorf("%w: unknown record type %#x in shard %d wal", ErrWALCorrupt, body[0], shard)
 			}
@@ -707,7 +710,7 @@ func (e *Engine) PushTable(meterID uint64, t *symbolic.Table) error {
 	}
 	shard := e.store.ShardFor(meterID)
 	if _, err := e.walAppend(shard, func(w *wal) (int64, error) {
-		return w.appendTable(meterID, t)
+		return w.appendTable(recTable, 0, meterID, t)
 	}); err != nil {
 		return err
 	}
@@ -722,9 +725,7 @@ func (e *Engine) PushTable(meterID uint64, t *symbolic.Table) error {
 }
 
 // Append validates the batch against the meter's current table, logs it,
-// waits for durability per the sync mode, then commits it to the store. The
-// validation runs before the log write so a rejected batch never poisons
-// the WAL — replay must be able to re-apply every logged record.
+// waits for durability per the sync mode, then commits it to the store.
 func (e *Engine) Append(meterID uint64, pts []symbolic.SymbolPoint) (int, error) {
 	if e.closed.Load() {
 		return 0, ErrClosed
@@ -732,30 +733,42 @@ func (e *Engine) Append(meterID uint64, pts []symbolic.SymbolPoint) (int, error)
 	if r := e.health.refuse.Load(); r != nil {
 		return 0, r.err
 	}
-	v, ok := e.meters.Load(meterID)
-	if !ok {
-		if _, exists := e.store.Meter(meterID); !exists {
-			return 0, fmt.Errorf("%w: %d", server.ErrUnknownMeter, meterID)
-		}
-		return 0, fmt.Errorf("%w: %d", server.ErrNoTable, meterID)
+	mm, err := e.metaOf(meterID)
+	if err != nil || len(pts) == 0 {
+		return 0, err
 	}
-	if len(pts) == 0 {
-		return 0, nil
+	return e.commitBatch(recBatch, 0, meterID, mm, pts)
+}
+
+// metaOf returns the ingest state of a meter that has a table.
+func (e *Engine) metaOf(meterID uint64) (*meterMeta, error) {
+	if v, ok := e.meters.Load(meterID); ok {
+		return v.(*meterMeta), nil
 	}
-	mm := v.(*meterMeta)
-	for i := range pts {
-		if pts[i].S.Level() != mm.level {
-			return 0, fmt.Errorf("%w: point %d has level %d, table has level %d",
-				server.ErrBadSymbol, i, pts[i].S.Level(), mm.level)
-		}
+	if _, exists := e.store.Meter(meterID); !exists {
+		return nil, fmt.Errorf("%w: %d", server.ErrUnknownMeter, meterID)
 	}
-	shard := e.store.ShardFor(meterID)
-	if _, err := e.walAppend(shard, func(w *wal) (int64, error) {
-		return w.appendBatch(meterID, uint32(mm.epoch), mm.level, pts)
+	return nil, fmt.Errorf("%w: %d", server.ErrNoTable, meterID)
+}
+
+// commitBatch is the record-granular commit both Append flavours share:
+// validate and pack the batch once, write the record, apply the record. The
+// validation runs before the log write so a rejected batch never poisons the
+// WAL — replay must be able to re-apply every logged record — and the bytes
+// the store commits are the bytes the record holds, so recovery (read record,
+// apply record) rebuilds exactly what this built.
+func (e *Engine) commitBatch(typ byte, seq, meterID uint64, mm *meterMeta, pts []symbolic.SymbolPoint) (int, error) {
+	packed, err := server.PackPoints(mm.pack[:0], pts, mm.level)
+	mm.pack = packed[:0]
+	if err != nil {
+		return 0, err
+	}
+	if _, err := e.walAppend(e.store.ShardFor(meterID), func(w *wal) (int64, error) {
+		return w.appendBatch(typ, seq, meterID, uint32(mm.epoch), mm.level, pts, packed)
 	}); err != nil {
 		return 0, err
 	}
-	return e.store.Append(meterID, pts)
+	return e.store.AppendPacked(meterID, pts, mm.level, packed)
 }
 
 // --- server.SequencedIngest -----------------------------------------------
@@ -806,7 +819,7 @@ func (e *Engine) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, err
 	}
 	shard := e.store.ShardFor(meterID)
 	if _, err := e.walAppend(shard, func(w *wal) (int64, error) {
-		return w.appendTableSeq(meterID, seq, t)
+		return w.appendTable(recSeqTable, seq, meterID, t)
 	}); err != nil {
 		return false, err
 	}
@@ -831,14 +844,10 @@ func (e *Engine) AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (int
 	if e.closed.Load() {
 		return 0, false, ErrClosed
 	}
-	v, ok := e.meters.Load(meterID)
-	if !ok {
-		if _, exists := e.store.Meter(meterID); !exists {
-			return 0, false, fmt.Errorf("%w: %d", server.ErrUnknownMeter, meterID)
-		}
-		return 0, false, fmt.Errorf("%w: %d", server.ErrNoTable, meterID)
+	mm, err := e.metaOf(meterID)
+	if err != nil {
+		return 0, false, err
 	}
-	mm := v.(*meterMeta)
 	if dup, err := seqCheck(mm.seq, seq, meterID); dup || err != nil {
 		return 0, dup, err
 	}
@@ -848,19 +857,7 @@ func (e *Engine) AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (int
 	if r := e.health.refuse.Load(); r != nil {
 		return 0, false, r.err
 	}
-	for i := range pts {
-		if pts[i].S.Level() != mm.level {
-			return 0, false, fmt.Errorf("%w: point %d has level %d, table has level %d",
-				server.ErrBadSymbol, i, pts[i].S.Level(), mm.level)
-		}
-	}
-	shard := e.store.ShardFor(meterID)
-	if _, err := e.walAppend(shard, func(w *wal) (int64, error) {
-		return w.appendBatchSeq(meterID, seq, uint32(mm.epoch), mm.level, pts)
-	}); err != nil {
-		return 0, false, err
-	}
-	n, err := e.store.Append(meterID, pts)
+	n, err := e.commitBatch(recSeqBatch, seq, meterID, mm, pts)
 	if err == nil {
 		mm.seq = seq
 	}

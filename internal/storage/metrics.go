@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"time"
+
 	"symmeter/internal/metrics"
 )
 
@@ -81,6 +83,15 @@ func (e *Engine) registerRecoveryMetrics() {
 	reg.GaugeFunc("symmeter_storage_recovery_seconds",
 		"Wall-clock time the last recovery took inside Open.",
 		func() float64 { return rs.Duration.Seconds() })
+	for _, ph := range []struct {
+		name string
+		d    *time.Duration
+	}{{"segment_restore", &rs.SegmentRestore}, {"wal_parse", &rs.WALParse}, {"replay", &rs.Replay}} {
+		reg.GaugeFunc("symmeter_storage_recovery_phase_seconds",
+			"Time the last recovery spent per phase, summed over the parallel shard pipelines (the sum can exceed symmeter_storage_recovery_seconds).",
+			func() float64 { return ph.d.Seconds() },
+			metrics.Label{Key: "phase", Value: ph.name})
+	}
 	reg.GaugeFunc("symmeter_storage_recovery_replayed_points",
 		"Points the last recovery re-appended from the WAL (tails plus post-manifest seals).",
 		func() float64 { return float64(rs.ReplayedPoints) })

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"symmeter/internal/server"
 	"symmeter/internal/symbolic"
@@ -119,6 +120,7 @@ type blockImage struct {
 	N, Epoch       int
 	Payload        []byte
 	Hist           []uint32
+	Sum, Min, Max  uint64 // float summaries as IEEE bits
 }
 
 func meterImage(t testing.TB, st *server.Store, m uint64) []blockImage {
@@ -132,6 +134,7 @@ func meterImage(t testing.TB, st *server.Store, m uint64) []blockImage {
 			FirstT: v.FirstT, Stride: v.Stride, N: v.N, Epoch: v.Epoch,
 			Payload: bytes.Clone(v.Payload[:(v.N*v.Level+7)/8]),
 			Hist:    slices.Clone(v.Hist),
+			Sum:     math.Float64bits(v.Sum), Min: math.Float64bits(v.MinV), Max: math.Float64bits(v.MaxV),
 		}
 	}
 	var tail []blockImage
@@ -207,6 +210,71 @@ func TestRecoverySerialEqualsParallel(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecoveredEqualsLiveBitExact: replaying WAL records straight from their
+// packed bytes rebuilds the store the live path built from points — block for
+// block, payload byte for payload byte, float summary bit for bit — at every
+// level of the fixed stream, through kind-0 and kind-1 records, with the
+// segment-covered prefix ending inside a batch so the replay starts mid-record
+// at odd symbol offsets, after a crash and after a clean close.
+func TestRecoveredEqualsLiveBitExact(t *testing.T) {
+	for _, clean := range []bool{false, true} {
+		dir := t.TempDir()
+		opts := Options{Dir: dir, Shards: 2, Sync: SyncOff, SegmentBytes: 64 << 10}
+		eng, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeFixedStream(t, eng, func() {
+			if err := eng.Flush(); err != nil { // manifest segments ending mid-batch
+				t.Fatal(err)
+			}
+		})
+		live := make(map[uint64][]blockImage)
+		seqs := make(map[uint64]uint64)
+		for _, m := range fixedStreamMeters {
+			live[m], seqs[m] = meterImage(t, eng.Store(), m), eng.LastSeq(m)
+		}
+		if clean {
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			eng.Abandon()
+		}
+		re, err := Open(opts)
+		if err != nil {
+			t.Fatalf("clean=%v: %v", clean, err)
+		}
+		rs := re.Recovery()
+		if rs.SkippedPoints == 0 || rs.ReplayedPoints == 0 {
+			t.Fatalf("clean=%v: fixture skipped %d and replayed %d points", clean, rs.SkippedPoints, rs.ReplayedPoints)
+		}
+		for _, m := range fixedStreamMeters {
+			if got := re.LastSeq(m); got != seqs[m] {
+				t.Fatalf("clean=%v meter %d: LastSeq %d, want %d", clean, m, got, seqs[m])
+			}
+			got := meterImage(t, re.Store(), m)
+			if len(got) != len(live[m]) {
+				t.Fatalf("clean=%v meter %d: %d blocks, want %d", clean, m, len(got), len(live[m]))
+			}
+			for i := range got {
+				g, w := got[i], live[m][i]
+				// A restored underfull block keeps the footer's histogram where the
+				// live seal dropped it; compare histograms only where both have one.
+				if g.Hist == nil || w.Hist == nil {
+					g.Hist, w.Hist = nil, nil
+				}
+				if !reflect.DeepEqual(g, w) {
+					t.Fatalf("clean=%v meter %d block %d:\n got %+v\nwant %+v", clean, m, i, g, w)
+				}
+			}
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -376,6 +444,38 @@ func TestFooterRoomRunningTotal(t *testing.T) {
 	if len(blocks) == 0 {
 		t.Fatal("final segment read back empty")
 	}
+	// The histograms come back carved from one exactly-sized slab: back to
+	// back, each capped at its own lanes (what MemoryFootprint counts per
+	// block), and reading the segment allocates per segment, not per block.
+	var prev []uint32
+	withHist := 0
+	for i, sb := range blocks {
+		h := sb.blk.Hist
+		if sb.blk.Level > 8 {
+			if h != nil {
+				t.Fatalf("block %d: level %d carries a histogram", i, sb.blk.Level)
+			}
+			continue
+		}
+		withHist++
+		if len(h) != 1<<sb.blk.Level || cap(h) != len(h) {
+			t.Fatalf("block %d: histogram len %d cap %d at level %d", i, len(h), cap(h), sb.blk.Level)
+		}
+		if prev != nil && unsafe.Pointer(&h[0]) != unsafe.Add(unsafe.Pointer(&prev[0]), 4*len(prev)) {
+			t.Fatalf("block %d: histogram does not follow the previous one in the slab", i)
+		}
+		prev = h
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		_, m, err := loadSegment(OsFS{}, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		OsFS{}.Munmap(m)
+	})
+	if withHist < 20 || allocs > float64(withHist)/2 {
+		t.Fatalf("loadSegment allocates %.0f times for %d histogram blocks", allocs, withHist)
+	}
 }
 
 // TestRecoveryMetricsMatchStats: the recovery gauges are the same numbers
@@ -396,9 +496,12 @@ func TestRecoveryMetricsMatchStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, want := range map[string]float64{
-		"symmeter_storage_recovery_seconds":         rs.Duration.Seconds(),
-		"symmeter_storage_recovery_replayed_points": float64(rs.ReplayedPoints),
-		"symmeter_storage_recovery_skipped_points":  float64(rs.SkippedPoints),
+		"symmeter_storage_recovery_seconds":                                rs.Duration.Seconds(),
+		"symmeter_storage_recovery_replayed_points":                        float64(rs.ReplayedPoints),
+		"symmeter_storage_recovery_skipped_points":                         float64(rs.SkippedPoints),
+		`symmeter_storage_recovery_phase_seconds{phase="segment_restore"}`: rs.SegmentRestore.Seconds(),
+		`symmeter_storage_recovery_phase_seconds{phase="wal_parse"}`:       rs.WALParse.Seconds(),
+		`symmeter_storage_recovery_phase_seconds{phase="replay"}`:          rs.Replay.Seconds(),
 	} {
 		line := name + " " + strconv.FormatFloat(want, 'g', -1, 64) + "\n"
 		if !strings.Contains(buf.String(), line) {

@@ -268,6 +268,18 @@ func loadSegment(fsys FS, path string) (blocks []segBlock, mapping []byte, err e
 	if err != nil {
 		return nil, nil, fmt.Errorf("storage: mmap segment %s: %w", path, err)
 	}
+	// One histogram slab per segment, sized exactly from the entries' histK
+	// before the decode loop and carved full-slice per block — so restoring a
+	// segment is one allocation instead of one per block, and each block still
+	// owns (and MemoryFootprint still counts) exactly its own lanes. A footer
+	// the walk below would reject stops this one at the same entry.
+	lanes := 0
+	for i, off := 0, 0; i < count && off+segBlockMetaLen <= len(footer); i++ {
+		k := int(binary.BigEndian.Uint16(footer[off+13:]))
+		lanes += k
+		off += segBlockMetaLen + 4*k
+	}
+	slab := make([]uint32, lanes)
 	blocks = make([]segBlock, 0, count)
 	off := 0
 	for i := 0; i < count; i++ {
@@ -293,7 +305,7 @@ func loadSegment(fsys FS, path string) (blocks []segBlock, mapping []byte, err e
 				fsys.Munmap(mapping)
 				return nil, nil, fmt.Errorf("storage: segment %s: footer truncated in block %d histogram", path, i)
 			}
-			e.blk.Hist = make([]uint32, histK)
+			e.blk.Hist, slab = slab[:histK:histK], slab[histK:]
 			for j := range e.blk.Hist {
 				e.blk.Hist[j] = binary.BigEndian.Uint32(footer[off+4*j:])
 			}

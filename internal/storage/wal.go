@@ -8,15 +8,18 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"symmeter/internal/server"
 	"symmeter/internal/symbolic"
 )
 
 // Per-shard write-ahead log.
 //
-// Every table push and every Store.Append batch is framed into the shard's
-// log before it commits to the in-memory store, so the log's record sequence
-// is, per meter, exactly the ingest history — replaying it through the
-// normal Append path rebuilds byte-identical block chains. Records from
+// Every table push and every Append batch is framed into the shard's log
+// before it commits to the in-memory store, so the log's record sequence is,
+// per meter, exactly the ingest history. A batch record carries the very
+// packed bytes the live path committed (Store.AppendPacked), and replay hands
+// them to the same run-granular commit (Store.AppendRun), which rebuilds
+// byte-identical block chains. Records from
 // different meters of one shard interleave in commit order, which is
 // irrelevant to recovery (records carry their meter ID and each meter's
 // subsequence is totally ordered by its single session).
@@ -194,17 +197,9 @@ func (w *wal) writeLocked(buf []byte) (int64, error) {
 // writeLocked fills in, keeping assembly append-only and allocation-free.
 var walHdrZero [walHeaderLen]byte
 
-// appendTable logs a table push.
-func (w *wal) appendTable(meterID uint64, t *symbolic.Table) (int64, error) {
-	return w.appendTableRec(recTable, 0, meterID, t)
-}
-
-// appendTableSeq logs a table push committed under a session sequence number.
-func (w *wal) appendTableSeq(meterID, seq uint64, t *symbolic.Table) (int64, error) {
-	return w.appendTableRec(recSeqTable, seq, meterID, t)
-}
-
-func (w *wal) appendTableRec(typ byte, seq, meterID uint64, t *symbolic.Table) (int64, error) {
+// appendTable logs a table push — typ recTable, or recSeqTable with the
+// session sequence number it commits under.
+func (w *wal) appendTable(typ byte, seq, meterID uint64, t *symbolic.Table) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	buf := append(w.buf[:0], walHdrZero[:]...)
@@ -218,17 +213,11 @@ func (w *wal) appendTableRec(typ byte, seq, meterID uint64, t *symbolic.Table) (
 	return w.writeLocked(buf)
 }
 
-// appendBatch logs one Append batch under the meter's current epoch.
-func (w *wal) appendBatch(meterID uint64, epoch uint32, level int, pts []symbolic.SymbolPoint) (int64, error) {
-	return w.appendBatchRec(recBatch, 0, meterID, epoch, level, pts)
-}
-
-// appendBatchSeq logs one batch committed under a session sequence number.
-func (w *wal) appendBatchSeq(meterID, seq uint64, epoch uint32, level int, pts []symbolic.SymbolPoint) (int64, error) {
-	return w.appendBatchRec(recSeqBatch, seq, meterID, epoch, level, pts)
-}
-
-func (w *wal) appendBatchRec(typ byte, seq, meterID uint64, epoch uint32, level int, pts []symbolic.SymbolPoint) (int64, error) {
+// appendBatch logs one batch under the meter's current epoch — typ recBatch,
+// or recSeqBatch with the session sequence number it commits under. packed is
+// the batch's symbols as server.PackPoints laid them out, which is the
+// record's own layout: the bytes are copied, never re-derived.
+func (w *wal) appendBatch(typ byte, seq, meterID uint64, epoch uint32, level int, pts []symbolic.SymbolPoint, packed []byte) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	buf := append(w.buf[:0], walHdrZero[:]...)
@@ -239,8 +228,10 @@ func (w *wal) appendBatchRec(typ byte, seq, meterID uint64, epoch uint32, level 
 	buf = binary.BigEndian.AppendUint64(buf, meterID)
 	buf = binary.BigEndian.AppendUint32(buf, epoch)
 	buf = append(buf, byte(level))
+	// One arithmetic progression (any common difference, including zero) is
+	// the compact encoding.
 	kind := byte(0)
-	if !arithmetic(pts) {
+	if server.LeadingRun(pts) < len(pts) {
 		kind = 1
 	}
 	buf = append(buf, kind)
@@ -260,44 +251,9 @@ func (w *wal) appendBatchRec(typ byte, seq, meterID uint64, epoch uint32, level 
 			buf = binary.BigEndian.AppendUint64(buf, uint64(pts[i].T))
 		}
 	}
-	buf = appendPackedPoints(buf, pts, level)
+	buf = append(buf, packed...)
 	w.buf = buf
 	return w.writeLocked(buf)
-}
-
-// arithmetic reports whether the batch timestamps form one arithmetic
-// progression (any common difference, including zero), the compact WAL
-// encoding.
-func arithmetic(pts []symbolic.SymbolPoint) bool {
-	if len(pts) < 3 {
-		return true
-	}
-	stride := pts[1].T - pts[0].T
-	for i := 2; i < len(pts); i++ {
-		if pts[i].T-pts[i-1].T != stride {
-			return false
-		}
-	}
-	return true
-}
-
-// appendPackedPoints packs the batch symbols MSB-first at the given level —
-// the codec's headerless bit layout (count and level live in the record).
-func appendPackedPoints(dst []byte, pts []symbolic.SymbolPoint, level int) []byte {
-	var acc uint64
-	accBits := 0
-	for i := range pts {
-		acc = acc<<uint(level) | uint64(pts[i].S.Index())
-		accBits += level
-		for accBits >= 8 {
-			accBits -= 8
-			dst = append(dst, byte(acc>>uint(accBits)))
-		}
-	}
-	if accBits > 0 {
-		dst = append(dst, byte(acc<<uint(8-accBits)))
-	}
-	return dst
 }
 
 // syncTo blocks until an fsync covers offset upto. The first blocked caller
@@ -484,25 +440,38 @@ func (h batchHeader) tsBytes() int {
 	return 16
 }
 
-// decodeBatchPoints unpacks points [from, count) of a 'B' payload whose
-// header parseBatchHeader accepted, reusing the caller's point and symbol
-// scratch.
-func decodeBatchPoints(h batchHeader, data []byte, from int, ptsScratch []symbolic.SymbolPoint, symScratch []symbolic.Symbol) ([]symbolic.SymbolPoint, []symbolic.Symbol) {
+// apply commits symbols [from, count) of a 'B' payload whose header
+// parseBatchHeader accepted, handing the record's own packed bytes to the
+// store as arithmetic runs: the whole remainder for kind 0, one run per
+// maximal progression of the explicit timestamps for kind 1. It returns how
+// many symbols the store took.
+func (h batchHeader) apply(st *server.Store, data []byte, from int) (int, error) {
 	rest := data[batchHeaderLen:]
-	symScratch = symbolic.AppendUnpackRange(symScratch[:0], rest[h.tsBytes():], h.level, from, h.count)
-	pts := ptsScratch[:0]
+	run := server.Run{Level: h.level, Packed: rest[h.tsBytes():], Pos: from, Count: h.count - from}
 	if h.kind == 0 {
-		firstT := int64(binary.BigEndian.Uint64(rest[0:]))
-		stride := int64(binary.BigEndian.Uint64(rest[8:]))
-		for i, s := range symScratch {
-			pts = append(pts, symbolic.SymbolPoint{T: firstT + int64(from+i)*stride, S: s})
-		}
-	} else {
-		for i, s := range symScratch {
-			pts = append(pts, symbolic.SymbolPoint{T: int64(binary.BigEndian.Uint64(rest[8*(from+i):])), S: s})
-		}
+		run.Stride = int64(binary.BigEndian.Uint64(rest[8:]))
+		run.FirstT = int64(binary.BigEndian.Uint64(rest)) + int64(from)*run.Stride
+		return st.AppendRun(h.meterID, run)
 	}
-	return pts, symScratch
+	ts := func(i int) int64 { return int64(binary.BigEndian.Uint64(rest[8*i:])) }
+	total := 0
+	for run.Pos < h.count {
+		end := run.Pos + 1
+		run.FirstT, run.Stride = ts(run.Pos), 0
+		if end < h.count {
+			run.Stride = ts(end) - run.FirstT
+			for end++; end < h.count && ts(end)-ts(end-1) == run.Stride; end++ {
+			}
+		}
+		run.Count = end - run.Pos
+		n, err := st.AppendRun(h.meterID, run)
+		total += n
+		if err != nil {
+			return total, err
+		}
+		run.Pos = end
+	}
+	return total, nil
 }
 
 // stripSeq normalizes a possibly-sequenced record body to its legacy type

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
@@ -97,6 +98,28 @@ func parseWAL(raw []byte) (recs []walRecord, valid int64, torn bool, err error) 
 		}
 		recs = append(recs, walRecord{typ: body[0], data: body[1:], end: int64(sc.off)})
 	}
+}
+
+// decodeBatchPoints unpacks points [from, count) of a 'B' payload into
+// SymbolPoints — the per-point decode recovery used to run, kept as the
+// oracle's reference so replay-from-packed-bytes (batchHeader.apply) is
+// checked against an independent reading of the same record.
+func decodeBatchPoints(h batchHeader, data []byte, from int, ptsScratch []symbolic.SymbolPoint, symScratch []symbolic.Symbol) ([]symbolic.SymbolPoint, []symbolic.Symbol) {
+	rest := data[batchHeaderLen:]
+	symScratch = symbolic.AppendUnpackRange(symScratch[:0], rest[h.tsBytes():], h.level, from, h.count)
+	pts := ptsScratch[:0]
+	if h.kind == 0 {
+		firstT := int64(binary.BigEndian.Uint64(rest[0:]))
+		stride := int64(binary.BigEndian.Uint64(rest[8:]))
+		for i, s := range symScratch {
+			pts = append(pts, symbolic.SymbolPoint{T: firstT + int64(from+i)*stride, S: s})
+		}
+	} else {
+		for i, s := range symScratch {
+			pts = append(pts, symbolic.SymbolPoint{T: int64(binary.BigEndian.Uint64(rest[8*(from+i):])), S: s})
+		}
+	}
+	return pts, symScratch
 }
 
 // applyRecords replays the first upto parsed records into a fresh in-memory

@@ -238,23 +238,8 @@ func PackedRangeHistogram(hist []uint64, payload []byte, level, start, end int) 
 // engine uses it for blocks too fine-grained to carry a histogram
 // (level > 8). start must be < end; values must have 1<<level entries.
 func PackedRangeAggregate(values []float64, payload []byte, level, start, end int) (sum, minV, maxV float64) {
-	first := true
-	walkPacked(payload, level, start, end, func(idx uint32) {
-		v := values[idx]
-		sum += v
-		if first {
-			minV, maxV = v, v
-			first = false
-			return
-		}
-		if v < minV {
-			minV = v
-		}
-		if v > maxV {
-			maxV = v
-		}
-	})
-	return sum, minV, maxV
+	first := values[PackedSymbolAt(payload, level, start)]
+	return PackedRangeFold(values, nil, payload, level, start, end, 0, first, first)
 }
 
 // PackedRangeSumLUT sums values over positions [start, end) of a headerless
