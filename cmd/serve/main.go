@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"symmeter/internal/metrics"
-	"symmeter/internal/profiling"
 	"symmeter/internal/query"
 	"symmeter/internal/server"
 	"symmeter/internal/storage"
@@ -96,14 +95,14 @@ func run(args []string, out io.Writer) (err error) {
 		}
 		return err
 	}
-	stopCPU, err := profiling.StartCPU(*cpuprofile)
+	stopCPU, err := startCPUProfile(*cpuprofile)
 	if err != nil {
 		return err
 	}
 	defer stopCPU()
-	// A missing profile must fail the command, like cmd/bench's.
+	// A heap profile that cannot be written fails the command.
 	defer func() {
-		if werr := profiling.WriteHeap(*memprofile); werr != nil && err == nil {
+		if werr := writeHeapProfile(*memprofile); werr != nil && err == nil {
 			err = werr
 		}
 	}()
@@ -361,7 +360,7 @@ func telemetryMux(reg *metrics.Registry, eng *storage.Engine) *http.ServeMux {
 			fmt.Fprintf(w, "unavailable: %s\n", h.State)
 		}
 	})
-	profiling.AttachPprof(mux)
+	attachPprof(mux)
 	return mux
 }
 

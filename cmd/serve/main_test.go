@@ -78,6 +78,20 @@ func TestServeHistogramAndProfiles(t *testing.T) {
 	}
 }
 
+// TestServeMemProfileFailure: a heap profile that cannot be written fails
+// the command instead of being dropped silently.
+func TestServeMemProfileFailure(t *testing.T) {
+	mem := filepath.Join(t.TempDir(), "missing", "mem.out")
+	var out bytes.Buffer
+	err := run([]string{
+		"-meters", "1", "-shards", "2", "-seconds", "60", "-window", "60",
+		"-memprofile", mem,
+	}, &out)
+	if err == nil {
+		t.Fatalf("run succeeded with unwritable -memprofile %s", mem)
+	}
+}
+
 // TestServeQueryListener runs the fleet with a dedicated query-only
 // listener and a finite idle timeout: the wire demo must answer through the
 // second listener and still match the in-process engine.

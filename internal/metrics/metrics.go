@@ -6,7 +6,7 @@
 // The design constraint is the ingest hot path: recording a sample must stay
 // zero-alloc and lock-free, because every instrumented layer (session batch
 // commits, WAL appends, frame decode) sits on paths whose AllocsPerRun pins
-// and benchdiff gates forbid regressions. Counters and gauges are single
+// forbid regressions. Counters and gauges are single
 // atomic adds. A Latency recorder is a fixed log-bucketed histogram (one
 // atomic increment per sample, bucket chosen with bits.Len64) plus three P²
 // streaming quantile estimators (internal/stats) guarded by a try-lock: a

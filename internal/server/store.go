@@ -986,8 +986,8 @@ func (s *Store) TotalSymbols() int {
 }
 
 // MemoryFootprint returns the resident bytes attributable to point storage
-// and the number of stored points — the measured basis for the
-// bytes-per-point claim in BENCH_4. Reserve arenas (payload, histogram and
+// and the number of stored points — the basis of the benchmark's
+// resident_bytes_per_symbol. Reserve arenas (payload, histogram and
 // index-struct slabs) are counted at their full allocated size (carved
 // regions stay resident for the slab's lifetime, trimmed or not); blocks add
 // their metadata plus any payload or histogram they own outside an arena —

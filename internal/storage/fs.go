@@ -15,8 +15,8 @@ import (
 // on the operating system with zero indirection cost: *os.File satisfies
 // File structurally (no wrapper object, no extra allocation — an interface
 // holding a pointer), and osFS methods are thin one-line delegations the
-// compiler sees through. The AllocsPerRun pin in the storage tests and the
-// benchdiff gate in CI both hold the seam to that bargain.
+// compiler sees through. The AllocsPerRun pin in the storage tests holds
+// the seam to that bargain.
 
 // File is the subset of *os.File the storage engine writes through.
 type File interface {

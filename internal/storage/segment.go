@@ -19,8 +19,9 @@ import (
 // heap copy is recycled and from then on queries aggregate straight over the
 // on-disk words through the same LUT kernels (the page cache decides what is
 // actually resident). Block summaries and the firstT directory travel in the
-// footer, so recovery rebuilds the RCU sealed index without touching — let
-// alone decoding — a single payload byte.
+// footer, so recovery rebuilds the RCU sealed index without decoding a
+// single payload symbol; it does read every payload byte once, to check its
+// CRC.
 //
 // Layout:
 //

@@ -219,6 +219,3 @@ func jensenShannon(p, q []float64) float64 {
 	}
 	return d
 }
-
-// JSDiv exposes the Jensen–Shannon divergence for diagnostics and tests.
-func JSDiv(p, q []float64) float64 { return jensenShannon(p, q) }

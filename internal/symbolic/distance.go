@@ -3,16 +3,14 @@ package symbolic
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Distance measures over symbol sequences. The paper's customer-segmentation
 // scenario ("identifying customers having a similar consumption profile")
 // needs a notion of similarity between symbolic day-vectors; these measures
-// give the clustering substrate three options with different semantics:
+// give the clustering substrate two options with different semantics:
 //
 //   - Hamming: positional disagreement count — purely nominal;
-//   - IndexDistance: L1 over bin indices — ordinal, cheap;
 //   - ValueDistance: L1 over the separators' value gaps — the analogue of
 //     SAX's MINDIST, lower-bounding the L1 distance of the underlying
 //     (vertically segmented) series.
@@ -30,26 +28,6 @@ func Hamming(a, b []Symbol) (int, error) {
 		if a[i] != b[i] {
 			d++
 		}
-	}
-	return d, nil
-}
-
-// IndexDistance returns the L1 distance between bin indices. Both sequences
-// must be single-level; mixed levels should be coarsened first.
-func IndexDistance(a, b []Symbol) (int, error) {
-	if len(a) != len(b) {
-		return 0, ErrLengthMismatch
-	}
-	d := 0
-	for i := range a {
-		if a[i].Level() != b[i].Level() {
-			return 0, fmt.Errorf("symbolic: level mismatch at %d: %d vs %d", i, a[i].Level(), b[i].Level())
-		}
-		diff := a[i].Index() - b[i].Index()
-		if diff < 0 {
-			diff = -diff
-		}
-		d += diff
 	}
 	return d, nil
 }
@@ -90,34 +68,4 @@ func (t *Table) SymbolGap(a, b Symbol) (float64, error) {
 		return 0, nil
 	}
 	return t.separators[hi-1] - t.separators[lo], nil
-}
-
-// SeriesDistance computes ValueDistance between two symbol series sharing a
-// table, matching points by position.
-func SeriesDistance(a, b *SymbolSeries) (float64, error) {
-	if a.Table != b.Table {
-		// Different table pointers may still be equal tables; require exact
-		// sharing to keep semantics unambiguous.
-		return 0, errors.New("symbolic: series must share one lookup table")
-	}
-	return ValueDistance(a.Table, a.Symbols(), b.Symbols())
-}
-
-// NearestSymbol returns the index (into candidates) of the candidate
-// sequence closest to the query by ValueDistance, breaking ties toward the
-// lower index. It returns -1 for no candidates.
-func NearestSymbol(t *Table, query []Symbol, candidates [][]Symbol) (int, error) {
-	best := -1
-	bestD := math.Inf(1)
-	for i, c := range candidates {
-		d, err := ValueDistance(t, query, c)
-		if err != nil {
-			return 0, err
-		}
-		if d < bestD {
-			bestD = d
-			best = i
-		}
-	}
-	return best, nil
 }

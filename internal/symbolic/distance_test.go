@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"symmeter/internal/timeseries"
 )
 
 func symsOf(t *testing.T, tab *Table, vals ...float64) []Symbol {
@@ -27,23 +25,6 @@ func TestHammingBasics(t *testing.T) {
 	}
 	if d, _ := Hamming(a, a); d != 0 {
 		t.Fatal("self distance")
-	}
-}
-
-func TestIndexDistance(t *testing.T) {
-	tab := mustTable(t, 4, []float64{10, 20, 30}, 0, 40)
-	a := symsOf(t, tab, 5, 35) // bins 0, 3
-	b := symsOf(t, tab, 25, 5) // bins 2, 0
-	d, err := IndexDistance(a, b)
-	if err != nil || d != 5 {
-		t.Fatalf("IndexDistance = %d, %v", d, err)
-	}
-	mixed := []Symbol{NewSymbol(0, 1), NewSymbol(1, 2)}
-	if _, err := IndexDistance(mixed[:1], []Symbol{NewSymbol(1, 2)}); err == nil {
-		t.Fatal("level mismatch should error")
-	}
-	if _, err := IndexDistance(a, b[:1]); err == nil {
-		t.Fatal("length mismatch should error")
 	}
 }
 
@@ -105,7 +86,7 @@ func TestValueDistanceLowerBound(t *testing.T) {
 	}
 }
 
-// Property: all three distances satisfy symmetry and identity.
+// Property: both distances satisfy symmetry and identity.
 func TestDistanceAxioms(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -127,57 +108,12 @@ func TestDistanceAxioms(t *testing.T) {
 		sa, sb := tab.EncodeAll(a), tab.EncodeAll(b)
 		h1, _ := Hamming(sa, sb)
 		h2, _ := Hamming(sb, sa)
-		i1, _ := IndexDistance(sa, sb)
-		i2, _ := IndexDistance(sb, sa)
 		v1, _ := ValueDistance(tab, sa, sb)
 		v2, _ := ValueDistance(tab, sb, sa)
 		self, _ := ValueDistance(tab, sa, sa)
-		return h1 == h2 && i1 == i2 && v1 == v2 && self == 0
+		return h1 == h2 && v1 == v2 && self == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSeriesDistance(t *testing.T) {
-	vals := []float64{5, 15, 25, 35, 10, 30}
-	tab, err := Learn(MethodMedian, vals, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1 := Horizontal(timeseries.FromValues("a", 0, 1, []float64{5, 35}), tab)
-	s2 := Horizontal(timeseries.FromValues("b", 0, 1, []float64{35, 5}), tab)
-	d, err := SeriesDistance(s1, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d <= 0 {
-		t.Fatalf("distance = %v, want > 0", d)
-	}
-	other, _ := Learn(MethodMedian, vals, 4)
-	s3 := Horizontal(timeseries.FromValues("c", 0, 1, []float64{5, 35}), other)
-	if _, err := SeriesDistance(s1, s3); err == nil {
-		t.Fatal("different tables should error")
-	}
-}
-
-func TestNearestSymbol(t *testing.T) {
-	tab := mustTable(t, 4, []float64{10, 20, 30}, 0, 40)
-	query := tab.EncodeAll([]float64{5, 5})
-	candidates := [][]Symbol{
-		tab.EncodeAll([]float64{35, 35}),
-		tab.EncodeAll([]float64{15, 5}),
-		tab.EncodeAll([]float64{25, 25}),
-	}
-	best, err := NearestSymbol(tab, query, candidates)
-	if err != nil || best != 1 {
-		t.Fatalf("NearestSymbol = %d, %v", best, err)
-	}
-	if best, _ := NearestSymbol(tab, query, nil); best != -1 {
-		t.Fatal("no candidates should give -1")
-	}
-	bad := [][]Symbol{{NewSymbol(0, 1)}}
-	if _, err := NearestSymbol(tab, query, bad); err == nil {
-		t.Fatal("mismatched candidate should error")
 	}
 }

@@ -5,14 +5,13 @@ import (
 	"math/rand"
 	"testing"
 
-	"symmeter/internal/benchref"
 	"symmeter/internal/symbolic"
 )
 
 // FuzzPackUnpack round-trips random fixed-level symbol sequences at every
 // level 1..MaxLevel through Pack/Unpack and the buffer-reusing
 // AppendPack/UnpackInto forms, cross-checking the packed bytes against the
-// bit-at-a-time oracle preserved in internal/benchref. Counts near
+// bit-at-a-time oracle refPack (bitwise_ref_test.go). Counts near
 // multiples of 8/level exercise the kernel's 32-bit flush boundaries and
 // tail-byte handling.
 func FuzzPackUnpack(f *testing.F) {
@@ -37,9 +36,9 @@ func FuzzPackUnpack(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Pack: %v", err)
 		}
-		ref, err := benchref.Pack(syms)
+		ref, err := refPack(syms)
 		if err != nil {
-			t.Fatalf("benchref.Pack: %v", err)
+			t.Fatalf("refPack: %v", err)
 		}
 		if !bytes.Equal(data, ref) {
 			t.Fatalf("level %d count %d: packed bytes diverge from bit-at-a-time oracle:\nword %x\nref  %x", level, count, data, ref)

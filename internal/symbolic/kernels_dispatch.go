@@ -25,8 +25,8 @@ import (
 //
 // SetKernelPath exists for tests and benchmarks: the differential fuzz runs
 // every input through "scalar" and the native path and requires bit-equal
-// results, and cmd/bench measures both so BENCH_N.json records the SIMD win
-// against the same-run scalar twin.
+// results, and BenchmarkKernels times both so the SIMD win is read against
+// a same-run scalar twin.
 
 var (
 	// useHistL4 etc. gate the native fast paths; all false means scalar.

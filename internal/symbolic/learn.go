@@ -187,27 +187,3 @@ func (t *Table) learnRepresentatives(values []float64) {
 	}
 	t.refreshValues()
 }
-
-// SymbolEntropy returns the empirical entropy (bits) of the symbols produced
-// by encoding values with the table. The paper argues median segmentation
-// "aims to maximize the entropy of the generated symbols"; tests verify the
-// median table's entropy dominates the uniform table's on skewed data.
-func (t *Table) SymbolEntropy(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	counts := make([]int, t.K())
-	for _, v := range values {
-		counts[t.Encode(v).Index()]++
-	}
-	var h float64
-	n := float64(len(values))
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / n
-		h -= p * math.Log2(p)
-	}
-	return h
-}

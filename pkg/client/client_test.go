@@ -6,14 +6,14 @@ import (
 	"sync"
 	"testing"
 
-	"symmeter/internal/benchref"
 	"symmeter/internal/query"
 	"symmeter/internal/server"
+	"symmeter/internal/symbolic"
 	"symmeter/pkg/client"
 )
 
 // The test fixture: one shared store + service + engine for every test and
-// the fuzz target. 8 meters × 700 windows of the k=16 bench fixture shape.
+// the fuzz target. 8 meters × 700 windows of k=16 symbols.
 const (
 	fixtureMeters = 8
 	fixturePoints = 700
@@ -34,7 +34,7 @@ var fixture struct {
 func startFixture(t testing.TB) (string, *query.Engine) {
 	t.Helper()
 	fixture.once.Do(func() {
-		st, err := benchref.MakeQueryStore(fixtureMeters, fixturePoints)
+		st, err := makeQueryStore(fixtureMeters, fixturePoints)
 		if err != nil {
 			fixture.err = err
 			return
@@ -53,6 +53,56 @@ func startFixture(t testing.TB) (string, *query.Engine) {
 		t.Fatal(fixture.err)
 	}
 	return fixture.addr, fixture.eng
+}
+
+// makeQueryStore builds the query fixture: `meters` meters, each with
+// `points` stored symbols at k=16 (the paper's headline alphabet), 15-minute
+// windows, streamed through Store.Append in 96-symbol batches exactly as live
+// sessions commit them.
+func makeQueryStore(meters, points int) (*server.Store, error) {
+	table, err := storeTable()
+	if err != nil {
+		return nil, err
+	}
+	st := server.NewStore(16)
+	level := table.Level()
+	k := table.K()
+	for m := 1; m <= meters; m++ {
+		id := uint64(m)
+		if err := st.StartSession(id); err != nil {
+			return nil, err
+		}
+		if err := st.PushTable(id, table); err != nil {
+			return nil, err
+		}
+		if err := st.Reserve(id, points); err != nil {
+			return nil, err
+		}
+		var ts int64
+		for sent := 0; sent < points; {
+			batch := min(96, points-sent)
+			pts := make([]symbolic.SymbolPoint, batch)
+			for i := range pts {
+				pts[i] = symbolic.SymbolPoint{T: ts, S: symbolic.NewSymbol((m*7+int(ts/900)*11)%k, level)}
+				ts += 900
+			}
+			if _, err := st.Append(id, pts); err != nil {
+				return nil, err
+			}
+			sent += batch
+		}
+		st.EndSession(id)
+	}
+	return st, nil
+}
+
+// storeTable learns the small k=16 table every fixture meter shares.
+func storeTable() (*symbolic.Table, error) {
+	vals := make([]float64, 4096)
+	for i := range vals {
+		vals[i] = float64(i * 7919 % 4000)
+	}
+	return symbolic.Learn(symbolic.MethodMedian, vals, 16)
 }
 
 func dialFixture(t testing.TB) (*client.Client, *query.Engine) {
