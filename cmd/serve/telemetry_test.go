@@ -134,7 +134,7 @@ func TestHealthzDegraded(t *testing.T) {
 	if err := eng.StartSession(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.PushTable(1, table); err != nil {
+	if _, err := eng.PushTableSeq(1, 1, table); err != nil {
 		t.Fatal(err)
 	}
 	// The disk dies: WAL writes fail and the probe cannot sync, so the
@@ -144,7 +144,7 @@ func TestHealthzDegraded(t *testing.T) {
 		faultfs.Fault{Op: faultfs.OpSync, Path: ".probe", Sticky: true},
 	)
 	pts := []symbolic.SymbolPoint{{T: 0, S: table.Encode(1)}}
-	if _, err := eng.Append(1, pts); !errors.Is(err, server.ErrDegraded) {
+	if _, _, err := eng.AppendSeq(1, 2, pts); !errors.Is(err, server.ErrDegraded) {
 		t.Fatalf("append on dead disk: %v, want ErrDegraded", err)
 	}
 	code, body := scrape(t, srv, "/healthz")

@@ -40,7 +40,7 @@ func coldFixture(t *testing.T) (*storage.Engine, *server.Store, string) {
 			if err := ing.StartSession(m); err != nil {
 				t.Fatal(err)
 			}
-			if err := ing.PushTable(m, table); err != nil {
+			if _, err := ing.PushTableSeq(m, 1, table); err != nil {
 				t.Fatal(err)
 			}
 			pts := make([]symbolic.SymbolPoint, 96)
@@ -51,7 +51,7 @@ func coldFixture(t *testing.T) (*storage.Engine, *server.Store, string) {
 					pts[j] = symbolic.SymbolPoint{T: ts, S: table.Encode(v)}
 					ts += 900
 				}
-				if _, err := ing.Append(m, pts); err != nil {
+				if _, _, err := ing.AppendSeq(m, uint64(batch+2), pts); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -94,7 +94,7 @@ func FuzzQueryVsOracle(f *testing.F) {
 					pts[i] = symbolic.SymbolPoint{T: ts, S: symbolic.NewSymbol(int(ts/900)%k, level)}
 					ts += 900
 				}
-				if _, err := st.Append(77, pts); err != nil {
+				if _, err := appendNext(st, 77, pts); err != nil {
 					errc <- err
 					return
 				}

@@ -15,6 +15,13 @@ import (
 // randTable builds a deterministic random table at the given level with
 // default (bin-center) representatives, which are monotone in the symbol
 // index — the property Min/Max-from-symbol-summaries relies on.
+// appendNext commits pts as the meter's next sequenced batch, as a session
+// would.
+func appendNext(st *server.Store, meterID uint64, pts []symbolic.SymbolPoint) (int, error) {
+	n, _, err := st.AppendSeq(meterID, st.LastSeq(meterID)+1, pts)
+	return n, err
+}
+
 func randTable(t testing.TB, rng *rand.Rand, level int) *symbolic.Table {
 	t.Helper()
 	k := 1 << uint(level)
@@ -60,7 +67,7 @@ func seedMeter(t testing.TB, st *server.Store, rng *rand.Rand, meterID uint64, t
 				ts += window * int64(1+rng.Intn(3)) // missing windows
 			}
 		}
-		if _, err := st.Append(meterID, pts); err != nil {
+		if _, err := appendNext(st, meterID, pts); err != nil {
 			t.Fatal(err)
 		}
 		sent += batch
@@ -310,7 +317,7 @@ func TestNonMonotoneRepresentatives(t *testing.T) {
 	for i := range pts {
 		pts[i] = symbolic.SymbolPoint{T: int64(i) * 900, S: symbolic.NewSymbol(i%4, 2)}
 	}
-	if _, err := st.Append(1, pts); err != nil {
+	if _, err := appendNext(st, 1, pts); err != nil {
 		t.Fatal(err)
 	}
 	e := New(st)
@@ -344,7 +351,7 @@ func TestExtremeTimestampQueries(t *testing.T) {
 	ts := []int64{minInt64 + 1, -(maxInt64 / 510), 0, maxInt64 / 510 * 2, maxInt64 - 900, maxInt64}
 	for _, tt := range ts {
 		pts := []symbolic.SymbolPoint{{T: tt, S: symbolic.NewSymbol(rng.Intn(16), 4)}}
-		if _, err := st.Append(1, pts); err != nil {
+		if _, err := appendNext(st, 1, pts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -539,7 +546,7 @@ func TestFleetQueryDuringIngest(t *testing.T) {
 				if b%9 == 4 {
 					ts += 4 * 900 // gap: seal + publish mid-stream
 				}
-				if _, err := st.Append(id, pts); err != nil {
+				if _, err := appendNext(st, id, pts); err != nil {
 					t.Error(err)
 					return
 				}

@@ -13,7 +13,7 @@ import (
 
 // --- the per-point reference -------------------------------------------------
 //
-// refAppend is the Append this package shipped before the run-granular core:
+// refAppend is the append this package shipped before the run-granular core:
 // one accepts check, one bit-pack and one summary update per point. It is kept
 // here, test-only, as the oracle appendRun must match byte for byte.
 
@@ -159,13 +159,14 @@ func levelTable(tb testing.TB, level int) *symbolic.Table {
 	return table
 }
 
-// twin is a store under test (run-granular Append) beside its per-point
+// twin is a store under test (run-granular AppendSeq) beside its per-point
 // reference, fed the same operations.
 type twin struct {
 	tb        testing.TB
 	got, want *Store
 	gotSink   *flakySink
 	wantSink  *flakySink
+	seq       uint64 // got's last committed batch seq
 }
 
 // flakySink relocates payloads like a segment writer, failing the calls whose
@@ -210,19 +211,21 @@ func (tw *twin) pushTable(table *symbolic.Table) {
 
 // append feeds one batch to both stores and requires the same count, the same
 // error and identical chains afterwards. A batch cut short by a failing seal
-// resumes from the returned count, as the Append contract says a caller must.
+// leaves the mark where it was and resumes from the returned count under the
+// same seq, as the AppendSeq contract says a caller must.
 func (tw *twin) append(label string, pts []symbolic.SymbolPoint) {
 	tw.tb.Helper()
 	for len(pts) > 0 {
-		gn, gerr := tw.got.Append(1, pts)
+		gn, dup, gerr := tw.got.AppendSeq(1, tw.seq+1, pts)
 		wn, werr := refAppend(tw.want, 1, pts)
-		if gn != wn || (gerr == nil) != (werr == nil) {
-			tw.tb.Fatalf("%s: Append = (%d, %v), reference = (%d, %v)", label, gn, gerr, wn, werr)
+		if gn != wn || dup || (gerr == nil) != (werr == nil) {
+			tw.tb.Fatalf("%s: AppendSeq = (%d, dup=%v, %v), reference = (%d, %v)", label, gn, dup, gerr, wn, werr)
 		}
 		if d := chainDiff(tw.got, tw.want, 1); d != "" {
 			tw.tb.Fatalf("%s: %s", label, d)
 		}
 		if gerr == nil {
+			tw.seq++
 			return
 		}
 		if !errors.Is(gerr, errFlaky) {
@@ -242,7 +245,7 @@ func batch(rng *rand.Rand, table *symbolic.Table, firstT, stride int64, n int) [
 	return pts
 }
 
-// TestAppendRunEqualsPerPoint drives the run-granular Append and the per-point
+// TestAppendRunEqualsPerPoint drives the run-granular AppendSeq and the per-point
 // reference through the same streams and requires byte-identical chains after
 // every batch: each feasible level, every destination bit residue (batch
 // lengths coprime to 8 walk the tail through all of them), runs that straddle
@@ -277,7 +280,7 @@ func TestAppendRunEqualsPerPoint(t *testing.T) {
 			// Epoch change: the tail seals although its stride could continue.
 			tw.pushTable(table)
 			tw.append("new epoch", next(40, 15))
-			// Non-arithmetic batch: several runs inside one Append.
+			// Non-arithmetic batch: several runs inside one AppendSeq.
 			mixed := append(next(5, 60), next(4, 7)...)
 			ts += 999
 			mixed = append(mixed, next(6, 60)...)
@@ -368,7 +371,7 @@ func FuzzAppendRunVsPerPoint(f *testing.F) {
 		tw := newTwin(t, failAt)
 		tw.pushTable(table)
 		ts, stride := int64(0), int64(60)
-		var pending []symbolic.SymbolPoint // batches glued into one non-arithmetic Append
+		var pending []symbolic.SymbolPoint // batches glued into one non-arithmetic AppendSeq
 		if len(script) > 64 {
 			script = script[:64]
 		}
@@ -405,7 +408,7 @@ func FuzzAppendRunVsPerPoint(f *testing.F) {
 	})
 }
 
-// TestLeadingRun pins the run splitter on the shapes Append feeds it.
+// TestLeadingRun pins the run splitter on the shapes AppendSeq feeds it.
 func TestLeadingRun(t *testing.T) {
 	at := func(ts ...int64) []symbolic.SymbolPoint {
 		pts := make([]symbolic.SymbolPoint, len(ts))

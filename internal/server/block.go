@@ -146,7 +146,7 @@ func (b *block) admit(t, stride int64, count int, epoch uint32) int {
 // slab outlives the block either way, so trimming would only add an
 // allocation (the arena's size is bounded by Reserve and accounted whole).
 // Full blocks (the regular-stream case) are untouched, keeping the
-// zero-alloc Append contract. Per-block metadata (~100 bytes) still bounds
+// zero-alloc append contract. Per-block metadata (~100 bytes) still bounds
 // the degenerate worst case; policing meters that produce pathological
 // block counts is a separate concern.
 func (b *block) seal() {

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -206,8 +207,8 @@ func TestSequencedGapTearsDown(t *testing.T) {
 	}
 }
 
-// refuseOnceIngest wraps the store's SequencedIngest and refuses the first
-// AppendSeq with a typed overload — the per-batch retryable refusal path.
+// refuseOnceIngest wraps the store's Ingest and refuses the first AppendSeq
+// with a typed overload — the per-batch retryable refusal path.
 type refuseOnceIngest struct {
 	*Store
 	refused bool
@@ -254,6 +255,116 @@ func TestSequencedRetryableRefusalKeepsSession(t *testing.T) {
 	if st, _ := svc.Store().Snapshot(11); len(st.Points) != 1 {
 		t.Fatalf("store holds %d points, want 1", len(st.Points))
 	}
+}
+
+// TestLegacyRefusalPartingVerdict: a v1 session has no per-batch refusal
+// channel, so the same typed overload ends it — a parting 'X' frame with
+// VerdictOverloaded, then the connection closes — and the refused batch
+// commits nothing, though the table before it did (under seq 1).
+func TestLegacyRefusalPartingVerdict(t *testing.T) {
+	svc := New(Config{Shards: 2})
+	svc.SetIngest(&refuseOnceIngest{Store: svc.Store()})
+	addr, err := svc.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	table := testTable(t)
+
+	conn := rawConn(t, addr.String())
+	if err := transport.WriteHandshake(conn, 12); err != nil {
+		t.Fatal(err)
+	}
+	conn.Write(v1Frame(seqTableFrame(0, table)))
+	conn.Write(v1Frame(seqBatchFrame(t, 0, 0, 60, []symbolic.Symbol{table.Encode(5)})))
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	expectRefusal(t, transport.NewFrameReader(conn), 0, transport.ErrServerOverloaded)
+	expectClosed(t, conn)
+	waitSessionErr(t, svc, ErrOverloaded)
+	st, _ := svc.Store().Snapshot(12)
+	if len(st.Tables) != 1 || len(st.Points) != 0 {
+		t.Fatalf("store holds %d tables and %d points, want the table only", len(st.Tables), len(st.Points))
+	}
+	if got := svc.Store().LastSeq(12); got != 1 {
+		t.Fatalf("LastSeq = %d, want 1 (the table)", got)
+	}
+}
+
+// TestLegacyFrameFamilyMismatch: a frame of the other protocol generation's
+// family tears the session down — 'U'/'D' on a v1 session, 'T'/'S' on a v2
+// session — and commits nothing, whether it is the stream's first frame or
+// follows a committed table.
+func TestLegacyFrameFamilyMismatch(t *testing.T) {
+	table := testTable(t)
+	batch := seqBatchFrame(t, 2, 0, 60, []symbolic.Symbol{table.Encode(5)})
+	cases := []struct {
+		name      string
+		sequenced bool
+		frames    [][]byte // the session's own table first, when any
+		wantMark  uint64
+	}{
+		{"v1 then seq table", false, [][]byte{seqTableFrame(1, table)}, 0},
+		{"v1 then seq batch", false, [][]byte{v1Frame(seqTableFrame(1, table)), batch}, 1},
+		{"v2 then v1 table", true, [][]byte{v1Frame(seqTableFrame(1, table))}, 0},
+		{"v2 then v1 batch", true, [][]byte{seqTableFrame(1, table), v1Frame(batch)}, 1},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, addr := startService(t, 2)
+			meter := uint64(20 + i)
+			var conn net.Conn
+			var fr *transport.FrameReader
+			if tc.sequenced {
+				conn, fr, _ = sequencedDial(t, addr, meter)
+			} else {
+				conn = rawConn(t, addr)
+				if err := transport.WriteHandshake(conn, meter); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for j, frame := range tc.frames {
+				conn.Write(frame)
+				if tc.sequenced && j < len(tc.frames)-1 {
+					expectAck(t, fr, 1)
+				}
+			}
+			expectClosed(t, conn)
+			waitSessionErrText(t, svc, "sequenced frame")
+			st, _ := svc.Store().Snapshot(meter)
+			if uint64(len(st.Tables)) != tc.wantMark || len(st.Points) != 0 || svc.Store().LastSeq(meter) != tc.wantMark {
+				t.Fatalf("store holds %d tables, %d points, mark %d; want %d, 0, %d",
+					len(st.Tables), len(st.Points), svc.Store().LastSeq(meter), tc.wantMark, tc.wantMark)
+			}
+		})
+	}
+}
+
+// v1Frame re-frames a sequenced 'U'/'D' frame as its v1 twin, 'T'/'S': the
+// same body without the seq.
+func v1Frame(seqFrame []byte) []byte {
+	typ := transport.FrameTable
+	if seqFrame[0] == transport.FrameSeqSymbol {
+		typ = transport.FrameSymbol
+	}
+	frame := []byte{typ, 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(frame[1:], uint32(len(seqFrame)-13))
+	return append(frame, seqFrame[13:]...)
+}
+
+// waitSessionErrText polls until the service records an error whose text
+// contains substr.
+func waitSessionErrText(t *testing.T, svc *Service, substr string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		for _, err := range svc.SessionErrors() {
+			if strings.Contains(err.Error(), substr) {
+				return
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("no session error containing %q; have %v", substr, svc.SessionErrors())
 }
 
 // TestOverloadGate pins acquireIngest's admission arithmetic: budget

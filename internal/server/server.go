@@ -75,30 +75,28 @@ const defaultWriteTimeout = 30 * time.Second
 // the config leaves QueryConcurrency zero.
 const defaultQueryConcurrency = 4
 
-// Ingest is the write interface a session drives. A plain *Store implements
-// it (the in-memory default); a durability layer wraps the store so every
-// table and batch hits a write-ahead log before it commits (see
-// internal/storage), without the session loop knowing either way.
+// Ingest is the write interface a session drives: the exactly-once batch
+// contract of the sequenced protocol, which every session commits through (a
+// v1 session's frames take server-assigned seqs, see runSession). A plain
+// *Store implements it with the mark in memory; the storage engine wraps the
+// store so every table and batch hits a write-ahead log before it commits and
+// the mark survives recovery (see internal/storage), without the session loop
+// knowing either way.
+//
+// Sequence numbers are dense and per-meter (CheckSeq): seq == LastSeq+1
+// commits and advances the high-water mark, seq <= LastSeq is a duplicate
+// from a retransmit after a lost ack — suppressed without writing, dup=true,
+// still acked, and judged before any verdict but ErrUnknownMeter — and
+// anything further ahead is ErrSeqGap. An empty batch is ErrEmptyBatch: the
+// mark must be as durable as the batches it covers, and a logged batch has no
+// empty form.
 type Ingest interface {
 	StartSession(meterID uint64) error
 	EndSession(meterID uint64)
-	PushTable(meterID uint64, t *symbolic.Table) error
-	Append(meterID uint64, pts []symbolic.SymbolPoint) (int, error)
 	Reserve(meterID uint64, n int) error
-}
-
-// SequencedIngest extends Ingest with the exactly-once batch contract a
-// sequenced (FlagSequenced) session drives. Sequence numbers are dense and
-// per-meter: seq == LastSeq+1 commits and advances the high-water mark,
-// seq <= LastSeq is a duplicate from a retransmit after a lost ack —
-// suppressed without writing, dup=true, still acked — and anything further
-// ahead is ErrSeqGap. Both *Store (in-memory mark) and the storage engine
-// (mark persisted through the WAL, restored by recovery) implement it.
-type SequencedIngest interface {
-	Ingest
 	LastSeq(meterID uint64) uint64
-	PushTableSeq(meterID uint64, seq uint64, t *symbolic.Table) (dup bool, err error)
-	AppendSeq(meterID uint64, seq uint64, pts []symbolic.SymbolPoint) (n int, dup bool, err error)
+	PushTableSeq(meterID, seq uint64, t *symbolic.Table) (dup bool, err error)
+	AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (n int, dup bool, err error)
 }
 
 // QueryHandler executes one decoded query request, filling res for the
@@ -133,7 +131,7 @@ type Stats struct {
 	// with a VerdictDegraded frame before the connection closed.
 	DegradedSessions int64
 	// SequencedSessions counts ingest sessions that negotiated the
-	// sequenced, acknowledged protocol.
+	// sequenced, acknowledged protocol (v2).
 	SequencedSessions int64
 	// OverloadRefusals counts batches refused by the per-shard ingest
 	// admission gate; each was answered with VerdictOverloaded.

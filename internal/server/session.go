@@ -43,9 +43,23 @@ func (ir *idleReader) Read(p []byte) (int, error) {
 // runSession drives one accepted ingest connection end to end: handshake,
 // meter registration, then the decode loop. The caller (handleConn) owns
 // buffering, byte counting and any idle deadline; r is the ready-to-read
-// stream (conn is only written to — acks in sequenced sessions). It returns
+// stream (conn is only written to — acks and per-batch refusals). It returns
 // the number of symbols ingested and a nil error only for an orderly
 // 'E'-terminated stream.
+//
+// Both protocol generations run this one loop, and every write goes through
+// the sequenced Ingest calls. A v2 (FlagSequenced) session numbers its own
+// 'U'/'D' frames: the handshake is answered with an 'A' frame carrying the
+// meter's committed high-water mark (so a reconnecting client replays only
+// unacked batches), every committed or duplicate-suppressed frame is acked
+// with its seq, and a retryable refusal — degraded storage, overload — is
+// answered with a per-batch 'X' frame (id = refused seq) that keeps the
+// session, so the client backs off and resends the same seq. A v1 session is
+// adapted here at the edge: its 'T'/'S' frames take the seqs after the mark
+// read at handshake (StartSession admits one session per meter, so nothing
+// else advances it), nothing is acked, and any refusal ends the session with
+// the parting 'X' frame handleConn writes. A frame of the other generation's
+// family, a sequence gap or a transport failure tears the session down.
 //
 // Failure isolation is the point of the structure: every store write is a
 // single shard-locked call, so an error at any point — torn frame, abrupt
@@ -57,166 +71,114 @@ func (s *Service) runSession(conn net.Conn, r io.Reader) (symbols int64, err err
 	if err != nil {
 		return 0, err
 	}
+	meterID := hs.MeterID
 	if s.draining.Load() {
 		s.met.drainRefusals.Inc()
-		return 0, fmt.Errorf("%w: meter %d", ErrDraining, hs.MeterID)
+		return 0, fmt.Errorf("%w: meter %d", ErrDraining, meterID)
 	}
-	if err := s.ingest.StartSession(hs.MeterID); err != nil {
+	if err := s.ingest.StartSession(meterID); err != nil {
 		return 0, err
 	}
-	defer s.ingest.EndSession(hs.MeterID)
+	defer s.ingest.EndSession(meterID)
 	if s.reservePoints > 0 {
-		if err := s.ingest.Reserve(hs.MeterID, s.reservePoints); err != nil {
+		if err := s.ingest.Reserve(meterID, s.reservePoints); err != nil {
 			return 0, err
 		}
 	}
-	if hs.Sequenced() {
-		return s.runSequencedSession(conn, r, hs.MeterID)
-	}
 
-	dec := transport.NewDecoder(r)
-	dec.SetFrameMetrics(s.met.framesIn)
-	for {
-		ev, err := dec.Next()
-		if errors.Is(err, io.EOF) {
-			// The sensor always sends 'E' before closing; a bare EOF is an
-			// abrupt disconnect mid-stream.
-			return symbols, fmt.Errorf("server: meter %d disconnected without end frame: %w", hs.MeterID, io.ErrUnexpectedEOF)
-		}
-		if err != nil {
-			return symbols, fmt.Errorf("server: meter %d: %w", hs.MeterID, err)
-		}
-		switch ev.Type {
-		case transport.FrameTable:
-			if err := s.ingest.PushTable(hs.MeterID, ev.Table); err != nil {
-				return symbols, err
-			}
-		case transport.FrameSymbol:
-			cost := int64(len(ev.Points)) * pointWireCost
-			if err := s.acquireIngest(hs.MeterID, cost); err != nil {
-				// Legacy sessions have no per-batch refusal channel; the
-				// typed verdict goes out as the parting 'X' frame.
-				return symbols, err
-			}
-			start := time.Now()
-			n, err := s.ingest.Append(hs.MeterID, ev.Points)
-			s.met.ingestBatchLat.Since(start)
-			s.releaseIngest(hs.MeterID, cost)
-			if err != nil {
-				return symbols, err
-			}
-			symbols += int64(n)
-		case transport.FrameEnd:
-			return symbols, nil
-		case transport.FrameSeqTable, transport.FrameSeqSymbol:
-			return symbols, fmt.Errorf("server: meter %d: sequenced frame %#x on unsequenced session", hs.MeterID, ev.Type)
-		}
-	}
-}
-
-// runSequencedSession drives the acknowledged, exactly-once decode loop
-// negotiated by FlagSequenced. The handshake reply is an 'A' frame carrying
-// the meter's committed high-water mark (so a reconnecting client replays
-// only unacked batches); every committed or duplicate-suppressed frame is
-// acked with its seq; retryable refusals — degraded storage, overload —
-// answer with a per-batch 'X' frame (id = refused seq) and keep the session
-// alive, so the client backs off and resends the same seq. Only protocol
-// violations (sequence gaps, unsequenced frames) and transport failures
-// tear the session down.
-func (s *Service) runSequencedSession(conn net.Conn, r io.Reader, meterID uint64) (symbols int64, err error) {
-	si, ok := s.ingest.(SequencedIngest)
-	if !ok {
-		return 0, fmt.Errorf("server: meter %d requested a sequenced session, ingest layer cannot sequence", meterID)
-	}
-	s.met.sequencedSessions.Inc()
-	hwm := si.LastSeq(meterID)
-	if hwm > 0 {
-		s.met.reconnectReplays.Inc()
-	}
+	sequenced := hs.Sequenced()
+	hwm := s.ingest.LastSeq(meterID)
 	var wbuf []byte
 	ack := func(seq uint64) error {
 		wbuf = transport.AppendAckFrame(wbuf[:0], seq)
 		return s.writeFrame(conn, wbuf)
 	}
-	refuse := func(seq uint64, cause error) error {
-		wbuf = transport.AppendQueryErrorFrame(wbuf[:0], seq, ingestVerdictCode(cause), cause.Error())
-		return s.writeFrame(conn, wbuf)
-	}
-	if err := ack(hwm); err != nil {
-		return 0, fmt.Errorf("server: meter %d handshake ack: %w", meterID, err)
-	}
-
 	dec := transport.NewDecoder(r)
 	dec.SetFrameMetrics(s.met.framesIn)
-	if hwm > 0 {
-		// A committed high-water mark proves a table commit (a fresh meter's
-		// first committable frame is necessarily its table), so the resumed
-		// stream may open with symbol batches.
-		dec.TableEstablished()
+	if sequenced {
+		s.met.sequencedSessions.Inc()
+		if hwm > 0 {
+			s.met.reconnectReplays.Inc()
+			// A committed high-water mark proves a table commit (a fresh
+			// meter's first committable frame is necessarily its table), so
+			// the resumed stream may open with symbol batches.
+			dec.TableEstablished()
+		}
+		if err := ack(hwm); err != nil {
+			return 0, fmt.Errorf("server: meter %d handshake ack: %w", meterID, err)
+		}
 	}
 	for {
 		ev, err := dec.Next()
 		if errors.Is(err, io.EOF) {
+			// Every sensor sends 'E' before closing; a bare EOF is an abrupt
+			// disconnect mid-stream.
 			return symbols, fmt.Errorf("server: meter %d disconnected without end frame: %w", meterID, io.ErrUnexpectedEOF)
 		}
 		if err != nil {
 			return symbols, fmt.Errorf("server: meter %d: %w", meterID, err)
 		}
+		seq := ev.Seq
 		switch ev.Type {
-		case transport.FrameSeqTable:
-			dup, err := si.PushTableSeq(meterID, ev.Seq, ev.Table)
-			if err != nil {
-				if retryableRefusal(err) {
-					if werr := refuse(ev.Seq, err); werr != nil {
-						return symbols, fmt.Errorf("server: meter %d refusal write: %w", meterID, werr)
-					}
-					continue
-				}
-				return symbols, err
+		case transport.FrameEnd:
+			return symbols, nil
+		case transport.FrameTable, transport.FrameSymbol:
+			if sequenced {
+				return symbols, fmt.Errorf("server: meter %d: unsequenced frame %#x on sequenced session", meterID, ev.Type)
 			}
-			if dup {
-				s.met.duplicateBatches.Inc()
+			if ev.Table == nil && len(ev.Points) == 0 {
+				continue // an empty v1 batch commits nothing and spends no seq
 			}
-			if err := ack(ev.Seq); err != nil {
-				return symbols, fmt.Errorf("server: meter %d ack write: %w", meterID, err)
+			hwm++
+			seq = hwm
+		default:
+			if !sequenced {
+				return symbols, fmt.Errorf("server: meter %d: sequenced frame %#x on unsequenced session", meterID, ev.Type)
 			}
-		case transport.FrameSeqSymbol:
-			cost := int64(len(ev.Points)) * pointWireCost
-			if err := s.acquireIngest(meterID, cost); err != nil {
-				if werr := refuse(ev.Seq, err); werr != nil {
+		}
+		n, dup, err := s.commit(meterID, seq, ev)
+		if err != nil {
+			// A refusal before anything committed keeps a sequenced session
+			// (and the client's right to resend this seq). A partial commit
+			// cannot be retried under the same seq, and a v1 session has no
+			// per-batch refusal channel: both tear down.
+			if sequenced && n == 0 && retryableRefusal(err) {
+				wbuf = transport.AppendQueryErrorFrame(wbuf[:0], seq, ingestVerdictCode(err), err.Error())
+				if werr := s.writeFrame(conn, wbuf); werr != nil {
 					return symbols, fmt.Errorf("server: meter %d refusal write: %w", meterID, werr)
 				}
 				continue
 			}
-			start := time.Now()
-			n, dup, err := si.AppendSeq(meterID, ev.Seq, ev.Points)
-			s.met.ingestBatchLat.Since(start)
-			s.releaseIngest(meterID, cost)
-			if err != nil {
-				// A refusal before anything committed keeps the session (and
-				// the client's right to resend this seq); a partial commit
-				// cannot be retried under the same seq, so it tears down.
-				if n == 0 && retryableRefusal(err) {
-					if werr := refuse(ev.Seq, err); werr != nil {
-						return symbols, fmt.Errorf("server: meter %d refusal write: %w", meterID, werr)
-					}
-					continue
-				}
-				return symbols, err
-			}
-			if dup {
-				s.met.duplicateBatches.Inc()
-			}
-			symbols += int64(n)
-			if err := ack(ev.Seq); err != nil {
+			return symbols, err
+		}
+		if dup {
+			s.met.duplicateBatches.Inc()
+		}
+		symbols += int64(n)
+		if sequenced {
+			if err := ack(seq); err != nil {
 				return symbols, fmt.Errorf("server: meter %d ack write: %w", meterID, err)
 			}
-		case transport.FrameEnd:
-			return symbols, nil
-		case transport.FrameTable, transport.FrameSymbol:
-			return symbols, fmt.Errorf("server: meter %d: unsequenced frame %#x on sequenced session", meterID, ev.Type)
 		}
 	}
+}
+
+// commit writes one decoded table or symbol batch as the meter's seq-th
+// frame, a batch under its shard's admission budget.
+func (s *Service) commit(meterID, seq uint64, ev transport.Event) (n int, dup bool, err error) {
+	if ev.Table != nil {
+		dup, err = s.ingest.PushTableSeq(meterID, seq, ev.Table)
+		return 0, dup, err
+	}
+	cost := int64(len(ev.Points)) * pointWireCost
+	if err := s.acquireIngest(meterID, cost); err != nil {
+		return 0, false, err
+	}
+	start := time.Now()
+	n, dup, err = s.ingest.AppendSeq(meterID, seq, ev.Points)
+	s.met.ingestBatchLat.Since(start)
+	s.releaseIngest(meterID, cost)
+	return n, dup, err
 }
 
 // retryableRefusal reports whether an ingest error is a typed

@@ -49,7 +49,7 @@ func fill(t *testing.T, st *Store, table *symbolic.Table, meterID uint64, n int)
 			pts[i] = symbolic.SymbolPoint{T: ts, S: table.Encode(float64((sent + i) * 13 % 900))}
 			ts += 900
 		}
-		if _, err := st.Append(meterID, pts); err != nil {
+		if _, err := appendNext(st, meterID, pts); err != nil {
 			t.Fatal(err)
 		}
 		sent += batch
@@ -114,7 +114,7 @@ func TestSealSinkErrorFailsAppendButKeepsData(t *testing.T) {
 	sinkErr := errors.New("disk full")
 	sink.err = sinkErr
 	pts := []symbolic.SymbolPoint{{T: int64(BlockCap) * 900, S: table.Encode(1)}}
-	if _, err := st.Append(1, pts); !errors.Is(err, sinkErr) {
+	if _, err := appendNext(st, 1, pts); !errors.Is(err, sinkErr) {
 		t.Fatalf("append during failing spill: %v, want the sink error", err)
 	}
 	// Committed points are all still readable.
@@ -123,7 +123,7 @@ func TestSealSinkErrorFailsAppendButKeepsData(t *testing.T) {
 	}
 	// Clearing the fault lets the next append retry the spill and proceed.
 	sink.err = nil
-	if _, err := st.Append(1, pts); err != nil {
+	if _, err := appendNext(st, 1, pts); err != nil {
 		t.Fatalf("append after spill recovers: %v", err)
 	}
 	if got := st.TotalSymbols(); got != BlockCap+1 {
@@ -156,7 +156,7 @@ func TestRestoreMeterRoundTrip(t *testing.T) {
 	for i := sealedPts; i < n; i++ {
 		tail = append(tail, symbolic.SymbolPoint{T: int64(i) * 900, S: table.Encode(float64(i * 13 % 900))})
 	}
-	if _, err := re.Append(9, tail); err != nil {
+	if _, err := appendNext(re, 9, tail); err != nil {
 		t.Fatal(err)
 	}
 	gs, ok := re.Snapshot(9)

@@ -53,6 +53,10 @@ var (
 	// high-water mark — a client bug (sequence numbers must be dense), torn
 	// down loudly rather than committed out of order.
 	ErrSeqGap = errors.New("server: sequence gap in sequenced ingest")
+	// ErrEmptyBatch reports a sequenced batch with no points: committing it
+	// would advance the high-water mark with nothing a log could replay it
+	// from.
+	ErrEmptyBatch = errors.New("server: empty sequenced batch")
 )
 
 // ReconPoint is one reconstructed measurement: the symbol the meter sent
@@ -223,8 +227,8 @@ func (e *meterEntry) reserveLocked(n int, persist bool) {
 // published index serve everything else without it.
 type shard struct {
 	mu sync.RWMutex
-	// pack is Append's packing scratch, used under mu: a batch is packed and
-	// committed inside one lock hold, so the shard's meters can share it.
+	// pack is AppendSeq's packing scratch, used under mu: a batch is packed
+	// and committed inside one lock hold, so the shard's meters can share it.
 	pack []byte
 	// dir is the published meter directory, swapped copy-on-write under mu
 	// whenever a meter registers. Never nil (points at emptyShardDir).
@@ -269,7 +273,7 @@ type SealedBlock struct {
 // payload from then on — typically an mmapped region of the segment file the
 // sink just wrote, which is what evicts sealed payloads from the heap.
 // Returning blk.Payload itself keeps the block resident. An error fails the
-// Append that triggered the seal; points already committed stay readable and
+// append that triggered the seal; points already committed stay readable and
 // the spill is retried on the meter's next append.
 type SealSink interface {
 	SealedBlock(meterID uint64, blk SealedBlock) ([]byte, error)
@@ -418,23 +422,25 @@ func (s *Store) LastSeq(meterID uint64) uint64 {
 	return 0
 }
 
-// seqCheck classifies seq against the meter's high-water mark: committed
-// already (dup), next in line (proceed), or a gap (client bug, loud error).
-// The caller holds the shard write lock, and keeps it until the write it
-// admits has committed and advanced the mark.
-func (e *meterEntry) seqCheck(seq uint64) (dup bool, err error) {
-	if seq <= e.seq {
+// CheckSeq is the dense-sequence rule every Ingest applies to seq against a
+// meter's high-water mark hwm: at or below it is a duplicate (suppressed but
+// acked — the write already committed), exactly hwm+1 proceeds, anything
+// else is a gap (a client bug, refused loudly rather than committed out of
+// order).
+func CheckSeq(meterID, hwm, seq uint64) (dup bool, err error) {
+	if seq <= hwm {
 		return true, nil
 	}
-	if seq != e.seq+1 {
-		return false, fmt.Errorf("%w: meter %d got seq %d with high-water mark %d", ErrSeqGap, e.id, seq, e.seq)
+	if seq != hwm+1 {
+		return false, fmt.Errorf("%w: meter %d got seq %d with high-water mark %d", ErrSeqGap, meterID, seq, hwm)
 	}
 	return false, nil
 }
 
-// PushTableSeq is PushTable for sequenced sessions: seq == hwm+1 commits
-// the table and advances the mark, seq <= hwm is suppressed as a duplicate
-// (dup=true, nothing written, still to be acked), and a gap is refused.
+// PushTableSeq is PushTable under a session sequence number: seq == hwm+1
+// commits the table and advances the mark, seq <= hwm is suppressed as a
+// duplicate (dup=true, nothing written, still to be acked), and a gap is
+// refused. The shard lock is held from the check until the mark advances.
 func (s *Store) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, error) {
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
@@ -443,34 +449,12 @@ func (s *Store) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, erro
 	if e == nil {
 		return false, fmt.Errorf("%w: %d", ErrUnknownMeter, meterID)
 	}
-	if dup, err := e.seqCheck(seq); dup || err != nil {
+	if dup, err := CheckSeq(meterID, e.seq, seq); dup || err != nil {
 		return dup, err
 	}
 	e.pushTable(t, s.sink != nil)
 	e.seq = seq
 	return false, nil
-}
-
-// AppendSeq is Append for sequenced sessions, with the same duplicate and
-// gap semantics as PushTableSeq. The high-water mark advances only after
-// the whole batch commits, so a failed append leaves the mark untouched
-// and the client's retry of the same seq is not misread as a duplicate.
-func (s *Store) AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (int, bool, error) {
-	sh := s.shardOf(meterID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.meter(meterID)
-	if e == nil {
-		return 0, false, fmt.Errorf("%w: %d", ErrUnknownMeter, meterID)
-	}
-	if dup, err := e.seqCheck(seq); dup || err != nil {
-		return 0, dup, err
-	}
-	n, err := s.appendLocked(sh, meterID, pts)
-	if err == nil {
-		e.seq = seq
-	}
-	return n, false, err
 }
 
 // PushTable records a new lookup table for the meter, opening a new epoch:
@@ -557,8 +541,10 @@ func (sh *shard) current(meterID uint64) (*meterEntry, *symbolic.Table, error) {
 	return e, e.tables[len(e.tables)-1], nil
 }
 
-// Append commits a decoded symbol batch into the meter's packed block chain
-// under its current table epoch. It returns how many points were stored.
+// AppendSeq commits a decoded symbol batch as the meter's seq-th write into
+// its packed block chain under the current table epoch, returning how many
+// points were stored. Duplicates and gaps are judged first (CheckSeq), then
+// a missing table, then an empty batch (ErrEmptyBatch).
 //
 // The whole batch is validated against the table and packed (PackPoints)
 // before any point is committed, so a validation error never leaves a
@@ -566,31 +552,42 @@ func (sh *shard) current(meterID uint64) (*meterEntry, *symbolic.Table, error) {
 // (AppendRun). The one exception to all-or-nothing is an I/O error from the
 // seal sink mid-batch: points committed before the failing seal stay readable
 // (the return count says how many), so a caller must resume from that count
-// rather than retry the whole batch.
-func (s *Store) Append(meterID uint64, pts []symbolic.SymbolPoint) (int, error) {
+// rather than retry the whole batch. The high-water mark advances only after
+// the whole batch commits, so a failed append leaves the mark untouched and
+// the client's retry of the same seq is not misread as a duplicate.
+func (s *Store) AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (int, bool, error) {
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return s.appendLocked(sh, meterID, pts)
-}
-
-// appendLocked is Append under the shard write lock the caller holds.
-func (s *Store) appendLocked(sh *shard, meterID uint64, pts []symbolic.SymbolPoint) (int, error) {
-	e, table, err := sh.current(meterID)
-	if err != nil {
-		return 0, err
+	e := sh.meter(meterID)
+	if e == nil {
+		return 0, false, fmt.Errorf("%w: %d", ErrUnknownMeter, meterID)
 	}
+	if dup, err := CheckSeq(meterID, e.seq, seq); dup || err != nil {
+		return 0, dup, err
+	}
+	if len(e.tables) == 0 {
+		return 0, false, fmt.Errorf("%w: %d", ErrNoTable, meterID)
+	}
+	if len(pts) == 0 {
+		return 0, false, fmt.Errorf("%w: meter %d seq %d", ErrEmptyBatch, meterID, seq)
+	}
+	table := e.tables[len(e.tables)-1]
 	packed, err := PackPoints(sh.pack[:0], pts, table.Level())
 	sh.pack = packed[:0]
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
-	return s.appendPacked(e, table, pts, table.Level(), packed)
+	n, err := s.appendPacked(e, table, pts, table.Level(), packed)
+	if err == nil {
+		e.seq = seq
+	}
+	return n, false, err
 }
 
-// AppendPacked is Append for a caller that already holds the batch validated
-// and packed at the given level by PackPoints (the durability layer packs
-// once, before it logs): timestamps come from pts, symbols from packed.
+// AppendPacked commits a batch the caller already validated and packed at
+// the given level by PackPoints (the durability layer packs once, before it
+// logs): timestamps come from pts, symbols from packed.
 func (s *Store) AppendPacked(meterID uint64, pts []symbolic.SymbolPoint, level int, packed []byte) (int, error) {
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
@@ -621,8 +618,8 @@ func (s *Store) appendPacked(e *meterEntry, table *symbolic.Table, pts []symboli
 }
 
 // AppendRun commits one packed run under the meter's current table epoch and
-// returns how many symbols were stored — Append without the unpacked detour,
-// and the entry point WAL replay drives with each record's own bytes.
+// returns how many symbols were stored — the entry point WAL replay drives
+// with each record's own bytes.
 func (s *Store) AppendRun(meterID uint64, r Run) (int, error) {
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
@@ -748,7 +745,7 @@ func (e *meterEntry) spill(sink SealSink, b *block) error {
 
 // Reserve pre-allocates block capacity for at least n points for the meter —
 // capacity planning for ingest bursts: a session that knows how many windows
-// a replayed day will produce makes every subsequent Append allocation-free.
+// a replayed day will produce makes every subsequent append allocation-free.
 // A Reserve arriving before the meter's first table (the session handshake
 // order) is parked and applied when the table lands, since the arena is
 // sized by the table's symbol level.
@@ -774,7 +771,7 @@ func (s *Store) Reserve(meterID uint64, n int) error {
 // block chain (typically read back from durable segment files, payloads
 // aliasing mmapped regions), publishing the sealed index so queries serve
 // the meter immediately and with the exact pruning the live path would have.
-// It is the recovery-time counterpart of StartSession + PushTable + Append
+// It is the recovery-time counterpart of StartSession + PushTable + AppendSeq
 // and must run before any live traffic for the meter; blocks must be in
 // their original seal order. Every field is validated against the table
 // history — recovery reads untrusted on-disk bytes, and a corrupt block must

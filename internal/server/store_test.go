@@ -24,6 +24,13 @@ func testTable(t *testing.T) *symbolic.Table {
 	return table
 }
 
+// appendNext commits pts as the meter's next sequenced batch, as a session
+// would.
+func appendNext(s *Store, meterID uint64, pts []symbolic.SymbolPoint) (int, error) {
+	n, _, err := s.AppendSeq(meterID, s.LastSeq(meterID)+1, pts)
+	return n, err
+}
+
 func TestShardSpread(t *testing.T) {
 	s := NewStore(8)
 	if s.NumShards() != 8 {
@@ -74,19 +81,19 @@ func TestWritesRequireRegistration(t *testing.T) {
 	if err := s.PushTable(9, table); !errors.Is(err, ErrUnknownMeter) {
 		t.Fatalf("PushTable error = %v, want ErrUnknownMeter", err)
 	}
-	if _, err := s.Append(9, nil); !errors.Is(err, ErrUnknownMeter) {
+	if _, err := appendNext(s, 9, nil); !errors.Is(err, ErrUnknownMeter) {
 		t.Fatalf("Append error = %v, want ErrUnknownMeter", err)
 	}
 	if err := s.StartSession(9); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Append(9, []symbolic.SymbolPoint{{T: 60, S: table.Encode(100)}}); !errors.Is(err, ErrNoTable) {
+	if _, err := appendNext(s, 9, []symbolic.SymbolPoint{{T: 60, S: table.Encode(100)}}); !errors.Is(err, ErrNoTable) {
 		t.Fatalf("Append before table error = %v, want ErrNoTable", err)
 	}
 	if err := s.PushTable(9, table); err != nil {
 		t.Fatal(err)
 	}
-	n, err := s.Append(9, []symbolic.SymbolPoint{{T: 60, S: table.Encode(100)}})
+	n, err := appendNext(s, 9, []symbolic.SymbolPoint{{T: 60, S: table.Encode(100)}})
 	if err != nil || n != 1 {
 		t.Fatalf("Append = %d, %v", n, err)
 	}
@@ -121,7 +128,7 @@ func TestConcurrentStoreAccess(t *testing.T) {
 				for i := range pts {
 					pts[i] = symbolic.SymbolPoint{T: int64(batch*8+i) * 60, S: table.Encode(float64(i) * 100)}
 				}
-				if _, err := s.Append(id, pts); err != nil {
+				if _, err := appendNext(s, id, pts); err != nil {
 					t.Error(err)
 					return
 				}
@@ -162,7 +169,7 @@ func TestAppendRejectsBatchAtomically(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := []symbolic.SymbolPoint{{T: 60, S: table.Encode(100)}, {T: 120, S: table.Encode(900)}}
-	if _, err := s.Append(5, good); err != nil {
+	if _, err := appendNext(s, 5, good); err != nil {
 		t.Fatal(err)
 	}
 	// Two decodable points followed by a wrong-level symbol: nothing from
@@ -172,7 +179,7 @@ func TestAppendRejectsBatchAtomically(t *testing.T) {
 		{T: 240, S: table.Encode(200)},
 		{T: 300, S: symbolic.NewSymbol(1, 5)},
 	}
-	if _, err := s.Append(5, bad); !errors.Is(err, ErrBadSymbol) {
+	if _, err := appendNext(s, 5, bad); !errors.Is(err, ErrBadSymbol) {
 		t.Fatalf("Append error = %v, want ErrBadSymbol", err)
 	}
 	st, _ := s.Snapshot(5)
@@ -180,7 +187,7 @@ func TestAppendRejectsBatchAtomically(t *testing.T) {
 		t.Fatalf("store has %d points after failed batch, want %d (partial commit)", len(st.Points), len(good))
 	}
 	// The meter is still usable after the refused batch.
-	if n, err := s.Append(5, good); err != nil || n != 2 {
+	if n, err := appendNext(s, 5, good); err != nil || n != 2 {
 		t.Fatalf("Append after refusal = %d, %v", n, err)
 	}
 }
@@ -193,7 +200,7 @@ func TestReserveUnknownMeter(t *testing.T) {
 }
 
 // TestStoreAppendZeroAlloc enforces the hot ingest path's zero-allocation
-// contract: with block capacity reserved, Append on a regular stream must
+// contract: with block capacity reserved, AppendSeq on a regular stream must
 // not allocate — no error values, no per-point table lookups, no block or
 // arena growth. Timestamps advance monotonically across batches, as a live
 // meter's do; every block fills to BlockCap before sealing.
@@ -218,17 +225,19 @@ func TestStoreAppendZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	var next int64
+	var seq uint64
 	allocs := testing.AllocsPerRun(runs, func() {
 		for i := range pts {
 			pts[i] = symbolic.SymbolPoint{T: (next + int64(i)) * 60, S: syms[i]}
 		}
 		next += batch
-		if _, err := s.Append(1, pts); err != nil {
-			t.Fatal(err)
+		seq++
+		if _, dup, err := s.AppendSeq(1, seq, pts); err != nil || dup {
+			t.Fatalf("AppendSeq seq %d: dup=%v err=%v", seq, dup, err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Append allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("steady-state AppendSeq allocates %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -251,7 +260,7 @@ func TestBlockChainShape(t *testing.T) {
 		for i, tt := range ts {
 			pts[i] = symbolic.SymbolPoint{T: tt, S: table.Encode(float64(tt % 997))}
 		}
-		if _, err := s.Append(3, pts); err != nil {
+		if _, err := appendNext(s, 3, pts); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, ts...)
@@ -346,7 +355,7 @@ func TestMemoryFootprint(t *testing.T) {
 	for i := range pts {
 		pts[i] = symbolic.SymbolPoint{T: int64(i) * 900, S: table.Encode(float64(i % 4000))}
 	}
-	if _, err := s.Append(1, pts); err != nil {
+	if _, err := appendNext(s, 1, pts); err != nil {
 		t.Fatal(err)
 	}
 	bytes, points := s.MemoryFootprint()
@@ -381,7 +390,7 @@ func TestDegenerateStreamMemoryBounded(t *testing.T) {
 			ts += 1 << 40
 		}
 		pts := []symbolic.SymbolPoint{{T: ts, S: table.Encode(float64(i % 997))}}
-		if _, err := s.Append(1, pts); err != nil {
+		if _, err := appendNext(s, 1, pts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -422,7 +431,7 @@ func TestAdversarialTimestampOverflow(t *testing.T) {
 	ts := []int64{1, 1<<62 + 1, minInt64 + 1, maxInt64, maxInt64 - 1, 0,
 		-(maxInt64 / 510), 0, maxInt64 / 510 * 2}
 	for _, tt := range ts {
-		if _, err := s.Append(1, []symbolic.SymbolPoint{{T: tt, S: table.Encode(100)}}); err != nil {
+		if _, err := appendNext(s, 1, []symbolic.SymbolPoint{{T: tt, S: table.Encode(100)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -466,7 +475,7 @@ func TestNegativeTimestampsFormFullBlocks(t *testing.T) {
 	for i := range pts {
 		pts[i] = symbolic.SymbolPoint{T: -86400 + int64(i)*900, S: table.Encode(float64(i % 997))}
 	}
-	if _, err := s.Append(1, pts); err != nil {
+	if _, err := appendNext(s, 1, pts); err != nil {
 		t.Fatal(err)
 	}
 	blocks := 0
@@ -500,7 +509,7 @@ func TestReservedArenaAccountedWhole(t *testing.T) {
 		if i%2 == 1 {
 			ts += 1 << 40 // every point breaks the stride
 		}
-		if _, err := s.Append(1, []symbolic.SymbolPoint{{T: ts, S: table.Encode(float64(i % 997))}}); err != nil {
+		if _, err := appendNext(s, 1, []symbolic.SymbolPoint{{T: ts, S: table.Encode(float64(i % 997))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -532,7 +541,7 @@ func TestReserveBeforeTable(t *testing.T) {
 	for i := range pts {
 		pts[i] = symbolic.SymbolPoint{T: int64(i) * 60, S: table.Encode(float64(i))}
 	}
-	if _, err := s.Append(2, pts); err != nil { // warm the tail block
+	if _, err := appendNext(s, 2, pts); err != nil { // warm the tail block
 		t.Fatal(err)
 	}
 	var next int64 = BlockCap
@@ -541,7 +550,7 @@ func TestReserveBeforeTable(t *testing.T) {
 			pts[i].T = (next + int64(i)) * 60
 		}
 		next += BlockCap
-		if _, err := s.Append(2, pts); err != nil {
+		if _, err := appendNext(s, 2, pts); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -574,7 +583,7 @@ func seedRegular(t *testing.T, s *Store, table *symbolic.Table, id uint64, n int
 			pts[i] = symbolic.SymbolPoint{T: ts, S: table.Encode(float64((sent + i) % 997))}
 			ts += w
 		}
-		if _, err := s.Append(id, pts); err != nil {
+		if _, err := appendNext(s, id, pts); err != nil {
 			t.Fatal(err)
 		}
 		sent += batch
@@ -667,10 +676,10 @@ func TestTimeDirectoryPrunes(t *testing.T) {
 	}
 
 	// Replayed old timestamps: orderedness is lost, correctness is not.
-	if _, err := s.Append(1, []symbolic.SymbolPoint{{T: 3, S: table.Encode(1)}, {T: 5, S: table.Encode(2)}}); err != nil {
+	if _, err := appendNext(s, 1, []symbolic.SymbolPoint{{T: 3, S: table.Encode(1)}, {T: 5, S: table.Encode(2)}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Append(1, []symbolic.SymbolPoint{{T: int64(nBlocks*BlockCap+20) * w, S: table.Encode(3)}}); err != nil {
+	if _, err := appendNext(s, 1, []symbolic.SymbolPoint{{T: int64(nBlocks*BlockCap+20) * w, S: table.Encode(3)}}); err != nil {
 		t.Fatal(err)
 	}
 	if m.TimeOrdered() {
@@ -732,7 +741,7 @@ func TestConcurrentPublishStress(t *testing.T) {
 						return
 					}
 				}
-				if _, err := s.Append(id, pts); err != nil {
+				if _, err := appendNext(s, id, pts); err != nil {
 					t.Error(err)
 					return
 				}

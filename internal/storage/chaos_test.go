@@ -75,7 +75,7 @@ func startMeters(t testing.TB, eng *storage.Engine, table *symbolic.Table, meter
 		if err := eng.StartSession(m); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.PushTable(m, table); err != nil {
+		if err := storage.PushNext(eng, m, table); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,7 +94,7 @@ func buildOracle(t testing.TB, table *symbolic.Table, meters []uint64, batches m
 			t.Fatal(err)
 		}
 		for _, idx := range batches[m] {
-			if _, err := st.Append(m, chaosBatch(m, idx, table)); err != nil {
+			if _, err := storage.AppendNext(st, m, chaosBatch(m, idx, table)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -182,7 +182,7 @@ func TestDegradedWALWriteRefusesThenHeals(t *testing.T) {
 	acked := map[uint64][]int{}
 	for idx := 0; idx < 10; idx++ {
 		for _, m := range meters {
-			if _, err := eng.Append(m, chaosBatch(m, idx, table)); err != nil {
+			if _, err := storage.AppendNext(eng, m, chaosBatch(m, idx, table)); err != nil {
 				t.Fatal(err)
 			}
 			acked[m] = append(acked[m], idx)
@@ -195,7 +195,7 @@ func TestDegradedWALWriteRefusesThenHeals(t *testing.T) {
 		faultfs.Fault{Op: faultfs.OpWrite, Path: ".wal", Sticky: true},
 		faultfs.Fault{Op: faultfs.OpSync, Path: ".probe", Sticky: true},
 	)
-	if _, err := eng.Append(1, chaosBatch(1, 10, table)); !errors.Is(err, server.ErrDegraded) {
+	if _, err := storage.AppendNext(eng, 1, chaosBatch(1, 10, table)); !errors.Is(err, server.ErrDegraded) {
 		t.Fatalf("append on dead disk: got %v, want server.ErrDegraded", err)
 	}
 	h := eng.Health()
@@ -206,10 +206,10 @@ func TestDegradedWALWriteRefusesThenHeals(t *testing.T) {
 		t.Fatalf("reason %q, want the wal append class", h.Reason)
 	}
 	// Every ingest surface refuses with the same typed error, up front.
-	if _, err := eng.Append(2, chaosBatch(2, 10, table)); !errors.Is(err, server.ErrDegraded) {
+	if _, err := storage.AppendNext(eng, 2, chaosBatch(2, 10, table)); !errors.Is(err, server.ErrDegraded) {
 		t.Fatalf("second meter: %v", err)
 	}
-	if err := eng.PushTable(1, table); !errors.Is(err, server.ErrDegraded) {
+	if err := storage.PushNext(eng, 1, table); !errors.Is(err, server.ErrDegraded) {
 		t.Fatalf("push table while degraded: %v", err)
 	}
 	if err := eng.StartSession(99); !errors.Is(err, server.ErrDegraded) {
@@ -235,7 +235,7 @@ func TestDegradedWALWriteRefusesThenHeals(t *testing.T) {
 	// Ingest resumes, including the very batch that was refused.
 	for idx := 10; idx < 16; idx++ {
 		for _, m := range meters {
-			if _, err := eng.Append(m, chaosBatch(m, idx, table)); err != nil {
+			if _, err := storage.AppendNext(eng, m, chaosBatch(m, idx, table)); err != nil {
 				t.Fatalf("append after heal (meter %d batch %d): %v", m, idx, err)
 			}
 			acked[m] = append(acked[m], idx)
@@ -264,7 +264,7 @@ func TestFsyncFailureNeverAcks(t *testing.T) {
 	startMeters(t, eng, table, []uint64{1})
 
 	ffs.SetFaults(faultfs.Fault{Op: faultfs.OpSync, Path: ".wal", N: 1})
-	_, err := eng.Append(1, chaosBatch(1, 0, table))
+	_, err := storage.AppendNext(eng, 1, chaosBatch(1, 0, table))
 	if !errors.Is(err, faultfs.ErrIO) {
 		t.Fatalf("append with dying fsync: got %v, want the injected ErrIO", err)
 	}
@@ -285,7 +285,7 @@ func TestFsyncFailureNeverAcks(t *testing.T) {
 	// Fsyncgate: no retry. Later appends are refused before touching the
 	// log, so the sync count must not move.
 	syncs := ffs.Counts()[faultfs.OpSync]
-	if _, err := eng.Append(1, chaosBatch(1, 0, table)); !errors.Is(err, server.ErrDegraded) {
+	if _, err := storage.AppendNext(eng, 1, chaosBatch(1, 0, table)); !errors.Is(err, server.ErrDegraded) {
 		t.Fatalf("append while degraded: %v", err)
 	}
 	if got := ffs.Counts()[faultfs.OpSync]; got != syncs {
@@ -318,7 +318,7 @@ func TestSpillFailureFallsBackToHeap(t *testing.T) {
 	acked := map[uint64][]int{}
 	for idx := 0; idx < 40; idx++ { // ~7 seals per meter
 		for _, m := range meters {
-			if _, err := eng.Append(m, chaosBatch(m, idx, table)); err != nil {
+			if _, err := storage.AppendNext(eng, m, chaosBatch(m, idx, table)); err != nil {
 				t.Fatalf("append with dead segment dir (meter %d batch %d): %v", m, idx, err)
 			}
 			acked[m] = append(acked[m], idx)
@@ -365,7 +365,7 @@ func TestManifestFailureRetriesThenDegrades(t *testing.T) {
 			acked := map[uint64][]int{}
 			for idx := 0; idx < 20; idx++ {
 				for _, m := range meters {
-					if _, err := eng.Append(m, chaosBatch(m, idx, table)); err != nil {
+					if _, err := storage.AppendNext(eng, m, chaosBatch(m, idx, table)); err != nil {
 						t.Fatal(err)
 					}
 					acked[m] = append(acked[m], idx)
@@ -388,7 +388,7 @@ func TestManifestFailureRetriesThenDegrades(t *testing.T) {
 			if !strings.Contains(h.Reason, "manifest") {
 				t.Fatalf("reason %q, want the manifest class", h.Reason)
 			}
-			if _, err := eng.Append(1, chaosBatch(1, 20, table)); !errors.Is(err, server.ErrDegraded) {
+			if _, err := storage.AppendNext(eng, 1, chaosBatch(1, 20, table)); !errors.Is(err, server.ErrDegraded) {
 				t.Fatalf("append after manifest degrade: %v", err)
 			}
 			// Every failed replacement cleaned its temp file.
@@ -420,7 +420,7 @@ func TestOpenUnwindsCleanly(t *testing.T) {
 	acked := map[uint64][]int{}
 	for idx := 0; idx < 40; idx++ {
 		for _, m := range meters {
-			if _, err := eng.Append(m, chaosBatch(m, idx, table)); err != nil {
+			if _, err := storage.AppendNext(eng, m, chaosBatch(m, idx, table)); err != nil {
 				t.Fatal(err)
 			}
 			acked[m] = append(acked[m], idx)
@@ -501,7 +501,7 @@ func TestOpenUnwindsCleanlyConcurrent(t *testing.T) {
 	acked := map[uint64][]int{}
 	for idx := 0; idx < 12; idx++ {
 		for _, m := range meters {
-			if _, err := eng.Append(m, chaosBatch(m, idx, table)); err != nil {
+			if _, err := storage.AppendNext(eng, m, chaosBatch(m, idx, table)); err != nil {
 				t.Fatal(err)
 			}
 			acked[m] = append(acked[m], idx)
@@ -581,7 +581,7 @@ func TestFaultedRecoveryThenClean(t *testing.T) {
 	acked := map[uint64][]int{}
 	for idx := 0; idx < 30; idx++ {
 		for _, m := range meters {
-			if _, err := eng.Append(m, chaosBatch(m, idx, table)); err != nil {
+			if _, err := storage.AppendNext(eng, m, chaosBatch(m, idx, table)); err != nil {
 				t.Fatal(err)
 			}
 			acked[m] = append(acked[m], idx)
@@ -623,7 +623,7 @@ func TestFormat1ManifestMigrates(t *testing.T) {
 		t.Fatalf("WALGen after migration: %d, want 0", gen)
 	}
 	startMeters(t, eng, table, []uint64{1})
-	if _, err := eng.Append(1, chaosBatch(1, 0, table)); err != nil {
+	if _, err := storage.AppendNext(eng, 1, chaosBatch(1, 0, table)); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Close(); err != nil {
@@ -642,8 +642,8 @@ func TestFormat1ManifestMigrates(t *testing.T) {
 		buildOracle(t, table, []uint64{1}, map[uint64][]int{1: {0}}), []uint64{1})
 }
 
-// measureAppendAllocs returns AllocsPerRun for non-sealing Append batches on
-// an engine over fsys, after warming the WAL buffers and tail arenas.
+// measureAppendAllocs returns AllocsPerRun for non-sealing AppendSeq batches
+// on an engine over fsys, after warming the WAL buffers and tail arenas.
 func measureAppendAllocs(t *testing.T, fsys storage.FS) float64 {
 	t.Helper()
 	dir := t.TempDir()
@@ -659,7 +659,7 @@ func measureAppendAllocs(t *testing.T, fsys storage.FS) float64 {
 	// Warm up exactly two block cycles (lcm(512, 96) = 1536 points), landing
 	// the tail at a block boundary.
 	for idx := 0; idx < 32; idx++ {
-		if _, err := eng.Append(7, chaosBatch(7, idx, table)); err != nil {
+		if _, err := storage.AppendNext(eng, 7, chaosBatch(7, idx, table)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -670,10 +670,11 @@ func measureAppendAllocs(t *testing.T, fsys storage.FS) float64 {
 	for i := range batches {
 		batches[i] = chaosBatch(7, 32+i, table)
 	}
-	i := 0
+	i, seq := 0, eng.LastSeq(7)
 	return testing.AllocsPerRun(4, func() {
-		if _, err := eng.Append(7, batches[i]); err != nil {
-			t.Fatal(err)
+		seq++
+		if _, dup, err := eng.AppendSeq(7, seq, batches[i]); err != nil || dup {
+			t.Fatalf("AppendSeq seq %d: dup=%v err=%v", seq, dup, err)
 		}
 		i++
 	})
@@ -687,7 +688,7 @@ func TestAppendAllocsThroughSeam(t *testing.T) {
 	faultAllocs := measureAppendAllocs(t, faultfs.New())
 	t.Logf("append allocs/run: OsFS=%v faultfs=%v", osAllocs, faultAllocs)
 	if osAllocs != 0 {
-		t.Errorf("steady-state durable Append allocates %v per run through OsFS, want 0", osAllocs)
+		t.Errorf("steady-state durable AppendSeq allocates %v per run through OsFS, want 0", osAllocs)
 	}
 	if faultAllocs > osAllocs {
 		t.Errorf("the FS seam costs allocations: faultfs %v vs OsFS %v", faultAllocs, osAllocs)
@@ -727,7 +728,7 @@ func runChaos(t *testing.T, sync storage.SyncMode, faults []faultfs.Fault, round
 				continue
 			}
 			idx := next[m]
-			_, err := eng.Append(m, chaosBatch(m, idx, table))
+			_, err := storage.AppendNext(eng, m, chaosBatch(m, idx, table))
 			switch {
 			case err == nil:
 				acked[m] = append(acked[m], idx)
@@ -755,7 +756,7 @@ func runChaos(t *testing.T, sync storage.SyncMode, faults []faultfs.Fault, round
 		idx := next[m]
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			if _, err := eng.Append(m, chaosBatch(m, idx, table)); err == nil {
+			if _, err := storage.AppendNext(eng, m, chaosBatch(m, idx, table)); err == nil {
 				acked[m] = append(acked[m], idx)
 				next[m] = idx + 1
 				break

@@ -5,7 +5,7 @@
 // newest segment manifest and the WAL tails above it.
 //
 // The split mirrors the store's own hot/cold split. The WAL is the hot
-// tail's durability: every Append batch and table push is framed, CRC'd and
+// tail's durability: every batch and table push is framed, CRC'd and
 // written (one write(2) per batch) before the store commits it, so an
 // acknowledged batch survives process death in every sync mode and OS death
 // per the chosen SyncMode. Segments are the sealed data's durability *and*
@@ -696,67 +696,109 @@ func (e *Engine) EndSession(meterID uint64) { e.store.EndSession(meterID) }
 // Reserve delegates to the store.
 func (e *Engine) Reserve(meterID uint64, n int) error { return e.store.Reserve(meterID, n) }
 
-// PushTable logs the table, then commits it. The WAL write happens first —
-// recovery must know the table that decodes every logged batch.
-func (e *Engine) PushTable(meterID uint64, t *symbolic.Table) error {
-	if e.closed.Load() {
-		return ErrClosed
+// LastSeq reports the meter's committed sequence high-water mark — 0 when
+// the meter is unknown or all of its history predates sequencing. Called by
+// the meter's session goroutine at handshake; visibility of the previous
+// session's final advance rides the store's shard lock.
+func (e *Engine) LastSeq(meterID uint64) uint64 {
+	if v, ok := e.meters.Load(meterID); ok {
+		return v.(*meterMeta).seq
 	}
-	if r := e.health.refuse.Load(); r != nil {
-		return r.err
+	return 0
+}
+
+// PushTableSeq logs the table under a session sequence number, then commits
+// it: duplicates are suppressed without touching the log, gaps refuse, and
+// the WAL record carries the seq so recovery restores the high-water mark.
+// The duplicate check runs before the degraded-refusal check on purpose —
+// acking an already-durable write is truthful even when the engine cannot
+// accept new ones.
+func (e *Engine) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, error) {
+	if e.closed.Load() {
+		return false, ErrClosed
 	}
 	if _, ok := e.store.Meter(meterID); !ok {
-		return fmt.Errorf("%w: %d", server.ErrUnknownMeter, meterID)
+		return false, fmt.Errorf("%w: %d", server.ErrUnknownMeter, meterID)
 	}
-	shard := e.store.ShardFor(meterID)
-	if _, err := e.walAppend(shard, func(w *wal) (int64, error) {
-		return w.appendTable(recTable, 0, meterID, t)
+	if dup, err := server.CheckSeq(meterID, e.LastSeq(meterID), seq); dup || err != nil {
+		return dup, err
+	}
+	if r := e.health.refuse.Load(); r != nil {
+		return false, r.err
+	}
+	mm, err := e.commitTable(recSeqTable, seq, meterID, t)
+	if err != nil {
+		return false, err
+	}
+	mm.seq = seq
+	return false, nil
+}
+
+// commitTable writes a table record, then commits the table and opens the
+// meter's next epoch. The WAL write happens first — recovery must know the
+// table that decodes every logged batch.
+func (e *Engine) commitTable(typ byte, seq, meterID uint64, t *symbolic.Table) (*meterMeta, error) {
+	if _, err := e.walAppend(e.store.ShardFor(meterID), func(w *wal) (int64, error) {
+		return w.appendTable(typ, seq, meterID, t)
 	}); err != nil {
-		return err
+		return nil, err
 	}
 	if err := e.store.PushTable(meterID, t); err != nil {
-		return err
+		return nil, err
 	}
 	v, _ := e.meters.LoadOrStore(meterID, &meterMeta{epoch: -1})
 	mm := v.(*meterMeta)
 	mm.epoch++
 	mm.level = t.Level()
-	return nil
+	return mm, nil
 }
 
-// Append validates the batch against the meter's current table, logs it,
-// waits for durability per the sync mode, then commits it to the store.
-func (e *Engine) Append(meterID uint64, pts []symbolic.SymbolPoint) (int, error) {
+// AppendSeq validates the batch against the meter's current table, logs it
+// under a session sequence number, waits for durability per the sync mode,
+// then commits it to the store. The high-water mark advances only after the
+// whole batch commits, so a refused or failed batch stays retryable under
+// the same seq. Empty batches are refused (server.ErrEmptyBatch): they would
+// have to be durable for the mark to survive recovery, and the WAL batch
+// encoding (correctly) has no empty form.
+func (e *Engine) AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (int, bool, error) {
 	if e.closed.Load() {
-		return 0, ErrClosed
+		return 0, false, ErrClosed
+	}
+	v, ok := e.meters.Load(meterID)
+	if !ok {
+		// No ingest state: an unknown meter, or one without a table — whose
+		// mark is 0, so a resend of seq 0 is still a duplicate.
+		if _, exists := e.store.Meter(meterID); !exists {
+			return 0, false, fmt.Errorf("%w: %d", server.ErrUnknownMeter, meterID)
+		}
+		if dup, err := server.CheckSeq(meterID, 0, seq); dup || err != nil {
+			return 0, dup, err
+		}
+		return 0, false, fmt.Errorf("%w: %d", server.ErrNoTable, meterID)
+	}
+	mm := v.(*meterMeta)
+	if dup, err := server.CheckSeq(meterID, mm.seq, seq); dup || err != nil {
+		return 0, dup, err
+	}
+	if len(pts) == 0 {
+		return 0, false, fmt.Errorf("%w: meter %d seq %d", server.ErrEmptyBatch, meterID, seq)
 	}
 	if r := e.health.refuse.Load(); r != nil {
-		return 0, r.err
+		return 0, false, r.err
 	}
-	mm, err := e.metaOf(meterID)
-	if err != nil || len(pts) == 0 {
-		return 0, err
+	n, err := e.commitBatch(recSeqBatch, seq, meterID, mm, pts)
+	if err == nil {
+		mm.seq = seq
 	}
-	return e.commitBatch(recBatch, 0, meterID, mm, pts)
+	return n, false, err
 }
 
-// metaOf returns the ingest state of a meter that has a table.
-func (e *Engine) metaOf(meterID uint64) (*meterMeta, error) {
-	if v, ok := e.meters.Load(meterID); ok {
-		return v.(*meterMeta), nil
-	}
-	if _, exists := e.store.Meter(meterID); !exists {
-		return nil, fmt.Errorf("%w: %d", server.ErrUnknownMeter, meterID)
-	}
-	return nil, fmt.Errorf("%w: %d", server.ErrNoTable, meterID)
-}
-
-// commitBatch is the record-granular commit both Append flavours share:
-// validate and pack the batch once, write the record, apply the record. The
-// validation runs before the log write so a rejected batch never poisons the
-// WAL — replay must be able to re-apply every logged record — and the bytes
-// the store commits are the bytes the record holds, so recovery (read record,
-// apply record) rebuilds exactly what this built.
+// commitBatch is the record-granular commit: validate and pack the batch
+// once, write the record, apply the record. The validation runs before the
+// log write so a rejected batch never poisons the WAL — replay must be able
+// to re-apply every logged record — and the bytes the store commits are the
+// bytes the record holds, so recovery (read record, apply record) rebuilds
+// exactly what this built.
 func (e *Engine) commitBatch(typ byte, seq, meterID uint64, mm *meterMeta, pts []symbolic.SymbolPoint) (int, error) {
 	packed, err := server.PackPoints(mm.pack[:0], pts, mm.level)
 	mm.pack = packed[:0]
@@ -769,99 +811,6 @@ func (e *Engine) commitBatch(typ byte, seq, meterID uint64, mm *meterMeta, pts [
 		return 0, err
 	}
 	return e.store.AppendPacked(meterID, pts, mm.level, packed)
-}
-
-// --- server.SequencedIngest -----------------------------------------------
-
-// LastSeq reports the meter's committed sequence high-water mark — 0 when
-// the meter is unknown or all of its history predates sequencing. Called by
-// the meter's session goroutine at handshake; visibility of the previous
-// session's final advance rides the store's shard lock.
-func (e *Engine) LastSeq(meterID uint64) uint64 {
-	if v, ok := e.meters.Load(meterID); ok {
-		return v.(*meterMeta).seq
-	}
-	return 0
-}
-
-// seqCheck applies the dense-sequence rule against the meter's high-water
-// mark: at-or-below is a duplicate (suppressed but acked — the data is
-// already durable), exactly hwm+1 commits, anything else is a gap the
-// session must not paper over.
-func seqCheck(cur, seq uint64, meterID uint64) (dup bool, err error) {
-	if seq <= cur {
-		return true, nil
-	}
-	if seq != cur+1 {
-		return false, fmt.Errorf("%w: meter %d got seq %d, high-water mark %d", server.ErrSeqGap, meterID, seq, cur)
-	}
-	return false, nil
-}
-
-// PushTableSeq is PushTable under a session sequence number: duplicates are
-// suppressed without touching the log, gaps refuse, and the WAL record
-// carries the seq so recovery restores the high-water mark. The duplicate
-// check runs before the degraded-refusal check on purpose — acking an
-// already-durable batch is truthful even when the engine cannot accept new
-// writes.
-func (e *Engine) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, error) {
-	if e.closed.Load() {
-		return false, ErrClosed
-	}
-	if _, ok := e.store.Meter(meterID); !ok {
-		return false, fmt.Errorf("%w: %d", server.ErrUnknownMeter, meterID)
-	}
-	if dup, err := seqCheck(e.LastSeq(meterID), seq, meterID); dup || err != nil {
-		return dup, err
-	}
-	if r := e.health.refuse.Load(); r != nil {
-		return false, r.err
-	}
-	shard := e.store.ShardFor(meterID)
-	if _, err := e.walAppend(shard, func(w *wal) (int64, error) {
-		return w.appendTable(recSeqTable, seq, meterID, t)
-	}); err != nil {
-		return false, err
-	}
-	if err := e.store.PushTable(meterID, t); err != nil {
-		return false, err
-	}
-	v, _ := e.meters.LoadOrStore(meterID, &meterMeta{epoch: -1})
-	mm := v.(*meterMeta)
-	mm.epoch++
-	mm.level = t.Level()
-	mm.seq = seq
-	return false, nil
-}
-
-// AppendSeq is Append under a session sequence number. The high-water mark
-// advances only after the whole batch commits to the store, so a refused or
-// failed batch stays retryable under the same seq. Empty sequenced batches
-// are refused outright: they would have to be durable for the mark to
-// survive recovery, and the WAL batch encoding (correctly) has no empty
-// form — the client never sends them.
-func (e *Engine) AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (int, bool, error) {
-	if e.closed.Load() {
-		return 0, false, ErrClosed
-	}
-	mm, err := e.metaOf(meterID)
-	if err != nil {
-		return 0, false, err
-	}
-	if dup, err := seqCheck(mm.seq, seq, meterID); dup || err != nil {
-		return 0, dup, err
-	}
-	if len(pts) == 0 {
-		return 0, false, fmt.Errorf("storage: meter %d: empty sequenced batch (seq %d)", meterID, seq)
-	}
-	if r := e.health.refuse.Load(); r != nil {
-		return 0, false, r.err
-	}
-	n, err := e.commitBatch(recSeqBatch, seq, meterID, mm, pts)
-	if err == nil {
-		mm.seq = seq
-	}
-	return n, false, err
 }
 
 // walAppend writes one record through the shard's current log and, under

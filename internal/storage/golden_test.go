@@ -46,7 +46,7 @@ func writeFixedStream(t testing.TB, eng *Engine, mid func()) {
 		if sequenced {
 			_, err = eng.PushTableSeq(m, 1, table)
 		} else {
-			err = eng.PushTable(m, table)
+			err = eng.PushTableLegacy(m, table)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -65,7 +65,7 @@ func writeFixedStream(t testing.TB, eng *Engine, mid func()) {
 			if sequenced {
 				_, _, err = eng.AppendSeq(m, uint64(b+2), pts)
 			} else {
-				_, err = eng.Append(m, pts)
+				_, err = eng.AppendLegacy(m, pts)
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -94,7 +94,7 @@ type refusal struct {
 	err error
 }
 
-// healthState carries the state machine. The hot path (Append/PushTable)
+// healthState carries the state machine. The hot path (AppendSeq/PushTableSeq)
 // reads only the refuse pointer; transitions serialize on mu.
 type healthState struct {
 	refuse atomic.Pointer[refusal]

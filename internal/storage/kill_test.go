@@ -113,7 +113,7 @@ read:
 			t.Fatal(err)
 		}
 		for idx := 0; idx < k; idx++ {
-			if _, err := want.Append(m, genBatch(m, idx, table)); err != nil {
+			if _, err := AppendNext(want, m, genBatch(m, idx, table)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -163,14 +163,14 @@ func killChild() {
 			fmt.Fprintln(os.Stderr, "child session:", err)
 			os.Exit(2)
 		}
-		if err := eng.PushTable(m, table); err != nil {
+		if err := PushNext(eng, m, table); err != nil {
 			fmt.Fprintln(os.Stderr, "child table:", err)
 			os.Exit(2)
 		}
 	}
 	for idx := 0; ; idx++ {
 		for _, m := range testMeters {
-			if _, err := eng.Append(m, genBatch(m, idx, table)); err != nil {
+			if _, err := AppendNext(eng, m, genBatch(m, idx, table)); err != nil {
 				fmt.Fprintln(os.Stderr, "child append:", err)
 				os.Exit(2)
 			}

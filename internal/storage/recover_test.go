@@ -60,7 +60,7 @@ func buildEquivDir(t testing.TB, clean bool) string {
 			seq[m]++
 			_, err = eng.PushTableSeq(m, seq[m], table)
 		} else {
-			err = eng.PushTable(m, table)
+			err = eng.PushTableLegacy(m, table)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -74,7 +74,7 @@ func buildEquivDir(t testing.TB, clean bool) string {
 					seq[m]++
 					_, _, err = eng.AppendSeq(m, seq[m], genBatch(m, idx, table))
 				} else {
-					_, err = eng.Append(m, genBatch(m, idx, table))
+					_, err = eng.AppendLegacy(m, genBatch(m, idx, table))
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -279,10 +279,10 @@ func TestRecoveredEqualsLiveBitExact(t *testing.T) {
 }
 
 // coveredLogDir builds a cleanly closed single-shard directory whose log sits
-// almost wholly under manifest-listed segments: two meters of 10 batches, the
-// first 9⅓ of each covered (see buildEquivDir), so the last batch straddles
-// the boundary. It returns the directory, its log bytes and the scanned
-// records.
+// almost wholly under manifest-listed segments: two meters of 10 batches in
+// the unsequenced records applyRecords decodes, the first 9⅓ of each covered
+// (see buildEquivDir), so the last batch straddles the boundary. It returns
+// the directory, its log bytes and the scanned records.
 func coveredLogDir(t testing.TB) (dir string, raw []byte, recs []walRecord) {
 	t.Helper()
 	dir = t.TempDir()
@@ -291,7 +291,18 @@ func coveredLogDir(t testing.TB) (dir string, raw []byte, recs []walRecord) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyBatches(t, eng, table, testMeters[:2], 10)
+	for _, m := range testMeters[:2] {
+		if err := errors.Join(eng.StartSession(m), eng.PushTableLegacy(m, table)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for idx := 0; idx < 10; idx++ {
+		for _, m := range testMeters[:2] {
+			if _, err := eng.AppendLegacy(m, genBatch(m, idx, table)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}

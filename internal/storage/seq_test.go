@@ -1,4 +1,4 @@
-// Sequenced-ingest durability tests: the engine's SequencedIngest
+// Sequenced-ingest durability tests: the engine's server.Ingest
 // implementation must make the per-meter high-water mark exactly as durable
 // as the batches it covers — recovery restores it from the replayed WAL, a
 // duplicate seq never commits twice (even across a crash), and a gap is a
@@ -7,7 +7,12 @@
 package storage_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,6 +21,10 @@ import (
 
 	"symmeter/internal/server"
 	"symmeter/internal/storage"
+	"symmeter/internal/symbolic"
+	"symmeter/internal/timeseries"
+	"symmeter/internal/transport"
+	"symmeter/pkg/client"
 )
 
 // TestSequencedAppendRecoversHighWaterMark: sequenced commits survive a
@@ -41,8 +50,14 @@ func TestSequencedAppendRecoversHighWaterMark(t *testing.T) {
 	if got := eng.LastSeq(1); got != 4 {
 		t.Fatalf("live LastSeq: %d, want 4", got)
 	}
-	startMeters(t, eng, table, []uint64{2}) // legacy meter, no seqs
-	if _, err := eng.Append(2, chaosBatch(2, 0, table)); err != nil {
+	// A legacy meter beside it, written in the unsequenced records.
+	if err := eng.StartSession(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.PushTableLegacy(2, table); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.AppendLegacy(2, chaosBatch(2, 0, table)); err != nil {
 		t.Fatal(err)
 	}
 	eng.Abandon() // crash shape
@@ -177,4 +192,212 @@ func TestFormat2ManifestMigrates(t *testing.T) {
 	}
 	requireStoresEqual(t, re.Store(),
 		buildOracle(t, table, []uint64{1}, map[uint64][]int{1: {0}}), []uint64{1})
+}
+
+// TestIngestContract runs one op script against both Ingest implementations
+// — the in-memory store and the durable engine — and requires the same
+// verdict from each, op by op: count, duplicate flag, error class and the
+// high-water mark afterwards. Meter 1 gets a table, meter 2 never does, and
+// meter 99 never starts a session.
+func TestIngestContract(t *testing.T) {
+	table := chaosTable(t)
+	batch := chaosBatch(1, 0, table)
+	wrongLevel := []symbolic.SymbolPoint{{T: 0, S: symbolic.NewSymbol(1, table.Level()+1)}}
+	type verdict struct {
+		n     int
+		dup   bool
+		class error // nil, or the sentinel the error matches
+		mark  uint64
+	}
+	ops := []struct {
+		name  string
+		meter uint64
+		seq   uint64
+		table bool // PushTableSeq instead of AppendSeq
+		pts   []symbolic.SymbolPoint
+		want  verdict
+	}{
+		{"table", 1, 1, true, nil, verdict{0, false, nil, 1}},
+		{"next batch", 1, 2, false, batch, verdict{96, false, nil, 2}},
+		{"duplicate", 1, 2, false, batch, verdict{0, true, nil, 2}},
+		{"duplicate table", 1, 1, true, nil, verdict{0, true, nil, 2}},
+		{"gap", 1, 4, false, batch, verdict{0, false, server.ErrSeqGap, 2}},
+		{"table gap", 1, 9, true, nil, verdict{0, false, server.ErrSeqGap, 2}},
+		{"empty batch", 1, 3, false, nil, verdict{0, false, server.ErrEmptyBatch, 2}},
+		{"bad symbol", 1, 3, false, wrongLevel, verdict{0, false, server.ErrBadSymbol, 2}},
+		{"seq 0", 1, 0, false, batch, verdict{0, true, nil, 2}},
+		{"unknown meter", 99, 1, false, batch, verdict{0, false, server.ErrUnknownMeter, 0}},
+		{"unknown meter table", 99, 1, true, nil, verdict{0, false, server.ErrUnknownMeter, 0}},
+		{"no table", 2, 1, false, batch, verdict{0, false, server.ErrNoTable, 0}},
+		{"no table, empty batch", 2, 1, false, nil, verdict{0, false, server.ErrNoTable, 0}},
+		{"no table, gap", 2, 2, false, batch, verdict{0, false, server.ErrSeqGap, 0}},
+		{"no table, seq 0", 2, 0, false, batch, verdict{0, true, nil, 0}},
+		{"next batch after refusals", 1, 3, false, chaosBatch(1, 1, table), verdict{96, false, nil, 3}},
+	}
+	classOf := func(err error) error {
+		for _, c := range []error{server.ErrSeqGap, server.ErrEmptyBatch, server.ErrBadSymbol, server.ErrUnknownMeter, server.ErrNoTable} {
+			if errors.Is(err, c) {
+				return c
+			}
+		}
+		return err
+	}
+	eng := chaosOpen(t, t.TempDir(), nil, storage.SyncOff, time.Hour)
+	defer eng.Close()
+	impls := []struct {
+		name string
+		ing  server.Ingest
+	}{{"store", server.NewStore(4)}, {"engine", eng}}
+	for _, impl := range impls {
+		for _, m := range []uint64{1, 2} {
+			if err := impl.ing.StartSession(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, op := range ops {
+		for _, impl := range impls {
+			var got verdict
+			var err error
+			if op.table {
+				got.dup, err = impl.ing.PushTableSeq(op.meter, op.seq, table)
+			} else {
+				got.n, got.dup, err = impl.ing.AppendSeq(op.meter, op.seq, op.pts)
+			}
+			got.class, got.mark = classOf(err), impl.ing.LastSeq(op.meter)
+			if w := op.want; got != w {
+				t.Fatalf("%s on the %s: got n=%d dup=%v class=%v mark=%d (err %v), want n=%d dup=%v class=%v mark=%d",
+					op.name, impl.name, got.n, got.dup, got.class, got.mark, err, w.n, w.dup, w.class, w.mark)
+			}
+		}
+	}
+	requireStoresEqual(t, eng.Store(), impls[0].ing.(*server.Store), []uint64{1, 2})
+}
+
+// TestLegacyStreamAdvancesMark: a v1 stream commits its frames under
+// server-assigned seqs — an empty batch spends none — so a sequenced client
+// dialing the same meter afterwards learns a mark equal to the frames the
+// stream committed and continues from it. On the in-memory store and through
+// the engine, where the mark also survives a crash.
+func TestLegacyStreamAdvancesMark(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := server.Config{Shards: 4}
+			var eng *storage.Engine
+			if durable {
+				eng = chaosOpen(t, dir, nil, storage.SyncOff, time.Hour)
+				cfg.Store = eng.Store()
+			}
+			svc := server.New(cfg)
+			var ing server.Ingest = svc.Store()
+			if durable {
+				svc.SetIngest(eng)
+				ing = eng
+			}
+			addr, err := svc.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+
+			// The v1 stream: a handshake, then a sensor with an empty batch
+			// after its table and a table update mid-stream. A copy of the
+			// bytes counts the frames it committed.
+			const meter = 8
+			table := chaosTable(t)
+			conn, err := net.Dial("tcp", addr.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := transport.WriteHandshake(conn, meter); err != nil {
+				t.Fatal(err)
+			}
+			var sent bytes.Buffer
+			w := io.MultiWriter(conn, &sent)
+			sensor, err := transport.NewSensor(w, table, 900, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			empty := make([]byte, 21)
+			empty[0] = transport.FrameSymbol
+			binary.BigEndian.PutUint64(empty[13:], 900)
+			empty, _ = symbolic.AppendPack(empty, nil)
+			binary.BigEndian.PutUint32(empty[1:5], uint32(len(empty)-5))
+			if _, err := w.Write(empty); err != nil {
+				t.Fatal(err)
+			}
+			var ts int64
+			push := func(windows int) {
+				for end := ts + int64(windows)*900; ts < end; ts += 60 {
+					if err := sensor.Push(timeseries.Point{T: ts, V: float64(ts % 4000)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			push(100)
+			if err := sensor.UpdateTable(table); err != nil {
+				t.Fatal(err)
+			}
+			push(40)
+			if err := sensor.Close(); err != nil {
+				t.Fatal(err)
+			}
+			conn.Close()
+			if !svc.AwaitSessions(1, 5*time.Second) {
+				t.Fatal("v1 session never completed")
+			}
+			if errs := svc.SessionErrors(); len(errs) != 0 {
+				t.Fatalf("v1 session errors: %v", errs)
+			}
+			var frames uint64
+			points := 0
+			dec := transport.NewDecoder(&sent)
+			for {
+				ev, err := dec.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ev.Type == transport.FrameEnd {
+					break
+				}
+				if ev.Table != nil || len(ev.Points) > 0 {
+					frames++
+				}
+				points += len(ev.Points)
+			}
+			if frames < 10 {
+				t.Fatalf("fixture sent only %d committable frames", frames)
+			}
+
+			s, err := client.DialSession(addr.String(), meter, client.SessionConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Seq() != frames {
+				t.Fatalf("handshake mark %d, want the %d frames the v1 stream committed", s.Seq(), frames)
+			}
+			syms := []symbolic.Symbol{table.Encode(1), table.Encode(2)}
+			if err := s.Append(ts+900, 900, syms); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			if got := ing.LastSeq(meter); got != frames+1 {
+				t.Fatalf("LastSeq after the sequenced batch: %d, want %d", got, frames+1)
+			}
+			if got := svc.Store().TotalSymbols(); got != points+len(syms) {
+				t.Fatalf("store holds %d symbols, want %d", got, points+len(syms))
+			}
+			if !durable {
+				return
+			}
+			svc.Close()
+			eng.Abandon()
+			re := chaosOpen(t, dir, nil, storage.SyncOff, time.Hour)
+			defer re.Close()
+			if got := re.LastSeq(meter); got != frames+1 {
+				t.Fatalf("recovered LastSeq: %d, want %d", got, frames+1)
+			}
+		})
+	}
 }

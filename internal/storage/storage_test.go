@@ -48,21 +48,22 @@ func genBatch(meterID uint64, idx int, table *symbolic.Table) []symbolic.SymbolP
 	return pts
 }
 
-// applyBatches drives ing with nBatches per meter, interleaved across
-// meters like concurrent sessions would.
+// applyBatches drives ing with a table and nBatches per meter, each under
+// the meter's next seq, interleaved across meters like concurrent sessions
+// would.
 func applyBatches(t testing.TB, ing server.Ingest, table *symbolic.Table, meters []uint64, nBatches int) {
 	t.Helper()
 	for _, m := range meters {
 		if err := ing.StartSession(m); err != nil {
 			t.Fatal(err)
 		}
-		if err := ing.PushTable(m, table); err != nil {
+		if err := PushNext(ing, m, table); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for idx := 0; idx < nBatches; idx++ {
 		for _, m := range meters {
-			if _, err := ing.Append(m, genBatch(m, idx, table)); err != nil {
+			if _, err := AppendNext(ing, m, genBatch(m, idx, table)); err != nil {
 				t.Fatalf("append meter %d batch %d: %v", m, idx, err)
 			}
 		}
@@ -189,13 +190,13 @@ func TestRecoverAfterFlushThenMoreWrites(t *testing.T) {
 	// Keep writing after the checkpoint: a second epoch plus more batches.
 	table2 := testTable(t)
 	for _, m := range testMeters {
-		if err := eng.PushTable(m, table2); err != nil {
+		if err := PushNext(eng, m, table2); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for idx := 25; idx < 40; idx++ {
 		for _, m := range testMeters {
-			if _, err := eng.Append(m, genBatch(m, idx, table2)); err != nil {
+			if _, err := AppendNext(eng, m, genBatch(m, idx, table2)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -215,7 +216,7 @@ func TestRecoverAfterFlushThenMoreWrites(t *testing.T) {
 	}
 	for idx := 0; idx < 25; idx++ {
 		for _, m := range testMeters {
-			if _, err := want.Append(m, genBatch(m, idx, table)); err != nil {
+			if _, err := AppendNext(want, m, genBatch(m, idx, table)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -227,7 +228,7 @@ func TestRecoverAfterFlushThenMoreWrites(t *testing.T) {
 	}
 	for idx := 25; idx < 40; idx++ {
 		for _, m := range testMeters {
-			if _, err := want.Append(m, genBatch(m, idx, table2)); err != nil {
+			if _, err := AppendNext(want, m, genBatch(m, idx, table2)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -247,7 +248,7 @@ func TestRecoverTwiceAccumulates(t *testing.T) {
 	eng2 := openTest(t, dir, SyncOff)
 	for idx := 20; idx < 40; idx++ {
 		for _, m := range testMeters {
-			if _, err := eng2.Append(m, genBatch(m, idx, table)); err != nil {
+			if _, err := AppendNext(eng2, m, genBatch(m, idx, table)); err != nil {
 				t.Fatal(err)
 			}
 		}

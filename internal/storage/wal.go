@@ -14,7 +14,7 @@ import (
 
 // Per-shard write-ahead log.
 //
-// Every table push and every Append batch is framed into the shard's log
+// Every table push and every batch is framed into the shard's log
 // before it commits to the in-memory store, so the log's record sequence is,
 // per meter, exactly the ingest history. A batch record carries the very
 // packed bytes the live path committed (Store.AppendPacked), and replay hands
@@ -62,10 +62,14 @@ import (
 //	'b': seq(uint64) | 'B' body — a batch committed under a session
 //	     sequence number (manifest format ≥ 3)
 //
+// Every ingest path writes 't' and 'b' — a v1 session's frames take
+// server-assigned seqs. 'T' and 'B' are what directories written before
+// sequencing hold; recovery reads them unchanged, with mark 0.
+//
 // Batches off the wire are arithmetic in practice (the transport already
 // reconstructs firstT + i·window), so kind 0 — 16 bytes for any batch — is
-// the hot encoding; kind 1 keeps the log lossless for arbitrary Append
-// callers. The sequenced variants exist for exactly-once ingest: recovery
+// the hot encoding; kind 1 keeps the log lossless for arbitrary
+// timestamps. The sequenced variants exist for exactly-once ingest: recovery
 // restores each meter's sequence high-water mark as the max seq across every
 // replayed record, so a reconnecting client learns which batches survived
 // the crash and replays only the rest.

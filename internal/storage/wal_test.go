@@ -16,7 +16,8 @@ import (
 
 // buildWALFixture produces one shard's log bytes through the real engine:
 // two meters, a table epoch change half-way, gaps, and enough batches for
-// several records — the corpus every torn-write and fuzz case mutates.
+// several records — the corpus every torn-write and fuzz case mutates. It is
+// written in the unsequenced 'T'/'B' records, which applyRecords decodes.
 func buildWALFixture(t testing.TB) []byte {
 	t.Helper()
 	dir := t.TempDir()
@@ -30,18 +31,18 @@ func buildWALFixture(t testing.TB) []byte {
 		if err := eng.StartSession(m); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.PushTable(m, table); err != nil {
+		if err := eng.PushTableLegacy(m, table); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for idx := 0; idx < 8; idx++ {
 		if idx == 5 {
-			if err := eng.PushTable(1, table); err != nil { // epoch change
+			if err := eng.PushTableLegacy(1, table); err != nil { // epoch change
 				t.Fatal(err)
 			}
 		}
 		for _, m := range meters {
-			if _, err := eng.Append(m, genBatch(m, idx, table)); err != nil {
+			if _, err := eng.AppendLegacy(m, genBatch(m, idx, table)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -157,7 +158,7 @@ func applyRecords(t testing.TB, recs []walRecord, upto int) *server.Store {
 			}
 			pts, syms = decodeBatchPoints(h, rec.data, 0, pts, syms)
 			ensure(h.meterID)
-			if _, err := st.Append(h.meterID, pts); err != nil {
+			if _, err := AppendNext(st, h.meterID, pts); err != nil {
 				t.Fatal(err)
 			}
 		}

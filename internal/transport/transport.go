@@ -22,7 +22,7 @@
 // reconstructed exactly.
 //
 // Protocol v2 adds the sequenced, acknowledged ingest family, negotiated by
-// the FlagSequenced handshake flag (legacy streams stay one-way):
+// the FlagSequenced handshake flag (v1 streams stay one-way):
 //
 //	'U'     = sequenced table:  seq(uint64 BE) | marshaled table
 //	'D'     = sequenced batch:  seq(uint64 BE) | firstT | window | packed
@@ -40,10 +40,11 @@
 // field; the session survives them, so a client backs off and resends the
 // same seq.
 //
-// The single-connection Sensor/Server pair predates the handshake and
-// still works handshake-free over a dedicated stream; the concurrent
-// aggregation service in internal/server requires the 'H' frame to route
-// a connection to its per-meter session.
+// Sensor writes the v1 'T'/'S'/'E' stream; Decoder reads both families. The
+// aggregation service in internal/server requires the 'H' frame to route a
+// connection to its per-meter session, and commits a v1 stream's frames
+// under the next seqs after the meter's mark — the same exactly-once path a
+// v2 stream takes, minus the acks.
 package transport
 
 import (
@@ -253,31 +254,17 @@ type Event struct {
 	Seq uint64
 	// Table is set for FrameTable and FrameSeqTable events.
 	Table *symbolic.Table
-	// Points is set for FrameSymbol events: the batch's symbols with their
-	// reconstructed window-end timestamps. The slice aliases the Decoder's
-	// reusable scratch buffer and is valid only until the next call to Next;
-	// callers that retain the slice itself (rather than copying its
-	// elements) must take ClonePoints instead.
+	// Points is set for FrameSymbol and FrameSeqSymbol events: the batch's
+	// symbols with their reconstructed window-end timestamps. The slice
+	// aliases the Decoder's reusable scratch buffer and is valid only until
+	// the next call to Next; a caller that keeps the batch must copy it.
 	Points []symbolic.SymbolPoint
 }
 
-// ClonePoints returns a copy of the event's point batch that stays valid
-// after the next Decoder.Next call — the escape hatch for the rare caller
-// that stores the slice instead of consuming it inline.
-func (ev Event) ClonePoints() []symbolic.SymbolPoint {
-	if ev.Points == nil {
-		return nil
-	}
-	out := make([]symbolic.SymbolPoint, len(ev.Points))
-	copy(out, ev.Points)
-	return out
-}
-
-// Decoder incrementally decodes a sensor stream frame by frame. Unlike
-// Server.ReadAll it hands each table and symbol batch to the caller as it
-// arrives, which is what a concurrent per-meter session loop needs: state
-// lands in a shared store batch-by-batch instead of accumulating per
-// connection.
+// Decoder incrementally decodes a sensor stream frame by frame, handing each
+// table and symbol batch to the caller as it arrives — what a concurrent
+// per-meter session loop needs: state lands in a shared store batch by batch
+// instead of accumulating per connection.
 //
 // The Decoder owns three scratch buffers — the FrameReader's payload, the
 // unpacked symbols and the emitted points — that are reused across Next
@@ -524,60 +511,4 @@ func (s *Sensor) Close() error {
 	}
 	s.closed = true
 	return writeFrame(s.w, FrameEnd, nil)
-}
-
-// Server decodes the sensor stream back into timestamped symbols, tracking
-// table updates.
-type Server struct {
-	r io.Reader
-	// Tables holds every table received, in order; the last is current.
-	Tables []*symbolic.Table
-	// Points holds the decoded symbol stream.
-	Points []symbolic.SymbolPoint
-	// TableAt[i] indexes Tables for Points[i] (symbols before a table
-	// update decode against the older table).
-	TableAt []int
-}
-
-// NewServer wraps a reader.
-func NewServer(r io.Reader) *Server { return &Server{r: r} }
-
-// ReadAll consumes frames until the end frame or EOF.
-func (s *Server) ReadAll() error {
-	dec := NewDecoder(s.r)
-	for {
-		ev, err := dec.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		switch ev.Type {
-		case FrameTable:
-			s.Tables = append(s.Tables, ev.Table)
-		case FrameSymbol:
-			s.Points = append(s.Points, ev.Points...)
-			for range ev.Points {
-				s.TableAt = append(s.TableAt, len(s.Tables)-1)
-			}
-		case FrameEnd:
-			return nil
-		}
-	}
-}
-
-// Reconstruct maps the decoded symbols to representative values using the
-// table that was current when each symbol was sent.
-func (s *Server) Reconstruct() (*timeseries.Series, error) {
-	pts := make([]timeseries.Point, len(s.Points))
-	for i, sp := range s.Points {
-		table := s.Tables[s.TableAt[i]]
-		v, err := table.Value(sp.S)
-		if err != nil {
-			return nil, err
-		}
-		pts[i] = timeseries.Point{T: sp.T, V: v}
-	}
-	return timeseries.New("reconstructed", pts)
 }

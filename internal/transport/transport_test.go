@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -27,6 +28,40 @@ func testTable(t *testing.T) *symbolic.Table {
 		t.Fatal(err)
 	}
 	return table
+}
+
+// decoded is a whole sensor stream read back: every table, every point, and
+// for each point the index of the table it was encoded under.
+type decoded struct {
+	tables  []*symbolic.Table
+	points  []symbolic.SymbolPoint
+	tableAt []int
+}
+
+// decodeAll reads frames through a Decoder until the end frame or a clean
+// EOF.
+func decodeAll(r io.Reader) (decoded, error) {
+	var d decoded
+	dec := NewDecoder(r)
+	for {
+		ev, err := dec.Next()
+		if errors.Is(err, io.EOF) {
+			return d, nil
+		}
+		if err != nil {
+			return d, err
+		}
+		if ev.Type == FrameEnd {
+			return d, nil
+		}
+		if ev.Table != nil {
+			d.tables = append(d.tables, ev.Table)
+		}
+		for _, p := range ev.Points {
+			d.points = append(d.points, p)
+			d.tableAt = append(d.tableAt, len(d.tables)-1)
+		}
+	}
 }
 
 func TestRoundTripBuffer(t *testing.T) {
@@ -55,19 +90,19 @@ func TestRoundTripBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	server := NewServer(&buf)
-	if err := server.ReadAll(); err != nil {
+	got, err := decodeAll(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(server.Tables) != 1 {
-		t.Fatalf("tables = %d", len(server.Tables))
+	if len(got.tables) != 1 {
+		t.Fatalf("tables = %d", len(got.tables))
 	}
-	if len(server.Points) != len(want) {
-		t.Fatalf("points = %d, want %d", len(server.Points), len(want))
+	if len(got.points) != len(want) {
+		t.Fatalf("points = %d, want %d", len(got.points), len(want))
 	}
 	for i := range want {
-		if server.Points[i] != want[i] {
-			t.Fatalf("point %d = %+v, want %+v", i, server.Points[i], want[i])
+		if got.points[i] != want[i] {
+			t.Fatalf("point %d = %+v, want %+v", i, got.points[i], want[i])
 		}
 	}
 }
@@ -88,18 +123,18 @@ func TestGapStartsNewBatch(t *testing.T) {
 	if err := sensor.Close(); err != nil {
 		t.Fatal(err)
 	}
-	server := NewServer(&buf)
-	if err := server.ReadAll(); err != nil {
+	got, err := decodeAll(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Windows: [0,10) [10,20) [70,80) [80,90) → T = 10,20,80,90.
 	wantT := []int64{10, 20, 80, 90}
-	if len(server.Points) != len(wantT) {
-		t.Fatalf("points = %d, want %d", len(server.Points), len(wantT))
+	if len(got.points) != len(wantT) {
+		t.Fatalf("points = %d, want %d", len(got.points), len(wantT))
 	}
 	for i, w := range wantT {
-		if server.Points[i].T != w {
-			t.Fatalf("T[%d] = %d, want %d", i, server.Points[i].T, w)
+		if got.points[i].T != w {
+			t.Fatalf("T[%d] = %d, want %d", i, got.points[i].T, w)
 		}
 	}
 }
@@ -137,21 +172,26 @@ func TestTableUpdateMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	server := NewServer(&buf)
-	if err := server.ReadAll(); err != nil {
-		t.Fatal(err)
-	}
-	if len(server.Tables) != 2 {
-		t.Fatalf("tables = %d, want 2", len(server.Tables))
-	}
-	recon, err := server.Reconstruct()
+	got, err := decodeAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Early points decode near 100, late points near 4500: the server must
+	if len(got.tables) != 2 {
+		t.Fatalf("tables = %d, want 2", len(got.tables))
+	}
+	value := func(i int) float64 {
+		v, err := got.tables[got.tableAt[i]].Value(got.points[i].S)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	// Early points decode near 100, late points near 4500: the reader must
 	// apply the right table per segment.
-	early, _ := recon.At(10)
-	late := recon.Points[recon.Len()-1].V
+	if got.points[0].T != 10 {
+		t.Fatalf("first point at t=%d, want 10", got.points[0].T)
+	}
+	early, late := value(0), value(len(got.points)-1)
 	if math.Abs(early-100) > 100 {
 		t.Fatalf("early reconstruction = %v, want ~100", early)
 	}
@@ -170,9 +210,11 @@ func TestOverNetPipe(t *testing.T) {
 	_ = srvConn.SetDeadline(deadline)
 
 	done := make(chan error, 1)
-	server := NewServer(srvConn)
+	var got decoded
 	go func() {
-		done <- server.ReadAll()
+		var err error
+		got, err = decodeAll(srvConn)
+		done <- err
 	}()
 	sensor, err := NewSensor(client, table, 10, 4)
 	if err != nil {
@@ -189,19 +231,19 @@ func TestOverNetPipe(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if len(server.Points) != 20 {
-		t.Fatalf("points = %d, want 20", len(server.Points))
+	if len(got.points) != 20 {
+		t.Fatalf("points = %d, want 20", len(got.points))
 	}
 }
 
-func TestServerErrors(t *testing.T) {
+func TestDecoderStreamErrors(t *testing.T) {
 	// Symbol frame before any table.
 	var buf bytes.Buffer
 	payload := make([]byte, 16)
 	if err := writeFrame(&buf, FrameSymbol, payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewServer(&buf).ReadAll(); err == nil {
+	if _, err := decodeAll(&buf); err == nil {
 		t.Fatal("symbol before table should error")
 	}
 	// Unknown frame type.
@@ -209,24 +251,24 @@ func TestServerErrors(t *testing.T) {
 	if err := writeFrame(&buf, 'X', nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewServer(&buf).ReadAll(); err == nil {
+	if _, err := decodeAll(&buf); err == nil {
 		t.Fatal("unknown frame should error")
 	}
 	// Truncated frame.
 	buf.Reset()
 	buf.Write([]byte{FrameTable, 0, 0, 1, 0}) // claims 256 bytes, has none
-	if err := NewServer(&buf).ReadAll(); err == nil {
+	if _, err := decodeAll(&buf); err == nil {
 		t.Fatal("truncated frame should error")
 	}
 	// Oversized length field.
 	buf.Reset()
 	buf.Write([]byte{FrameTable, 0xFF, 0xFF, 0xFF, 0xFF})
-	if err := NewServer(&buf).ReadAll(); err == nil {
+	if _, err := decodeAll(&buf); err == nil {
 		t.Fatal("oversized frame should error")
 	}
 	// Clean EOF without end frame is accepted (stream cut).
 	buf.Reset()
-	if err := NewServer(&buf).ReadAll(); err != nil {
+	if _, err := decodeAll(&buf); err != nil {
 		t.Fatalf("empty stream: %v", err)
 	}
 }
@@ -279,7 +321,7 @@ func TestCorruptedPayloadSurfaces(t *testing.T) {
 	// Flip the level byte of the table frame payload: the frame length no
 	// longer matches the declared alphabet and decoding must fail loudly.
 	data[6] ^= 0xFF
-	if err := NewServer(bytes.NewReader(data)).ReadAll(); err == nil {
+	if _, err := decodeAll(bytes.NewReader(data)); err == nil {
 		t.Fatal("corrupted table frame should error")
 	}
 }
@@ -407,9 +449,10 @@ func TestDecoderUnknownFrameTyped(t *testing.T) {
 	}
 }
 
-// TestDecoderMatchesServer replays one stream through both the incremental
-// Decoder and the accumulating Server and requires identical results.
-func TestDecoderMatchesServer(t *testing.T) {
+// TestDecoderMatchesEncoder streams through a table update and requires the
+// incremental Decoder to hand back exactly what the sensor's encoders
+// produced, under the table each point was encoded with.
+func TestDecoderMatchesEncoder(t *testing.T) {
 	table := testTable(t)
 	var buf bytes.Buffer
 	sensor, err := NewSensor(&buf, table, 10, 7)
@@ -417,56 +460,47 @@ func TestDecoderMatchesServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))
-	for i := int64(0); i < 500; i++ {
-		if err := sensor.Push(timeseries.Point{T: i, V: rng.Float64() * 1000}); err != nil {
-			t.Fatal(err)
+	var want []symbolic.SymbolPoint
+	var wantTable []int
+	enc := symbolic.NewEncoder(table, 10)
+	push := func(from, to int64, epoch int) {
+		for i := from; i < to; i++ {
+			p := timeseries.Point{T: i, V: rng.Float64() * 1000}
+			if err := sensor.Push(p); err != nil {
+				t.Fatal(err)
+			}
+			if sp, ok, _ := enc.Push(p); ok {
+				want, wantTable = append(want, sp), append(wantTable, epoch)
+			}
+		}
+		if sp, ok := enc.Flush(); ok {
+			want, wantTable = append(want, sp), append(wantTable, epoch)
 		}
 	}
-	if err := sensor.UpdateTable(testTable(t)); err != nil {
+	push(0, 500, 0)
+	table2 := testTable(t)
+	if err := sensor.UpdateTable(table2); err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(500); i < 900; i++ {
-		if err := sensor.Push(timeseries.Point{T: i, V: rng.Float64() * 1000}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	enc = symbolic.NewEncoder(table2, 10)
+	push(500, 900, 1)
 	if err := sensor.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
 
-	server := NewServer(bytes.NewReader(data))
-	if err := server.ReadAll(); err != nil {
+	got, err := decodeAll(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	dec := NewDecoder(bytes.NewReader(data))
-	var tables int
-	var pts []symbolic.SymbolPoint
-	for {
-		ev, err := dec.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev.Type == FrameEnd {
-			break
-		}
-		switch ev.Type {
-		case FrameTable:
-			tables++
-		case FrameSymbol:
-			pts = append(pts, ev.Points...)
-		}
+	if len(got.tables) != 2 {
+		t.Fatalf("decoder tables = %d, want 2", len(got.tables))
 	}
-	if tables != len(server.Tables) {
-		t.Fatalf("decoder tables = %d, server = %d", tables, len(server.Tables))
+	if len(got.points) != len(want) {
+		t.Fatalf("decoder points = %d, encoder = %d", len(got.points), len(want))
 	}
-	if len(pts) != len(server.Points) {
-		t.Fatalf("decoder points = %d, server = %d", len(pts), len(server.Points))
-	}
-	for i := range pts {
-		if pts[i] != server.Points[i] {
-			t.Fatalf("point %d: decoder %+v, server %+v", i, pts[i], server.Points[i])
+	for i := range want {
+		if got.points[i] != want[i] || got.tableAt[i] != wantTable[i] {
+			t.Fatalf("point %d: decoder %+v under table %d, encoder %+v under table %d", i, got.points[i], got.tableAt[i], want[i], wantTable[i])
 		}
 	}
 }
@@ -521,8 +555,8 @@ func TestDecoderNextZeroAlloc(t *testing.T) {
 }
 
 // TestDecoderPointsReused pins the documented valid-until-next-call
-// semantics: the Points slice aliases decoder scratch across calls, and
-// ClonePoints detaches a batch from it.
+// semantics: the Points slice aliases decoder scratch across calls, and a
+// copy detaches a batch from it.
 func TestDecoderPointsReused(t *testing.T) {
 	table := testTable(t)
 	data := buildSymbolStream(t, table, 3, 8)
@@ -535,7 +569,7 @@ func TestDecoderPointsReused(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := ev1.Points[0]
-	clone := ev1.ClonePoints()
+	clone := slices.Clone(ev1.Points)
 	ev2, err := dec.Next()
 	if err != nil {
 		t.Fatal(err)
@@ -547,10 +581,7 @@ func TestDecoderPointsReused(t *testing.T) {
 		t.Fatal("second Next did not overwrite the reused batch (test fixture too uniform)")
 	}
 	if clone[0] != first || len(clone) != 8 {
-		t.Fatal("ClonePoints did not preserve the first batch")
-	}
-	if (Event{}).ClonePoints() != nil {
-		t.Fatal("ClonePoints of empty event must be nil")
+		t.Fatal("the copy did not preserve the first batch")
 	}
 }
 

@@ -64,7 +64,7 @@ func requireExactlyOnce(t *testing.T, store *server.Store, meterID uint64, table
 		for j, s := range syms {
 			pts[j] = symbolic.SymbolPoint{T: degradedFirstT(idx) + int64(j)*900, S: s}
 		}
-		if _, err := oracle.Append(meterID, pts); err != nil {
+		if err := appendNext(oracle, meterID, pts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,9 +178,9 @@ func TestSessionSuppressesCommittedInFlight(t *testing.T) {
 	// is swallowed.
 	inj := netfault.New(netfault.Fault{Op: netfault.OpRead, N: 3, Action: netfault.BlackHole})
 	table := degradedTable(t)
-	s := sessionRun(t, addr, inj, 7, table, 1)
-	if s.Reconnects() != 1 || s.Replays() != 0 {
-		t.Fatalf("reconnects=%d replays=%d, want 1 reconnect and 0 replays (ack lost, commit proven by handshake)", s.Reconnects(), s.Replays())
+	st := sessionRun(t, addr, inj, 7, table, 1).Stats()
+	if st.Reconnects != 1 || st.Replays != 0 {
+		t.Fatalf("reconnects=%d replays=%d, want 1 reconnect and 0 replays (ack lost, commit proven by handshake)", st.Reconnects, st.Replays)
 	}
 	requireExactlyOnce(t, eng.Store(), 7, table, 1)
 	if n := svc.Stats().DuplicateBatches; n != 0 {
@@ -197,9 +197,9 @@ func TestSessionReplaysUncommittedInFlight(t *testing.T) {
 	// before any byte arrives.
 	inj := netfault.New(netfault.Fault{Op: netfault.OpWrite, N: 3, Action: netfault.Reset})
 	table := degradedTable(t)
-	s := sessionRun(t, addr, inj, 9, table, 1)
-	if s.Reconnects() != 1 || s.Replays() != 1 {
-		t.Fatalf("reconnects=%d replays=%d, want 1 and 1 (batch never committed, must replay)", s.Reconnects(), s.Replays())
+	st := sessionRun(t, addr, inj, 9, table, 1).Stats()
+	if st.Reconnects != 1 || st.Replays != 1 {
+		t.Fatalf("reconnects=%d replays=%d, want 1 and 1 (batch never committed, must replay)", st.Reconnects, st.Replays)
 	}
 	requireExactlyOnce(t, eng.Store(), 9, table, 1)
 }
@@ -289,8 +289,8 @@ func TestSessionKillNineExactlyOnce(t *testing.T) {
 		}
 	}
 	s.Close()
-	if s.Reconnects() < 2 {
-		t.Fatalf("session reconnected %d times across two kills, want >= 2", s.Reconnects())
+	if n := s.Stats().Reconnects; n < 2 {
+		t.Fatalf("session reconnected %d times across two kills, want >= 2", n)
 	}
 	child.Process.Kill()
 	child.Wait()
@@ -410,7 +410,7 @@ func fuzzTable() *symbolic.Table {
 // TestSessionStats pins the Stats snapshot against the retry machinery: a
 // failed first dial handshake consumes a backoff sleep (Retries,
 // LastBackoff), and a reset mid-batch costs one reconnect and one replay —
-// all visible in one snapshot that agrees with the legacy accessors.
+// all visible in one snapshot.
 func TestSessionStats(t *testing.T) {
 	_, eng, addr := durableServer(t)
 	inj := netfault.New(
@@ -426,9 +426,6 @@ func TestSessionStats(t *testing.T) {
 	table := degradedTable(t)
 	s := sessionRun(t, addr, inj, 11, table, 1)
 	st := s.Stats()
-	if st.Reconnects != s.Reconnects() || st.Replays != s.Replays() {
-		t.Fatalf("Stats %+v disagrees with accessors (%d, %d)", st, s.Reconnects(), s.Replays())
-	}
 	if st.Reconnects != 1 || st.Replays != 1 {
 		t.Fatalf("reconnects=%d replays=%d, want 1 and 1", st.Reconnects, st.Replays)
 	}

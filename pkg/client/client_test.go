@@ -55,10 +55,17 @@ func startFixture(t testing.TB) (string, *query.Engine) {
 	return fixture.addr, fixture.eng
 }
 
+// appendNext commits pts as the meter's next sequenced batch, as a session
+// would.
+func appendNext(st *server.Store, meterID uint64, pts []symbolic.SymbolPoint) error {
+	_, _, err := st.AppendSeq(meterID, st.LastSeq(meterID)+1, pts)
+	return err
+}
+
 // makeQueryStore builds the query fixture: `meters` meters, each with
 // `points` stored symbols at k=16 (the paper's headline alphabet), 15-minute
-// windows, streamed through Store.Append in 96-symbol batches exactly as live
-// sessions commit them.
+// windows, streamed through Store.AppendSeq in 96-symbol batches exactly as
+// live sessions commit them.
 func makeQueryStore(meters, points int) (*server.Store, error) {
 	table, err := storeTable()
 	if err != nil {
@@ -86,7 +93,7 @@ func makeQueryStore(meters, points int) (*server.Store, error) {
 				pts[i] = symbolic.SymbolPoint{T: ts, S: symbolic.NewSymbol((m*7+int(ts/900)*11)%k, level)}
 				ts += 900
 			}
-			if _, err := st.Append(id, pts); err != nil {
+			if err := appendNext(st, id, pts); err != nil {
 				return nil, err
 			}
 			sent += batch

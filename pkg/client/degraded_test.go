@@ -65,21 +65,24 @@ func TestIngestDegradedEndToEnd(t *testing.T) {
 	}
 	table := degradedTable(t)
 	const meter = 42
+	// A small retry budget: a refused operation gives up after a few quick
+	// attempts and reports the server's typed verdict.
+	cfg := client.SessionConfig{Backoff: client.Backoff{Min: time.Millisecond, Max: 5 * time.Millisecond, Attempts: 3}}
 
 	// Phase 1: healthy durable ingest through the client library.
-	ing, err := client.DialIngest(addr.String(), meter)
+	s, err := client.DialSession(addr.String(), meter, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ing.PushTable(table); err != nil {
+	if err := s.PushTable(table); err != nil {
 		t.Fatal(err)
 	}
 	for idx := 0; idx < 5; idx++ {
-		if err := ing.Append(degradedFirstT(idx), 900, degradedSymbols(meter, idx, table)); err != nil {
+		if err := s.Append(degradedFirstT(idx), 900, degradedSymbols(meter, idx, table)); err != nil {
 			t.Fatalf("healthy append %d: %v", idx, err)
 		}
 	}
-	if err := ing.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatalf("healthy session close: %v", err)
 	}
 
@@ -103,21 +106,14 @@ func TestIngestDegradedEndToEnd(t *testing.T) {
 		faultfs.Fault{Op: faultfs.OpSync, Path: ".probe", Sticky: true},
 	)
 	tryIngest := func() error {
-		s, err := client.DialIngest(addr.String(), meter)
+		s, err := client.DialSession(addr.String(), meter, cfg)
 		if err != nil {
 			return err
 		}
-		// Each session re-announces its table (the stream protocol decodes
-		// symbols against it); while degraded this is the first refused write.
-		if err := s.PushTable(table); err != nil {
-			s.Close()
-			return err
-		}
-		if err := s.Append(degradedFirstT(5), 900, degradedSymbols(meter, 5, table)); err != nil {
-			s.Close()
-			return err
-		}
-		return s.Close()
+		defer s.Close()
+		// The handshake's mark proves the table is committed, so the session
+		// resumes straight into batches: the batch is the refused write.
+		return s.Append(degradedFirstT(5), 900, degradedSymbols(meter, 5, table))
 	}
 	err = tryIngest()
 	if !errors.Is(err, client.ErrDegraded) {
@@ -186,8 +182,8 @@ func TestIngestDegradedEndToEnd(t *testing.T) {
 // TestBackoffStopsOnOtherErrors pins Backoff.Retry's contract: only the
 // typed retryable refusals — degraded, overloaded, draining, busy — are
 // worth waiting out; any other error — and success — returns immediately.
-// Raw transport errors must NOT retry: without a sequenced Session the
-// caller cannot know whether the server committed the write.
+// Raw transport errors must NOT retry: outside a Session's reconnect
+// handshake the caller cannot know whether the server committed the write.
 func TestBackoffStopsOnOtherErrors(t *testing.T) {
 	calls := 0
 	boom := errors.New("boom")

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"time"
 
@@ -34,8 +35,9 @@ func (c *SessionConfig) ackTimeout() time.Duration {
 	return c.AckTimeout
 }
 
-// Session is an exactly-once ingest session: the sequenced, acknowledged,
-// auto-reconnecting counterpart of Ingestor. Every PushTable and Append is
+// Session is a meter's ingest session: it streams lookup tables and symbol
+// batches over the sequenced, acknowledged protocol (v2) and commits each
+// exactly once, reconnecting as needed. Every PushTable and Append is
 // assigned the meter's next sequence number, sent, and held until the
 // server's ack for that seq arrives; a transport failure or ack timeout
 // tears the connection down, redials under the backoff policy, learns the
@@ -52,7 +54,7 @@ func (c *SessionConfig) ackTimeout() time.Duration {
 // or the backoff budget ran out — in both cases the caller knows exactly
 // where the stream stopped via Seq.
 //
-// Like Ingestor, a Session is single-goroutine.
+// Like Client, a Session is single-goroutine.
 type Session struct {
 	addr    string
 	meterID uint64
@@ -139,14 +141,6 @@ func (s *Session) MeterID() uint64 { return s.meterID }
 // Seq returns the last sequence number assigned (equal to the last
 // acknowledged one whenever no call is in flight).
 func (s *Session) Seq() uint64 { return s.seq }
-
-// Reconnects returns how many times the session redialed after the initial
-// connect; Replays counts in-flight frames resent under their original seq
-// after a reconnect.
-func (s *Session) Reconnects() int { return s.reconnects }
-
-// Replays — see Reconnects.
-func (s *Session) Replays() int { return s.replays }
 
 // dial opens one connection attempt.
 func (s *Session) dial() (net.Conn, error) {
@@ -436,6 +430,61 @@ func (s *Session) Close() error {
 	s.conn = nil
 	if s.err == nil {
 		s.err = errors.New("client: session closed")
+	}
+	return err
+}
+
+// Backoff retries an operation while the server answers with a typed
+// retryable refusal — degraded storage, shard overload, graceful drain, or
+// a still-registered meter (see Retryable): at most Attempts tries with
+// full-jitter exponential delay, each sleep drawn uniformly from
+// [0, min(Max, Min·2ⁱ)]. Zero fields pick defaults (10ms, 1s, 10). Any
+// other error — including success — returns immediately: only the typed
+// "retry later, nothing was written" verdicts are worth waiting out. The
+// jitter is what keeps a refused fleet from reconverging in lockstep: an
+// overloaded shard that refuses a thousand sensors at once must not get all
+// thousand back on the same tick.
+type Backoff struct {
+	Min      time.Duration
+	Max      time.Duration
+	Attempts int
+}
+
+func (b Backoff) attempts() int {
+	if b.Attempts <= 0 {
+		return 10
+	}
+	return b.Attempts
+}
+
+// delay returns the full-jitter sleep before retry attempt i (0-based).
+func (b Backoff) delay(i int) time.Duration {
+	min, max := b.Min, b.Max
+	if min <= 0 {
+		min = 10 * time.Millisecond
+	}
+	if max <= 0 {
+		max = time.Second
+	}
+	cap := min << uint(i)
+	if cap > max || cap <= 0 { // <= 0: shift overflow
+		cap = max
+	}
+	return time.Duration(rand.Int64N(int64(cap) + 1))
+}
+
+// Retry runs fn under the backoff policy and returns its last error.
+func (b Backoff) Retry(fn func() error) error {
+	attempts := b.attempts()
+	var err error
+	for i := 0; i < attempts; i++ {
+		if err = fn(); err == nil || !Retryable(err) {
+			return err
+		}
+		if i == attempts-1 {
+			break
+		}
+		time.Sleep(b.delay(i))
 	}
 	return err
 }
