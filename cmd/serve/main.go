@@ -1,9 +1,11 @@
 // Command serve demonstrates the §2 deployment story at fleet scale over
 // real TCP on localhost: a concurrent aggregation server listens with a
-// sharded packed block store, M simulated smart meters connect in parallel,
-// each handshakes with its meter ID, learns a lookup table from two days of
-// history, streams days of symbols (15-minute vertical segmentation by
-// default), and the server answers fleet-wide aggregates directly in the
+// sharded packed block store, M simulated smart meters (internal/fleet)
+// connect in parallel, each opens a pkg/client Session for its meter ID,
+// learns a lookup table from two days of history, streams days of symbols
+// (15-minute vertical segmentation by default) as sequenced batches the
+// server acknowledges one by one, and the server answers fleet-wide
+// aggregates directly in the
 // compressed domain — count, mean, min, max and (optionally) the symbol
 // histogram over a queried time range — alongside the per-meter MAE
 // reconstruction check.
@@ -47,6 +49,7 @@ import (
 	"syscall"
 	"time"
 
+	"symmeter/internal/fleet"
 	"symmeter/internal/metrics"
 	"symmeter/internal/query"
 	"symmeter/internal/server"
@@ -107,7 +110,7 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}()
 
-	fleetCfg := server.FleetConfig{
+	fleetCfg := fleet.Config{
 		Meters:        *meters,
 		Days:          *days,
 		SecondsPerDay: *seconds,
@@ -199,17 +202,17 @@ func run(args []string, out io.Writer) (err error) {
 	defer signal.Stop(sigCh)
 
 	start := time.Now()
-	fleetDone := make(chan *server.FleetReport, 1)
+	fleetDone := make(chan *fleet.Report, 1)
 	fleetErr := make(chan error, 1)
 	go func() {
-		rep, err := server.RunFleet(bound.String(), fleetCfg)
+		rep, err := fleet.Run(bound.String(), fleetCfg)
 		if err != nil {
 			fleetErr <- err
 			return
 		}
 		fleetDone <- rep
 	}()
-	var rep *server.FleetReport
+	var rep *fleet.Report
 	select {
 	case rep = <-fleetDone:
 	case err := <-fleetErr:
@@ -384,11 +387,11 @@ func printHealth(out io.Writer, eng *storage.Engine, degradedSessions int64) {
 
 // printRobustness reports the ingest-robustness counters — the operator's
 // view of how hard the admission and exactly-once machinery worked: typed
-// overload/drain refusals, sequenced reconnect replays, duplicates the
-// sequence numbers suppressed, and slow consumers the write deadline reaped.
+// overload/drain refusals, reconnect replays, duplicates the sequence
+// numbers suppressed, and slow consumers the write deadline reaped.
 func printRobustness(out io.Writer, st server.Stats) {
-	fmt.Fprintf(out, "robustness: %d sequenced sessions, %d reconnect replays, %d duplicate batches suppressed, %d overload refusals, %d drain refusals, %d write-deadline reaps\n",
-		st.SequencedSessions, st.ReconnectReplays, st.DuplicateBatches,
+	fmt.Fprintf(out, "robustness: %d reconnect replays, %d duplicate batches suppressed, %d overload refusals, %d drain refusals, %d write-deadline reaps\n",
+		st.ReconnectReplays, st.DuplicateBatches,
 		st.OverloadRefusals, st.DrainRefusals, st.WriteDeadlineReaps)
 }
 

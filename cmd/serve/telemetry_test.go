@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"symmeter/internal/faultfs"
+	"symmeter/internal/fleet"
 	"symmeter/internal/metrics"
 	"symmeter/internal/server"
 	"symmeter/internal/storage"
@@ -44,7 +45,7 @@ func TestTelemetryMuxLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	rep, err := server.RunFleet(bound.String(), server.FleetConfig{
+	rep, err := fleet.Run(bound.String(), fleet.Config{
 		Meters: 2, Days: 1, SecondsPerDay: 600, Window: 60, K: 16, Seed: 1,
 	})
 	if err != nil {
@@ -71,7 +72,7 @@ func TestTelemetryMuxLive(t *testing.T) {
 		"symmeter_ingest_sessions_total 2",
 		"symmeter_ingest_symbols_total ",
 		"symmeter_net_bytes_in_total ",
-		"symmeter_transport_frames_total{dir=\"in\",type=\"S\"}",
+		"symmeter_transport_frames_total{dir=\"in\",type=\"D\"}",
 		"symmeter_ingest_batch_seconds{quantile=\"0.5\"}",
 		"symmeter_ingest_batch_seconds{quantile=\"0.99\"}",
 		"symmeter_ingest_batch_hist_seconds_bucket{le=\"+Inf\"}",

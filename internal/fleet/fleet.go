@@ -1,18 +1,26 @@
-package server
+// Package fleet simulates a fleet of smart meters streaming to an
+// aggregation server over real TCP — the load generator behind cmd/serve's
+// demo and the server's concurrency tests. Each simulated meter learns its
+// lookup table from training days of synthetic data (internal/dataset), then
+// encodes its live days window by window and sends the symbols through its
+// own pkg/client Session, the same sequenced, acknowledged ingest path any
+// real sensor takes.
+package fleet
 
 import (
 	"fmt"
-	"net"
+	"math"
 	"sync"
 
 	"symmeter/internal/dataset"
+	"symmeter/internal/server"
 	"symmeter/internal/symbolic"
 	"symmeter/internal/timeseries"
-	"symmeter/internal/transport"
+	"symmeter/pkg/client"
 )
 
-// FleetConfig describes a simulated meter fleet.
-type FleetConfig struct {
+// Config describes a simulated meter fleet.
+type Config struct {
 	// Meters is the number of concurrent sensors (required, ≥ 1).
 	Meters int
 	// Days of live data each meter streams after its training days.
@@ -28,19 +36,19 @@ type FleetConfig struct {
 	Window int64
 	// K is the alphabet size (default 16).
 	K int
-	// BatchSize is symbols per 'S' frame (default 96).
+	// BatchSize is the most symbols one 'D' frame carries (default 96).
 	BatchSize int
 	// Seed offsets each meter's synthetic generator; meter i uses Seed+i.
 	Seed int64
 	// RelearnPerDay rebuilds the table from each finished day and resends
-	// it mid-stream (the §2.2 adaptive path) — exercises 'T' updates under
+	// it mid-stream (the §2.2 adaptive path) — exercises table updates under
 	// concurrent load.
 	RelearnPerDay bool
 	// DisableGaps turns off the generator's missing-data simulation.
 	DisableGaps bool
 }
 
-func (c FleetConfig) withDefaults() FleetConfig {
+func (c Config) withDefaults() Config {
 	if c.TrainDays <= 0 {
 		c.TrainDays = 2
 	}
@@ -61,11 +69,11 @@ func (c FleetConfig) withDefaults() FleetConfig {
 
 // ExpectedPointsPerMeter returns an upper bound on the symbols one meter
 // will stream under this config (after defaulting) — the right value for
-// Config.ReservePoints so every store commit lands in pre-allocated
+// server.Config.ReservePoints so every store commit lands in pre-allocated
 // capacity. Per day: one symbol per touched window (ceiling, plus one for
 // window/day misalignment) and one more for the partial-window flush a
 // daily table relearn forces. Gaps can only reduce the actual count.
-func (c FleetConfig) ExpectedPointsPerMeter() int {
+func (c Config) ExpectedPointsPerMeter() int {
 	c = c.withDefaults()
 	perDay := int64(timeseries.SecondsPerDay)
 	if c.SecondsPerDay > 0 {
@@ -78,7 +86,7 @@ func (c FleetConfig) ExpectedPointsPerMeter() int {
 // MeterReport is one meter's end-to-end outcome.
 type MeterReport struct {
 	MeterID uint64
-	// Sent is the raw measurements pushed into the sensor.
+	// Sent is the raw measurements pushed into the meter's encoder.
 	Sent int
 	// Symbols is how many reconstructed points the server stored (filled
 	// by Evaluate).
@@ -91,61 +99,33 @@ type MeterReport struct {
 	MAE float64
 	// Err is the sensor-side failure, nil on success.
 	Err error
-	// Connected reports whether the meter's TCP dial succeeded — even a
+	// Connected reports whether the meter's session dial succeeded — even a
 	// meter that later failed mid-stream produced a server-side session, so
 	// drivers waiting for sessions (Service.AwaitSessions) must count
 	// connected meters, not successful ones.
 	Connected bool
 
-	truth []timeseries.Point
+	// sent is every window the meter encoded, in order: the time and
+	// symbol it sent, with the window's true average as V.
+	sent []server.ReconPoint
 }
 
-// FleetReport aggregates a fleet run.
-type FleetReport struct {
+// Report aggregates a fleet run.
+type Report struct {
 	Meters []MeterReport
 	// Sent is total raw measurements across the fleet.
 	Sent int
 }
 
-// truthTracker records per-window true averages by driving a parallel
-// symbolic.Encoder, so fleet ground truth inherits the sensor's window
-// alignment (and its out-of-order rejection) by construction instead of
-// re-implementing it.
-type truthTracker struct {
-	enc *symbolic.Encoder
-	out []timeseries.Point
-}
-
-func newTruthTracker(table *symbolic.Table, window int64) *truthTracker {
-	return &truthTracker{enc: symbolic.NewEncoder(table, window)}
-}
-
-func (tt *truthTracker) push(p timeseries.Point) error {
-	sp, avg, ok, err := tt.enc.PushWithValue(p)
-	if err != nil {
-		return err
-	}
-	if ok {
-		tt.out = append(tt.out, timeseries.Point{T: sp.T, V: avg})
-	}
-	return nil
-}
-
-func (tt *truthTracker) flush() {
-	if sp, avg, ok := tt.enc.FlushWithValue(); ok {
-		tt.out = append(tt.out, timeseries.Point{T: sp.T, V: avg})
-	}
-}
-
-// RunFleet dials addr once per meter and streams each meter's data over its
-// own TCP connection, all concurrently. It returns when every sensor has
-// closed its connection; drain the service before evaluating.
-func RunFleet(addr string, cfg FleetConfig) (*FleetReport, error) {
+// Run dials addr once per meter and streams each meter's data over its own
+// session, all concurrently. It returns when every meter has closed its
+// session; drain the service before evaluating.
+func Run(addr string, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Meters < 1 {
-		return nil, fmt.Errorf("server: fleet needs at least one meter, got %d", cfg.Meters)
+		return nil, fmt.Errorf("fleet: needs at least one meter, got %d", cfg.Meters)
 	}
-	rep := &FleetReport{Meters: make([]MeterReport, cfg.Meters)}
+	rep := &Report{Meters: make([]MeterReport, cfg.Meters)}
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Meters; i++ {
 		wg.Add(1)
@@ -178,7 +158,7 @@ func dayPoints(gen *dataset.Generator, d int, cap int64) []timeseries.Point {
 	return pts
 }
 
-func runMeter(addr string, id uint64, seedOff int64, cfg FleetConfig) MeterReport {
+func runMeter(addr string, id uint64, seedOff int64, cfg Config) MeterReport {
 	rep := MeterReport{MeterID: id}
 	fail := func(err error) MeterReport { rep.Err = err; return rep }
 
@@ -200,29 +180,21 @@ func runMeter(addr string, id uint64, seedOff int64, cfg FleetConfig) MeterRepor
 		return fail(err)
 	}
 
-	conn, err := net.Dial("tcp", addr)
+	sess, err := client.DialSession(addr, id, client.SessionConfig{})
 	if err != nil {
 		return fail(err)
 	}
 	rep.Connected = true
-	defer conn.Close()
-	if err := transport.WriteHandshake(conn, id); err != nil {
-		return fail(err)
-	}
-	sensor, err := transport.NewSensor(conn, table, cfg.Window, cfg.BatchSize)
+	defer sess.Close()
+	m, err := newMeter(sess, table, cfg.Window, cfg.BatchSize)
 	if err != nil {
 		return fail(err)
 	}
-
-	truth := newTruthTracker(table, cfg.Window)
 	for d := cfg.TrainDays; d < cfg.TrainDays+cfg.Days; d++ {
 		pts := dayPoints(gen, d, cfg.SecondsPerDay)
 		var dayVals []float64
 		for _, p := range pts {
-			if err := sensor.Push(p); err != nil {
-				return fail(err)
-			}
-			if err := truth.push(p); err != nil {
+			if err := m.push(p); err != nil {
 				return fail(err)
 			}
 			rep.Sent++
@@ -235,26 +207,115 @@ func runMeter(addr string, id uint64, seedOff int64, cfg FleetConfig) MeterRepor
 			if err != nil {
 				return fail(err)
 			}
-			// UpdateTable flushes the encoder's partial window; mirror that
-			// in the ground truth so timestamps keep matching.
-			truth.flush()
-			if err := sensor.UpdateTable(next); err != nil {
+			if err := m.updateTable(next); err != nil {
 				return fail(err)
 			}
 		}
 	}
-	if err := sensor.Close(); err != nil {
+	if err := m.flush(); err != nil {
 		return fail(err)
 	}
-	truth.flush()
-	rep.truth = truth.out
+	rep.sent = m.sent
 	return rep
+}
+
+// meter is one simulated sensor's encode-and-batch loop. A single encoder
+// yields both the symbol sent for each window and the window's true average,
+// so the ground truth shares the sent stream's window alignment by
+// construction. Symbols are sent in batches of consecutive windows only — a
+// data gap starts a new batch, so the server reconstructs every timestamp as
+// firstT + i*window — of at most batchSize symbols; the partial window is
+// flushed before a table update and at the end, so no window straddles two
+// tables. Every table and batch goes out through the meter's Session, which
+// returns once the server acknowledged it.
+type meter struct {
+	out       *client.Session
+	enc       *symbolic.Encoder
+	window    int64
+	batchSize int
+
+	batch         []symbolic.Symbol
+	firstT, nextT int64
+	sent          []server.ReconPoint
+}
+
+// newMeter sends the first table and returns the meter ready to push.
+func newMeter(out *client.Session, table *symbolic.Table, window int64, batchSize int) (*meter, error) {
+	m := &meter{out: out, window: window, batchSize: batchSize}
+	if err := m.setTable(table); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+func (m *meter) setTable(t *symbolic.Table) error {
+	if err := m.out.PushTable(t); err != nil {
+		return err
+	}
+	m.enc = symbolic.NewEncoder(t, m.window)
+	return nil
+}
+
+// push feeds one measurement; a completed window joins the pending batch.
+func (m *meter) push(p timeseries.Point) error {
+	sp, avg, ok, err := m.enc.PushWithValue(p)
+	if err != nil || !ok {
+		return err
+	}
+	return m.add(sp, avg)
+}
+
+func (m *meter) add(sp symbolic.SymbolPoint, avg float64) error {
+	m.sent = append(m.sent, server.ReconPoint{T: sp.T, S: sp.S, V: avg})
+	if len(m.batch) > 0 && sp.T != m.nextT {
+		if err := m.sendBatch(); err != nil {
+			return err
+		}
+	}
+	if len(m.batch) == 0 {
+		m.firstT = sp.T
+	}
+	m.batch = append(m.batch, sp.S)
+	m.nextT = sp.T + m.window
+	if len(m.batch) >= m.batchSize {
+		return m.sendBatch()
+	}
+	return nil
+}
+
+// sendBatch sends the pending batch, if any.
+func (m *meter) sendBatch() error {
+	if len(m.batch) == 0 {
+		return nil
+	}
+	err := m.out.Append(m.firstT, m.window, m.batch)
+	m.batch = m.batch[:0]
+	return err
+}
+
+// flush closes the partial window and sends everything pending.
+func (m *meter) flush() error {
+	if sp, avg, ok := m.enc.FlushWithValue(); ok {
+		if err := m.add(sp, avg); err != nil {
+			return err
+		}
+	}
+	return m.sendBatch()
+}
+
+// updateTable resends a new lookup table (the §2/§4 adaptive path) after
+// flushing every window encoded under the old one.
+func (m *meter) updateTable(t *symbolic.Table) error {
+	if err := m.flush(); err != nil {
+		return err
+	}
+	return m.setTable(t)
 }
 
 // Evaluate fills each MeterReport's server-side fields from the store:
 // symbol counts and the reconstruction MAE against the meter's true window
 // averages, matched by timestamp.
-func (r *FleetReport) Evaluate(store *Store) {
+func (r *Report) Evaluate(store *server.Store) {
 	for i := range r.Meters {
 		m := &r.Meters[i]
 		st, ok := store.Snapshot(m.MeterID)
@@ -264,12 +325,12 @@ func (r *FleetReport) Evaluate(store *Store) {
 		m.Symbols = len(st.Points)
 		var sum float64
 		j := 0
-		for _, tp := range m.truth {
+		for _, tp := range m.sent {
 			for j < len(st.Points) && st.Points[j].T < tp.T {
 				j++
 			}
 			if j < len(st.Points) && st.Points[j].T == tp.T {
-				sum += abs(tp.V - st.Points[j].V)
+				sum += math.Abs(tp.V - st.Points[j].V)
 				m.Matched++
 				j++
 			}
@@ -278,11 +339,4 @@ func (r *FleetReport) Evaluate(store *Store) {
 			m.MAE = sum / float64(m.Matched)
 		}
 	}
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -25,7 +25,6 @@ type serviceMetrics struct {
 	activeQueries      *metrics.Gauge
 	acceptRetries      *metrics.Counter
 	degradedSessions   *metrics.Counter
-	sequencedSessions  *metrics.Counter
 	overloadRefusals   *metrics.Counter
 	drainRefusals      *metrics.Counter
 	reconnectReplays   *metrics.Counter
@@ -63,16 +62,14 @@ func newServiceMetrics(reg *metrics.Registry) *serviceMetrics {
 			"Transient Accept failures survived by the accept loop's backoff."),
 		degradedSessions: reg.Counter("symmeter_ingest_degraded_sessions_total",
 			"Ingest sessions refused or torn down with VerdictDegraded."),
-		sequencedSessions: reg.Counter("symmeter_ingest_sequenced_sessions_total",
-			"Ingest sessions that negotiated the sequenced, acknowledged protocol."),
 		overloadRefusals: reg.Counter("symmeter_ingest_overload_refusals_total",
 			"Batches refused by the per-shard admission gate with VerdictOverloaded."),
 		drainRefusals: reg.Counter("symmeter_drain_refusals_total",
 			"Sessions refused with VerdictDraining during graceful shutdown."),
 		reconnectReplays: reg.Counter("symmeter_ingest_reconnect_replays_total",
-			"Sequenced handshakes that found committed history (reconnects)."),
+			"Handshakes that found committed history (reconnects)."),
 		duplicateBatches: reg.Counter("symmeter_ingest_duplicate_batches_total",
-			"Sequenced frames suppressed as already committed."),
+			"Frames suppressed as already committed."),
 		writeDeadlineReaps: reg.Counter("symmeter_write_deadline_reaps_total",
 			"Response writes that hit the write deadline, tearing down the session."),
 		ingestBatchLat: reg.Latency("symmeter_ingest_batch_seconds",

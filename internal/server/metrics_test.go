@@ -8,11 +8,14 @@ import (
 	"time"
 
 	"symmeter/internal/metrics"
+	"symmeter/internal/symbolic"
+	"symmeter/internal/transport"
 )
 
 // TestStatsRegistryBacked proves the Stats snapshot and the /metrics
-// exposition read the same counters: after real fleet traffic, every Stats
-// field must appear in the registry scrape with the identical value.
+// exposition read the same counters: after real ingest traffic from three
+// meters, every Stats field must appear in the registry scrape with the
+// identical value.
 func TestStatsRegistryBacked(t *testing.T) {
 	reg := metrics.New()
 	svc := New(Config{Shards: 4, Metrics: reg})
@@ -21,13 +24,22 @@ func TestStatsRegistryBacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { svc.Close() })
-	rep, err := RunFleet(addr.String(), FleetConfig{
-		Meters: 3, Days: 1, SecondsPerDay: 600, Window: 60, Seed: 1, DisableGaps: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	table := testTable(t)
+	syms := make([]symbolic.Symbol, 10)
+	for i := range syms {
+		syms[i] = table.Encode(float64(100 * i))
 	}
-	if !svc.AwaitSessions(int64(len(rep.Meters)), 10*time.Second) {
+	const meters = 3
+	for m := uint64(1); m <= meters; m++ {
+		conn, fr, _ := sequencedDial(t, addr.String(), m)
+		conn.Write(seqTableFrame(1, table))
+		expectAck(t, fr, 1)
+		conn.Write(seqBatchFrame(t, 2, 60, 60, syms))
+		expectAck(t, fr, 2)
+		writeRawFrame(t, conn, transport.FrameEnd, 0, nil)
+		conn.Close()
+	}
+	if !svc.AwaitSessions(meters, 10*time.Second) {
 		t.Fatal("sessions did not settle")
 	}
 

@@ -212,7 +212,7 @@ func TestQueryUnknownFrameKillsSession(t *testing.T) {
 	if err := readResponse(t, fr, &res); err != nil || res.ID != 1 {
 		t.Fatalf("first response: id=%d err=%v", res.ID, err)
 	}
-	writeRawFrame(t, conn, transport.FrameTable, 0, nil)
+	writeRawFrame(t, conn, transport.FrameSeqTable, 0, nil)
 	waitSessionErr(t, svc, transport.ErrUnknownFrame)
 	expectClosed(t, conn)
 }
@@ -240,7 +240,7 @@ func TestQueryOnlyListenerRefusesIngest(t *testing.T) {
 
 	// Ingest handshake on the query port: refused, no meter registered.
 	bad := rawConn(t, qaddr.String())
-	if err := transport.WriteHandshake(bad, 3); err != nil {
+	if err := transport.WriteHandshakeFlags(bad, 3, transport.FlagSequenced); err != nil {
 		t.Fatal(err)
 	}
 	waitSessionErr(t, svc, transport.ErrUnknownFrame)

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"symmeter/internal/timeseries"
+	"symmeter/internal/symbolic"
 	"symmeter/internal/transport"
 )
 
@@ -53,10 +53,13 @@ func TestAcceptLoopSurvivesTransientErrors(t *testing.T) {
 		close(done)
 	}()
 
-	// The session after the error burst must run normally end to end.
-	if err := transport.WriteHandshake(clientEnd, 1); err != nil {
+	// The session after the error burst must run normally end to end. The
+	// pipe is synchronous, so the handshake ack is read before the end frame
+	// goes out.
+	if err := transport.WriteHandshakeFlags(clientEnd, 1, transport.FlagSequenced); err != nil {
 		t.Fatal(err)
 	}
+	expectAck(t, transport.NewFrameReader(clientEnd), 0)
 	writeRawFrame(t, clientEnd, transport.FrameEnd, 0, nil)
 	if !svc.AwaitSessions(1, 5*time.Second) {
 		t.Fatal("session after transient accept errors never completed")
@@ -95,42 +98,21 @@ func TestIdleSessionReapedAndMeterFreed(t *testing.T) {
 	t.Cleanup(func() { svc.Close() })
 
 	const meter uint64 = 9
-	conn := rawConn(t, addr.String())
-	if err := transport.WriteHandshake(conn, meter); err != nil {
-		t.Fatal(err)
-	}
-	// Session registered, then the client goes silent.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := svc.Store().Snapshot(meter); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("session never registered")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// Session registered (the handshake is acked), then the client goes
+	// silent.
+	conn, _, _ := sequencedDial(t, addr.String(), meter)
 	waitSessionErr(t, svc, os.ErrDeadlineExceeded)
 	expectClosed(t, conn)
 
 	// The reaped session released its registration: the meter reconnects and
 	// completes a clean second session.
-	c2 := rawConn(t, addr.String())
-	if err := transport.WriteHandshake(c2, meter); err != nil {
-		t.Fatal(err)
-	}
-	sensor, err := transport.NewSensor(c2, testTable(t), 60, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 120; i++ {
-		if err := sensor.Push(timeseries.Point{T: i, V: 100}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
+	c2, fr2, _ := sequencedDial(t, addr.String(), meter)
+	table := testTable(t)
+	c2.Write(seqTableFrame(1, table))
+	expectAck(t, fr2, 1)
+	c2.Write(seqBatchFrame(t, 2, 60, 60, []symbolic.Symbol{table.Encode(100), table.Encode(100)}))
+	expectAck(t, fr2, 2)
+	writeRawFrame(t, c2, transport.FrameEnd, 0, nil)
 	c2.Close()
 	if !svc.AwaitSessions(2, 10*time.Second) {
 		t.Fatal("reconnect session never completed")
@@ -157,29 +139,20 @@ func TestIdleTimeoutRefreshedPerFrame(t *testing.T) {
 	}
 	t.Cleanup(func() { svc.Close() })
 
-	conn := rawConn(t, addr.String())
-	if err := transport.WriteHandshake(conn, 4); err != nil {
-		t.Fatal(err)
-	}
-	sensor, err := transport.NewSensor(conn, testTable(t), 60, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn, fr, _ := sequencedDial(t, addr.String(), 4)
+	table := testTable(t)
+	conn.Write(seqTableFrame(1, table))
+	expectAck(t, fr, 1)
 	// Stream one window every ~50ms for 3× the idle timeout.
 	start := time.Now()
-	var ts int64
+	seq := uint64(1)
 	for time.Since(start) < 450*time.Millisecond {
-		for i := int64(0); i < 60; i++ {
-			if err := sensor.Push(timeseries.Point{T: ts, V: 100}); err != nil {
-				t.Fatal(err)
-			}
-			ts++
-		}
+		seq++
+		conn.Write(seqBatchFrame(t, seq, int64(seq)*60, 60, []symbolic.Symbol{table.Encode(100)}))
+		expectAck(t, fr, seq)
 		time.Sleep(50 * time.Millisecond)
 	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeRawFrame(t, conn, transport.FrameEnd, 0, nil)
 	conn.Close()
 	if !svc.AwaitSessions(1, 10*time.Second) {
 		t.Fatal("session never completed")

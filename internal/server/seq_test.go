@@ -12,7 +12,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"strings"
 	"testing"
 	"time"
 
@@ -145,8 +144,8 @@ func TestSequencedSessionExactlyOnce(t *testing.T) {
 		t.Fatalf("store holds %d points (ok=%v), want %d — duplicate committed?", len(st.Points), ok, len(syms))
 	}
 	stats := svc.Stats()
-	if stats.SequencedSessions != 1 || stats.DuplicateBatches != 1 {
-		t.Fatalf("stats: sequenced=%d dups=%d, want 1/1", stats.SequencedSessions, stats.DuplicateBatches)
+	if stats.Sessions != 1 || stats.DuplicateBatches != 1 {
+		t.Fatalf("stats: sessions=%d dups=%d, want 1/1", stats.Sessions, stats.DuplicateBatches)
 	}
 	if got := svc.Store().LastSeq(7); got != 2 {
 		t.Fatalf("LastSeq after session: %d, want 2", got)
@@ -257,114 +256,82 @@ func TestSequencedRetryableRefusalKeepsSession(t *testing.T) {
 	}
 }
 
-// TestLegacyRefusalPartingVerdict: a v1 session has no per-batch refusal
-// channel, so the same typed overload ends it — a parting 'X' frame with
-// VerdictOverloaded, then the connection closes — and the refused batch
-// commits nothing, though the table before it did (under seq 1).
-func TestLegacyRefusalPartingVerdict(t *testing.T) {
-	svc := New(Config{Shards: 2})
-	svc.SetIngest(&refuseOnceIngest{Store: svc.Store()})
-	addr, err := svc.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { svc.Close() })
+// TestV1ProtocolRefused: protocol v1 is retired, and each of its shapes is
+// refused with a typed error and a closed connection — a v1 handshake, a
+// flag-less v2 handshake, and a v1 'T' table or 'S' batch frame after a valid
+// handshake. None commits anything or leaves the meter's session slot held:
+// the meter still dials a sequenced session afterwards, at the mark its
+// committed frames (if any) earned.
+func TestV1ProtocolRefused(t *testing.T) {
 	table := testTable(t)
-
-	conn := rawConn(t, addr.String())
-	if err := transport.WriteHandshake(conn, 12); err != nil {
-		t.Fatal(err)
-	}
-	conn.Write(v1Frame(seqTableFrame(0, table)))
-	conn.Write(v1Frame(seqBatchFrame(t, 0, 0, 60, []symbolic.Symbol{table.Encode(5)})))
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	expectRefusal(t, transport.NewFrameReader(conn), 0, transport.ErrServerOverloaded)
-	expectClosed(t, conn)
-	waitSessionErr(t, svc, ErrOverloaded)
-	st, _ := svc.Store().Snapshot(12)
-	if len(st.Tables) != 1 || len(st.Points) != 0 {
-		t.Fatalf("store holds %d tables and %d points, want the table only", len(st.Tables), len(st.Points))
-	}
-	if got := svc.Store().LastSeq(12); got != 1 {
-		t.Fatalf("LastSeq = %d, want 1 (the table)", got)
-	}
-}
-
-// TestLegacyFrameFamilyMismatch: a frame of the other protocol generation's
-// family tears the session down — 'U'/'D' on a v1 session, 'T'/'S' on a v2
-// session — and commits nothing, whether it is the stream's first frame or
-// follows a committed table.
-func TestLegacyFrameFamilyMismatch(t *testing.T) {
-	table := testTable(t)
-	batch := seqBatchFrame(t, 2, 0, 60, []symbolic.Symbol{table.Encode(5)})
+	v1Handshake := make([]byte, 9)
+	v1Handshake[0] = 1 // v1: version | meterID, no flags byte
+	binary.BigEndian.PutUint64(v1Handshake[1:], 30)
+	flagless := make([]byte, 10)
+	flagless[0] = transport.ProtocolVersion
+	binary.BigEndian.PutUint64(flagless[2:], 30)
 	cases := []struct {
-		name      string
-		sequenced bool
-		frames    [][]byte // the session's own table first, when any
-		wantMark  uint64
+		name     string
+		open     func(t *testing.T, addr string) net.Conn
+		want     error
+		wantMark uint64 // tables committed before the refused frame
 	}{
-		{"v1 then seq table", false, [][]byte{seqTableFrame(1, table)}, 0},
-		{"v1 then seq batch", false, [][]byte{v1Frame(seqTableFrame(1, table)), batch}, 1},
-		{"v2 then v1 table", true, [][]byte{v1Frame(seqTableFrame(1, table))}, 0},
-		{"v2 then v1 batch", true, [][]byte{seqTableFrame(1, table), v1Frame(batch)}, 1},
+		{"v1 handshake", func(t *testing.T, addr string) net.Conn {
+			conn := rawConn(t, addr)
+			writeRawFrame(t, conn, transport.FrameHandshake, 9, v1Handshake)
+			return conn
+		}, transport.ErrVersionMismatch, 0},
+		{"flagless handshake", func(t *testing.T, addr string) net.Conn {
+			conn := rawConn(t, addr)
+			writeRawFrame(t, conn, transport.FrameHandshake, 10, flagless)
+			return conn
+		}, transport.ErrBadHandshake, 0},
+		{"v1 table frame", func(t *testing.T, addr string) net.Conn {
+			conn, _, _ := sequencedDial(t, addr, 30)
+			conn.Write(v1Frame(seqTableFrame(1, table)))
+			return conn
+		}, transport.ErrUnknownFrame, 0},
+		{"v1 symbol frame", func(t *testing.T, addr string) net.Conn {
+			conn, fr, _ := sequencedDial(t, addr, 30)
+			conn.Write(seqTableFrame(1, table))
+			expectAck(t, fr, 1)
+			conn.Write(v1Frame(seqBatchFrame(t, 2, 0, 60, []symbolic.Symbol{table.Encode(5)})))
+			return conn
+		}, transport.ErrUnknownFrame, 1},
 	}
-	for i, tc := range cases {
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			svc, addr := startService(t, 2)
-			meter := uint64(20 + i)
-			var conn net.Conn
-			var fr *transport.FrameReader
-			if tc.sequenced {
-				conn, fr, _ = sequencedDial(t, addr, meter)
-			} else {
-				conn = rawConn(t, addr)
-				if err := transport.WriteHandshake(conn, meter); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for j, frame := range tc.frames {
-				conn.Write(frame)
-				if tc.sequenced && j < len(tc.frames)-1 {
-					expectAck(t, fr, 1)
-				}
-			}
+			conn := tc.open(t, addr)
+			waitSessionErr(t, svc, tc.want)
 			expectClosed(t, conn)
-			waitSessionErrText(t, svc, "sequenced frame")
-			st, _ := svc.Store().Snapshot(meter)
-			if uint64(len(st.Tables)) != tc.wantMark || len(st.Points) != 0 || svc.Store().LastSeq(meter) != tc.wantMark {
+			st, ok := svc.Store().Snapshot(30)
+			if uint64(len(st.Tables)) != tc.wantMark || len(st.Points) != 0 || svc.Store().LastSeq(30) != tc.wantMark {
 				t.Fatalf("store holds %d tables, %d points, mark %d; want %d, 0, %d",
-					len(st.Tables), len(st.Points), svc.Store().LastSeq(meter), tc.wantMark, tc.wantMark)
+					len(st.Tables), len(st.Points), svc.Store().LastSeq(30), tc.wantMark, tc.wantMark)
 			}
+			if ok != (tc.want == transport.ErrUnknownFrame) {
+				t.Fatalf("meter registered = %v after a refused %s", ok, tc.name)
+			}
+			again, _, hwm := sequencedDial(t, addr, 30)
+			if hwm != tc.wantMark {
+				t.Fatalf("redial mark %d, want %d", hwm, tc.wantMark)
+			}
+			writeRawFrame(t, again, transport.FrameEnd, 0, nil)
 		})
 	}
 }
 
-// v1Frame re-frames a sequenced 'U'/'D' frame as its v1 twin, 'T'/'S': the
-// same body without the seq.
+// v1Frame re-frames a sequenced 'U'/'D' frame as its retired v1 twin,
+// 'T'/'S': the same body without the seq.
 func v1Frame(seqFrame []byte) []byte {
-	typ := transport.FrameTable
+	typ := byte('T')
 	if seqFrame[0] == transport.FrameSeqSymbol {
-		typ = transport.FrameSymbol
+		typ = 'S'
 	}
 	frame := []byte{typ, 0, 0, 0, 0}
 	binary.BigEndian.PutUint32(frame[1:], uint32(len(seqFrame)-13))
 	return append(frame, seqFrame[13:]...)
-}
-
-// waitSessionErrText polls until the service records an error whose text
-// contains substr.
-func waitSessionErrText(t *testing.T, svc *Service, substr string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		for _, err := range svc.SessionErrors() {
-			if strings.Contains(err.Error(), substr) {
-				return
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("no session error containing %q; have %v", substr, svc.SessionErrors())
 }
 
 // TestOverloadGate pins acquireIngest's admission arithmetic: budget
@@ -411,7 +378,7 @@ func TestDrainRefusesNewSessions(t *testing.T) {
 
 	// Ingest: handshake, then the typed parting frame, then close.
 	conn := rawConn(t, addr)
-	if err := transport.WriteHandshake(conn, 1); err != nil {
+	if err := transport.WriteHandshakeFlags(conn, 1, transport.FlagSequenced); err != nil {
 		t.Fatal(err)
 	}
 	fr := transport.NewFrameReader(conn)
@@ -445,20 +412,7 @@ func TestHalfClosedConnReapedAndMeterFreed(t *testing.T) {
 	svc, addr := startService(t, 2)
 	const meter uint64 = 13
 
-	conn := rawConn(t, addr)
-	if err := transport.WriteHandshake(conn, meter); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := svc.Store().Snapshot(meter); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("session never registered")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	conn, _, _ := sequencedDial(t, addr, meter)
 	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
 		t.Fatal(err)
 	}

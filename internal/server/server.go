@@ -76,12 +76,12 @@ const defaultWriteTimeout = 30 * time.Second
 const defaultQueryConcurrency = 4
 
 // Ingest is the write interface a session drives: the exactly-once batch
-// contract of the sequenced protocol, which every session commits through (a
-// v1 session's frames take server-assigned seqs, see runSession). A plain
-// *Store implements it with the mark in memory; the storage engine wraps the
-// store so every table and batch hits a write-ahead log before it commits and
-// the mark survives recovery (see internal/storage), without the session loop
-// knowing either way.
+// contract of the sequenced protocol. A plain *Store implements it with the
+// mark in memory; the storage engine wraps the store so every table and batch
+// hits a write-ahead log before it commits and the mark survives recovery
+// (see internal/storage), without the session loop knowing either way. Either
+// way the store is the mark's one owner: the engine reads and advances the
+// store's mark rather than keeping its own.
 //
 // Sequence numbers are dense and per-meter (CheckSeq): seq == LastSeq+1
 // commits and advances the high-water mark, seq <= LastSeq is a duplicate
@@ -130,20 +130,17 @@ type Stats struct {
 	// because the durability layer was degraded; each one was answered
 	// with a VerdictDegraded frame before the connection closed.
 	DegradedSessions int64
-	// SequencedSessions counts ingest sessions that negotiated the
-	// sequenced, acknowledged protocol (v2).
-	SequencedSessions int64
 	// OverloadRefusals counts batches refused by the per-shard ingest
 	// admission gate; each was answered with VerdictOverloaded.
 	OverloadRefusals int64
 	// DrainRefusals counts sessions (ingest handshakes and query sessions)
 	// refused with VerdictDraining during graceful shutdown.
 	DrainRefusals int64
-	// ReconnectReplays counts sequenced handshakes that found committed
+	// ReconnectReplays counts handshakes that found committed
 	// history (a non-zero high-water mark) — reconnects whose reply told
 	// the client where to resume.
 	ReconnectReplays int64
-	// DuplicateBatches counts sequenced frames suppressed as already
+	// DuplicateBatches counts frames suppressed as already
 	// committed — retransmits after a lost ack, acked without re-writing.
 	DuplicateBatches int64
 	// WriteDeadlineReaps counts response writes (acks, query results,
@@ -246,7 +243,6 @@ func (s *Service) Stats() Stats {
 		ActiveQueries:      s.met.activeQueries.Value(),
 		AcceptRetries:      s.met.acceptRetries.Value(),
 		DegradedSessions:   s.met.degradedSessions.Value(),
-		SequencedSessions:  s.met.sequencedSessions.Value(),
 		OverloadRefusals:   s.met.overloadRefusals.Value(),
 		DrainRefusals:      s.met.drainRefusals.Value(),
 		ReconnectReplays:   s.met.reconnectReplays.Value(),

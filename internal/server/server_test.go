@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"symmeter/internal/timeseries"
+	"symmeter/internal/symbolic"
 	"symmeter/internal/transport"
 )
 
@@ -38,101 +38,6 @@ func waitSessionErr(t *testing.T, svc *Service, target error) error {
 	}
 	t.Fatalf("no session error matching %v; have %v", target, svc.SessionErrors())
 	return nil
-}
-
-// TestFleet64ConcurrentMeters drives 64 simultaneous sensors over real TCP
-// — the concurrency acceptance test; run under -race.
-func TestFleet64ConcurrentMeters(t *testing.T) {
-	const meters = 64
-	svc, addr := startService(t, 8)
-	rep, err := RunFleet(addr, FleetConfig{
-		Meters:        meters,
-		Days:          1,
-		SecondsPerDay: 600,
-		Window:        60,
-		Seed:          1,
-		DisableGaps:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.AwaitSessions(meters, 10*time.Second)
-	svc.Drain()
-	rep.Evaluate(svc.Store())
-
-	if errs := svc.SessionErrors(); len(errs) != 0 {
-		t.Fatalf("session errors: %v", errs)
-	}
-	if got := len(svc.Store().Meters()); got != meters {
-		t.Fatalf("store meters = %d, want %d", got, meters)
-	}
-	wantSymbols := 600 / 60 // gap-free prefix → one symbol per full window
-	for _, m := range rep.Meters {
-		if m.Err != nil {
-			t.Fatalf("meter %d: %v", m.MeterID, m.Err)
-		}
-		if m.Sent != 600 {
-			t.Fatalf("meter %d sent %d, want 600", m.MeterID, m.Sent)
-		}
-		if m.Symbols != wantSymbols {
-			t.Fatalf("meter %d symbols = %d, want %d", m.MeterID, m.Symbols, wantSymbols)
-		}
-		if m.Matched != m.Symbols {
-			t.Fatalf("meter %d matched %d of %d symbols against truth", m.MeterID, m.Matched, m.Symbols)
-		}
-		if m.MAE < 0 {
-			t.Fatalf("meter %d MAE = %v", m.MeterID, m.MAE)
-		}
-	}
-	st := svc.Stats()
-	if st.Symbols != int64(meters*wantSymbols) {
-		t.Fatalf("service symbols = %d, want %d", st.Symbols, meters*wantSymbols)
-	}
-	if st.Sessions != meters || st.Active != 0 {
-		t.Fatalf("sessions = %d active = %d", st.Sessions, st.Active)
-	}
-	if st.BytesIn == 0 {
-		t.Fatal("no bytes counted on the wire")
-	}
-}
-
-// TestFleetRelearnMidStream exercises concurrent mid-stream UpdateTable
-// ('T' frames between symbol batches) across overlapping sessions.
-func TestFleetRelearnMidStream(t *testing.T) {
-	svc, addr := startService(t, 4)
-	rep, err := RunFleet(addr, FleetConfig{
-		Meters:        8,
-		Days:          3,
-		SecondsPerDay: 600,
-		Window:        60,
-		Seed:          3,
-		RelearnPerDay: true,
-		DisableGaps:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.AwaitSessions(8, 10*time.Second)
-	svc.Drain()
-	rep.Evaluate(svc.Store())
-	if errs := svc.SessionErrors(); len(errs) != 0 {
-		t.Fatalf("session errors: %v", errs)
-	}
-	for _, m := range rep.Meters {
-		if m.Err != nil {
-			t.Fatalf("meter %d: %v", m.MeterID, m.Err)
-		}
-		st, ok := svc.Store().Snapshot(m.MeterID)
-		if !ok {
-			t.Fatalf("meter %d missing from store", m.MeterID)
-		}
-		if len(st.Tables) != 3 { // initial + one relearn per non-final day
-			t.Fatalf("meter %d tables = %d, want 3", m.MeterID, len(st.Tables))
-		}
-		if m.Matched != m.Symbols {
-			t.Fatalf("meter %d matched %d of %d", m.MeterID, m.Matched, m.Symbols)
-		}
-	}
 }
 
 // rawConn dials and returns a connection for hand-crafted frames.
@@ -178,10 +83,11 @@ func expectClosed(t *testing.T, conn net.Conn) {
 func TestVersionMismatchRejected(t *testing.T) {
 	svc, addr := startService(t, 2)
 	conn := rawConn(t, addr)
-	payload := make([]byte, 9)
+	payload := make([]byte, 10)
 	payload[0] = 99 // future protocol version
-	binary.BigEndian.PutUint64(payload[1:], 1)
-	writeRawFrame(t, conn, transport.FrameHandshake, 9, payload)
+	payload[1] = transport.FlagSequenced
+	binary.BigEndian.PutUint64(payload[2:], 1)
+	writeRawFrame(t, conn, transport.FrameHandshake, 10, payload)
 	waitSessionErr(t, svc, transport.ErrVersionMismatch)
 	expectClosed(t, conn)
 }
@@ -209,37 +115,22 @@ func TestShortHandshakePayloadRejected(t *testing.T) {
 
 func TestOversizedFrameRejected(t *testing.T) {
 	svc, addr := startService(t, 2)
-	conn := rawConn(t, addr)
-	if err := transport.WriteHandshake(conn, 42); err != nil {
-		t.Fatal(err)
-	}
+	conn, _, _ := sequencedDial(t, addr, 42)
 	// Header claims a payload beyond MaxFrame; no bytes follow. The server
 	// must reject from the header alone rather than waiting for data.
-	writeRawFrame(t, conn, transport.FrameTable, transport.MaxFrame+1, nil)
+	writeRawFrame(t, conn, transport.FrameSeqTable, transport.MaxFrame+1, nil)
 	waitSessionErr(t, svc, transport.ErrFrameTooLarge)
 	expectClosed(t, conn)
 }
 
 func TestDuplicateMeterRejected(t *testing.T) {
 	svc, addr := startService(t, 2)
-	first := rawConn(t, addr)
-	if err := transport.WriteHandshake(first, 5); err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the first session is registered before racing it.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := svc.Store().Snapshot(5); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("first session never registered")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// The handshake ack proves the first session is registered before the
+	// second races it.
+	first, firstFR, _ := sequencedDial(t, addr, 5)
 
 	second := rawConn(t, addr)
-	if err := transport.WriteHandshake(second, 5); err != nil {
+	if err := transport.WriteHandshakeFlags(second, 5, transport.FlagSequenced); err != nil {
 		t.Fatal(err)
 	}
 	waitSessionErr(t, svc, ErrDuplicateMeter)
@@ -261,18 +152,11 @@ func TestDuplicateMeterRejected(t *testing.T) {
 
 	// The original session is unaffected: it can still finish cleanly.
 	table := testTable(t)
-	sensor, err := transport.NewSensor(first, table, 60, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 120; i++ {
-		if err := sensor.Push(timeseries.Point{T: i, V: 100}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
+	first.Write(seqTableFrame(1, table))
+	expectAck(t, firstFR, 1)
+	first.Write(seqBatchFrame(t, 2, 60, 60, []symbolic.Symbol{table.Encode(100), table.Encode(100)}))
+	expectAck(t, firstFR, 2)
+	writeRawFrame(t, first, transport.FrameEnd, 0, nil)
 	first.Close()
 	svc.AwaitSessions(2, 10*time.Second)
 	svc.Drain()
@@ -291,22 +175,14 @@ func TestAbruptDisconnectMidBatch(t *testing.T) {
 	table := testTable(t)
 
 	const victim uint64 = 7
-	conn := rawConn(t, addr)
-	if err := transport.WriteHandshake(conn, victim); err != nil {
-		t.Fatal(err)
-	}
-	sensor, err := transport.NewSensor(conn, table, 60, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn, fr, _ := sequencedDial(t, addr, victim)
 	// One complete window commits one batch...
-	for i := int64(0); i < 70; i++ {
-		if err := sensor.Push(timeseries.Point{T: i, V: 250}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	conn.Write(seqTableFrame(1, table))
+	expectAck(t, fr, 1)
+	conn.Write(seqBatchFrame(t, 2, 60, 60, []symbolic.Symbol{table.Encode(250)}))
+	expectAck(t, fr, 2)
 	// ...then a torn frame: a symbol header claiming 64 bytes, 4 delivered.
-	writeRawFrame(t, conn, transport.FrameSymbol, 64, []byte{0, 0, 0, 0})
+	writeRawFrame(t, conn, transport.FrameSeqSymbol, 64, []byte{0, 0, 0, 0})
 	conn.Close()
 	waitSessionErr(t, svc, io.ErrUnexpectedEOF)
 
@@ -322,29 +198,23 @@ func TestAbruptDisconnectMidBatch(t *testing.T) {
 	for svc.Store().ShardFor(sameShard) != svc.Store().ShardFor(victim) {
 		sameShard++
 	}
+	syms := []symbolic.Symbol{table.Encode(500), table.Encode(500), table.Encode(500)}
 	for _, id := range []uint64{sameShard, victim} {
-		c := rawConn(t, addr)
-		if err := transport.WriteHandshake(c, id); err != nil {
-			t.Fatal(err)
+		c, cfr, hwm := sequencedDial(t, addr, id)
+		if hwm == 0 {
+			c.Write(seqTableFrame(1, table))
+			expectAck(t, cfr, 1)
+			hwm = 1
 		}
-		s2, err := transport.NewSensor(c, table, 60, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := int64(0); i < 120; i++ {
-			if err := s2.Push(timeseries.Point{T: 1000 + i, V: 500}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s2.Close(); err != nil {
-			t.Fatal(err)
-		}
+		c.Write(seqBatchFrame(t, hwm+1, 1020, 60, syms))
+		expectAck(t, cfr, hwm+1)
+		writeRawFrame(t, c, transport.FrameEnd, 0, nil)
 		c.Close()
 	}
 	svc.AwaitSessions(3, 10*time.Second)
 	svc.Drain()
-	// Points t=1000..1119 span windows [960,1020) [1020,1080) [1080,1140)
-	// → 3 symbols per clean session.
+	// Windows ending at 1020, 1080 and 1140 → 3 symbols per clean session;
+	// the victim resumes on its committed table.
 	st, _ = svc.Store().Snapshot(victim)
 	if len(st.Points) != 1+3 || st.Sessions != 2 {
 		t.Fatalf("victim after reconnect: %d points, %d sessions", len(st.Points), st.Sessions)
@@ -358,21 +228,8 @@ func TestAbruptDisconnectMidBatch(t *testing.T) {
 // connection that is sitting in a blocking read.
 func TestCloseInterruptsIdleSessions(t *testing.T) {
 	svc, addr := startService(t, 2)
-	conn := rawConn(t, addr)
-	if err := transport.WriteHandshake(conn, 11); err != nil {
-		t.Fatal(err)
-	}
-	// Give the session time to block in its frame read.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := svc.Store().Snapshot(11); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("session never registered")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// Once the handshake is acked the session is blocked in its frame read.
+	sequencedDial(t, addr, 11)
 	done := make(chan struct{})
 	go func() {
 		svc.Close()

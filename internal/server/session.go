@@ -47,19 +47,14 @@ func (ir *idleReader) Read(p []byte) (int, error) {
 // the number of symbols ingested and a nil error only for an orderly
 // 'E'-terminated stream.
 //
-// Both protocol generations run this one loop, and every write goes through
-// the sequenced Ingest calls. A v2 (FlagSequenced) session numbers its own
-// 'U'/'D' frames: the handshake is answered with an 'A' frame carrying the
-// meter's committed high-water mark (so a reconnecting client replays only
-// unacked batches), every committed or duplicate-suppressed frame is acked
-// with its seq, and a retryable refusal — degraded storage, overload — is
-// answered with a per-batch 'X' frame (id = refused seq) that keeps the
-// session, so the client backs off and resends the same seq. A v1 session is
-// adapted here at the edge: its 'T'/'S' frames take the seqs after the mark
-// read at handshake (StartSession admits one session per meter, so nothing
-// else advances it), nothing is acked, and any refusal ends the session with
-// the parting 'X' frame handleConn writes. A frame of the other generation's
-// family, a sequence gap or a transport failure tears the session down.
+// The client numbers its own 'U'/'D' frames: the handshake is answered with
+// an 'A' frame carrying the meter's committed high-water mark (so a
+// reconnecting client replays only unacked batches), every committed or
+// duplicate-suppressed frame is acked with its seq, and a retryable refusal —
+// degraded storage, overload — is answered with a per-batch 'X' frame
+// (id = refused seq) that keeps the session, so the client backs off and
+// resends the same seq. A sequence gap, a frame outside the protocol
+// alphabet or a transport failure tears the session down.
 //
 // Failure isolation is the point of the structure: every store write is a
 // single shard-locked call, so an error at any point — torn frame, abrupt
@@ -86,7 +81,6 @@ func (s *Service) runSession(conn net.Conn, r io.Reader) (symbols int64, err err
 		}
 	}
 
-	sequenced := hs.Sequenced()
 	hwm := s.ingest.LastSeq(meterID)
 	var wbuf []byte
 	ack := func(seq uint64) error {
@@ -95,55 +89,36 @@ func (s *Service) runSession(conn net.Conn, r io.Reader) (symbols int64, err err
 	}
 	dec := transport.NewDecoder(r)
 	dec.SetFrameMetrics(s.met.framesIn)
-	if sequenced {
-		s.met.sequencedSessions.Inc()
-		if hwm > 0 {
-			s.met.reconnectReplays.Inc()
-			// A committed high-water mark proves a table commit (a fresh
-			// meter's first committable frame is necessarily its table), so
-			// the resumed stream may open with symbol batches.
-			dec.TableEstablished()
-		}
-		if err := ack(hwm); err != nil {
-			return 0, fmt.Errorf("server: meter %d handshake ack: %w", meterID, err)
-		}
+	if hwm > 0 {
+		s.met.reconnectReplays.Inc()
+		// A committed high-water mark proves a table commit (a fresh meter's
+		// first committable frame is necessarily its table), so the resumed
+		// stream may open with symbol batches.
+		dec.TableEstablished()
+	}
+	if err := ack(hwm); err != nil {
+		return 0, fmt.Errorf("server: meter %d handshake ack: %w", meterID, err)
 	}
 	for {
 		ev, err := dec.Next()
 		if errors.Is(err, io.EOF) {
-			// Every sensor sends 'E' before closing; a bare EOF is an abrupt
+			// Every client sends 'E' before closing; a bare EOF is an abrupt
 			// disconnect mid-stream.
 			return symbols, fmt.Errorf("server: meter %d disconnected without end frame: %w", meterID, io.ErrUnexpectedEOF)
 		}
 		if err != nil {
 			return symbols, fmt.Errorf("server: meter %d: %w", meterID, err)
 		}
-		seq := ev.Seq
-		switch ev.Type {
-		case transport.FrameEnd:
+		if ev.Type == transport.FrameEnd {
 			return symbols, nil
-		case transport.FrameTable, transport.FrameSymbol:
-			if sequenced {
-				return symbols, fmt.Errorf("server: meter %d: unsequenced frame %#x on sequenced session", meterID, ev.Type)
-			}
-			if ev.Table == nil && len(ev.Points) == 0 {
-				continue // an empty v1 batch commits nothing and spends no seq
-			}
-			hwm++
-			seq = hwm
-		default:
-			if !sequenced {
-				return symbols, fmt.Errorf("server: meter %d: sequenced frame %#x on unsequenced session", meterID, ev.Type)
-			}
 		}
-		n, dup, err := s.commit(meterID, seq, ev)
+		n, dup, err := s.commit(meterID, ev)
 		if err != nil {
-			// A refusal before anything committed keeps a sequenced session
-			// (and the client's right to resend this seq). A partial commit
-			// cannot be retried under the same seq, and a v1 session has no
-			// per-batch refusal channel: both tear down.
-			if sequenced && n == 0 && retryableRefusal(err) {
-				wbuf = transport.AppendQueryErrorFrame(wbuf[:0], seq, ingestVerdictCode(err), err.Error())
+			// A refusal before anything committed keeps the session (and the
+			// client's right to resend this seq); a partial commit cannot be
+			// retried under the same seq and tears down.
+			if n == 0 && retryableRefusal(err) {
+				wbuf = transport.AppendQueryErrorFrame(wbuf[:0], ev.Seq, ingestVerdictCode(err), err.Error())
 				if werr := s.writeFrame(conn, wbuf); werr != nil {
 					return symbols, fmt.Errorf("server: meter %d refusal write: %w", meterID, werr)
 				}
@@ -155,19 +130,17 @@ func (s *Service) runSession(conn net.Conn, r io.Reader) (symbols int64, err err
 			s.met.duplicateBatches.Inc()
 		}
 		symbols += int64(n)
-		if sequenced {
-			if err := ack(seq); err != nil {
-				return symbols, fmt.Errorf("server: meter %d ack write: %w", meterID, err)
-			}
+		if err := ack(ev.Seq); err != nil {
+			return symbols, fmt.Errorf("server: meter %d ack write: %w", meterID, err)
 		}
 	}
 }
 
-// commit writes one decoded table or symbol batch as the meter's seq-th
+// commit writes one decoded table or symbol batch as the meter's ev.Seq-th
 // frame, a batch under its shard's admission budget.
-func (s *Service) commit(meterID, seq uint64, ev transport.Event) (n int, dup bool, err error) {
+func (s *Service) commit(meterID uint64, ev transport.Event) (n int, dup bool, err error) {
 	if ev.Table != nil {
-		dup, err = s.ingest.PushTableSeq(meterID, seq, ev.Table)
+		dup, err = s.ingest.PushTableSeq(meterID, ev.Seq, ev.Table)
 		return 0, dup, err
 	}
 	cost := int64(len(ev.Points)) * pointWireCost
@@ -175,14 +148,14 @@ func (s *Service) commit(meterID, seq uint64, ev transport.Event) (n int, dup bo
 		return 0, false, err
 	}
 	start := time.Now()
-	n, dup, err = s.ingest.AppendSeq(meterID, seq, ev.Points)
+	n, dup, err = s.ingest.AppendSeq(meterID, ev.Seq, ev.Points)
 	s.met.ingestBatchLat.Since(start)
 	s.releaseIngest(meterID, cost)
 	return n, dup, err
 }
 
 // retryableRefusal reports whether an ingest error is a typed
-// nothing-was-written refusal a sequenced session survives (the client
+// nothing-was-written refusal a session survives (the client
 // resends the same seq after backoff).
 func retryableRefusal(err error) bool {
 	return errors.Is(err, ErrDegraded) || errors.Is(err, ErrOverloaded)

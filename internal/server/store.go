@@ -9,9 +9,9 @@
 // Decoder); this package owns connection lifecycle (Service), per-meter
 // decoding state (session) and the shared mutable state (Store — packed
 // block chains, see block.go; lock-free published read path, see index.go).
-// internal/query answers aggregates on top of the Store's Meter handles. A
-// Fleet driver simulates M meters streaming concurrently over real TCP for
-// load generation and benchmarks.
+// internal/query answers aggregates on top of the Store's Meter handles;
+// internal/fleet simulates M meters streaming concurrently over real TCP for
+// load generation.
 package server
 
 import (
@@ -92,9 +92,10 @@ type meterEntry struct {
 	tables   []*symbolic.Table
 	sessions int
 	active   bool
-	// seq is the committed batch-sequence high-water mark for sequenced
-	// ingest (0 = nothing committed). Guarded by the shard lock; only the
-	// meter's single live session advances it.
+	// seq is the committed batch-sequence high-water mark (0 = nothing
+	// committed) — its only copy: the durability layer reads and advances
+	// this one too (AdmitSeq, AppendPacked, RestoreSeq). Guarded by the shard
+	// lock; only the meter's single live session advances it.
 	seq uint64
 
 	blocks []block
@@ -437,6 +438,58 @@ func CheckSeq(meterID, hwm, seq uint64) (dup bool, err error) {
 	return false, nil
 }
 
+// RestoreSeq installs a recovered meter's committed high-water mark — the
+// highest seq recovery read back from the meter's logged writes.
+func (s *Store) RestoreSeq(meterID, seq uint64) {
+	sh := s.shardOf(meterID)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if e := sh.meter(meterID); e != nil {
+		e.seq = seq
+	}
+}
+
+// admit judges the meter's seq-th write in the one verdict order every
+// Ingest shares: an unknown meter, then a duplicate or gap (CheckSeq), then —
+// for a batch of n points — a missing table, then an empty batch. The caller
+// holds the shard lock.
+func (sh *shard) admit(meterID, seq uint64, batch bool, n int) (*meterEntry, bool, error) {
+	e := sh.meter(meterID)
+	if e == nil {
+		return nil, false, fmt.Errorf("%w: %d", ErrUnknownMeter, meterID)
+	}
+	if dup, err := CheckSeq(meterID, e.seq, seq); dup || err != nil {
+		return e, dup, err
+	}
+	if batch && len(e.tables) == 0 {
+		return e, false, fmt.Errorf("%w: %d", ErrNoTable, meterID)
+	}
+	if batch && n == 0 {
+		return e, false, fmt.Errorf("%w: meter %d seq %d", ErrEmptyBatch, meterID, seq)
+	}
+	return e, false, nil
+}
+
+// AdmitSeq judges the meter's seq-th write — a table, or a batch of n points
+// — without committing anything, by the verdict order PushTableSeq and
+// AppendSeq apply. It is for a caller that must log a write before it
+// commits it (the durability layer): an admitted batch also learns the
+// meter's current table epoch and symbol level, which frame its log record
+// and its later AppendPacked.
+func (s *Store) AdmitSeq(meterID, seq uint64, batch bool, n int) (epoch, level int, dup bool, err error) {
+	sh := s.shardOf(meterID)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	e, dup, err := sh.admit(meterID, seq, batch, n)
+	if dup || err != nil {
+		return 0, 0, dup, err
+	}
+	if epoch = len(e.tables) - 1; epoch >= 0 {
+		level = e.tables[epoch].Level()
+	}
+	return epoch, level, false, nil
+}
+
 // PushTableSeq is PushTable under a session sequence number: seq == hwm+1
 // commits the table and advances the mark, seq <= hwm is suppressed as a
 // duplicate (dup=true, nothing written, still to be acked), and a gap is
@@ -445,11 +498,8 @@ func (s *Store) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, erro
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.meter(meterID)
-	if e == nil {
-		return false, fmt.Errorf("%w: %d", ErrUnknownMeter, meterID)
-	}
-	if dup, err := CheckSeq(meterID, e.seq, seq); dup || err != nil {
+	e, dup, err := sh.admit(meterID, seq, false, 0)
+	if dup || err != nil {
 		return dup, err
 	}
 	e.pushTable(t, s.sink != nil)
@@ -544,7 +594,7 @@ func (sh *shard) current(meterID uint64) (*meterEntry, *symbolic.Table, error) {
 // AppendSeq commits a decoded symbol batch as the meter's seq-th write into
 // its packed block chain under the current table epoch, returning how many
 // points were stored. Duplicates and gaps are judged first (CheckSeq), then
-// a missing table, then an empty batch (ErrEmptyBatch).
+// a missing table, then an empty batch (ErrEmptyBatch) — see admit.
 //
 // The whole batch is validated against the table and packed (PackPoints)
 // before any point is committed, so a validation error never leaves a
@@ -559,18 +609,9 @@ func (s *Store) AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (int,
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.meter(meterID)
-	if e == nil {
-		return 0, false, fmt.Errorf("%w: %d", ErrUnknownMeter, meterID)
-	}
-	if dup, err := CheckSeq(meterID, e.seq, seq); dup || err != nil {
+	e, dup, err := sh.admit(meterID, seq, true, len(pts))
+	if dup || err != nil {
 		return 0, dup, err
-	}
-	if len(e.tables) == 0 {
-		return 0, false, fmt.Errorf("%w: %d", ErrNoTable, meterID)
-	}
-	if len(pts) == 0 {
-		return 0, false, fmt.Errorf("%w: meter %d seq %d", ErrEmptyBatch, meterID, seq)
 	}
 	table := e.tables[len(e.tables)-1]
 	packed, err := PackPoints(sh.pack[:0], pts, table.Level())
@@ -585,10 +626,12 @@ func (s *Store) AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (int,
 	return n, false, err
 }
 
-// AppendPacked commits a batch the caller already validated and packed at
-// the given level by PackPoints (the durability layer packs once, before it
-// logs): timestamps come from pts, symbols from packed.
-func (s *Store) AppendPacked(meterID uint64, pts []symbolic.SymbolPoint, level int, packed []byte) (int, error) {
+// AppendPacked commits, as the meter's seq-th write, a batch the caller
+// already admitted (AdmitSeq) and packed at the given level by PackPoints —
+// the durability layer packs once, before it logs: timestamps come from pts,
+// symbols from packed. Like AppendSeq it advances the high-water mark to seq
+// only once the whole batch commits.
+func (s *Store) AppendPacked(meterID, seq uint64, pts []symbolic.SymbolPoint, level int, packed []byte) (int, error) {
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -596,7 +639,11 @@ func (s *Store) AppendPacked(meterID uint64, pts []symbolic.SymbolPoint, level i
 	if err != nil {
 		return 0, err
 	}
-	return s.appendPacked(e, table, pts, level, packed)
+	n, err := s.appendPacked(e, table, pts, level, packed)
+	if err == nil {
+		e.seq = seq
+	}
+	return n, err
 }
 
 // appendPacked commits a packed batch as its maximal arithmetic runs.

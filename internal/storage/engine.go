@@ -134,24 +134,6 @@ func (r *RecoveryStats) add(o RecoveryStats) {
 	r.Replay += o.Replay
 }
 
-// meterMeta is the engine's per-meter ingest state (current epoch and symbol
-// level), used to validate and pack appends before they are logged and to
-// frame their WAL records, plus the sequenced-ingest high-water mark. Fields
-// are written only by the meter's single session goroutine (the same
-// serialization the wire protocol imposes); cross-session visibility rides
-// the store's shard lock in EndSession/StartSession.
-type meterMeta struct {
-	epoch int
-	level int
-	// seq is the highest committed session sequence number — the value a
-	// reconnecting client learns in its handshake ack. It advances only
-	// after the store commit, so an acked seq is always readable.
-	seq uint64
-	// pack is the scratch each batch is packed into, once, for both the WAL
-	// record and the store commit.
-	pack []byte
-}
-
 // Engine wraps a server.Store with the WAL + segment durability layer. It
 // implements server.Ingest, so a Service routes session writes through it
 // unchanged. Flush and Close require ingest to be quiesced (sessions
@@ -172,7 +154,12 @@ type Engine struct {
 	retiredMu sync.Mutex
 	retired   []*wal
 
-	meters sync.Map // meterID → *meterMeta
+	// packs holds each meter's batch-packing scratch (meterID → *[]byte): a
+	// batch is packed once, outside the shard lock, for both its WAL record
+	// and the store commit. Only the meter's single session goroutine uses
+	// it. Every other piece of per-meter ingest state — mark, epoch, level —
+	// lives in the store alone.
+	packs sync.Map
 
 	manMu sync.Mutex
 	man   manifest
@@ -584,15 +571,15 @@ func (e *Engine) recoverShard(shard int, segs []manifestSegment) (RecoveryStats,
 
 	// Segments holding points the log no longer reaches means the WAL was
 	// damaged or swapped — refuse rather than serve a silently shorter tail.
-	// Otherwise hand each meter its ingest state for live sessions, including
-	// the sequence high-water mark the next session's handshake ack carries.
+	// Otherwise hand each meter's sequence high-water mark — what the next
+	// session's handshake ack carries — to the store.
 	for _, m := range ids {
 		mr := meters[m]
 		if mr.skip > 0 {
 			return rs, fmt.Errorf("%w: meter %d segments hold %d points past the end of the log", ErrWALCorrupt, m, mr.skip)
 		}
-		if n := len(mr.tables); n > 0 {
-			e.meters.Store(m, &meterMeta{epoch: n - 1, level: mr.tables[n-1].Level(), seq: mr.maxSeq})
+		if len(mr.tables) > 0 {
+			e.store.RestoreSeq(m, mr.maxSeq)
 			rs.Meters++
 		}
 	}
@@ -697,15 +684,9 @@ func (e *Engine) EndSession(meterID uint64) { e.store.EndSession(meterID) }
 func (e *Engine) Reserve(meterID uint64, n int) error { return e.store.Reserve(meterID, n) }
 
 // LastSeq reports the meter's committed sequence high-water mark — 0 when
-// the meter is unknown or all of its history predates sequencing. Called by
-// the meter's session goroutine at handshake; visibility of the previous
-// session's final advance rides the store's shard lock.
-func (e *Engine) LastSeq(meterID uint64) uint64 {
-	if v, ok := e.meters.Load(meterID); ok {
-		return v.(*meterMeta).seq
-	}
-	return 0
-}
+// the meter is unknown or all of its history predates sequencing — from the
+// store, its one owner.
+func (e *Engine) LastSeq(meterID uint64) uint64 { return e.store.LastSeq(meterID) }
 
 // PushTableSeq logs the table under a session sequence number, then commits
 // it: duplicates are suppressed without touching the log, gaps refuse, and
@@ -717,40 +698,25 @@ func (e *Engine) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, err
 	if e.closed.Load() {
 		return false, ErrClosed
 	}
-	if _, ok := e.store.Meter(meterID); !ok {
-		return false, fmt.Errorf("%w: %d", server.ErrUnknownMeter, meterID)
-	}
-	if dup, err := server.CheckSeq(meterID, e.LastSeq(meterID), seq); dup || err != nil {
+	if _, _, dup, err := e.store.AdmitSeq(meterID, seq, false, 0); dup || err != nil {
 		return dup, err
 	}
 	if r := e.health.refuse.Load(); r != nil {
 		return false, r.err
 	}
-	mm, err := e.commitTable(recSeqTable, seq, meterID, t)
-	if err != nil {
+	if err := e.logTable(recSeqTable, seq, meterID, t); err != nil {
 		return false, err
 	}
-	mm.seq = seq
-	return false, nil
+	return e.store.PushTableSeq(meterID, seq, t)
 }
 
-// commitTable writes a table record, then commits the table and opens the
-// meter's next epoch. The WAL write happens first — recovery must know the
-// table that decodes every logged batch.
-func (e *Engine) commitTable(typ byte, seq, meterID uint64, t *symbolic.Table) (*meterMeta, error) {
-	if _, err := e.walAppend(e.store.ShardFor(meterID), func(w *wal) (int64, error) {
+// logTable writes a table record. It precedes the table's commit —
+// recovery must know the table that decodes every logged batch.
+func (e *Engine) logTable(typ byte, seq, meterID uint64, t *symbolic.Table) error {
+	_, err := e.walAppend(e.store.ShardFor(meterID), func(w *wal) (int64, error) {
 		return w.appendTable(typ, seq, meterID, t)
-	}); err != nil {
-		return nil, err
-	}
-	if err := e.store.PushTable(meterID, t); err != nil {
-		return nil, err
-	}
-	v, _ := e.meters.LoadOrStore(meterID, &meterMeta{epoch: -1})
-	mm := v.(*meterMeta)
-	mm.epoch++
-	mm.level = t.Level()
-	return mm, nil
+	})
+	return err
 }
 
 // AppendSeq validates the batch against the meter's current table, logs it
@@ -764,32 +730,14 @@ func (e *Engine) AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (int
 	if e.closed.Load() {
 		return 0, false, ErrClosed
 	}
-	v, ok := e.meters.Load(meterID)
-	if !ok {
-		// No ingest state: an unknown meter, or one without a table — whose
-		// mark is 0, so a resend of seq 0 is still a duplicate.
-		if _, exists := e.store.Meter(meterID); !exists {
-			return 0, false, fmt.Errorf("%w: %d", server.ErrUnknownMeter, meterID)
-		}
-		if dup, err := server.CheckSeq(meterID, 0, seq); dup || err != nil {
-			return 0, dup, err
-		}
-		return 0, false, fmt.Errorf("%w: %d", server.ErrNoTable, meterID)
-	}
-	mm := v.(*meterMeta)
-	if dup, err := server.CheckSeq(meterID, mm.seq, seq); dup || err != nil {
+	epoch, level, dup, err := e.store.AdmitSeq(meterID, seq, true, len(pts))
+	if dup || err != nil {
 		return 0, dup, err
-	}
-	if len(pts) == 0 {
-		return 0, false, fmt.Errorf("%w: meter %d seq %d", server.ErrEmptyBatch, meterID, seq)
 	}
 	if r := e.health.refuse.Load(); r != nil {
 		return 0, false, r.err
 	}
-	n, err := e.commitBatch(recSeqBatch, seq, meterID, mm, pts)
-	if err == nil {
-		mm.seq = seq
-	}
+	n, err := e.commitBatch(recSeqBatch, seq, meterID, epoch, level, pts)
 	return n, false, err
 }
 
@@ -799,18 +747,28 @@ func (e *Engine) AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (int
 // to re-apply every logged record — and the bytes the store commits are the
 // bytes the record holds, so recovery (read record, apply record) rebuilds
 // exactly what this built.
-func (e *Engine) commitBatch(typ byte, seq, meterID uint64, mm *meterMeta, pts []symbolic.SymbolPoint) (int, error) {
-	packed, err := server.PackPoints(mm.pack[:0], pts, mm.level)
-	mm.pack = packed[:0]
+func (e *Engine) commitBatch(typ byte, seq, meterID uint64, epoch, level int, pts []symbolic.SymbolPoint) (int, error) {
+	scratch := e.packScratch(meterID)
+	packed, err := server.PackPoints((*scratch)[:0], pts, level)
+	*scratch = packed[:0]
 	if err != nil {
 		return 0, err
 	}
 	if _, err := e.walAppend(e.store.ShardFor(meterID), func(w *wal) (int64, error) {
-		return w.appendBatch(typ, seq, meterID, uint32(mm.epoch), mm.level, pts, packed)
+		return w.appendBatch(typ, seq, meterID, uint32(epoch), level, pts, packed)
 	}); err != nil {
 		return 0, err
 	}
-	return e.store.AppendPacked(meterID, pts, mm.level, packed)
+	return e.store.AppendPacked(meterID, seq, pts, level, packed)
+}
+
+// packScratch returns the meter's packing scratch, creating it on first use.
+func (e *Engine) packScratch(meterID uint64) *[]byte {
+	if v, ok := e.packs.Load(meterID); ok {
+		return v.(*[]byte)
+	}
+	v, _ := e.packs.LoadOrStore(meterID, new([]byte))
+	return v.(*[]byte)
 }
 
 // walAppend writes one record through the shard's current log and, under

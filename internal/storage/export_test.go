@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"fmt"
-
 	"symmeter/internal/server"
 	"symmeter/internal/symbolic"
 )
@@ -25,14 +23,16 @@ func AppendNext(ing server.Ingest, meterID uint64, pts []symbolic.SymbolPoint) (
 // whose subject is those records use them: the golden stream, the WAL replay
 // fixtures, the legacy meters beside sequenced ones.
 func (e *Engine) PushTableLegacy(meterID uint64, t *symbolic.Table) error {
-	_, err := e.commitTable(recTable, 0, meterID, t)
-	return err
+	if err := e.logTable(recTable, 0, meterID, t); err != nil {
+		return err
+	}
+	return e.store.PushTable(meterID, t)
 }
 
 func (e *Engine) AppendLegacy(meterID uint64, pts []symbolic.SymbolPoint) (int, error) {
-	v, ok := e.meters.Load(meterID)
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", server.ErrNoTable, meterID)
+	epoch, level, _, err := e.store.AdmitSeq(meterID, e.store.LastSeq(meterID)+1, true, len(pts))
+	if err != nil {
+		return 0, err
 	}
-	return e.commitBatch(recBatch, 0, meterID, v.(*meterMeta), pts)
+	return e.commitBatch(recBatch, 0, meterID, epoch, level, pts)
 }

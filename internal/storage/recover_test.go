@@ -103,6 +103,7 @@ func buildEquivDir(t testing.TB, clean bool) string {
 		pushTable(m) // second epoch for half the meters, after the covered prefix
 	}
 	appendRange(20, 31)
+	requireOneMark(t, eng)
 	if clean {
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
@@ -111,6 +112,18 @@ func buildEquivDir(t testing.TB, clean bool) string {
 		eng.Abandon()
 	}
 	return dir
+}
+
+// requireOneMark: the engine's high-water mark and its store's are one and
+// the same for every fixture meter — the store owns it, and the engine only
+// reads it.
+func requireOneMark(t testing.TB, eng *Engine) {
+	t.Helper()
+	for _, m := range equivMeters {
+		if s, e := eng.Store().LastSeq(m), eng.LastSeq(m); s != e {
+			t.Fatalf("meter %d: store LastSeq %d, engine LastSeq %d", m, s, e)
+		}
+	}
 }
 
 // blockImage is one CollectRange view reduced to what must come back
@@ -160,7 +173,8 @@ func openAt(t testing.TB, dir string, procs int) *Engine {
 }
 
 // TestRecoverySerialEqualsParallel: one worker and four workers must rebuild
-// the same store from the same bytes — same stats, same sequence marks, and
+// the same store from the same bytes — same stats, same sequence marks (read
+// through the engine and through its store alike, live and recovered), and
 // bit-identical block chains — for crash-shaped and clean directories.
 func TestRecoverySerialEqualsParallel(t *testing.T) {
 	for _, shape := range []struct {
@@ -175,6 +189,8 @@ func TestRecoverySerialEqualsParallel(t *testing.T) {
 			parallel := openAt(t, dirB, 4)
 			defer parallel.Close()
 
+			requireOneMark(t, serial)
+			requireOneMark(t, parallel)
 			counts := func(rs RecoveryStats) RecoveryStats {
 				rs.Duration, rs.SegmentRestore, rs.WALParse, rs.Replay = 0, 0, 0, 0
 				return rs

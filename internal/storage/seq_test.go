@@ -7,12 +7,7 @@
 package storage_test
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,9 +17,6 @@ import (
 	"symmeter/internal/server"
 	"symmeter/internal/storage"
 	"symmeter/internal/symbolic"
-	"symmeter/internal/timeseries"
-	"symmeter/internal/transport"
-	"symmeter/pkg/client"
 )
 
 // TestSequencedAppendRecoversHighWaterMark: sequenced commits survive a
@@ -272,132 +264,4 @@ func TestIngestContract(t *testing.T) {
 		}
 	}
 	requireStoresEqual(t, eng.Store(), impls[0].ing.(*server.Store), []uint64{1, 2})
-}
-
-// TestLegacyStreamAdvancesMark: a v1 stream commits its frames under
-// server-assigned seqs — an empty batch spends none — so a sequenced client
-// dialing the same meter afterwards learns a mark equal to the frames the
-// stream committed and continues from it. On the in-memory store and through
-// the engine, where the mark also survives a crash.
-func TestLegacyStreamAdvancesMark(t *testing.T) {
-	for _, durable := range []bool{false, true} {
-		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := server.Config{Shards: 4}
-			var eng *storage.Engine
-			if durable {
-				eng = chaosOpen(t, dir, nil, storage.SyncOff, time.Hour)
-				cfg.Store = eng.Store()
-			}
-			svc := server.New(cfg)
-			var ing server.Ingest = svc.Store()
-			if durable {
-				svc.SetIngest(eng)
-				ing = eng
-			}
-			addr, err := svc.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer svc.Close()
-
-			// The v1 stream: a handshake, then a sensor with an empty batch
-			// after its table and a table update mid-stream. A copy of the
-			// bytes counts the frames it committed.
-			const meter = 8
-			table := chaosTable(t)
-			conn, err := net.Dial("tcp", addr.String())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := transport.WriteHandshake(conn, meter); err != nil {
-				t.Fatal(err)
-			}
-			var sent bytes.Buffer
-			w := io.MultiWriter(conn, &sent)
-			sensor, err := transport.NewSensor(w, table, 900, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			empty := make([]byte, 21)
-			empty[0] = transport.FrameSymbol
-			binary.BigEndian.PutUint64(empty[13:], 900)
-			empty, _ = symbolic.AppendPack(empty, nil)
-			binary.BigEndian.PutUint32(empty[1:5], uint32(len(empty)-5))
-			if _, err := w.Write(empty); err != nil {
-				t.Fatal(err)
-			}
-			var ts int64
-			push := func(windows int) {
-				for end := ts + int64(windows)*900; ts < end; ts += 60 {
-					if err := sensor.Push(timeseries.Point{T: ts, V: float64(ts % 4000)}); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			push(100)
-			if err := sensor.UpdateTable(table); err != nil {
-				t.Fatal(err)
-			}
-			push(40)
-			if err := sensor.Close(); err != nil {
-				t.Fatal(err)
-			}
-			conn.Close()
-			if !svc.AwaitSessions(1, 5*time.Second) {
-				t.Fatal("v1 session never completed")
-			}
-			if errs := svc.SessionErrors(); len(errs) != 0 {
-				t.Fatalf("v1 session errors: %v", errs)
-			}
-			var frames uint64
-			points := 0
-			dec := transport.NewDecoder(&sent)
-			for {
-				ev, err := dec.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ev.Type == transport.FrameEnd {
-					break
-				}
-				if ev.Table != nil || len(ev.Points) > 0 {
-					frames++
-				}
-				points += len(ev.Points)
-			}
-			if frames < 10 {
-				t.Fatalf("fixture sent only %d committable frames", frames)
-			}
-
-			s, err := client.DialSession(addr.String(), meter, client.SessionConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s.Seq() != frames {
-				t.Fatalf("handshake mark %d, want the %d frames the v1 stream committed", s.Seq(), frames)
-			}
-			syms := []symbolic.Symbol{table.Encode(1), table.Encode(2)}
-			if err := s.Append(ts+900, 900, syms); err != nil {
-				t.Fatal(err)
-			}
-			s.Close()
-			if got := ing.LastSeq(meter); got != frames+1 {
-				t.Fatalf("LastSeq after the sequenced batch: %d, want %d", got, frames+1)
-			}
-			if got := svc.Store().TotalSymbols(); got != points+len(syms) {
-				t.Fatalf("store holds %d symbols, want %d", got, points+len(syms))
-			}
-			if !durable {
-				return
-			}
-			svc.Close()
-			eng.Abandon()
-			re := chaosOpen(t, dir, nil, storage.SyncOff, time.Hour)
-			defer re.Close()
-			if got := re.LastSeq(meter); got != frames+1 {
-				t.Fatalf("recovered LastSeq: %d, want %d", got, frames+1)
-			}
-		})
-	}
 }

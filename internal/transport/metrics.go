@@ -8,8 +8,7 @@ import (
 // anything else (garbage, future revisions) lands in the "other" slot so the
 // totals still add up.
 var trackedFrames = []byte{
-	FrameHandshake, FrameTable, FrameSymbol, FrameEnd,
-	FrameSeqTable, FrameSeqSymbol, FrameAck,
+	FrameHandshake, FrameEnd, FrameSeqTable, FrameSeqSymbol, FrameAck,
 	FrameQuery, FrameResult, FrameQueryError,
 }
 

@@ -15,8 +15,8 @@ import (
 func TestFrameMetricsCounts(t *testing.T) {
 	reg := metrics.New()
 	fm := NewFrameMetrics(reg, "in")
-	fm.Observe(FrameSymbol, 100)
-	fm.Observe(FrameSymbol, 50)
+	fm.Observe(FrameSeqSymbol, 100)
+	fm.Observe(FrameSeqSymbol, 50)
 	fm.Observe(FrameQuery, 0)
 	fm.Observe('z', 10) // untracked
 	var buf bytes.Buffer
@@ -25,8 +25,8 @@ func TestFrameMetricsCounts(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		`symmeter_transport_frames_total{dir="in",type="S"} 2`,
-		`symmeter_transport_frame_bytes_total{dir="in",type="S"} 160`,
+		`symmeter_transport_frames_total{dir="in",type="D"} 2`,
+		`symmeter_transport_frame_bytes_total{dir="in",type="D"} 160`,
 		`symmeter_transport_frames_total{dir="in",type="Q"} 1`,
 		`symmeter_transport_frame_bytes_total{dir="in",type="Q"} 5`,
 		`symmeter_transport_frames_total{dir="in",type="other"} 1`,
@@ -41,7 +41,7 @@ func TestFrameMetricsCounts(t *testing.T) {
 // TestFrameMetricsNilSafe: a reader without an observer costs one branch.
 func TestFrameMetricsNilSafe(t *testing.T) {
 	var fm *FrameMetrics
-	fm.Observe(FrameSymbol, 100) // must not panic
+	fm.Observe(FrameSeqSymbol, 100) // must not panic
 }
 
 // TestFrameReaderObserves wires a FrameMetrics into a FrameReader and checks
@@ -66,10 +66,10 @@ func TestFrameReaderObserves(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, `symmeter_transport_frames_total{dir="in",type="S"} 3`) {
+	if !strings.Contains(out, `symmeter_transport_frames_total{dir="in",type="D"} 3`) {
 		t.Errorf("3 symbol frames decoded, counter disagrees:\n%s", out)
 	}
-	if !strings.Contains(out, `symmeter_transport_frames_total{dir="in",type="T"} 1`) {
+	if !strings.Contains(out, `symmeter_transport_frames_total{dir="in",type="U"} 1`) {
 		t.Errorf("table frame not counted:\n%s", out)
 	}
 	// Total observed bytes across types must equal the stream length (every
@@ -94,7 +94,7 @@ func TestFrameReaderObserves(t *testing.T) {
 func TestFrameMetricsObserveZeroAlloc(t *testing.T) {
 	fm := NewFrameMetrics(metrics.New(), "in")
 	if n := testing.AllocsPerRun(1000, func() {
-		fm.Observe(FrameSymbol, 128)
+		fm.Observe(FrameSeqSymbol, 128)
 		fm.Observe('z', 16)
 	}); n != 0 {
 		t.Fatalf("Observe allocates %v/op, want 0", n)
@@ -118,7 +118,7 @@ func TestInstrumentedDecoderZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ev.Type != FrameSymbol || len(ev.Points) == 0 {
+		if ev.Type != FrameSeqSymbol || len(ev.Points) == 0 {
 			t.Fatalf("unexpected event %c with %d points", ev.Type, len(ev.Points))
 		}
 	})

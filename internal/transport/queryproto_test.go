@@ -206,7 +206,7 @@ func TestDecodeQueryResponseMalformed(t *testing.T) {
 	if err := DecodeQueryResponse(FrameResult, []byte{1, 2, 3}, &res); !errors.Is(err, ErrBadQueryFrame) {
 		t.Fatalf("short payload: %v", err)
 	}
-	if err := DecodeQueryResponse(FrameTable, make([]byte, 16), &res); !errors.Is(err, ErrBadQueryFrame) {
+	if err := DecodeQueryResponse(FrameSeqTable, make([]byte, 16), &res); !errors.Is(err, ErrBadQueryFrame) {
 		t.Fatalf("wrong frame type: %v", err)
 	}
 
@@ -249,7 +249,7 @@ func TestFrameReader(t *testing.T) {
 	if err := writeFrame(&buf, FrameEnd, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(&buf, FrameSymbol, []byte{1, 2, 3}); err != nil {
+	if err := writeFrame(&buf, FrameSeqSymbol, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	fr := NewFrameReader(&buf)
@@ -258,7 +258,7 @@ func TestFrameReader(t *testing.T) {
 		t.Fatalf("first frame: %c %v %v", typ, payload, err)
 	}
 	typ, payload, err = fr.Next()
-	if err != nil || typ != FrameSymbol || !bytes.Equal(payload, []byte{1, 2, 3}) {
+	if err != nil || typ != FrameSeqSymbol || !bytes.Equal(payload, []byte{1, 2, 3}) {
 		t.Fatalf("second frame: %c %v %v", typ, payload, err)
 	}
 	if _, _, err := fr.Next(); !errors.Is(err, io.EOF) {

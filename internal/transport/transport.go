@@ -8,28 +8,21 @@
 // (tested over bytes.Buffer, net.Pipe and real TCP):
 //
 //	frame   = type(1) | length(uint32 BE) | payload
-//	'H'     = session handshake; must be the first frame on a multi-meter
-//	          session stream. v1: version(1) | meterID(uint64 BE).
-//	          v2: version(1) | flags(1) | meterID(uint64 BE); servers
-//	          accept both shapes.
-//	'T'     = lookup table (symbolic.MarshalTable payload)
-//	'S'     = symbol batch: firstT(int64 BE) | window(int64 BE) | packed
-//	          symbols of consecutive windows (symbolic.Pack payload)
+//	'H'     = session handshake: version(1) | flags(1) | meterID(uint64 BE);
+//	          must be the first frame of an ingest session and must set
+//	          FlagSequenced
+//	'U'     = table:  seq(uint64 BE) | lookup table (symbolic.MarshalTable)
+//	'D'     = batch:  seq(uint64 BE) | firstT(int64 BE) | window(int64 BE) |
+//	          packed symbols of consecutive windows (symbolic.AppendPack)
+//	'A'     = ack:    seq(uint64 BE) — the server's committed per-meter
+//	          high-water mark. Sent once as the handshake reply (so a
+//	          reconnecting client learns what survived) and once per
+//	          committed or duplicate-suppressed 'U'/'D' frame.
 //	'E'     = end of stream (empty payload)
 //
-// A batch holds symbols of consecutive windows only; the sensor starts a
-// new batch when a data gap breaks consecutiveness, so timestamps are
-// reconstructed exactly.
-//
-// Protocol v2 adds the sequenced, acknowledged ingest family, negotiated by
-// the FlagSequenced handshake flag (v1 streams stay one-way):
-//
-//	'U'     = sequenced table:  seq(uint64 BE) | marshaled table
-//	'D'     = sequenced batch:  seq(uint64 BE) | firstT | window | packed
-//	'A'     = ack:              seq(uint64 BE) — the server's committed
-//	          per-meter high-water mark. Sent once as the handshake reply
-//	          (so a reconnecting client learns what survived) and once per
-//	          committed or duplicate-suppressed 'U'/'D' frame.
+// A batch holds symbols of consecutive windows only; a sender starts a new
+// batch when a data gap breaks consecutiveness, so timestamps are
+// reconstructed exactly as firstT + i*window.
 //
 // Sequence numbers start at 1 and increase by exactly one per 'U'/'D'
 // frame across the meter's lifetime (not per connection). The server
@@ -40,11 +33,9 @@
 // field; the session survives them, so a client backs off and resends the
 // same seq.
 //
-// Sensor writes the v1 'T'/'S'/'E' stream; Decoder reads both families. The
+// pkg/client's Session writes this stream; Decoder reads it. The
 // aggregation service in internal/server requires the 'H' frame to route a
-// connection to its per-meter session, and commits a v1 stream's frames
-// under the next seqs after the meter's mark — the same exactly-once path a
-// v2 stream takes, minus the acks.
+// connection to its per-meter session.
 package transport
 
 import (
@@ -54,31 +45,28 @@ import (
 	"io"
 
 	"symmeter/internal/symbolic"
-	"symmeter/internal/timeseries"
 )
 
 // Frame types as they appear on the wire.
 const (
 	FrameHandshake byte = 'H'
-	FrameTable     byte = 'T'
-	FrameSymbol    byte = 'S'
 	FrameEnd       byte = 'E'
 	FrameSeqTable  byte = 'U'
 	FrameSeqSymbol byte = 'D'
 	FrameAck       byte = 'A'
 )
 
-// ProtocolVersion is the current sensor→server protocol version carried in
-// the handshake frame. v2 adds the flags byte and the sequenced ingest
-// family; servers still accept v1's flag-less handshake, and a v1 stream
-// never sees the new frames. A server refuses other versions with
-// ErrVersionMismatch rather than guessing at frame semantics.
+// ProtocolVersion is the sensor→server protocol version carried in the
+// handshake frame. A server refuses every other version — v1's flag-less,
+// unacknowledged stream included — with ErrVersionMismatch rather than
+// guessing at frame semantics.
 const ProtocolVersion byte = 2
 
-// Handshake flag bits (v2+). Unknown bits are rejected, not ignored — a
-// future revision that needs more must bump ProtocolVersion.
+// Handshake flag bits. Unknown bits are rejected, not ignored — a future
+// revision that needs more must bump ProtocolVersion.
 const (
-	// FlagSequenced requests a sequenced, acknowledged session: the server
+	// FlagSequenced marks the sequenced, acknowledged session — the only
+	// kind there is, so a handshake without it is refused: the server
 	// replies to the handshake with an 'A' frame carrying the meter's
 	// committed high-water mark and acks every 'U'/'D' frame.
 	FlagSequenced byte = 1 << 0
@@ -159,27 +147,15 @@ type Handshake struct {
 	MeterID uint64
 }
 
-// Sequenced reports whether the handshake requested a sequenced,
-// acknowledged session.
-func (hs Handshake) Sequenced() bool { return hs.Flags&FlagSequenced != 0 }
+// handshakeLen is the exact payload size of an 'H' frame:
+// version | flags | meterID.
+const handshakeLen = 10
 
-// Handshake payload sizes: v1 is version|meterID, v2 inserts a flags byte.
-const (
-	handshakeLenV1 = 9
-	handshakeLenV2 = 10
-)
-
-// WriteHandshake opens a session stream by sending the 'H' frame for the
-// given meter at the current protocol version with no flags set. It must
-// precede every other frame on a multi-meter connection.
-func WriteHandshake(w io.Writer, meterID uint64) error {
-	return WriteHandshakeFlags(w, meterID, 0)
-}
-
-// WriteHandshakeFlags is WriteHandshake with explicit v2 flag bits —
-// FlagSequenced opts the session into acknowledged, exactly-once ingest.
+// WriteHandshakeFlags opens a session stream by sending the 'H' frame for
+// the given meter at the current protocol version with the given flag bits;
+// a server admits only FlagSequenced.
 func WriteHandshakeFlags(w io.Writer, meterID uint64, flags byte) error {
-	var payload [handshakeLenV2]byte
+	var payload [handshakeLen]byte
 	payload[0] = ProtocolVersion
 	payload[1] = flags
 	binary.BigEndian.PutUint64(payload[2:], meterID)
@@ -187,10 +163,11 @@ func WriteHandshakeFlags(w io.Writer, meterID uint64, flags byte) error {
 }
 
 // ReadHandshake reads and validates the 'H' frame that must open a session
-// stream, accepting both the v1 (flag-less) and v2 shapes. Truncated or
-// mistyped frames surface as ErrBadHandshake; incompatible versions as
-// ErrVersionMismatch; unknown flag bits as ErrBadHandshake (a client that
-// needs semantics this server lacks must not be half-understood).
+// stream. Truncated, mistyped or mis-sized frames surface as
+// ErrBadHandshake; any version but ProtocolVersion — a 9-byte v1 payload
+// included — as ErrVersionMismatch; unknown flag bits, or a handshake
+// without FlagSequenced, as ErrBadHandshake (a client that needs semantics
+// this server lacks must not be half-understood).
 func ReadHandshake(r io.Reader) (Handshake, error) {
 	typ, payload, err := readFrame(r)
 	if err != nil {
@@ -200,25 +177,21 @@ func ReadHandshake(r io.Reader) (Handshake, error) {
 		return Handshake{}, fmt.Errorf("%w: got frame type %#x, want 'H'", ErrBadHandshake, typ)
 	}
 	var hs Handshake
-	switch len(payload) {
-	case handshakeLenV1:
+	if len(payload) > 0 {
 		hs.Version = payload[0]
-		hs.MeterID = binary.BigEndian.Uint64(payload[1:])
-		if hs.Version != 1 {
-			return hs, fmt.Errorf("%w: peer speaks v%d, server speaks v%d", ErrVersionMismatch, hs.Version, ProtocolVersion)
-		}
-	case handshakeLenV2:
-		hs.Version = payload[0]
-		hs.Flags = payload[1]
-		hs.MeterID = binary.BigEndian.Uint64(payload[2:])
-		if hs.Version != ProtocolVersion {
-			return hs, fmt.Errorf("%w: peer speaks v%d, server speaks v%d", ErrVersionMismatch, hs.Version, ProtocolVersion)
-		}
-		if hs.Flags&^flagsKnown != 0 {
-			return hs, fmt.Errorf("%w: unknown flag bits %#x", ErrBadHandshake, hs.Flags&^flagsKnown)
-		}
-	default:
-		return Handshake{}, fmt.Errorf("%w: payload of %d bytes, want %d or %d", ErrBadHandshake, len(payload), handshakeLenV1, handshakeLenV2)
+	}
+	if len(payload) == handshakeLen {
+		hs.Flags, hs.MeterID = payload[1], binary.BigEndian.Uint64(payload[2:])
+	}
+	switch {
+	case len(payload) > 0 && hs.Version != ProtocolVersion:
+		return hs, fmt.Errorf("%w: peer speaks v%d, server speaks v%d", ErrVersionMismatch, hs.Version, ProtocolVersion)
+	case len(payload) != handshakeLen:
+		return Handshake{}, fmt.Errorf("%w: payload of %d bytes, want %d", ErrBadHandshake, len(payload), handshakeLen)
+	case hs.Flags&^flagsKnown != 0:
+		return hs, fmt.Errorf("%w: unknown flag bits %#x", ErrBadHandshake, hs.Flags&^flagsKnown)
+	case hs.Flags&FlagSequenced == 0:
+		return hs, fmt.Errorf("%w: FlagSequenced not set", ErrBadHandshake)
 	}
 	return hs, nil
 }
@@ -246,16 +219,15 @@ func DecodeAck(payload []byte) (uint64, error) {
 
 // Event is one decoded protocol frame, as produced by Decoder.Next.
 type Event struct {
-	// Type is the frame type: FrameTable, FrameSymbol, FrameSeqTable,
-	// FrameSeqSymbol or FrameEnd.
+	// Type is the frame type: FrameSeqTable, FrameSeqSymbol or FrameEnd.
 	Type byte
-	// Seq is the batch sequence number for FrameSeqTable and FrameSeqSymbol
-	// events; zero otherwise.
+	// Seq is the frame's sequence number for FrameSeqTable and
+	// FrameSeqSymbol events; zero otherwise.
 	Seq uint64
-	// Table is set for FrameTable and FrameSeqTable events.
+	// Table is set for FrameSeqTable events.
 	Table *symbolic.Table
-	// Points is set for FrameSymbol and FrameSeqSymbol events: the batch's
-	// symbols with their reconstructed window-end timestamps. The slice
+	// Points is set for FrameSeqSymbol events: the batch's symbols with
+	// their reconstructed window-end timestamps. The slice
 	// aliases the Decoder's reusable scratch buffer and is valid only until
 	// the next call to Next; a caller that keeps the batch must copy it.
 	Points []symbolic.SymbolPoint
@@ -298,13 +270,6 @@ func (d *Decoder) Next() (Event, error) {
 		return Event{}, err
 	}
 	switch typ {
-	case FrameTable:
-		t, err := symbolic.UnmarshalTable(payload)
-		if err != nil {
-			return Event{}, fmt.Errorf("transport: bad table frame: %w", err)
-		}
-		d.tables++
-		return Event{Type: FrameTable, Table: t}, nil
 	case FrameSeqTable:
 		if len(payload) < 8 {
 			return Event{}, errors.New("transport: short sequenced table frame")
@@ -316,12 +281,6 @@ func (d *Decoder) Next() (Event, error) {
 		}
 		d.tables++
 		return Event{Type: FrameSeqTable, Seq: seq, Table: t}, nil
-	case FrameSymbol:
-		pts, err := d.decodeBatch(payload)
-		if err != nil {
-			return Event{}, err
-		}
-		return Event{Type: FrameSymbol, Points: pts}, nil
 	case FrameSeqSymbol:
 		if len(payload) < 8 {
 			return Event{}, errors.New("transport: short sequenced symbol frame")
@@ -341,8 +300,8 @@ func (d *Decoder) Next() (Event, error) {
 	}
 }
 
-// decodeBatch decodes the firstT | window | packed body shared by 'S' and
-// 'D' frames into the reusable point scratch.
+// decodeBatch decodes a 'D' frame's firstT | window | packed body into the
+// reusable point scratch.
 func (d *Decoder) decodeBatch(body []byte) ([]symbolic.SymbolPoint, error) {
 	if d.tables == 0 {
 		return nil, ErrSymbolBeforeTable
@@ -368,147 +327,4 @@ func (d *Decoder) decodeBatch(body []byte) ([]symbolic.SymbolPoint, error) {
 		pts[i] = symbolic.SymbolPoint{T: firstT + int64(i)*window, S: sym}
 	}
 	return pts, nil
-}
-
-// Sensor encodes raw measurements and streams table + symbol frames.
-type Sensor struct {
-	w         io.Writer
-	enc       *symbolic.Encoder
-	window    int64
-	batchSize int
-
-	batch       []symbolic.Symbol
-	batchFirstT int64
-	nextT       int64
-	closed      bool
-	// scratch is the reusable frame-assembly buffer: sendBatch builds the
-	// whole symbol frame (header, timestamps, packed payload) into it and
-	// issues a single Write, so steady-state streaming neither allocates
-	// nor splits a frame across two writes.
-	scratch []byte
-}
-
-// NewSensor writes the table frame and returns a streaming sensor emitting
-// one symbol per window seconds, batching up to batchSize consecutive
-// symbols per frame (default 96).
-func NewSensor(w io.Writer, table *symbolic.Table, window int64, batchSize int) (*Sensor, error) {
-	if table == nil {
-		return nil, errors.New("transport: sensor needs a table")
-	}
-	if window <= 0 {
-		return nil, errors.New("transport: window must be positive")
-	}
-	if batchSize <= 0 {
-		batchSize = 96
-	}
-	if err := writeFrame(w, FrameTable, symbolic.MarshalTable(table)); err != nil {
-		return nil, err
-	}
-	return &Sensor{
-		w:         w,
-		enc:       symbolic.NewEncoder(table, window),
-		window:    window,
-		batchSize: batchSize,
-	}, nil
-}
-
-// Push feeds one measurement; completed windows are buffered and flushed as
-// batches fill or gaps break consecutiveness.
-func (s *Sensor) Push(p timeseries.Point) error {
-	if s.closed {
-		return errors.New("transport: sensor closed")
-	}
-	sp, ok, err := s.enc.Push(p)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return nil
-	}
-	return s.buffer(sp)
-}
-
-func (s *Sensor) buffer(sp symbolic.SymbolPoint) error {
-	if len(s.batch) > 0 && sp.T != s.nextT {
-		if err := s.flushBatch(); err != nil {
-			return err
-		}
-	}
-	if len(s.batch) == 0 {
-		s.batchFirstT = sp.T
-	}
-	s.batch = append(s.batch, sp.S)
-	s.nextT = sp.T + s.window
-	if len(s.batch) >= s.batchSize {
-		return s.flushBatch()
-	}
-	return nil
-}
-
-// UpdateTable resends a new lookup table (the §2/§4 adaptive path). Pending
-// symbols encoded with the old table are flushed first.
-func (s *Sensor) UpdateTable(table *symbolic.Table) error {
-	if s.closed {
-		return errors.New("transport: sensor closed")
-	}
-	if err := s.flushBatch(); err != nil {
-		return err
-	}
-	// Encoder state: a partially filled window was encoded by the old
-	// encoder; flush it so no window straddles tables.
-	if sp, ok := s.enc.Flush(); ok {
-		if err := s.sendBatch(sp.T, []symbolic.Symbol{sp.S}); err != nil {
-			return err
-		}
-	}
-	if err := writeFrame(s.w, FrameTable, symbolic.MarshalTable(table)); err != nil {
-		return err
-	}
-	s.enc = symbolic.NewEncoder(table, s.window)
-	return nil
-}
-
-// flushBatch sends the pending batch frame, if any.
-func (s *Sensor) flushBatch() error {
-	if len(s.batch) == 0 {
-		return nil
-	}
-	err := s.sendBatch(s.batchFirstT, s.batch)
-	s.batch = s.batch[:0]
-	return err
-}
-
-func (s *Sensor) sendBatch(firstT int64, symbols []symbolic.Symbol) error {
-	// Frame layout: type(1) | length(4) | firstT(8) | window(8) | packed.
-	buf := s.scratch[:0]
-	var hdr [21]byte
-	hdr[0] = FrameSymbol
-	binary.BigEndian.PutUint64(hdr[5:13], uint64(firstT))
-	binary.BigEndian.PutUint64(hdr[13:21], uint64(s.window))
-	buf = append(buf, hdr[:]...)
-	buf, err := symbolic.AppendPack(buf, symbols)
-	if err != nil {
-		return err
-	}
-	binary.BigEndian.PutUint32(buf[1:5], uint32(len(buf)-5))
-	s.scratch = buf
-	_, err = s.w.Write(buf)
-	return err
-}
-
-// Close flushes the trailing window and batch and writes the end frame.
-func (s *Sensor) Close() error {
-	if s.closed {
-		return nil
-	}
-	if sp, ok := s.enc.Flush(); ok {
-		if err := s.buffer(sp); err != nil {
-			return err
-		}
-	}
-	if err := s.flushBatch(); err != nil {
-		return err
-	}
-	s.closed = true
-	return writeFrame(s.w, FrameEnd, nil)
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"slices"
@@ -30,8 +29,106 @@ func testTable(t *testing.T) *symbolic.Table {
 	return table
 }
 
-// decoded is a whole sensor stream read back: every table, every point, and
-// for each point the index of the table it was encoded under.
+// seqWriter writes an ingest stream the way a client session does: every
+// table and batch frame takes the meter's next sequence number.
+type seqWriter struct {
+	t   *testing.T
+	w   io.Writer
+	seq uint64
+}
+
+// frame writes typ | length | seq | body under the next seq.
+func (s *seqWriter) frame(typ byte, body []byte) {
+	s.t.Helper()
+	s.seq++
+	buf := make([]byte, 13, 13+len(body))
+	buf[0] = typ
+	binary.BigEndian.PutUint32(buf[1:5], uint32(8+len(body)))
+	binary.BigEndian.PutUint64(buf[5:13], s.seq)
+	if _, err := s.w.Write(append(buf, body...)); err != nil {
+		s.t.Fatal(err)
+	}
+}
+
+func (s *seqWriter) table(table *symbolic.Table) {
+	s.t.Helper()
+	s.frame(FrameSeqTable, symbolic.MarshalTable(table))
+}
+
+// batches writes pts as 'D' frames of at most size consecutive windows each:
+// a timestamp that does not continue the progression starts a new frame.
+func (s *seqWriter) batches(pts []symbolic.SymbolPoint, window int64, size int) {
+	s.t.Helper()
+	for len(pts) > 0 {
+		n := 1
+		for n < len(pts) && n < size && pts[n].T == pts[n-1].T+window {
+			n++
+		}
+		body := make([]byte, 16)
+		binary.BigEndian.PutUint64(body[0:8], uint64(pts[0].T))
+		binary.BigEndian.PutUint64(body[8:16], uint64(window))
+		syms := make([]symbolic.Symbol, n)
+		for i := range syms {
+			syms[i] = pts[i].S
+		}
+		body, err := symbolic.AppendPack(body, syms)
+		if err != nil {
+			s.t.Fatal(err)
+		}
+		s.frame(FrameSeqSymbol, body)
+		pts = pts[n:]
+	}
+}
+
+func (s *seqWriter) end() {
+	s.t.Helper()
+	if err := writeFrame(s.w, FrameEnd, nil); err != nil {
+		s.t.Fatal(err)
+	}
+}
+
+// encode runs raw measurements through one encoder, flushing the trailing
+// partial window.
+func encode(t *testing.T, table *symbolic.Table, window int64, raw []timeseries.Point) []symbolic.SymbolPoint {
+	t.Helper()
+	enc := symbolic.NewEncoder(table, window)
+	var out []symbolic.SymbolPoint
+	for _, p := range raw {
+		sp, ok, err := enc.Push(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			out = append(out, sp)
+		}
+	}
+	if sp, ok := enc.Flush(); ok {
+		out = append(out, sp)
+	}
+	return out
+}
+
+// ramp returns one measurement per second over [from, to) with values from
+// value.
+func ramp(from, to int64, value func(i int64) float64) []timeseries.Point {
+	var raw []timeseries.Point
+	for i := from; i < to; i++ {
+		raw = append(raw, timeseries.Point{T: i, V: value(i)})
+	}
+	return raw
+}
+
+// writeStream writes a whole single-table stream: table, batches, end.
+func writeStream(t *testing.T, w io.Writer, table *symbolic.Table, pts []symbolic.SymbolPoint, window int64, size int) {
+	t.Helper()
+	sw := &seqWriter{t: t, w: w}
+	sw.table(table)
+	sw.batches(pts, window, size)
+	sw.end()
+}
+
+// decoded is a whole stream read back: every table, every point, and for
+// each point the index of the table it was encoded under.
 type decoded struct {
 	tables  []*symbolic.Table
 	points  []symbolic.SymbolPoint
@@ -66,29 +163,10 @@ func decodeAll(r io.Reader) (decoded, error) {
 
 func TestRoundTripBuffer(t *testing.T) {
 	table := testTable(t)
-	var buf bytes.Buffer
-	sensor, err := NewSensor(&buf, table, 60, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(2))
-	var want []symbolic.SymbolPoint
-	enc := symbolic.NewEncoder(table, 60)
-	for i := int64(0); i < 600; i++ {
-		p := timeseries.Point{T: i, V: rng.Float64() * 1000}
-		if err := sensor.Push(p); err != nil {
-			t.Fatal(err)
-		}
-		if sp, ok, _ := enc.Push(p); ok {
-			want = append(want, sp)
-		}
-	}
-	if sp, ok := enc.Flush(); ok {
-		want = append(want, sp)
-	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
+	want := encode(t, table, 60, ramp(0, 600, func(int64) float64 { return rng.Float64() * 1000 }))
+	var buf bytes.Buffer
+	writeStream(t, &buf, table, want, 60, 10)
 
 	got, err := decodeAll(&buf)
 	if err != nil {
@@ -104,99 +182,6 @@ func TestRoundTripBuffer(t *testing.T) {
 		if got.points[i] != want[i] {
 			t.Fatalf("point %d = %+v, want %+v", i, got.points[i], want[i])
 		}
-	}
-}
-
-func TestGapStartsNewBatch(t *testing.T) {
-	table := testTable(t)
-	var buf bytes.Buffer
-	sensor, err := NewSensor(&buf, table, 10, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two windows, a 50-second hole, two more windows.
-	for _, ts := range []int64{0, 5, 10, 15, 70, 75, 80, 85} {
-		if err := sensor.Push(timeseries.Point{T: ts, V: 500}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Windows: [0,10) [10,20) [70,80) [80,90) → T = 10,20,80,90.
-	wantT := []int64{10, 20, 80, 90}
-	if len(got.points) != len(wantT) {
-		t.Fatalf("points = %d, want %d", len(got.points), len(wantT))
-	}
-	for i, w := range wantT {
-		if got.points[i].T != w {
-			t.Fatalf("T[%d] = %d, want %d", i, got.points[i].T, w)
-		}
-	}
-}
-
-func TestTableUpdateMidStream(t *testing.T) {
-	table := testTable(t)
-	var buf bytes.Buffer
-	sensor, err := NewSensor(&buf, table, 10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 100; i++ {
-		if err := sensor.Push(timeseries.Point{T: i, V: 100}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// New table with a different range (drifted data).
-	vals := make([]float64, 128)
-	for i := range vals {
-		vals[i] = 4000 + float64(i)*10
-	}
-	table2, err := symbolic.Learn(symbolic.MethodMedian, vals, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sensor.UpdateTable(table2); err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(100); i < 200; i++ {
-		if err := sensor.Push(timeseries.Point{T: i, V: 4500}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := decodeAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.tables) != 2 {
-		t.Fatalf("tables = %d, want 2", len(got.tables))
-	}
-	value := func(i int) float64 {
-		v, err := got.tables[got.tableAt[i]].Value(got.points[i].S)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	// Early points decode near 100, late points near 4500: the reader must
-	// apply the right table per segment.
-	if got.points[0].T != 10 {
-		t.Fatalf("first point at t=%d, want 10", got.points[0].T)
-	}
-	early, late := value(0), value(len(got.points)-1)
-	if math.Abs(early-100) > 100 {
-		t.Fatalf("early reconstruction = %v, want ~100", early)
-	}
-	if math.Abs(late-4500) > 300 {
-		t.Fatalf("late reconstruction = %v, want ~4500", late)
 	}
 }
 
@@ -216,18 +201,8 @@ func TestOverNetPipe(t *testing.T) {
 		got, err = decodeAll(srvConn)
 		done <- err
 	}()
-	sensor, err := NewSensor(client, table, 10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 200; i++ {
-		if err := sensor.Push(timeseries.Point{T: i, V: float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
+	pts := encode(t, table, 10, ramp(0, 200, func(i int64) float64 { return float64(i) }))
+	writeStream(t, client, table, pts, 10, 4)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -239,8 +214,8 @@ func TestOverNetPipe(t *testing.T) {
 func TestDecoderStreamErrors(t *testing.T) {
 	// Symbol frame before any table.
 	var buf bytes.Buffer
-	payload := make([]byte, 16)
-	if err := writeFrame(&buf, FrameSymbol, payload); err != nil {
+	payload := make([]byte, 24)
+	if err := writeFrame(&buf, FrameSeqSymbol, payload); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := decodeAll(&buf); err == nil {
@@ -256,13 +231,13 @@ func TestDecoderStreamErrors(t *testing.T) {
 	}
 	// Truncated frame.
 	buf.Reset()
-	buf.Write([]byte{FrameTable, 0, 0, 1, 0}) // claims 256 bytes, has none
+	buf.Write([]byte{FrameSeqTable, 0, 0, 1, 0}) // claims 256 bytes, has none
 	if _, err := decodeAll(&buf); err == nil {
 		t.Fatal("truncated frame should error")
 	}
 	// Oversized length field.
 	buf.Reset()
-	buf.Write([]byte{FrameTable, 0xFF, 0xFF, 0xFF, 0xFF})
+	buf.Write([]byte{FrameSeqTable, 0xFF, 0xFF, 0xFF, 0xFF})
 	if _, err := decodeAll(&buf); err == nil {
 		t.Fatal("oversized frame should error")
 	}
@@ -273,54 +248,15 @@ func TestDecoderStreamErrors(t *testing.T) {
 	}
 }
 
-func TestSensorValidation(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := NewSensor(&buf, nil, 10, 4); err == nil {
-		t.Fatal("nil table should error")
-	}
-	if _, err := NewSensor(&buf, testTable(t), 0, 4); err == nil {
-		t.Fatal("zero window should error")
-	}
-	sensor, err := NewSensor(&buf, testTable(t), 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sensor.batchSize != 96 {
-		t.Fatalf("default batch size = %d", sensor.batchSize)
-	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sensor.Push(timeseries.Point{}); err == nil {
-		t.Fatal("push after close should error")
-	}
-	if err := sensor.UpdateTable(testTable(t)); err == nil {
-		t.Fatal("update after close should error")
-	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal("double close should be a no-op")
-	}
-}
-
 func TestCorruptedPayloadSurfaces(t *testing.T) {
 	table := testTable(t)
 	var buf bytes.Buffer
-	sensor, err := NewSensor(&buf, table, 10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 100; i++ {
-		if err := sensor.Push(timeseries.Point{T: i, V: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeStream(t, &buf, table, encode(t, table, 10, ramp(0, 100, func(int64) float64 { return 1 })), 10, 4)
 	data := buf.Bytes()
-	// Flip the level byte of the table frame payload: the frame length no
-	// longer matches the declared alphabet and decoding must fail loudly.
-	data[6] ^= 0xFF
+	// Flip the level byte of the table inside the leading 'U' frame (header,
+	// then seq, then the marshaled table): the frame length no longer matches
+	// the declared alphabet and decoding must fail loudly.
+	data[5+8+1] ^= 0xFF
 	if _, err := decodeAll(bytes.NewReader(data)); err == nil {
 		t.Fatal("corrupted table frame should error")
 	}
@@ -332,7 +268,7 @@ var _ io.Writer = (*bytes.Buffer)(nil)
 
 func TestHandshakeRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteHandshake(&buf, 0xDEADBEEF); err != nil {
+	if err := WriteHandshakeFlags(&buf, 0xDEADBEEF, FlagSequenced); err != nil {
 		t.Fatal(err)
 	}
 	hs, err := ReadHandshake(&buf)
@@ -346,12 +282,8 @@ func TestHandshakeRoundTrip(t *testing.T) {
 
 func TestReadHandshakeWrongFrameType(t *testing.T) {
 	var buf bytes.Buffer
-	sensor, err := NewSensor(&buf, testTable(t), 10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = sensor
-	// The buffer starts with a 'T' frame, not 'H'.
+	(&seqWriter{t: t, w: &buf}).table(testTable(t))
+	// The buffer starts with a 'U' frame, not 'H'.
 	if _, err := ReadHandshake(&buf); !errors.Is(err, ErrBadHandshake) {
 		t.Fatalf("err = %v, want ErrBadHandshake", err)
 	}
@@ -359,7 +291,7 @@ func TestReadHandshakeWrongFrameType(t *testing.T) {
 
 func TestReadHandshakeTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteHandshake(&buf, 7); err != nil {
+	if err := WriteHandshakeFlags(&buf, 7, FlagSequenced); err != nil {
 		t.Fatal(err)
 	}
 	for cut := 1; cut < buf.Len(); cut++ {
@@ -372,7 +304,7 @@ func TestReadHandshakeTruncated(t *testing.T) {
 
 func TestReadHandshakeShortPayload(t *testing.T) {
 	var buf bytes.Buffer
-	// A well-formed frame of type 'H' whose payload is 3 bytes, not 9.
+	// A well-formed frame of type 'H' whose payload is 3 bytes, not 10.
 	buf.Write([]byte{FrameHandshake, 0, 0, 0, 3, ProtocolVersion, 0, 0})
 	if _, err := ReadHandshake(&buf); !errors.Is(err, ErrBadHandshake) {
 		t.Fatalf("err = %v, want ErrBadHandshake", err)
@@ -381,7 +313,7 @@ func TestReadHandshakeShortPayload(t *testing.T) {
 
 func TestReadHandshakeVersionMismatch(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write([]byte{FrameHandshake, 0, 0, 0, 9, ProtocolVersion + 1, 0, 0, 0, 0, 0, 0, 0, 1})
+	buf.Write([]byte{FrameHandshake, 0, 0, 0, 10, ProtocolVersion + 1, FlagSequenced, 0, 0, 0, 0, 0, 0, 0, 1})
 	hs, err := ReadHandshake(&buf)
 	if !errors.Is(err, ErrVersionMismatch) {
 		t.Fatalf("err = %v, want ErrVersionMismatch", err)
@@ -391,10 +323,42 @@ func TestReadHandshakeVersionMismatch(t *testing.T) {
 	}
 }
 
+// TestReadHandshakeRefusesV1 pins the two handshakes a v1 sensor could send:
+// its own 9-byte version|meterID shape is a version mismatch, and the 10-byte
+// shape without FlagSequenced is a bad handshake — there is no unsequenced
+// session to fall back to.
+func TestReadHandshakeRefusesV1(t *testing.T) {
+	v1 := []byte{FrameHandshake, 0, 0, 0, 9, 1, 0, 0, 0, 0, 0, 0, 0, 42}
+	if _, err := ReadHandshake(bytes.NewReader(v1)); !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("v1 handshake: err = %v, want ErrVersionMismatch", err)
+	}
+	var buf bytes.Buffer
+	if err := WriteHandshakeFlags(&buf, 42, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadHandshake(&buf); !errors.Is(err, ErrBadHandshake) {
+		t.Fatalf("flagless handshake: err = %v, want ErrBadHandshake", err)
+	}
+}
+
+// TestDecoderRefusesV1Frames: the retired 'T' table and 'S' batch frames are
+// outside the alphabet now.
+func TestDecoderRefusesV1Frames(t *testing.T) {
+	for _, typ := range []byte{'T', 'S'} {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, typ, make([]byte, 16)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewDecoder(&buf).Next(); !errors.Is(err, ErrUnknownFrame) {
+			t.Fatalf("%q frame: err = %v, want ErrUnknownFrame", typ, err)
+		}
+	}
+}
+
 func TestOversizedFrameTyped(t *testing.T) {
 	var buf bytes.Buffer
 	var hdr [5]byte
-	hdr[0] = FrameTable
+	hdr[0] = FrameSeqSymbol
 	binary.BigEndian.PutUint32(hdr[1:], MaxFrame+1)
 	buf.Write(hdr[:])
 	if _, err := NewDecoder(&buf).Next(); !errors.Is(err, ErrFrameTooLarge) {
@@ -410,19 +374,8 @@ func TestOversizedFrameTyped(t *testing.T) {
 func TestDecoderSymbolBeforeTable(t *testing.T) {
 	table := testTable(t)
 	var buf bytes.Buffer
-	sensor, err := NewSensor(&buf, table, 10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 50; i++ {
-		if err := sensor.Push(timeseries.Point{T: i, V: 100}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Skip the leading table frame so the first thing seen is 'S'.
+	writeStream(t, &buf, table, encode(t, table, 10, ramp(0, 50, func(int64) float64 { return 100 })), 10, 4)
+	// Skip the leading table frame so the first thing seen is 'D'.
 	data := buf.Bytes()
 	tableLen := binary.BigEndian.Uint32(data[1:5])
 	stream := data[5+tableLen:]
@@ -433,7 +386,7 @@ func TestDecoderSymbolBeforeTable(t *testing.T) {
 
 func TestDecoderRejectsLateHandshake(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteHandshake(&buf, 3); err != nil {
+	if err := WriteHandshakeFlags(&buf, 3, FlagSequenced); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewDecoder(&buf).Next(); !errors.Is(err, ErrBadHandshake) {
@@ -450,43 +403,22 @@ func TestDecoderUnknownFrameTyped(t *testing.T) {
 }
 
 // TestDecoderMatchesEncoder streams through a table update and requires the
-// incremental Decoder to hand back exactly what the sensor's encoders
-// produced, under the table each point was encoded with.
+// incremental Decoder to hand back exactly what the encoders produced, under
+// the table each point was encoded with.
 func TestDecoderMatchesEncoder(t *testing.T) {
-	table := testTable(t)
-	var buf bytes.Buffer
-	sensor, err := NewSensor(&buf, table, 10, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	table, table2 := testTable(t), testTable(t)
 	rng := rand.New(rand.NewSource(9))
-	var want []symbolic.SymbolPoint
-	var wantTable []int
-	enc := symbolic.NewEncoder(table, 10)
-	push := func(from, to int64, epoch int) {
-		for i := from; i < to; i++ {
-			p := timeseries.Point{T: i, V: rng.Float64() * 1000}
-			if err := sensor.Push(p); err != nil {
-				t.Fatal(err)
-			}
-			if sp, ok, _ := enc.Push(p); ok {
-				want, wantTable = append(want, sp), append(wantTable, epoch)
-			}
-		}
-		if sp, ok := enc.Flush(); ok {
-			want, wantTable = append(want, sp), append(wantTable, epoch)
-		}
-	}
-	push(0, 500, 0)
-	table2 := testTable(t)
-	if err := sensor.UpdateTable(table2); err != nil {
-		t.Fatal(err)
-	}
-	enc = symbolic.NewEncoder(table2, 10)
-	push(500, 900, 1)
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
+	noise := func(int64) float64 { return rng.Float64() * 1000 }
+	first := encode(t, table, 10, ramp(0, 500, noise))
+	second := encode(t, table2, 10, ramp(500, 900, noise))
+	var buf bytes.Buffer
+	sw := &seqWriter{t: t, w: &buf}
+	sw.table(table)
+	sw.batches(first, 10, 7)
+	sw.table(table2)
+	sw.batches(second, 10, 7)
+	sw.end()
+	want := append(slices.Clone(first), second...)
 
 	got, err := decodeAll(&buf)
 	if err != nil {
@@ -499,30 +431,27 @@ func TestDecoderMatchesEncoder(t *testing.T) {
 		t.Fatalf("decoder points = %d, encoder = %d", len(got.points), len(want))
 	}
 	for i := range want {
-		if got.points[i] != want[i] || got.tableAt[i] != wantTable[i] {
-			t.Fatalf("point %d: decoder %+v under table %d, encoder %+v under table %d", i, got.points[i], got.tableAt[i], want[i], wantTable[i])
+		wantTable := 0
+		if i >= len(first) {
+			wantTable = 1
+		}
+		if got.points[i] != want[i] || got.tableAt[i] != wantTable {
+			t.Fatalf("point %d: decoder %+v under table %d, encoder %+v under table %d", i, got.points[i], got.tableAt[i], want[i], wantTable)
 		}
 	}
 }
 
-// buildSymbolStream writes one table frame followed by `frames` identical
-// symbol batches of `batch` consecutive windows each, returning the raw
-// stream bytes.
+// buildSymbolStream writes one table frame followed by `frames` symbol
+// batches of `batch` consecutive one-second windows each and the end frame,
+// returning the raw stream bytes.
 func buildSymbolStream(t *testing.T, table *symbolic.Table, frames, batch int) []byte {
 	t.Helper()
+	pts := make([]symbolic.SymbolPoint, frames*batch)
+	for i := range pts {
+		pts[i] = symbolic.SymbolPoint{T: int64(i + 1), S: table.Encode(float64(i % 500))}
+	}
 	var buf bytes.Buffer
-	sensor, err := NewSensor(&buf, table, 1, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < frames*batch; i++ {
-		if err := sensor.Push(timeseries.Point{T: int64(i), V: float64(i % 500)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeStream(t, &buf, table, pts, 1, batch)
 	return buf.Bytes()
 }
 
@@ -545,7 +474,7 @@ func TestDecoderNextZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ev.Type != FrameSymbol || len(ev.Points) == 0 {
+		if ev.Type != FrameSeqSymbol || len(ev.Points) == 0 {
 			t.Fatalf("unexpected event %c with %d points", ev.Type, len(ev.Points))
 		}
 	})
@@ -585,50 +514,7 @@ func TestDecoderPointsReused(t *testing.T) {
 	}
 }
 
-// TestSensorSteadyStateZeroAlloc enforces the sensor-side contract: pushing
-// measurements through completed windows and batch flushes must not
-// allocate once the batch and frame scratch buffers exist.
-func TestSensorSteadyStateZeroAlloc(t *testing.T) {
-	table := testTable(t)
-	const batch = 16
-	sensor, err := NewSensor(io.Discard, table, 1, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := int64(0)
-	push := func() {
-		// One run = one full batch: batch completed windows, one flush.
-		for i := 0; i < batch; i++ {
-			if err := sensor.Push(timeseries.Point{T: next, V: float64(next % 700)}); err != nil {
-				t.Fatal(err)
-			}
-			next++
-		}
-	}
-	push() // grow scratch buffers
-	allocs := testing.AllocsPerRun(200, push)
-	if allocs != 0 {
-		t.Fatalf("steady-state Sensor.Push allocates %.1f times per run, want 0", allocs)
-	}
-}
-
-// --- Protocol v2: flags handshake, acks, sequenced frames -----------------
-
-func TestHandshakeV1StillAccepted(t *testing.T) {
-	var buf bytes.Buffer
-	payload := make([]byte, 9)
-	payload[0] = 1 // v1: version | meterID, no flags byte
-	binary.BigEndian.PutUint64(payload[1:], 42)
-	buf.Write([]byte{FrameHandshake, 0, 0, 0, 9})
-	buf.Write(payload)
-	hs, err := ReadHandshake(&buf)
-	if err != nil {
-		t.Fatalf("v1 handshake refused: %v", err)
-	}
-	if hs.Version != 1 || hs.MeterID != 42 || hs.Sequenced() {
-		t.Fatalf("hs = %+v, want v1 meter 42 unsequenced", hs)
-	}
-}
+// --- Flags handshake, acks, sequenced frames -------------------------------
 
 func TestHandshakeFlagsRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -639,7 +525,7 @@ func TestHandshakeFlagsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hs.Version != ProtocolVersion || hs.MeterID != 7 || !hs.Sequenced() {
+	if hs.Version != ProtocolVersion || hs.MeterID != 7 || hs.Flags != FlagSequenced {
 		t.Fatalf("hs = %+v, want v%d meter 7 sequenced", hs, ProtocolVersion)
 	}
 }

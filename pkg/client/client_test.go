@@ -330,6 +330,48 @@ func TestClientSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSessionAppendZeroAlloc pins the ingest round trip the way
+// TestClientSteadyStateZeroAlloc pins queries: a 96-symbol Session.Append —
+// frame assembly, the server's decode and commit into reserved capacity, its
+// ack write, the client's ack read — allocates nothing in steady state, on
+// either side of the loopback connection.
+func TestSessionAppendZeroAlloc(t *testing.T) {
+	const batch, runs = 96, 100
+	svc := server.New(server.Config{Shards: 2, ReservePoints: batch * (runs + 2)})
+	addr, err := svc.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	table, err := storeTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := client.DialSession(addr.String(), 1, client.SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.PushTable(table); err != nil {
+		t.Fatal(err)
+	}
+	syms := make([]symbolic.Symbol, batch)
+	for i := range syms {
+		syms[i] = symbolic.NewSymbol(i%table.K(), table.Level())
+	}
+	var firstT int64
+	appendBatch := func() {
+		if err := s.Append(firstT, fixtureWindow, syms); err != nil {
+			t.Fatal(err)
+		}
+		firstT += batch * fixtureWindow
+	}
+	appendBatch() // warm the session's frame buffer and the server's decoder scratch
+	if n := testing.AllocsPerRun(runs, appendBatch); n != 0 {
+		t.Fatalf("steady-state Session.Append round trip allocates %v per run, want 0", n)
+	}
+}
+
 // TestClientClosePoisons checks a closed client fails fast instead of
 // writing to a dead connection.
 func TestClientClosePoisons(t *testing.T) {
