@@ -256,17 +256,52 @@ func TestSequencedRetryableRefusalKeepsSession(t *testing.T) {
 	}
 }
 
-// TestV1ProtocolRefused: protocol v1 is retired, and each of its shapes is
-// refused with a typed error and a closed connection — a v1 handshake, a
-// flag-less v2 handshake, and a v1 'T' table or 'S' batch frame after a valid
-// handshake. None commits anything or leaves the meter's session slot held:
-// the meter still dials a sequenced session afterwards, at the mark its
-// committed frames (if any) earned.
-func TestV1ProtocolRefused(t *testing.T) {
+// TestLegacyRefusalPartingVerdict: a v1 session ends at its handshake, before
+// the ingest sees anything, and without a parting 'X' verdict — a version
+// mismatch is not retryable, so there is no typed hint to give and the
+// connection just closes. The refusing ingest behind it is first reached by
+// the sequenced session that follows: its table commits under seq 1 and its
+// batch gets the per-batch refusal.
+func TestLegacyRefusalPartingVerdict(t *testing.T) {
+	svc := New(Config{Shards: 2})
+	svc.SetIngest(&refuseOnceIngest{Store: svc.Store()})
+	addr, err := svc.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
 	table := testTable(t)
-	v1Handshake := make([]byte, 9)
-	v1Handshake[0] = 1 // v1: version | meterID, no flags byte
-	binary.BigEndian.PutUint64(v1Handshake[1:], 30)
+
+	conn := rawConn(t, addr.String())
+	writeRawFrame(t, conn, transport.FrameHandshake, 9, v1Handshake(12))
+	waitSessionErr(t, svc, transport.ErrVersionMismatch)
+	expectClosed(t, conn) // a parting frame would be read here instead
+	if _, ok := svc.Store().Snapshot(12); ok || svc.Store().LastSeq(12) != 0 {
+		t.Fatalf("refused v1 session registered the meter (mark %d)", svc.Store().LastSeq(12))
+	}
+
+	seq, fr, hwm := sequencedDial(t, addr.String(), 12)
+	if hwm != 0 {
+		t.Fatalf("handshake mark %d after a refused v1 session, want 0", hwm)
+	}
+	seq.Write(seqTableFrame(1, table))
+	expectAck(t, fr, 1)
+	seq.Write(seqBatchFrame(t, 2, 0, 60, []symbolic.Symbol{table.Encode(5)}))
+	expectRefusal(t, fr, 2, transport.ErrServerOverloaded)
+	if got := svc.Store().LastSeq(12); got != 1 {
+		t.Fatalf("LastSeq = %d, want 1 (the table)", got)
+	}
+}
+
+// TestLegacyFrameFamilyMismatch: protocol v1 is retired, and each of its
+// shapes is refused with a typed error and a closed connection — a v1
+// handshake (whatever frames follow it), a flag-less v2 handshake, and a v1
+// 'T' table or 'S' batch frame after a valid handshake. None commits anything
+// or leaves the meter's session slot held: the meter still dials a sequenced
+// session afterwards, at the mark its committed frames (if any) earned.
+func TestLegacyFrameFamilyMismatch(t *testing.T) {
+	table := testTable(t)
+	batch := seqBatchFrame(t, 2, 0, 60, []symbolic.Symbol{table.Encode(5)})
 	flagless := make([]byte, 10)
 	flagless[0] = transport.ProtocolVersion
 	binary.BigEndian.PutUint64(flagless[2:], 30)
@@ -276,9 +311,17 @@ func TestV1ProtocolRefused(t *testing.T) {
 		want     error
 		wantMark uint64 // tables committed before the refused frame
 	}{
-		{"v1 handshake", func(t *testing.T, addr string) net.Conn {
+		{"v1 then seq table", func(t *testing.T, addr string) net.Conn {
 			conn := rawConn(t, addr)
-			writeRawFrame(t, conn, transport.FrameHandshake, 9, v1Handshake)
+			writeRawFrame(t, conn, transport.FrameHandshake, 9, v1Handshake(30))
+			conn.Write(seqTableFrame(1, table))
+			return conn
+		}, transport.ErrVersionMismatch, 0},
+		{"v1 then seq batch", func(t *testing.T, addr string) net.Conn {
+			conn := rawConn(t, addr)
+			writeRawFrame(t, conn, transport.FrameHandshake, 9, v1Handshake(30))
+			conn.Write(v1Frame(seqTableFrame(1, table)))
+			conn.Write(batch)
 			return conn
 		}, transport.ErrVersionMismatch, 0},
 		{"flagless handshake", func(t *testing.T, addr string) net.Conn {
@@ -286,16 +329,16 @@ func TestV1ProtocolRefused(t *testing.T) {
 			writeRawFrame(t, conn, transport.FrameHandshake, 10, flagless)
 			return conn
 		}, transport.ErrBadHandshake, 0},
-		{"v1 table frame", func(t *testing.T, addr string) net.Conn {
+		{"v2 then v1 table", func(t *testing.T, addr string) net.Conn {
 			conn, _, _ := sequencedDial(t, addr, 30)
 			conn.Write(v1Frame(seqTableFrame(1, table)))
 			return conn
 		}, transport.ErrUnknownFrame, 0},
-		{"v1 symbol frame", func(t *testing.T, addr string) net.Conn {
+		{"v2 then v1 batch", func(t *testing.T, addr string) net.Conn {
 			conn, fr, _ := sequencedDial(t, addr, 30)
 			conn.Write(seqTableFrame(1, table))
 			expectAck(t, fr, 1)
-			conn.Write(v1Frame(seqBatchFrame(t, 2, 0, 60, []symbolic.Symbol{table.Encode(5)})))
+			conn.Write(v1Frame(batch))
 			return conn
 		}, transport.ErrUnknownFrame, 1},
 	}
@@ -320,6 +363,12 @@ func TestV1ProtocolRefused(t *testing.T) {
 			writeRawFrame(t, again, transport.FrameEnd, 0, nil)
 		})
 	}
+}
+
+// v1Handshake builds the payload of a retired v1 handshake: version 1, then
+// the meter ID, with no flags byte.
+func v1Handshake(meterID uint64) []byte {
+	return binary.BigEndian.AppendUint64([]byte{1}, meterID)
 }
 
 // v1Frame re-frames a sequenced 'U'/'D' frame as its retired v1 twin,

@@ -7,7 +7,10 @@
 package storage_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,6 +20,8 @@ import (
 	"symmeter/internal/server"
 	"symmeter/internal/storage"
 	"symmeter/internal/symbolic"
+	"symmeter/internal/transport"
+	"symmeter/pkg/client"
 )
 
 // TestSequencedAppendRecoversHighWaterMark: sequenced commits survive a
@@ -264,4 +269,102 @@ func TestIngestContract(t *testing.T) {
 		}
 	}
 	requireStoresEqual(t, eng.Store(), impls[0].ing.(*server.Store), []uint64{1, 2})
+}
+
+// TestLegacyStreamAdvancesMark: a v1 stream advances no mark. Protocol v1 is
+// retired, so the stream's handshake is refused before anything commits — the
+// 'T' table and 'S' batch frames sent right behind it included — and a
+// sequenced client dialing the same meter afterwards learns mark 0 and numbers
+// its own frames from 1. On the in-memory store and through the engine, where
+// the mark those frames earn also survives a crash.
+func TestLegacyStreamAdvancesMark(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := server.Config{Shards: 4}
+			var eng *storage.Engine
+			if durable {
+				eng = chaosOpen(t, dir, nil, storage.SyncOff, time.Hour)
+				cfg.Store = eng.Store()
+			}
+			svc := server.New(cfg)
+			var ing server.Ingest = svc.Store()
+			if durable {
+				svc.SetIngest(eng)
+				ing = eng
+			}
+			addr, err := svc.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+
+			// The v1 stream, in one write: a 9-byte handshake (version 1 |
+			// meterID), a 'T' table frame and an 'S' batch frame (firstT |
+			// window | packed symbols).
+			const meter = 8
+			table := chaosTable(t)
+			syms := []symbolic.Symbol{table.Encode(1), table.Encode(2)}
+			var stream []byte
+			frame := func(typ byte, payload []byte) {
+				stream = binary.BigEndian.AppendUint32(append(stream, typ), uint32(len(payload)))
+				stream = append(stream, payload...)
+			}
+			frame(transport.FrameHandshake, binary.BigEndian.AppendUint64([]byte{1}, meter))
+			frame('T', symbolic.MarshalTable(table))
+			batch, err := symbolic.AppendPack(binary.BigEndian.AppendUint64(make([]byte, 8), 900), syms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame('S', batch)
+			conn, err := net.Dial("tcp", addr.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(stream); err != nil {
+				t.Fatal(err)
+			}
+			if !svc.AwaitSessions(1, 5*time.Second) {
+				t.Fatal("v1 session never ended")
+			}
+			if errs := svc.SessionErrors(); len(errs) != 1 || !errors.Is(errs[0], transport.ErrVersionMismatch) {
+				t.Fatalf("v1 session errors: %v, want one version mismatch", errs)
+			}
+			if got, n := ing.LastSeq(meter), svc.Store().TotalSymbols(); got != 0 || n != 0 {
+				t.Fatalf("refused v1 stream left mark %d and %d symbols", got, n)
+			}
+
+			s, err := client.DialSession(addr.String(), meter, client.SessionConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Seq() != 0 {
+				t.Fatalf("handshake mark %d after a refused v1 stream, want 0", s.Seq())
+			}
+			if err := s.PushTable(table); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Append(0, 900, syms); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			if got := ing.LastSeq(meter); got != 2 {
+				t.Fatalf("LastSeq after the sequenced table and batch: %d, want 2", got)
+			}
+			if got := svc.Store().TotalSymbols(); got != len(syms) {
+				t.Fatalf("store holds %d symbols, want %d", got, len(syms))
+			}
+			if !durable {
+				return
+			}
+			svc.Close()
+			eng.Abandon()
+			re := chaosOpen(t, dir, nil, storage.SyncOff, time.Hour)
+			defer re.Close()
+			if got := re.LastSeq(meter); got != 2 {
+				t.Fatalf("recovered LastSeq: %d, want 2", got)
+			}
+		})
+	}
 }

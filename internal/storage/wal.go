@@ -62,9 +62,8 @@ import (
 //	'b': seq(uint64) | 'B' body — a batch committed under a session
 //	     sequence number (manifest format ≥ 3)
 //
-// Every ingest path writes 't' and 'b' — a v1 session's frames take
-// server-assigned seqs. 'T' and 'B' are what directories written before
-// sequencing hold; recovery reads them unchanged, with mark 0.
+// Every ingest path writes 't' and 'b'. 'T' and 'B' are what directories
+// written before sequencing hold; recovery reads them unchanged, with mark 0.
 //
 // Batches off the wire are arithmetic in practice (the transport already
 // reconstructs firstT + i·window), so kind 0 — 16 bytes for any batch — is
