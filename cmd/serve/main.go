@@ -327,9 +327,9 @@ func run(args []string, out io.Writer) (err error) {
 			fmt.Fprintf(out, "storage: flushed; on disk: %d WAL bytes, %d segment bytes\n", walBytes, segBytes)
 		}
 	}
-	if errs := svc.SessionErrors(); len(errs) > 0 {
-		fmt.Fprintf(out, "session errors: %d (first: %v)\n", len(errs), errs[0])
-		return fmt.Errorf("%d of %d sessions failed", len(errs), len(rep.Meters))
+	if n := svc.SessionErrorCount(); n > 0 {
+		fmt.Fprintf(out, "session errors: %d (oldest kept: %v)\n", n, svc.SessionErrors()[0])
+		return fmt.Errorf("%d of %d sessions failed", n, len(rep.Meters))
 	}
 	fmt.Fprintln(out, "session errors: 0")
 	return nil

@@ -2,7 +2,7 @@
 // 10-fold cross-validation, confusion matrices, the weighted F-measure
 // ("the weighted harmonic mean of Precision and Recall") reported in
 // Figs. 5–7 and Table 1, the MAE of Figs. 8–9, and wall-clock processing
-// time averaged over repeated runs.
+// time.
 package eval
 
 import (
@@ -224,18 +224,4 @@ func RMSE(pred, actual []float64) (float64, error) {
 		sum += d * d
 	}
 	return math.Sqrt(sum / float64(len(pred))), nil
-}
-
-// TimeAveraged runs fn `runs` times and returns the mean wall-clock
-// duration, following the paper's "timing value was computed as the average
-// over 10 runs".
-func TimeAveraged(runs int, fn func()) time.Duration {
-	if runs <= 0 {
-		runs = 1
-	}
-	start := time.Now()
-	for i := 0; i < runs; i++ {
-		fn()
-	}
-	return time.Since(start) / time.Duration(runs)
 }

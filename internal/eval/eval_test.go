@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"symmeter/internal/ml"
 	"symmeter/internal/ml/naivebayes"
@@ -191,19 +190,5 @@ func TestMAEAndRMSE(t *testing.T) {
 	}
 	if _, err := RMSE([]float64{1}, nil); err == nil {
 		t.Fatal("RMSE mismatch should error")
-	}
-}
-
-func TestTimeAveraged(t *testing.T) {
-	calls := 0
-	d := TimeAveraged(10, func() { calls++; time.Sleep(time.Microsecond) })
-	if calls != 10 {
-		t.Fatalf("calls = %d", calls)
-	}
-	if d <= 0 {
-		t.Fatal("duration must be positive")
-	}
-	if TimeAveraged(0, func() {}) < 0 {
-		t.Fatal("runs <= 0 treated as 1")
 	}
 }

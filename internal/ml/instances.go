@@ -180,14 +180,6 @@ type ProbClassifier interface {
 	PredictProba(x []float64) []float64
 }
 
-// Regressor is the interface for real-valued prediction (SVR baseline).
-type Regressor interface {
-	// FitRegression trains on (xs, ys) pairs.
-	FitRegression(xs [][]float64, ys []float64) error
-	// PredictValue returns the predicted value for a feature vector.
-	PredictValue(x []float64) float64
-}
-
 // ErrNotFitted reports prediction before training.
 var ErrNotFitted = errors.New("ml: model not fitted")
 

@@ -120,8 +120,8 @@ func TestColdQueryZeroAllocAndLockFree(t *testing.T) {
 	if !ok {
 		t.Fatal("meter unknown")
 	}
-	if m.SealedBlocks() < 3 {
-		t.Fatalf("fixture sealed only %d blocks", m.SealedBlocks())
+	if n := len(m.CollectRange(math.MinInt64, math.MaxInt64, nil, func(server.BlockView) {})); n < 3 {
+		t.Fatalf("fixture sealed only %d blocks", n)
 	}
 	tailT, ok := m.LiveTailStart()
 	if !ok {

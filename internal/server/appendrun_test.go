@@ -41,7 +41,7 @@ func (b *block) refPush(t int64, idx uint32, v float64) {
 	case 1:
 		b.stride = t - b.firstT
 	}
-	symbolic.PackSymbolAt(b.payload, int(b.level), int(b.n), idx)
+	packSymbolAt(b.payload, int(b.level), int(b.n), idx)
 	if b.hist != nil {
 		b.hist[idx]++
 	}
@@ -428,5 +428,24 @@ func TestLeadingRun(t *testing.T) {
 		if got := LeadingRun(c.pts); got != c.want {
 			t.Errorf("LeadingRun(%v) = %d, want %d", c.pts, got, c.want)
 		}
+	}
+}
+
+// packSymbolAt writes the symbol index into position pos of a headerless
+// packed payload, one bit chunk at a time — the per-point packer the
+// reference Append builds blocks with. The target bits must still be zero.
+func packSymbolAt(payload []byte, level, pos int, index uint32) {
+	bit := pos * level
+	rem := level
+	for rem > 0 {
+		byteIdx, bitIdx := bit>>3, bit&7
+		take := 8 - bitIdx
+		if take > rem {
+			take = rem
+		}
+		chunk := index >> uint(rem-take) & (1<<uint(take) - 1)
+		payload[byteIdx] |= byte(chunk << uint(8-bitIdx-take))
+		bit += take
+		rem -= take
 	}
 }

@@ -116,7 +116,7 @@ func TestCollectRangeViewsRetainable(t *testing.T) {
 
 	// Push the stream through several more seals and a table epoch change.
 	seedRegular(t, s, table, 1, 3*BlockCap, w) // continues via new session
-	if got := m.SealedBlocks(); got < 5 {
+	if got := sealedBlocks(m); got < 5 {
 		t.Fatalf("sealed blocks after second seed = %d, want >= 5", got)
 	}
 

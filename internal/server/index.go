@@ -130,19 +130,9 @@ type Meter struct {
 // ID returns the meter's identifier.
 func (m Meter) ID() uint64 { return m.e.id }
 
-// SealedBlocks returns the number of published sealed blocks.
-func (m Meter) SealedBlocks() int { return len(m.e.idx.Load().blocks) }
-
-// SealedSymbols returns the number of points in published sealed blocks.
-func (m Meter) SealedSymbols() int { return m.e.idx.Load().total }
-
 // TotalSymbols returns the meter's stored point count, tail included,
 // without locking.
 func (m Meter) TotalSymbols() int { return int(m.e.total.Load()) }
-
-// TimeOrdered reports whether the sealed chain is time-ordered, i.e. whether
-// range queries can prune via the time directory.
-func (m Meter) TimeOrdered() bool { return m.e.idx.Load().ordered }
 
 // LiveTailStart returns the first timestamp of the live (unsealed) tail
 // block; ok is false when the meter has no live tail. Queries ending at or
@@ -268,17 +258,3 @@ func viewOf(b *block, tables []*symbolic.Table) BlockView {
 		Values:  table.ReconstructionValues(),
 	}
 }
-
-// shardDir is a shard's published meter directory, swapped copy-on-write
-// under the shard lock whenever a meter registers (rare: once per meter
-// lifetime), so lookups and fleet iteration never lock. The map is fully
-// copied per registration — O(meters in this shard), which stays small
-// because shard count scales with fleet size; the list shares its backing
-// array append-only (entry pointers are stable, cells below any published
-// length are never rewritten).
-type shardDir struct {
-	meters map[uint64]*meterEntry
-	list   []Meter
-}
-
-var emptyShardDir = shardDir{}

@@ -52,3 +52,24 @@ func TestRangeBlocksMatchesLastTSearch(t *testing.T) {
 		}
 	}
 }
+
+// Assertion views of a meter's published state.
+
+func sealedBlocks(m Meter) int  { return len(m.e.idx.Load().blocks) }
+func sealedSymbols(m Meter) int { return m.e.idx.Load().total }
+func timeOrdered(m Meter) bool  { return m.e.idx.Load().ordered }
+
+// visitChain invokes fn for each non-empty block of the meter in append
+// order, under the shard read lock: the unpruned full-chain walk.
+func visitChain(s *Store, meterID uint64, fn func(BlockView)) {
+	sh := s.shardOf(meterID)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if e := sh.meter(meterID); e != nil {
+		for i := range e.blocks {
+			if e.blocks[i].n > 0 {
+				fn(e.view(&e.blocks[i]))
+			}
+		}
+	}
+}

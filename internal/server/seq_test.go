@@ -520,3 +520,34 @@ func TestWriteDeadlineReapsSlowConsumer(t *testing.T) {
 		t.Fatal("serve did not return on listener close")
 	}
 }
+
+// TestSessionErrorsBounded: a process that outlives many failed sessions
+// keeps only the latest keptSessionErrors of their errors, and counts all.
+func TestSessionErrorsBounded(t *testing.T) {
+	svc, addr := startService(t, 2)
+	const extra = 5
+	total := keptSessionErrors + extra
+	for i := 0; i < total; i++ {
+		conn, _, _ := sequencedDial(t, addr, uint64(1000+i))
+		conn.Close() // no 'E': abrupt disconnect
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for svc.SessionErrorCount() < int64(total) {
+		if time.Now().After(deadline) {
+			t.Fatalf("counted %d session errors, want %d", svc.SessionErrorCount(), total)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	errs := svc.SessionErrors()
+	if len(errs) != keptSessionErrors {
+		t.Fatalf("kept %d session errors, want %d", len(errs), keptSessionErrors)
+	}
+	for _, err := range errs {
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("kept error %v, want an abrupt disconnect", err)
+		}
+	}
+	if n := svc.SessionErrorCount(); n != int64(total) {
+		t.Fatalf("counted %d session errors, want %d", n, total)
+	}
+}

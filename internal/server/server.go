@@ -172,12 +172,15 @@ type Service struct {
 	// Stats() snapshots from the same handles the hot paths bump.
 	met *serviceMetrics
 
-	mu      sync.Mutex
-	errs    []error
-	closers map[net.Conn]struct{}
-	lns     []net.Listener
-	wg      sync.WaitGroup
-	closed  atomic.Bool
+	mu sync.Mutex
+	// errs holds the latest keptSessionErrors failed-session errors, oldest
+	// first; errCount counts every failed session.
+	errs     []error
+	errCount int64
+	closers  map[net.Conn]struct{}
+	lns      []net.Listener
+	wg       sync.WaitGroup
+	closed   atomic.Bool
 }
 
 // New returns an idle service with a fresh store (or the recovered one the
@@ -327,19 +330,36 @@ func ingestVerdictCode(err error) byte {
 	return 0
 }
 
-// SessionErrors returns the errors of every failed session so far. An
-// orderly stream contributes nothing; protocol violations and abrupt
-// disconnects each contribute one typed error.
+// keptSessionErrors bounds how many failed-session errors a Service keeps,
+// so a long-lived process under churn holds a fixed window of them.
+const keptSessionErrors = 64
+
+// SessionErrors returns the errors of the most recent failed sessions,
+// oldest first — at most keptSessionErrors of them; SessionErrorCount
+// counts all. An orderly stream contributes nothing; protocol violations
+// and abrupt disconnects each contribute one typed error.
 func (s *Service) SessionErrors() []error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]error(nil), s.errs...)
 }
 
-// recordErr appends one failed session's error.
+// SessionErrorCount returns how many sessions have failed so far.
+func (s *Service) SessionErrorCount() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.errCount
+}
+
+// recordErr records one failed session's error, dropping the oldest kept
+// one when the window is full.
 func (s *Service) recordErr(err error) {
 	s.mu.Lock()
+	if len(s.errs) == keptSessionErrors {
+		s.errs = append(s.errs[:0], s.errs[1:]...)
+	}
 	s.errs = append(s.errs, err)
+	s.errCount++
 	s.mu.Unlock()
 }
 

@@ -82,8 +82,8 @@ func TestSealSinkReceivesAndRelocates(t *testing.T) {
 	}
 	// Sink metadata must match the published views.
 	m, _ := st.Meter(1)
-	if m.SealedBlocks() != 3 {
-		t.Fatalf("published %d sealed blocks", m.SealedBlocks())
+	if sealedBlocks(m) != 3 {
+		t.Fatalf("published %d sealed blocks", sealedBlocks(m))
 	}
 	for i, sb := range sink.sealed {
 		if sb.N != BlockCap || sb.Level != table.Level() || sb.Epoch != 0 {
@@ -173,8 +173,8 @@ func TestRestoreMeterRoundTrip(t *testing.T) {
 		}
 	}
 	m, _ := re.Meter(9)
-	if m.SealedBlocks() != len(sink.sealed) || !m.TimeOrdered() {
-		t.Fatalf("restored index: %d sealed, ordered=%v", m.SealedBlocks(), m.TimeOrdered())
+	if sealedBlocks(m) != len(sink.sealed) || !timeOrdered(m) {
+		t.Fatalf("restored index: %d sealed, ordered=%v", sealedBlocks(m), timeOrdered(m))
 	}
 	// A restored meter must not hand its last sealed block out as a tail:
 	// appending a point that would extend its progression must open a new
@@ -190,8 +190,8 @@ func TestRestoreMeterValidates(t *testing.T) {
 	k := table.K()
 	good := func() SealedBlock {
 		payload := make([]byte, (2*level+7)/8)
-		symbolic.PackSymbolAt(payload, level, 0, 1)
-		symbolic.PackSymbolAt(payload, level, 1, 2)
+		packSymbolAt(payload, level, 0, 1)
+		packSymbolAt(payload, level, 1, 2)
 		hist := make([]uint32, k)
 		hist[1], hist[2] = 1, 1
 		return SealedBlock{

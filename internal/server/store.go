@@ -224,16 +224,24 @@ func (e *meterEntry) reserveLocked(n int, persist bool) {
 }
 
 // shard is one lock domain of the store. The lock serializes writers (and
-// the brief tail folds of readers); the published dir and each meter's
-// published index serve everything else without it.
+// the brief tail folds of readers); the meter index, the published meter
+// list and each meter's published index serve everything else without it.
 type shard struct {
 	mu sync.RWMutex
 	// pack is AppendSeq's packing scratch, used under mu: a batch is packed
 	// and committed inside one lock hold, so the shard's meters can share it.
 	pack []byte
-	// dir is the published meter directory, swapped copy-on-write under mu
-	// whenever a meter registers. Never nil (points at emptyShardDir).
-	dir atomic.Pointer[shardDir]
+	// meters indexes the shard's entries by ID (uint64 → *meterEntry).
+	// Loads are lock-free; a meter is stored once, under mu, when it
+	// registers, at amortised O(1) — nothing is copied per registration.
+	// Meters are never removed.
+	meters sync.Map
+	// list holds the shard's meter handles in registration order for fleet
+	// iteration, republished under mu as it grows append-only: entry
+	// pointers are stable and cells below any published length are never
+	// rewritten, so readers use a loaded slice without locking. Nil until
+	// the first meter registers.
+	list atomic.Pointer[[]Meter]
 	// queryLocks counts read-path shard-lock acquisitions (live-tail folds
 	// and nothing else) — the measured basis for the "sealed-data queries
 	// take zero locks" contract.
@@ -241,9 +249,27 @@ type shard struct {
 }
 
 // meter returns the shard's entry for the ID, or nil. Safe with or without
-// the shard lock: the lookup goes through the published directory.
+// the shard lock: the lookup never locks.
 func (sh *shard) meter(meterID uint64) *meterEntry {
-	return sh.dir.Load().meters[meterID]
+	if v, ok := sh.meters.Load(meterID); ok {
+		return v.(*meterEntry)
+	}
+	return nil
+}
+
+// register publishes a new entry to lock-free readers. Caller holds mu.
+func (sh *shard) register(e *meterEntry) {
+	list := append(sh.meterList(), Meter{e: e, sh: sh})
+	sh.list.Store(&list)
+	sh.meters.Store(e.id, e)
+}
+
+// meterList returns the published meter handles in registration order.
+func (sh *shard) meterList() []Meter {
+	if l := sh.list.Load(); l != nil {
+		return *l
+	}
+	return nil
 }
 
 // SealedBlock is the exported form of one sealed packed block — what a
@@ -301,11 +327,7 @@ func NewStore(n int) *Store {
 	if n < 1 {
 		n = 1
 	}
-	s := &Store{shards: make([]shard, n)}
-	for i := range s.shards {
-		s.shards[i].dir.Store(&emptyShardDir)
-	}
-	return s
+	return &Store{shards: make([]shard, n)}
 }
 
 // NumShards returns the shard count.
@@ -334,8 +356,7 @@ func (s *Store) shardOf(meterID uint64) *shard {
 }
 
 // Meter returns a lock-free handle to the meter's published state, and
-// whether the meter exists. The lookup reads the shard's published
-// directory — no lock is taken.
+// whether the meter exists. No lock is taken.
 func (s *Store) Meter(meterID uint64) (Meter, bool) {
 	sh := s.shardOf(meterID)
 	e := sh.meter(meterID)
@@ -349,7 +370,7 @@ func (s *Store) Meter(meterID uint64) (Meter, bool) {
 // registration order, without locking. The slice is shared and read-only;
 // callers must not mutate or retain it past the query.
 func (s *Store) ShardMeters(shardIdx int) []Meter {
-	return s.shards[shardIdx].dir.Load().list
+	return s.shards[shardIdx].meterList()
 }
 
 // QueryLockAcquisitions returns how many times the read path has taken a
@@ -378,16 +399,7 @@ func (s *Store) StartSession(meterID uint64) error {
 		e = &meterEntry{id: meterID}
 		e.idx.Store(&emptyIndex)
 		e.tailFirstT.Store(noTail)
-		// Republish the shard directory with the newcomer: the map is copied
-		// (concurrent lock-free lookups may be reading the old one), the list
-		// extends append-only.
-		old := sh.dir.Load()
-		m := make(map[uint64]*meterEntry, len(old.meters)+1)
-		for id, me := range old.meters {
-			m[id] = me
-		}
-		m[meterID] = e
-		sh.dir.Store(&shardDir{meters: m, list: append(old.list, Meter{e: e, sh: sh})})
+		sh.register(e)
 	}
 	if e.active {
 		return fmt.Errorf("%w: %d", ErrDuplicateMeter, meterID)
@@ -870,13 +882,7 @@ func (s *Store) RestoreMeter(meterID uint64, tables []*symbolic.Table, blocks []
 			ordered: ordered,
 		})
 	}
-	old := sh.dir.Load()
-	m := make(map[uint64]*meterEntry, len(old.meters)+1)
-	for id, me := range old.meters {
-		m[id] = me
-	}
-	m[meterID] = e
-	sh.dir.Store(&shardDir{meters: m, list: append(old.list, Meter{e: e, sh: sh})})
+	sh.register(e)
 	return nil
 }
 
@@ -974,29 +980,6 @@ func appendBlockPoints(dst []ReconPoint, b *block, tables []*symbolic.Table, scr
 	return dst, scratch
 }
 
-// QueryMeter invokes fn for each non-empty block of the meter in append
-// order, under the shard read lock, and reports whether the meter exists.
-// fn must be pure computation over the view — no blocking, no retaining of
-// the view's slices (see BlockView). This is the full-chain compatibility
-// walk; range queries should go through Meter.VisitRange, which reads
-// sealed data lock-free and prunes via the time directory.
-func (s *Store) QueryMeter(meterID uint64, fn func(BlockView)) bool {
-	sh := s.shardOf(meterID)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e := sh.meter(meterID)
-	if e == nil {
-		return false
-	}
-	for i := range e.blocks {
-		if e.blocks[i].n == 0 {
-			continue
-		}
-		fn(e.view(&e.blocks[i]))
-	}
-	return true
-}
-
 // view builds the visitor view for a block under the meter's live tables
 // (callers hold the shard lock).
 func (e *meterEntry) view(b *block) BlockView {
@@ -1004,12 +987,12 @@ func (e *meterEntry) view(b *block) BlockView {
 }
 
 // Meters returns the IDs of every meter the store has seen, in no
-// particular order, reading only the published shard directories — no shard
+// particular order, reading only the published meter lists — no shard
 // lock is taken.
 func (s *Store) Meters() []uint64 {
 	var ids []uint64
 	for i := range s.shards {
-		for _, m := range s.shards[i].dir.Load().list {
+		for _, m := range s.shards[i].meterList() {
 			ids = append(ids, m.ID())
 		}
 	}
@@ -1022,7 +1005,7 @@ func (s *Store) Meters() []uint64 {
 func (s *Store) TotalSymbols() int {
 	total := 0
 	for i := range s.shards {
-		for _, m := range s.shards[i].dir.Load().list {
+		for _, m := range s.shards[i].meterList() {
 			total += m.TotalSymbols()
 		}
 	}
@@ -1044,7 +1027,7 @@ func (s *Store) MemoryFootprint() (bytes, points int64) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, m := range sh.dir.Load().list {
+		for _, m := range sh.meterList() {
 			e := m.e
 			points += e.total.Load()
 			bytes += e.arenaBytes

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -304,7 +305,7 @@ func TestBlockChainShape(t *testing.T) {
 	// The visitor sees the same stream the snapshot reconstructed, and every
 	// block's summary matches a recount of its own payload.
 	var visited int
-	s.QueryMeter(3, func(v BlockView) {
+	visitChain(s, 3, func(v BlockView) {
 		visited += v.N
 		hist := make([]uint64, 1<<uint(v.Level))
 		symbolic.PackedRangeHistogram(hist, v.Payload, v.Level, 0, v.N)
@@ -436,7 +437,7 @@ func TestAdversarialTimestampOverflow(t *testing.T) {
 		}
 	}
 	visited := 0
-	s.QueryMeter(1, func(v BlockView) {
+	visitChain(s, 1, func(v BlockView) {
 		visited += v.N
 		if v.LastT() < v.FirstT {
 			t.Fatalf("block lastT %d wrapped below firstT %d", v.LastT(), v.FirstT)
@@ -479,7 +480,7 @@ func TestNegativeTimestampsFormFullBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	blocks := 0
-	s.QueryMeter(1, func(v BlockView) { blocks++ })
+	visitChain(s, 1, func(v BlockView) { blocks++ })
 	if blocks != 2 {
 		t.Fatalf("regular pre-epoch stream fragmented into %d blocks, want 2", blocks)
 	}
@@ -605,7 +606,7 @@ func TestSealedReadsLockFree(t *testing.T) {
 	if !ok {
 		t.Fatal("meter unknown")
 	}
-	if got := m.SealedBlocks(); got != 4 {
+	if got := sealedBlocks(m); got != 4 {
 		t.Fatalf("sealed blocks = %d, want 4", got)
 	}
 	tailT, ok := m.LiveTailStart()
@@ -650,7 +651,7 @@ func TestTimeDirectoryPrunes(t *testing.T) {
 	const nBlocks = 64
 	seedRegular(t, s, table, 1, nBlocks*BlockCap+10, w)
 	m, _ := s.Meter(1)
-	if !m.TimeOrdered() {
+	if !timeOrdered(m) {
 		t.Fatal("regular stream not time-ordered")
 	}
 	// One block's interior: indices inside sealed block 10.
@@ -682,7 +683,7 @@ func TestTimeDirectoryPrunes(t *testing.T) {
 	if _, err := appendNext(s, 1, []symbolic.SymbolPoint{{T: int64(nBlocks*BlockCap+20) * w, S: table.Encode(3)}}); err != nil {
 		t.Fatal(err)
 	}
-	if m.TimeOrdered() {
+	if timeOrdered(m) {
 		t.Fatal("replayed timestamps left the chain marked time-ordered")
 	}
 	got := 0
@@ -807,8 +808,42 @@ func TestConcurrentPublishStress(t *testing.T) {
 		if m.TotalSymbols() != len(st.Points) {
 			t.Fatalf("meter %d: published total %d, snapshot %d", id, m.TotalSymbols(), len(st.Points))
 		}
-		if m.SealedSymbols() > m.TotalSymbols() {
-			t.Fatalf("meter %d: sealed %d > total %d", id, m.SealedSymbols(), m.TotalSymbols())
+		if sealedSymbols(m) > m.TotalSymbols() {
+			t.Fatalf("meter %d: sealed %d > total %d", id, sealedSymbols(m), m.TotalSymbols())
 		}
+	}
+}
+
+// TestRegistrationCostFlat pins meter registration at amortised O(1): the
+// heap bytes one new meter costs (StartSession + EndSession, averaged over a
+// window of a quarter of the fleet, so every window spans the same share of
+// the meter list's growth) must not grow with the number of meters already
+// registered in the shard. A registration that copies the shard's index
+// costs eight times more at 8 192 meters than at 1 024.
+func TestRegistrationCostFlat(t *testing.T) {
+	s := NewStore(1)
+	next := uint64(0)
+	register := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := s.StartSession(next); err != nil {
+				t.Fatal(err)
+			}
+			s.EndSession(next)
+			next++
+		}
+	}
+	perMeter := func(at int) float64 {
+		register(at - int(next))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		register(at / 4)
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(at/4)
+	}
+	small := perMeter(1024)
+	large := perMeter(8192)
+	t.Logf("bytes per registration: %.0f at 1 024 meters, %.0f at 8 192", small, large)
+	if large > 2*small {
+		t.Fatalf("registration at 8 192 meters costs %.0f B, more than twice the %.0f B at 1 024", large, small)
 	}
 }

@@ -1,45 +1,6 @@
 package stats
 
-import (
-	"math"
-	"math/rand"
-)
-
-// LogNormal is a log-normal distribution: ln(X) ~ N(Mu, Sigma²).
-// The paper observes (Fig. 2) that 1 Hz smart-meter power levels follow a
-// log-normal distribution; the synthetic dataset generator draws appliance
-// load levels from it, and tests verify the generated marginals match.
-type LogNormal struct {
-	Mu, Sigma float64
-}
-
-// Rand draws one sample using the provided source.
-func (d LogNormal) Rand(rng *rand.Rand) float64 {
-	return math.Exp(d.Mu + d.Sigma*rng.NormFloat64())
-}
-
-// Mean returns E[X] = exp(mu + sigma²/2).
-func (d LogNormal) Mean() float64 { return math.Exp(d.Mu + d.Sigma*d.Sigma/2) }
-
-// Median returns exp(mu).
-func (d LogNormal) Median() float64 { return math.Exp(d.Mu) }
-
-// Quantile returns the q-quantile via the inverse normal CDF.
-func (d LogNormal) Quantile(q float64) float64 {
-	return math.Exp(d.Mu + d.Sigma*NormInv(q))
-}
-
-// FitLogNormal estimates (mu, sigma) from positive samples by the method of
-// moments on the logs. Non-positive samples are ignored.
-func FitLogNormal(xs []float64) LogNormal {
-	var logs []float64
-	for _, x := range xs {
-		if x > 0 {
-			logs = append(logs, math.Log(x))
-		}
-	}
-	return LogNormal{Mu: Mean(logs), Sigma: StdDev(logs)}
-}
+import "math"
 
 // NormInv computes the inverse of the standard normal CDF using the
 // Acklam rational approximation (relative error < 1.15e-9), refined with one
@@ -89,6 +50,3 @@ func NormInv(p float64) float64 {
 	x = x - u/(1+x*u/2)
 	return x
 }
-
-// NormCDF is the standard normal cumulative distribution function.
-func NormCDF(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }

@@ -10,9 +10,7 @@ import (
 // approximate the quantile curve, adjusted with piecewise-parabolic
 // interpolation as observations arrive.
 //
-// The symbolic pipeline uses it for sensor-side separator learning
-// (symbolic.StreamingTableBuilder): a meter cannot buffer two days of 1 Hz
-// measurements, but k-1 P² estimators need only ~5(k-1) floats.
+// The metrics package uses it for its streaming latency quantiles.
 type P2Quantile struct {
 	p float64
 	// marker heights and positions (1-based positions per the paper).

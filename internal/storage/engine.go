@@ -154,12 +154,13 @@ type Engine struct {
 	retiredMu sync.Mutex
 	retired   []*wal
 
-	// packs holds each meter's batch-packing scratch (meterID → *[]byte): a
-	// batch is packed once, outside the shard lock, for both its WAL record
-	// and the store commit. Only the meter's single session goroutine uses
-	// it. Every other piece of per-meter ingest state — mark, epoch, level —
-	// lives in the store alone.
-	packs sync.Map
+	// packs is a free list of batch-packing scratch: a batch is packed once,
+	// outside the shard lock, for both its WAL record and the store commit,
+	// and its buffer goes back once the store has copied the bytes. At most
+	// packSlots buffers are kept, so the scratch follows concurrent commits,
+	// not fleet size. Every piece of per-meter ingest state — mark, epoch,
+	// level — lives in the store alone.
+	packs chan *[]byte
 
 	manMu sync.Mutex
 	man   manifest
@@ -233,6 +234,7 @@ func Open(opts Options) (*Engine, error) {
 		store: server.NewStore(man.Shards),
 		man:   man,
 		met:   newEngineMetrics(reg),
+		packs: make(chan *[]byte, packSlots),
 	}
 	e.registerHealthMetrics()
 	e.walGen.Store(man.WALGen)
@@ -741,6 +743,11 @@ func (e *Engine) AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (int
 	return n, false, err
 }
 
+// packSlots bounds the packing scratch buffers an engine keeps for reuse:
+// enough for every commit a small host runs at once; a commit beyond it
+// packs into a fresh buffer.
+const packSlots = 64
+
 // commitBatch is the record-granular commit: validate and pack the batch
 // once, write the record, apply the record. The validation runs before the
 // log write so a rejected batch never poisons the WAL — replay must be able
@@ -748,7 +755,18 @@ func (e *Engine) AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (int
 // bytes the record holds, so recovery (read record, apply record) rebuilds
 // exactly what this built.
 func (e *Engine) commitBatch(typ byte, seq, meterID uint64, epoch, level int, pts []symbolic.SymbolPoint) (int, error) {
-	scratch := e.packScratch(meterID)
+	var scratch *[]byte
+	select {
+	case scratch = <-e.packs:
+	default:
+		scratch = new([]byte)
+	}
+	defer func() {
+		select {
+		case e.packs <- scratch:
+		default:
+		}
+	}()
 	packed, err := server.PackPoints((*scratch)[:0], pts, level)
 	*scratch = packed[:0]
 	if err != nil {
@@ -760,15 +778,6 @@ func (e *Engine) commitBatch(typ byte, seq, meterID uint64, epoch, level int, pt
 		return 0, err
 	}
 	return e.store.AppendPacked(meterID, seq, pts, level, packed)
-}
-
-// packScratch returns the meter's packing scratch, creating it on first use.
-func (e *Engine) packScratch(meterID uint64) *[]byte {
-	if v, ok := e.packs.Load(meterID); ok {
-		return v.(*[]byte)
-	}
-	v, _ := e.packs.LoadOrStore(meterID, new([]byte))
-	return v.(*[]byte)
 }
 
 // walAppend writes one record through the shard's current log and, under

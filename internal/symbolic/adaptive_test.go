@@ -64,8 +64,8 @@ func TestAdaptiveEncoderRelearnsOnDrift(t *testing.T) {
 		t.Fatalf("Updates() = %d, want %d", ae.Updates(), len(updates))
 	}
 	// The relearned table's top separator should sit far above the original.
-	origTop := table.Separators()[table.K()-2]
-	newTop := ae.Table().Separators()[ae.Table().K()-2]
+	origTop := table.separators[table.K()-2]
+	newTop := ae.Table().separators[ae.Table().K()-2]
 	if newTop <= origTop*1.5 {
 		t.Fatalf("new top separator %v not adapted above original %v", newTop, origTop)
 	}

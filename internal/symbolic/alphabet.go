@@ -44,25 +44,6 @@ func NewSymbol(index, level int) Symbol {
 	return Symbol{index: uint32(index), level: uint8(level)}
 }
 
-// ParseSymbol parses a binary string like "101" into a Symbol.
-func ParseSymbol(s string) (Symbol, error) {
-	if len(s) > MaxLevel {
-		return Symbol{}, fmt.Errorf("symbolic: symbol %q longer than %d bits", s, MaxLevel)
-	}
-	var idx uint32
-	for _, c := range s {
-		switch c {
-		case '0':
-			idx <<= 1
-		case '1':
-			idx = idx<<1 | 1
-		default:
-			return Symbol{}, fmt.Errorf("symbolic: invalid bit %q in symbol %q", c, s)
-		}
-	}
-	return Symbol{index: idx, level: uint8(len(s))}, nil
-}
-
 // Index returns the bin number within the symbol's level.
 func (s Symbol) Index() int { return int(s.index) }
 
@@ -106,10 +87,6 @@ func (s Symbol) Covers(t Symbol) bool {
 	}
 	return t.index>>uint(int(t.level)-int(s.level)) == s.index
 }
-
-// Comparable reports whether s and t are ordered by the partial order in
-// either direction (one covers the other).
-func (s Symbol) Comparable(t Symbol) bool { return s.Covers(t) || t.Covers(s) }
 
 // Refinements returns the two immediate refinements of s (one level deeper):
 // appending '0' and '1'.

@@ -22,34 +22,6 @@ func TestSymbolString(t *testing.T) {
 	}
 }
 
-func TestParseSymbolRoundTrip(t *testing.T) {
-	for _, s := range []string{"0", "1", "101", "00101", "111111"} {
-		sym, err := ParseSymbol(s)
-		if err != nil {
-			t.Fatalf("ParseSymbol(%q): %v", s, err)
-		}
-		if sym.String() != s {
-			t.Fatalf("round trip %q -> %q", s, sym.String())
-		}
-	}
-}
-
-func TestParseSymbolErrors(t *testing.T) {
-	if _, err := ParseSymbol("012"); err == nil {
-		t.Fatal("expected error on invalid bit")
-	}
-	long := make([]byte, MaxLevel+1)
-	for i := range long {
-		long[i] = '0'
-	}
-	if _, err := ParseSymbol(string(long)); err == nil {
-		t.Fatal("expected error on too-long symbol")
-	}
-	if s, err := ParseSymbol(""); err != nil || s.Level() != 0 {
-		t.Fatalf("empty symbol: %v %v", s, err)
-	}
-}
-
 func TestNewSymbolPanics(t *testing.T) {
 	for _, bad := range []func(){
 		func() { NewSymbol(2, 1) },
@@ -69,7 +41,7 @@ func TestNewSymbolPanics(t *testing.T) {
 }
 
 func TestCoarsenKeepsLeadingBits(t *testing.T) {
-	s, _ := ParseSymbol("101")
+	s := NewSymbol(5, 3)
 	c, err := s.Coarsen(1)
 	if err != nil {
 		t.Fatal(err)
@@ -90,11 +62,11 @@ func TestCoarsenKeepsLeadingBits(t *testing.T) {
 }
 
 func TestCoversPartialOrder(t *testing.T) {
-	s0, _ := ParseSymbol("0")
-	s01, _ := ParseSymbol("01")
-	s00, _ := ParseSymbol("00")
-	s1, _ := ParseSymbol("1")
-	s101, _ := ParseSymbol("101")
+	s0 := NewSymbol(0, 1)
+	s01 := NewSymbol(1, 2)
+	s00 := NewSymbol(0, 2)
+	s1 := NewSymbol(1, 1)
+	s101 := NewSymbol(5, 3)
 
 	// The paper: "'0' being equal to '01', '00' and so on".
 	if !s0.Covers(s01) || !s0.Covers(s00) {
@@ -112,13 +84,10 @@ func TestCoversPartialOrder(t *testing.T) {
 	if !s0.Covers(s0) {
 		t.Fatal("Covers must be reflexive")
 	}
-	if !s0.Comparable(s01) || !s01.Comparable(s0) || s00.Comparable(s01) {
-		t.Fatal("Comparable symmetry/incomparability wrong")
-	}
 }
 
 func TestRefinements(t *testing.T) {
-	s, _ := ParseSymbol("10")
+	s := NewSymbol(2, 2)
 	lo, hi := s.Refinements()
 	if lo.String() != "100" || hi.String() != "101" {
 		t.Fatalf("Refinements = %q,%q", lo.String(), hi.String())

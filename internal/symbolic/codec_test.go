@@ -159,11 +159,11 @@ func TestMarshalTableRoundTrip(t *testing.T) {
 	if got.K() != tab.K() || got.Method() != tab.Method() {
 		t.Fatalf("k/method mismatch: %v vs %v", got, tab)
 	}
-	if !reflect.DeepEqual(got.Separators(), tab.Separators()) {
-		t.Fatalf("separators: %v vs %v", got.Separators(), tab.Separators())
+	if !reflect.DeepEqual(got.separators, tab.separators) {
+		t.Fatalf("separators: %v vs %v", got.separators, tab.separators)
 	}
-	gmin, gmax := got.Range()
-	tmin, tmax := tab.Range()
+	gmin, gmax := got.min, got.max
+	tmin, tmax := tab.min, tab.max
 	if gmin != tmin || gmax != tmax {
 		t.Fatal("range mismatch")
 	}

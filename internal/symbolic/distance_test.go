@@ -9,7 +9,15 @@ import (
 
 func symsOf(t *testing.T, tab *Table, vals ...float64) []Symbol {
 	t.Helper()
-	return tab.EncodeAll(vals)
+	return encodeAll(tab, vals)
+}
+
+func encodeAll(tab *Table, vals []float64) []Symbol {
+	out := make([]Symbol, len(vals))
+	for i, v := range vals {
+		out[i] = tab.Encode(v)
+	}
+	return out
 }
 
 func TestHammingBasics(t *testing.T) {
@@ -71,7 +79,7 @@ func TestValueDistanceLowerBound(t *testing.T) {
 			a[i] = rng.Float64() * 1000
 			b[i] = rng.Float64() * 1000
 		}
-		d, err := ValueDistance(tab, tab.EncodeAll(a), tab.EncodeAll(b))
+		d, err := ValueDistance(tab, encodeAll(tab, a), encodeAll(tab, b))
 		if err != nil {
 			return false
 		}
@@ -105,7 +113,7 @@ func TestDistanceAxioms(t *testing.T) {
 			a[i] = rng.Float64() * 100
 			b[i] = rng.Float64() * 100
 		}
-		sa, sb := tab.EncodeAll(a), tab.EncodeAll(b)
+		sa, sb := encodeAll(tab, a), encodeAll(tab, b)
 		h1, _ := Hamming(sa, sb)
 		h2, _ := Hamming(sb, sa)
 		v1, _ := ValueDistance(tab, sa, sb)

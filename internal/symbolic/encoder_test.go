@@ -188,7 +188,7 @@ func TestTableBuilder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab2.Separators()[2] <= tab.Separators()[2] {
+	if tab2.separators[2] <= tab.separators[2] {
 		t.Fatal("refreshed table should reflect the new high value")
 	}
 }

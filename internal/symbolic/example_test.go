@@ -37,7 +37,7 @@ func Example() {
 // Symbols form a refinement hierarchy: coarsening keeps leading bits, and a
 // coarse symbol covers all its refinements (the paper's partial order).
 func ExampleSymbol_Coarsen() {
-	s, _ := symbolic.ParseSymbol("101")
+	s := symbolic.NewSymbol(5, 3)
 	c, _ := s.Coarsen(1)
 	fmt.Println(c)
 	fmt.Println(c.Covers(s))

@@ -59,20 +59,6 @@ func (ss *SymbolSeries) Reconstruct() (*timeseries.Series, error) {
 	return &timeseries.Series{Name: ss.Name + "/reconstructed", Points: pts}, nil
 }
 
-// Centers maps each symbol to the center of its range — the forecasting
-// semantics of §3.2.
-func (ss *SymbolSeries) Centers() (*timeseries.Series, error) {
-	pts := make([]timeseries.Point, len(ss.Points))
-	for i, p := range ss.Points {
-		v, err := ss.Table.Center(p.S)
-		if err != nil {
-			return nil, fmt.Errorf("symbolic: center of point %d: %w", i, err)
-		}
-		pts[i] = timeseries.Point{T: p.T, V: v}
-	}
-	return &timeseries.Series{Name: ss.Name + "/centers", Points: pts}, nil
-}
-
 // Coarsen converts the symbolic series to a smaller alphabet k2 by
 // truncating symbols and deriving the coarse lookup table — the §4
 // flexibility claim ("higher resolution symbols can easily be converted to

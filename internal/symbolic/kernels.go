@@ -16,28 +16,9 @@ import (
 //
 // For the byte-aligned levels (1, 2 and 4 — the paper's k=2/4/16 tables) the
 // kernels work a 64-bit word at a time with per-byte lookup tables: one
-// uint64 load yields 8 payload bytes = 16 level-4 symbols, histogrammed or
-// summed without ever unpacking a symbol. Other levels fall back to the
+// uint64 load yields 8 payload bytes = 16 level-4 symbols, histogrammed
+// without ever unpacking a symbol. Other levels fall back to the
 // shift-accumulator walk the codec uses, which still touches only integers.
-
-// PackSymbolAt writes the symbol index into position pos of a headerless
-// packed payload. The target bits must still be zero (the block store's
-// payloads are append-only, so every position is written exactly once).
-func PackSymbolAt(payload []byte, level, pos int, index uint32) {
-	bit := pos * level
-	rem := level
-	for rem > 0 {
-		byteIdx, bitIdx := bit>>3, bit&7
-		take := 8 - bitIdx
-		if take > rem {
-			take = rem
-		}
-		chunk := index >> uint(rem-take) & (1<<uint(take) - 1)
-		payload[byteIdx] |= byte(chunk << uint(8-bitIdx-take))
-		bit += take
-		rem -= take
-	}
-}
 
 // PackedSymbolAt reads the symbol index at position pos of a headerless
 // packed payload.
@@ -240,25 +221,4 @@ func PackedRangeHistogram(hist []uint64, payload []byte, level, start, end int) 
 func PackedRangeAggregate(values []float64, payload []byte, level, start, end int) (sum, minV, maxV float64) {
 	first := values[PackedSymbolAt(payload, level, start)]
 	return PackedRangeFold(values, nil, payload, level, start, end, 0, first, first)
-}
-
-// PackedRangeSumLUT sums values over positions [start, end) of a headerless
-// packed payload using a per-byte partial-sum table (Table.ByteSums): one
-// table lookup covers a whole byte — 8, 4 or 2 symbols at levels 1, 2 and 4
-// — so a 64-bit word's worth of payload costs 8 float adds regardless of
-// level. Unaligned edge symbols are resolved through values. Only valid for
-// levels 1, 2 and 4.
-func PackedRangeSumLUT(byteSums, values []float64, payload []byte, level, start, end int) float64 {
-	spb := 8 / level // symbols per byte
-	var sum float64
-	for ; start < end && start%spb != 0; start++ {
-		sum += values[PackedSymbolAt(payload, level, start)]
-	}
-	for ; end > start && end%spb != 0; end-- {
-		sum += values[PackedSymbolAt(payload, level, end-1)]
-	}
-	for _, b := range payload[start/spb : end/spb] {
-		sum += byteSums[b]
-	}
-	return sum
 }

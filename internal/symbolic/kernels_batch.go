@@ -30,34 +30,6 @@ func PackedRangeHistogramBatch(hist []uint64, level int, spans []PackedSpan) {
 	}
 }
 
-// PackedRangeAggregateBatch folds every span into (count, sum, min, max)
-// over values[idx]. It is the batch fold for levels too fine-grained for a
-// histogram; values must have 1<<level entries. count is 0 when every span
-// is empty, and minV/maxV are then meaningless.
-func PackedRangeAggregateBatch(values []float64, level int, spans []PackedSpan) (count uint64, sum, minV, maxV float64) {
-	first := true
-	for _, sp := range spans {
-		if sp.Start >= sp.End {
-			continue
-		}
-		s, lo, hi := PackedRangeAggregate(values, sp.Payload, level, sp.Start, sp.End)
-		count += uint64(sp.End - sp.Start)
-		sum += s
-		if first {
-			minV, maxV = lo, hi
-			first = false
-			continue
-		}
-		if lo < minV {
-			minV = lo
-		}
-		if hi > maxV {
-			maxV = hi
-		}
-	}
-	return count, sum, minV, maxV
-}
-
 // HistogramAggregate derives (count, sum, min, max) over values from an
 // integer histogram: sum is the histogram–value dot product, extremes scan
 // the values of occupied bins (no monotonicity of values is assumed). This

@@ -1,7 +1,6 @@
 package symbolic
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -56,43 +55,6 @@ func TestPackedRangeHistogramBatch(t *testing.T) {
 	PackedRangeHistogramBatch(hist, 1, nil)
 	if hist[0] != 7 || hist[1] != 7 {
 		t.Fatalf("empty batch modified hist: %v", hist)
-	}
-}
-
-func TestPackedRangeAggregateBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for _, level := range []int{2, 4, 9, 14} {
-		spans, flat := batchFixture(t, rng, level, 5)
-		k := 1 << uint(level)
-		values := make([]float64, k)
-		for i := range values {
-			values[i] = rng.NormFloat64() * 10
-		}
-		count, sum, minV, maxV := PackedRangeAggregateBatch(values, level, spans)
-		if count != uint64(len(flat)) {
-			t.Fatalf("level %d: count = %d, want %d", level, count, len(flat))
-		}
-		if len(flat) == 0 {
-			continue
-		}
-		var wantSum float64
-		wantMin, wantMax := math.Inf(1), math.Inf(-1)
-		for _, idx := range flat {
-			v := values[idx]
-			wantSum += v
-			wantMin = math.Min(wantMin, v)
-			wantMax = math.Max(wantMax, v)
-		}
-		if minV != wantMin || maxV != wantMax {
-			t.Fatalf("level %d: min/max = %v/%v, want %v/%v", level, minV, maxV, wantMin, wantMax)
-		}
-		if math.Abs(sum-wantSum) > 1e-9*(1+math.Abs(wantSum)) {
-			t.Fatalf("level %d: sum = %v, want %v", level, sum, wantSum)
-		}
-	}
-	// All-empty batch: count 0.
-	if c, s, _, _ := PackedRangeAggregateBatch(make([]float64, 4), 2, []PackedSpan{{Payload: []byte{0xFF}, Start: 2, End: 2}}); c != 0 || s != 0 {
-		t.Fatalf("empty batch: count %d sum %v, want 0 0", c, s)
 	}
 }
 

@@ -1,9 +1,6 @@
 package symbolic
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // Kernel dispatch.
 //
@@ -23,10 +20,10 @@ import (
 // integer intermediates are required to be identical, and the float folds
 // that consume them are literally the same code.
 //
-// SetKernelPath exists for tests and benchmarks: the differential fuzz runs
-// every input through "scalar" and the native path and requires bit-equal
-// results, and BenchmarkKernels times both so the SIMD win is read against
-// a same-run scalar twin.
+// The tests switch paths through SetKernelPath (export_test.go): the
+// differential fuzz runs every input through "scalar" and the native path and
+// requires bit-equal results, and BenchmarkKernels times both so the SIMD win
+// is read against a same-run scalar twin.
 
 var (
 	// useHistL4 etc. gate the native fast paths; all false means scalar.
@@ -50,7 +47,7 @@ var (
 	// or missing CPU features).
 	nativePath string
 	// enableNative re-installs the native dispatch state; set alongside
-	// nativePath by the arch init.
+	// nativePath by the arch init, called when a test switches back.
 	enableNative func()
 
 	kernelMu   sync.Mutex
@@ -63,34 +60,4 @@ func KernelPath() string {
 	kernelMu.Lock()
 	defer kernelMu.Unlock()
 	return activePath
-}
-
-// KernelPaths returns every dispatch path this binary supports on this CPU,
-// scalar first. A binary built with the noasm tag, or running on hardware
-// without the required features, reports only "scalar".
-func KernelPaths() []string {
-	if nativePath != "" {
-		return []string{"scalar", nativePath}
-	}
-	return []string{"scalar"}
-}
-
-// SetKernelPath forces the kernel dispatch to the named path: "scalar" is
-// always accepted; the native path only when the binary and CPU support it
-// (see KernelPaths). It exists so tests and benchmarks can run both tiers on
-// one machine; it must not be called concurrently with running kernels.
-func SetKernelPath(path string) error {
-	kernelMu.Lock()
-	defer kernelMu.Unlock()
-	switch {
-	case path == "scalar":
-		useHistL4, useUnpackL4, usePackL4 = false, false, false
-		histL4Stride, unpackL4Stride, packL4Stride = 1, 1, 1
-	case path == nativePath && nativePath != "":
-		enableNative()
-	default:
-		return fmt.Errorf("symbolic: kernel path %q not available (have %v)", path, KernelPaths())
-	}
-	activePath = path
-	return nil
 }

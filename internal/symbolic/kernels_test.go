@@ -122,43 +122,6 @@ func TestPackedRangeAggregateDifferential(t *testing.T) {
 	}
 }
 
-// TestPackedRangeSumLUTDifferential checks the per-byte LUT sum kernel
-// against the general aggregate walk on the byte-aligned levels.
-func TestPackedRangeSumLUTDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, level := range []int{1, 2, 4} {
-		k := 1 << uint(level)
-		values := make([]float64, k)
-		byteSums := make([]float64, 256)
-		for i := range values {
-			values[i] = float64(i*i) + 0.25
-		}
-		spb := 8 / level
-		mask := 1<<uint(level) - 1
-		for b := 0; b < 256; b++ {
-			for j := 0; j < spb; j++ {
-				byteSums[b] += values[b>>uint(8-(j+1)*level)&mask]
-			}
-		}
-		const n = 413
-		payload, idxs := packPayload(t, rng, n, level)
-		for i := 0; i < 50; i++ {
-			a, b := rng.Intn(n+1), rng.Intn(n+1)
-			if a > b {
-				a, b = b, a
-			}
-			got := PackedRangeSumLUT(byteSums, values, payload, level, a, b)
-			var want float64
-			for _, idx := range idxs[a:b] {
-				want += values[idx]
-			}
-			if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-				t.Fatalf("level %d [%d,%d): LUT sum = %v, want %v", level, a, b, got, want)
-			}
-		}
-	}
-}
-
 // TestAppendUnpackRange checks range unpacking against the recorded indices.
 func TestAppendUnpackRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
@@ -179,56 +142,15 @@ func TestAppendUnpackRange(t *testing.T) {
 	}
 }
 
-// TestTableByteSums pins the per-table LUT to the reconstruction values and
-// its absence at non-byte-aligned levels.
-func TestTableByteSums(t *testing.T) {
-	vals := make([]float64, 2048)
-	rng := rand.New(rand.NewSource(23))
-	for i := range vals {
-		vals[i] = rng.Float64() * 500
-	}
-	for _, k := range []int{2, 4, 16} {
-		table, err := Learn(MethodMedian, vals, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bs := table.ByteSums()
-		if bs == nil {
-			t.Fatalf("k=%d: no byte sums", k)
-		}
-		level := table.Level()
-		spb := 8 / level
-		values := table.ReconstructionValues()
-		for _, b := range []int{0, 1, 0x5A, 0xFF} {
-			var want float64
-			for j := 0; j < spb; j++ {
-				want += values[b>>uint(8-(j+1)*level)&(1<<uint(level)-1)]
-			}
-			if math.Abs(bs[b]-want) > 1e-12 {
-				t.Fatalf("k=%d byteSums[%#x] = %v, want %v", k, b, bs[b], want)
-			}
-		}
-	}
-	t8, err := Learn(MethodMedian, vals, 8) // level 3: not byte aligned
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t8.ByteSums() != nil {
-		t.Fatal("level-3 table should have no byte-sum LUT")
-	}
-}
-
-// TestKernelsZeroAlloc pins the LUT edge-block kernels to zero allocations —
-// the query path's contract.
+// TestKernelsZeroAlloc pins the edge-block kernels to zero allocations — the
+// query path's contract.
 func TestKernelsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	payload, _ := packPayload(t, rng, 512, 4)
 	values := make([]float64, 16)
-	byteSums := make([]float64, 256)
 	var hist [16]uint64
 	allocs := testing.AllocsPerRun(100, func() {
 		PackedRangeHistogram(hist[:], payload, 4, 3, 509)
-		PackedRangeSumLUT(byteSums, values, payload, 4, 3, 509)
 		if s, _, _ := PackedRangeAggregate(values, payload, 4, 3, 509); s < 0 {
 			t.Fatal("negative sum")
 		}

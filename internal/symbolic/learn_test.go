@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"symmeter/internal/stats"
 )
 
 func TestLearnUniform(t *testing.T) {
@@ -16,13 +14,13 @@ func TestLearnUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []float64{200, 400, 600}
-	got := tab.Separators()
+	got := tab.separators
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
 			t.Fatalf("separators = %v, want %v", got, want)
 		}
 	}
-	min, max := tab.Range()
+	min, max := tab.min, tab.max
 	if min != 0 || max != 800 {
 		t.Fatalf("range = [%v,%v], want [0,800]", min, max)
 	}
@@ -64,11 +62,11 @@ func TestLearnDistinctMedianIgnoresFrequency(t *testing.T) {
 	}
 	med, _ := Learn(MethodMedian, vals, 4)
 	dm, _ := Learn(MethodDistinctMedian, vals, 4)
-	if med.Separators()[2] != 0 {
-		t.Fatalf("median separators = %v, expected all zero", med.Separators())
+	if med.separators[2] != 0 {
+		t.Fatalf("median separators = %v, expected all zero", med.separators)
 	}
-	if dm.Separators()[0] <= 0 {
-		t.Fatalf("distinctmedian separators = %v, expected positive", dm.Separators())
+	if dm.separators[0] <= 0 {
+		t.Fatalf("distinctmedian separators = %v, expected positive", dm.separators)
 	}
 }
 
@@ -85,10 +83,10 @@ func TestLearnEquivalenceOnUniformData(t *testing.T) {
 	m, _ := Learn(MethodMedian, vals, 8)
 	d, _ := Learn(MethodDistinctMedian, vals, 8)
 	for i := 0; i < 7; i++ {
-		if math.Abs(u.Separators()[i]-m.Separators()[i]) > 1 ||
-			math.Abs(u.Separators()[i]-d.Separators()[i]) > 1 {
+		if math.Abs(u.separators[i]-m.separators[i]) > 1 ||
+			math.Abs(u.separators[i]-d.separators[i]) > 1 {
 			t.Fatalf("methods disagree on uniform data:\nu=%v\nm=%v\nd=%v",
-				u.Separators(), m.Separators(), d.Separators())
+				u.separators, m.separators, d.separators)
 		}
 	}
 }
@@ -133,8 +131,8 @@ func TestRepresentativesAreBinMeans(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Median separator = 5.5; bin 0 = {1,2} mean 1.5; bin 1 = {9,10} mean 9.5.
-	s0, _ := ParseSymbol("0")
-	s1, _ := ParseSymbol("1")
+	s0 := NewSymbol(0, 1)
+	s1 := NewSymbol(1, 1)
 	v0, _ := tab.Value(s0)
 	v1, _ := tab.Value(s1)
 	if math.Abs(v0-1.5) > 1e-9 || math.Abs(v1-9.5) > 1e-9 {
@@ -169,10 +167,9 @@ func TestMedianMaximisesEntropyOnSkewedData(t *testing.T) {
 	// Log-normal data (like Fig. 2): the median table's symbol entropy must
 	// beat the uniform table's, supporting the paper's entropy argument.
 	rng := rand.New(rand.NewSource(21))
-	d := stats.LogNormal{Mu: 5.5, Sigma: 0.8}
 	vals := make([]float64, 5000)
 	for i := range vals {
-		vals[i] = d.Rand(rng)
+		vals[i] = math.Exp(5.5 + 0.8*rng.NormFloat64())
 	}
 	med, _ := Learn(MethodMedian, vals, 16)
 	uni, _ := Learn(MethodUniform, vals, 16)
@@ -186,5 +183,56 @@ func TestMedianMaximisesEntropyOnSkewedData(t *testing.T) {
 	}
 	if symbolEntropy(&Table{alphabet: Alphabet{level: 2}}, nil) != 0 {
 		t.Fatal("entropy of empty data should be 0")
+	}
+}
+
+func TestLloydMaxBeatsHeuristicsOnMSE(t *testing.T) {
+	// Lloyd–Max is the MSE-optimal scalar quantiser; on bimodal data it must
+	// beat uniform and median on squared reconstruction error.
+	rng := rand.New(rand.NewSource(9))
+	values := make([]float64, 8000)
+	for i := range values {
+		if i%2 == 0 {
+			values[i] = rng.NormFloat64()*20 + 100
+		} else {
+			values[i] = rng.NormFloat64()*50 + 2000
+		}
+	}
+	mse := func(m Method) float64 {
+		tab, err := Learn(m, values, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum float64
+		for _, v := range values {
+			r, err := tab.Value(tab.Encode(v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := r - v
+			sum += d * d
+		}
+		return sum / float64(len(values))
+	}
+	lm, med, uni := mse(MethodLloydMax), mse(MethodMedian), mse(MethodUniform)
+	if lm > med || lm > uni {
+		t.Fatalf("Lloyd-Max MSE %v not best (median %v, uniform %v)", lm, med, uni)
+	}
+}
+
+func TestLloydMaxMethodPlumbing(t *testing.T) {
+	m, err := ParseMethod("lloydmax")
+	if err != nil || m != MethodLloydMax {
+		t.Fatalf("ParseMethod = %v, %v", m, err)
+	}
+	if MethodLloydMax.String() != "lloydmax" {
+		t.Fatal("String")
+	}
+	tab, err := Learn(MethodLloydMax, []float64{1, 2, 3, 100, 200, 300}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Encode(2).Index() != 0 || tab.Encode(200).Index() != 1 {
+		t.Fatalf("Lloyd-Max separators = %v", tab.separators)
 	}
 }

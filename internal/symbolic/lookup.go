@@ -26,11 +26,6 @@ type Table struct {
 	// symbol→value by direct index with no NaN test, bounds math or error
 	// allocation per point.
 	values []float64
-	// byteSums[b] is the sum of reconstruction values of the symbols packed
-	// into payload byte b, for the byte-aligned levels 1, 2 and 4 (nil
-	// otherwise). The compressed-domain sum kernel (PackedRangeSumLUT)
-	// aggregates a whole byte of packed symbols per table lookup with it.
-	byteSums []float64
 	// min and max of the training data, closing the outer bins for centers.
 	min, max float64
 	// method records which learner produced the table (for reporting).
@@ -69,6 +64,15 @@ func NewTable(k int, separators []float64, min, max float64) (*Table, error) {
 	return t, nil
 }
 
+// ExpertTable builds a lookup table from explicit separators supplied by a
+// domain expert — the paper's alternative to a learned table (§3.2: "an
+// expert who is interested on two segmentation: low and high consumption").
+// The number of separators must be k-1 for a power-of-two k. min/max close
+// the outer ranges for reconstruction centers.
+func ExpertTable(separators []float64, min, max float64) (*Table, error) {
+	return NewTable(len(separators)+1, separators, min, max)
+}
+
 // refreshValues rebuilds the resolved reconstruction cache. Every code path
 // that mutates t.repr must call it before the table is used for decoding.
 func (t *Table) refreshValues() {
@@ -84,27 +88,7 @@ func (t *Table) refreshValues() {
 		lo, hi, _ := t.Bounds(Symbol{index: uint32(i), level: level})
 		t.values[i] = (lo + hi) / 2
 	}
-	if lv := t.alphabet.Level(); lv == 1 || lv == 2 || lv == 4 {
-		if t.byteSums == nil {
-			t.byteSums = make([]float64, 256)
-		}
-		spb := 8 / lv
-		mask := 1<<uint(lv) - 1
-		for b := 0; b < 256; b++ {
-			var sum float64
-			for j := 0; j < spb; j++ {
-				sum += t.values[b>>uint(8-(j+1)*lv)&mask]
-			}
-			t.byteSums[b] = sum
-		}
-	}
 }
-
-// ByteSums returns the per-payload-byte partial-sum table for this table's
-// reconstruction values, or nil when the level is not byte-aligned (only
-// levels 1, 2 and 4 pack a whole number of symbols per byte). The slice is
-// owned by the table and valid until the next SetRepresentatives call.
-func (t *Table) ByteSums() []float64 { return t.byteSums }
 
 // ReconstructionValues returns the per-bin reconstruction values indexed by
 // symbol index: repr means where training data was seen, bin centers
@@ -119,17 +103,9 @@ func (t *Table) K() int { return t.alphabet.Size() }
 // Level returns the symbol length in bits.
 func (t *Table) Level() int { return t.alphabet.Level() }
 
-// Separators returns a copy of the separators.
-func (t *Table) Separators() []float64 {
-	return append([]float64(nil), t.separators...)
-}
-
 // Method returns the learner that produced this table (MethodNone for
 // hand-built tables).
 func (t *Table) Method() Method { return t.method }
-
-// Range returns the [min, max] of the training data.
-func (t *Table) Range() (min, max float64) { return t.min, t.max }
 
 // Encode maps a value to its symbol per Definition 3:
 //
@@ -142,21 +118,6 @@ func (t *Table) Encode(v float64) Symbol {
 	// separator that is >= v.
 	idx := sort.Search(len(t.separators), func(i int) bool { return t.separators[i] >= v })
 	return Symbol{index: uint32(idx), level: uint8(t.alphabet.Level())}
-}
-
-// EncodeAll maps a slice of values to symbols.
-func (t *Table) EncodeAll(vs []float64) []Symbol {
-	return t.AppendEncode(make([]Symbol, 0, len(vs)), vs)
-}
-
-// AppendEncode appends the symbols for vs to dst and returns the extended
-// slice — the allocation-free form of EncodeAll for streaming callers that
-// reuse an output buffer across chunks.
-func (t *Table) AppendEncode(dst []Symbol, vs []float64) []Symbol {
-	for _, v := range vs {
-		dst = append(dst, t.Encode(v))
-	}
-	return dst
 }
 
 // Bounds returns the half-open value interval (lo, hi] covered by the given

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -35,6 +36,30 @@ func TestNewTableValidation(t *testing.T) {
 	}
 }
 
+// TestNewTableHeapBytes pins what one level-4 lookup table costs on the
+// heap: the table is shipped once per meter and epoch and kept for the
+// meter's life, so it must stay the separators, the reconstruction values
+// and their bookkeeping.
+func TestNewTableHeapBytes(t *testing.T) {
+	seps := make([]float64, 15)
+	for i := range seps {
+		seps[i] = float64(i+1) * 100
+	}
+	const n = 1000
+	keep := make([]*Table, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = mustTable(t, 16, seps, 0, 1600)
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("level-4 table: %.0f heap bytes", per)
+	if per > 1024 {
+		t.Fatalf("a level-4 table costs %.0f heap bytes, want <= 1024", per)
+	}
+}
+
 func TestEncodeDefinition3(t *testing.T) {
 	// k=4, separators {10, 20, 30}; Definition 3 bins are (βj-1, βj].
 	tab := mustTable(t, 4, []float64{10, 20, 30}, 0, 40)
@@ -58,28 +83,20 @@ func TestEncodeDefinition3(t *testing.T) {
 	}
 }
 
-func TestEncodeAll(t *testing.T) {
-	tab := mustTable(t, 2, []float64{5}, 0, 10)
-	got := tab.EncodeAll([]float64{1, 9})
-	if got[0].String() != "0" || got[1].String() != "1" {
-		t.Fatalf("EncodeAll = %v", got)
-	}
-}
-
 func TestBoundsAndCenter(t *testing.T) {
 	tab := mustTable(t, 4, []float64{10, 20, 30}, 0, 40)
 	checks := []struct {
-		sym    string
+		sym    Symbol
 		lo, hi float64
 		center float64
 	}{
-		{"00", 0, 10, 5},
-		{"01", 10, 20, 15},
-		{"10", 20, 30, 25},
-		{"11", 30, 40, 35},
+		{NewSymbol(0, 2), 0, 10, 5},
+		{NewSymbol(1, 2), 10, 20, 15},
+		{NewSymbol(2, 2), 20, 30, 25},
+		{NewSymbol(3, 2), 30, 40, 35},
 	}
 	for _, c := range checks {
-		s, _ := ParseSymbol(c.sym)
+		s := c.sym
 		lo, hi, err := tab.Bounds(s)
 		if err != nil || lo != c.lo || hi != c.hi {
 			t.Errorf("Bounds(%s) = %v,%v,%v want %v,%v", c.sym, lo, hi, err, c.lo, c.hi)
@@ -89,7 +106,7 @@ func TestBoundsAndCenter(t *testing.T) {
 			t.Errorf("Center(%s) = %v,%v want %v", c.sym, ctr, err, c.center)
 		}
 	}
-	wrong, _ := ParseSymbol("0")
+	wrong := NewSymbol(0, 1)
 	if _, _, err := tab.Bounds(wrong); err == nil {
 		t.Fatal("Bounds must reject level mismatch")
 	}
@@ -100,7 +117,7 @@ func TestBoundsAndCenter(t *testing.T) {
 
 func TestValueFallsBackToCenter(t *testing.T) {
 	tab := mustTable(t, 2, []float64{10}, 0, 20)
-	s0, _ := ParseSymbol("0")
+	s0 := NewSymbol(0, 1)
 	v, err := tab.Value(s0)
 	if err != nil || v != 5 {
 		t.Fatalf("Value = %v,%v want 5 (center fallback)", v, err)
@@ -123,15 +140,15 @@ func TestCoarsenTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(c.Separators(), []float64{2, 4, 6}) {
-		t.Fatalf("coarse separators = %v", c.Separators())
+	if !reflect.DeepEqual(c.separators, []float64{2, 4, 6}) {
+		t.Fatalf("coarse separators = %v", c.separators)
 	}
 	c2, err := tab.Coarsen(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(c2.Separators(), []float64{4}) {
-		t.Fatalf("coarse separators = %v", c2.Separators())
+	if !reflect.DeepEqual(c2.separators, []float64{4}) {
+		t.Fatalf("coarse separators = %v", c2.separators)
 	}
 	if _, err := tab.Coarsen(16); err == nil {
 		t.Fatal("cannot coarsen upward")
@@ -227,5 +244,31 @@ func TestTableString(t *testing.T) {
 	tab := mustTable(t, 2, []float64{5}, 0, 10)
 	if s := tab.String(); s == "" {
 		t.Fatal("String should not be empty")
+	}
+}
+
+func TestExpertTableLowHigh(t *testing.T) {
+	// The paper's §3.2 example: "low" below a threshold, "high" above it.
+	tab, err := ExpertTable([]float64{500}, 0, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.K() != 2 {
+		t.Fatalf("k = %d", tab.K())
+	}
+	if tab.Encode(100).String() != "0" || tab.Encode(900).String() != "1" {
+		t.Fatal("threshold semantics wrong")
+	}
+	if tab.Encode(500).String() != "0" {
+		t.Fatal("boundary belongs to the low symbol (Definition 3)")
+	}
+}
+
+func TestExpertTableValidation(t *testing.T) {
+	if _, err := ExpertTable([]float64{1, 2}, 0, 10); err == nil {
+		t.Fatal("k=3 should be rejected")
+	}
+	if _, err := ExpertTable([]float64{2, 1, 3}, 0, 10); err == nil {
+		t.Fatal("unsorted separators should be rejected")
 	}
 }

@@ -112,18 +112,6 @@ func TestReconstructAndCenters(t *testing.T) {
 			t.Fatalf("reconstruction too far at %d: %v vs %v", i, rec.Points[i].V, vals[i])
 		}
 	}
-	ctr, err := ss.Centers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctr.Len() != ss.Len() {
-		t.Fatal("centers length mismatch")
-	}
-	for i := range ctr.Points {
-		if ctr.Points[i].T != ss.Points[i].T {
-			t.Fatal("centers must preserve timestamps")
-		}
-	}
 }
 
 func TestSymbolSeriesCoarsen(t *testing.T) {

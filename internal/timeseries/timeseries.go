@@ -172,14 +172,6 @@ func coverage(pts []Point) int64 {
 	return n
 }
 
-// HasEnoughData reports whether the day meets the paper's threshold of at
-// least `threshold` seconds of coverage (the paper uses 20 h = 72000 s for
-// 1 Hz data). For coarser sampling, callers should scale the threshold by
-// the sampling period.
-func (d Day) HasEnoughData(threshold int64) bool {
-	return d.Coverage >= threshold
-}
-
 // Resample aggregates the series into fixed windows of `window` seconds,
 // aligned to the series start, averaging the values in each window. Windows
 // without any data are skipped (gaps propagate). The resulting point carries

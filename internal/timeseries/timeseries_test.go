@@ -83,9 +83,6 @@ func TestDaysSplitsAndCoverage(t *testing.T) {
 	if days[0].Start != 0 || days[1].Start != SecondsPerDay {
 		t.Fatalf("day starts = %d,%d", days[0].Start, days[1].Start)
 	}
-	if days[0].HasEnoughData(99) != true || days[0].HasEnoughData(101) != false {
-		t.Fatal("HasEnoughData threshold semantics wrong")
-	}
 }
 
 func TestDaysIncludesEmptyMiddleDay(t *testing.T) {

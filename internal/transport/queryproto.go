@@ -459,8 +459,8 @@ func (fr *FrameReader) Next() (typ byte, payload []byte, err error) {
 		return 0, nil, err // io.EOF for clean end, ErrUnexpectedEOF for torn header
 	}
 	n := binary.BigEndian.Uint32(fr.hdr[1:])
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("%w: frame of %d bytes (limit %d)", ErrFrameTooLarge, n, maxFrame)
+	if n > MaxFrame {
+		return 0, nil, fmt.Errorf("%w: frame of %d bytes (limit %d)", ErrFrameTooLarge, n, MaxFrame)
 	}
 	if cap(fr.payload) < int(n) {
 		fr.payload = make([]byte, n)

@@ -272,7 +272,7 @@ func TestFrameReader(t *testing.T) {
 	}
 	var big bytes.Buffer
 	big.WriteByte('S')
-	binary.Write(&big, binary.BigEndian, uint32(maxFrame+1))
+	binary.Write(&big, binary.BigEndian, uint32(MaxFrame+1))
 	fr = NewFrameReader(&big)
 	if _, _, err := fr.Next(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized: %v", err)

@@ -74,12 +74,10 @@ const (
 	flagsKnown = FlagSequenced
 )
 
-// maxFrame bounds payload sizes against corrupted length fields.
-const maxFrame = 16 << 20
-
 // MaxFrame is the largest payload a peer may send; frames claiming more
-// are rejected with ErrFrameTooLarge before any allocation.
-const MaxFrame = maxFrame
+// are rejected with ErrFrameTooLarge before any allocation, so a corrupted
+// length field cannot force a huge buffer.
+const MaxFrame = 16 << 20
 
 // Typed protocol errors. Every malformed input maps onto one of these (via
 // errors.Is) so servers can tell protocol abuse from transport failures.
@@ -127,8 +125,8 @@ func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 		return 0, nil, err // io.EOF for clean end, ErrUnexpectedEOF for torn header
 	}
 	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("%w: frame of %d bytes (limit %d)", ErrFrameTooLarge, n, maxFrame)
+	if n > MaxFrame {
+		return 0, nil, fmt.Errorf("%w: frame of %d bytes (limit %d)", ErrFrameTooLarge, n, MaxFrame)
 	}
 	payload = make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
