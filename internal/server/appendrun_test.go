@@ -17,7 +17,7 @@ import (
 // one accepts check, one bit-pack and one summary update per point. It is kept
 // here, test-only, as the oracle appendRun must match byte for byte.
 
-func (b *block) refAccepts(t int64, epoch uint32) bool {
+func (b *block) refAccepts(firstT, t int64, epoch uint32) bool {
 	if b.epoch != epoch || b.n >= BlockCap {
 		return false
 	}
@@ -25,25 +25,24 @@ func (b *block) refAccepts(t int64, epoch uint32) bool {
 	case 0:
 		return true
 	case 1:
-		_, ok := strideFor(b.firstT, t)
+		_, ok := strideFor(firstT, t)
 		return ok
 	default:
-		return t == b.firstT+int64(b.n)*b.stride
+		return t == firstT+int64(b.n)*b.stride
 	}
 }
 
-func (b *block) refPush(t int64, idx uint32, v float64) {
+func (b *block) refPush(hist []uint16, firstT, t int64, idx uint32, v float64) {
 	switch b.n {
 	case 0:
-		b.firstT = t
 		b.minV = v
 		b.maxV = v
 	case 1:
-		b.stride = t - b.firstT
+		b.stride = t - firstT
 	}
 	packSymbolAt(b.payload, int(b.level), int(b.n), idx)
-	if b.hist != nil {
-		b.hist[idx]++
+	if hist != nil {
+		hist[idx]++
 	}
 	b.sum += v
 	if v < b.minV {
@@ -72,9 +71,9 @@ func refAppend(s *Store, meterID uint64, pts []symbolic.SymbolPoint) (int, error
 		}
 	}
 	values := table.ReconstructionValues()
-	tail := e.tail()
+	tail, first := e.tail(), e.tailFirstT.Load()
 	for i, sp := range pts {
-		if tail == nil || !tail.refAccepts(sp.T, epoch) {
+		if tail == nil || !tail.refAccepts(first, sp.T, epoch) {
 			if tail != nil {
 				if err := s.sealTail(e, tail); err != nil {
 					e.total.Add(int64(i))
@@ -82,11 +81,11 @@ func refAppend(s *Store, meterID uint64, pts []symbolic.SymbolPoint) (int, error
 				}
 				e.publish()
 			}
-			tail = e.newBlock(epoch, level, table.K())
+			tail, first = e.newBlock(epoch, level), sp.T
 			e.tailFirstT.Store(sp.T)
 		}
 		idx := uint32(sp.S.Index())
-		tail.refPush(sp.T, idx, values[idx])
+		tail.refPush(tail.hist(e.lanes), first, sp.T, idx, values[idx])
 	}
 	e.total.Add(int64(len(pts)))
 	return len(pts), nil
@@ -94,8 +93,9 @@ func refAppend(s *Store, meterID uint64, pts []symbolic.SymbolPoint) (int, error
 
 // chainDiff compares one meter's whole state in two stores — every block's
 // header, payload bytes, histogram and the bit patterns of its float summary,
-// plus everything the read path publishes — and describes the first
-// difference ("" when identical).
+// plus everything the read path publishes (the directory and tailFirstT hold
+// the blocks' first timestamps) — and describes the first difference (""
+// when identical).
 func chainDiff(got, want *Store, meterID uint64) string {
 	g, w := got.shardOf(meterID).meter(meterID), want.shardOf(meterID).meter(meterID)
 	if g == nil || w == nil {
@@ -107,19 +107,19 @@ func chainDiff(got, want *Store, meterID uint64) string {
 	for i := range g.blocks {
 		a, b := &g.blocks[i], &w.blocks[i]
 		switch {
-		case a.epoch != b.epoch || a.level != b.level || a.n != b.n || a.firstT != b.firstT || a.stride != b.stride:
-			return fmt.Sprintf("block %d header: epoch %d level %d n %d firstT %d stride %d, want epoch %d level %d n %d firstT %d stride %d",
-				i, a.epoch, a.level, a.n, a.firstT, a.stride, b.epoch, b.level, b.n, b.firstT, b.stride)
+		case a.epoch != b.epoch || a.level != b.level || a.n != b.n || a.stride != b.stride:
+			return fmt.Sprintf("block %d header: epoch %d level %d n %d stride %d, want epoch %d level %d n %d stride %d",
+				i, a.epoch, a.level, a.n, a.stride, b.epoch, b.level, b.n, b.stride)
 		case math.Float64bits(a.sum) != math.Float64bits(b.sum) ||
 			math.Float64bits(a.minV) != math.Float64bits(b.minV) ||
 			math.Float64bits(a.maxV) != math.Float64bits(b.maxV):
 			return fmt.Sprintf("block %d summary: sum %v min %v max %v, want sum %v min %v max %v", i, a.sum, a.minV, a.maxV, b.sum, b.minV, b.maxV)
 		case !bytes.Equal(a.payload, b.payload):
 			return fmt.Sprintf("block %d payload:\n got %x\nwant %x", i, a.payload, b.payload)
-		case (a.hist == nil) != (b.hist == nil) || fmt.Sprint(a.hist) != fmt.Sprint(b.hist):
-			return fmt.Sprintf("block %d hist: %v, want %v", i, a.hist, b.hist)
-		case a.spilled != b.spilled:
-			return fmt.Sprintf("block %d spilled: %v, want %v", i, a.spilled, b.spilled)
+		case (a.hist(g.lanes) == nil) != (b.hist(w.lanes) == nil) || fmt.Sprint(a.hist(g.lanes)) != fmt.Sprint(b.hist(w.lanes)):
+			return fmt.Sprintf("block %d hist: %v, want %v", i, a.hist(g.lanes), b.hist(w.lanes))
+		case a.flags&flagSpilled != b.flags&flagSpilled:
+			return fmt.Sprintf("block %d spilled: %v, want %v", i, a.flags&flagSpilled != 0, b.flags&flagSpilled != 0)
 		}
 	}
 	gi, wi := g.idx.Load(), w.idx.Load()

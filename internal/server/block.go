@@ -20,8 +20,8 @@ const (
 	// BlockCap is the symbol capacity of one packed block.
 	BlockCap = 512
 	// maxHistLevel bounds the per-block histogram: blocks at level ≤ 8
-	// (k ≤ 256) carry one. At levels 7–8 the lanes cost more than the
-	// payload they summarize (1 KiB vs 512 B at k=256) — a deliberate
+	// (k ≤ 256) carry one. At level 8 the lanes cost as much as the payload
+	// they summarize (512 B each at k=256) — a deliberate
 	// memory-for-query-speed trade that keeps full-block Histogram O(k);
 	// past k=256 the trade stops paying, so finer alphabets keep only
 	// count/sum/min/max and answer histogram queries by kernel scan.
@@ -35,33 +35,60 @@ func blockBytes(level int) int { return (BlockCap*level + 7) / 8 }
 // once a successor block exists, a block is sealed and never mutated again,
 // which is what lets snapshots and queries read sealed blocks outside the
 // shard lock.
+//
+// The struct is what the store keeps per sealed block besides the payload
+// (for a persistent store, an mmapped segment region), the block's k
+// histogram lanes, which live in the meter's lane slab, and its first
+// timestamp, which lives in the meter's time directory (the live tail's in
+// meterEntry.tailFirstT): 72 bytes, pinned by TestBlockLayout. The extremes
+// stay float64 so summaries are bit-identical to a point-by-point fold.
 type block struct {
-	epoch  uint32 // index into the meter's table history
-	level  uint8  // symbol bits (copied from the epoch's table)
-	n      uint32 // symbols stored
-	firstT int64  // timestamp of the first symbol
-	stride int64  // timestamp step; 0 until the block holds two points
+	stride int64 // timestamp step; 0 until the block holds two points
 	sum    float64
 	// minV and maxV are reconstruction-value extremes, tracked in the value
 	// domain at ingest so queries need no assumption about how the table
 	// maps symbol indices to values.
 	minV    float64
 	maxV    float64
-	payload []byte   // headerless packed symbols, blockBytes(level) long
-	hist    []uint32 // per-symbol counts when level ≤ maxHistLevel, else nil
-	// payloadFromArena / histFromArena record that the slice was carved from
-	// the meter's reserve arena: the slab outlives the block, so seal-time
-	// trimming would free nothing (the arena is accounted whole instead).
-	payloadFromArena bool
-	histFromArena    bool
-	// spilled records that the payload now aliases a durable segment file
-	// (an mmapped region handed back by the store's SealSink): the bytes are
-	// no longer heap-resident, so MemoryFootprint excludes them.
-	spilled bool
+	payload []byte // headerless packed symbols, blockBytes(level) long
+	epoch   uint32 // index into the meter's table history
+	// lanes is the offset of the block's 1<<level histogram lanes in the
+	// meter's lane slab; meaningful only under flagHist.
+	lanes uint32
+	n     uint16 // symbols stored, ≤ BlockCap
+	level uint8  // symbol bits (copied from the epoch's table)
+	flags uint8
 }
 
-// lastT returns the timestamp of the block's last point (n must be ≥ 1).
-func (b *block) lastT() int64 { return b.firstT + int64(b.n-1)*b.stride }
+// block flags.
+const (
+	// flagHist: the block owns 1<<level histogram lanes at block.lanes (only
+	// blocks at level ≤ maxHistLevel do, and an underfull one gives them back
+	// at seal).
+	flagHist uint8 = 1 << iota
+	// flagArena: the payload was carved from the meter's reserve arena. The
+	// slab outlives the block, so seal-time trimming would free nothing (the
+	// arena is accounted whole instead).
+	flagArena
+	// flagSpilled: the payload aliases a durable segment file (an mmapped
+	// region handed back by the store's SealSink). The bytes are no longer
+	// heap-resident, so MemoryFootprint excludes them.
+	flagSpilled
+)
+
+// hist returns the block's histogram lanes in the meter's lane slab, or nil
+// when it has none.
+func (b *block) hist(slab []uint16) []uint16 {
+	if b.flags&flagHist == 0 {
+		return nil
+	}
+	end := int(b.lanes) + 1<<b.level
+	return slab[b.lanes:end:end]
+}
+
+// lastT returns the timestamp of the block's last point, given its first
+// (n must be ≥ 1).
+func (b *block) lastT(firstT int64) int64 { return firstT + int64(b.n-1)*b.stride }
 
 // strideFor returns the stride a second point at time t would fix for a
 // block starting at firstT, rejecting anything whose arithmetic progression
@@ -95,21 +122,21 @@ const maxInt64 = 1<<63 - 1
 
 // admit reports how many leading points of an arithmetic run — first
 // timestamp t, step stride, count ≥ 1 points, arriving under epoch — continue
-// the block's timestamp progression, and fixes firstT and stride exactly as
-// the block's first and second point fix them. Zero means the run's first
-// point needs a new block; a run whose step the block cannot take on (a gap,
-// a stride change, a stride strideFor rejects) is admitted one point at a
-// time. Run timestamps are wire or disk input and may wrap int64: strideFor
+// the progression of the block that starts at firstT, and fixes the stride
+// exactly as the block's second point fixes it. An empty block starts at the
+// run (the caller passes firstT == t and records it). Zero means the run's
+// first point needs a new block; a run whose step the block cannot take on (a
+// gap, a stride change, a stride strideFor rejects) is admitted one point at
+// a time. Run timestamps are wire or disk input and may wrap int64: strideFor
 // rejects every wrapped second point, and inside an established progression
 // "t matches and the steps agree" is the same test modulo 2^64 as comparing
 // every point.
-func (b *block) admit(t, stride int64, count int, epoch uint32) int {
+func (b *block) admit(firstT, t, stride int64, count int, epoch uint32) int {
 	if b.epoch != epoch || b.n >= BlockCap {
 		return 0
 	}
 	switch b.n {
 	case 0:
-		b.firstT = t
 		if count > 1 {
 			// The run's second point fixes the stride; it must move forward
 			// and keep the whole block's progression inside int64.
@@ -120,13 +147,13 @@ func (b *block) admit(t, stride int64, count int, epoch uint32) int {
 		}
 		return min(count, BlockCap)
 	case 1:
-		s, ok := strideFor(b.firstT, t)
+		s, ok := strideFor(firstT, t)
 		if !ok {
 			return 0
 		}
 		b.stride = s
 	default:
-		if t != b.firstT+int64(b.n)*b.stride {
+		if t != firstT+int64(b.n)*b.stride {
 			return 0
 		}
 	}
@@ -138,41 +165,51 @@ func (b *block) admit(t, stride int64, count int, epoch uint32) int {
 
 // seal trims a block that is about to get a successor down to what it
 // actually holds: the payload is copy-shrunk to its used bytes and a
-// histogram wider than the block's point count is dropped (queries kernel-
-// scan such blocks anyway). Timestamps are client-controlled wire input, so
-// a stream that keeps breaking the stride seals near-empty blocks — without
-// trimming, each would pin a full BlockCap payload plus k histogram lanes,
-// a memory-amplification vector. Arena-carved slices are left alone: their
-// slab outlives the block either way, so trimming would only add an
-// allocation (the arena's size is bounded by Reserve and accounted whole).
-// Full blocks (the regular-stream case) are untouched, keeping the
-// zero-alloc append contract. Per-block metadata (~100 bytes) still bounds
-// the degenerate worst case; policing meters that produce pathological
-// block counts is a separate concern.
-func (b *block) seal() {
-	if !b.payloadFromArena {
+// histogram wider than the block's point count is given back (queries
+// kernel-scan such blocks anyway). Timestamps are client-controlled wire
+// input, so a stream that keeps breaking the stride seals near-empty blocks
+// — without trimming, each would pin a full BlockCap payload plus k
+// histogram lanes, a memory-amplification vector. An arena-carved payload is
+// left alone: its slab outlives the block either way, so trimming would only
+// add an allocation (the arena's size is bounded by Reserve and accounted
+// whole). Full blocks (the regular-stream case) are untouched, keeping the
+// zero-alloc append contract. Per-block metadata (72 bytes) still bounds the
+// degenerate worst case; policing meters that produce pathological block
+// counts is a separate concern.
+func (e *meterEntry) seal(b *block) {
+	if b.flags&flagArena == 0 {
 		if used := (int(b.n)*int(b.level) + 7) / 8; used < len(b.payload) {
 			b.payload = append(make([]byte, 0, used), b.payload[:used]...)
 		}
 	}
-	if !b.histFromArena && b.hist != nil && int(b.n) < len(b.hist) {
-		b.hist = nil
+	e.trimLanes(b)
+}
+
+// trimLanes gives an underfull block's histogram lanes back to the slab. The
+// block being sealed is the tail, whose lanes are the slab's last, so the
+// next tail reuses the cells (newBlock zeroes them) and a degenerate stream
+// never grows the slab past one block's lanes.
+func (e *meterEntry) trimLanes(b *block) {
+	if b.flags&flagHist != 0 && int(b.n) < 1<<b.level {
+		e.lanes = e.lanes[:b.lanes]
+		b.flags &^= flagHist
 	}
 }
 
 // extend appends the m symbols at position pos of the packed payload src —
 // which admit just accepted — with one bit-copy, then folds them into the
-// summary in arrival order, so sum, extremes and histogram come out
-// bit-identical to appending the points one at a time.
-func (b *block) extend(values []float64, src []byte, pos, m int) {
+// summary and the block's histogram lanes hist (nil when it has none) in
+// arrival order, so sum, extremes and histogram come out bit-identical to
+// appending the points one at a time.
+func (b *block) extend(values []float64, hist []uint16, src []byte, pos, m int) {
 	level, n := int(b.level), int(b.n)
 	symbolic.CopyPacked(b.payload, n, src, pos, m, level)
 	if n == 0 {
 		v := values[symbolic.PackedSymbolAt(src, level, pos)]
 		b.minV, b.maxV = v, v
 	}
-	b.sum, b.minV, b.maxV = symbolic.PackedRangeFold(values, b.hist, b.payload, level, n, n+m, b.sum, b.minV, b.maxV)
-	b.n += uint32(m)
+	b.sum, b.minV, b.maxV = symbolic.PackedRangeFold(values, hist, b.payload, level, n, n+m, b.sum, b.minV, b.maxV)
+	b.n += uint16(m)
 }
 
 // BlockView is a read-only view of one packed block plus its epoch table's
@@ -195,8 +232,10 @@ type BlockView struct {
 	Epoch int
 	// Payload is the headerless packed symbol data (N·Level bits used).
 	Payload []byte
-	// Hist is the per-symbol count summary, nil when Level > 8.
-	Hist []uint32
+	// Hist is the per-symbol count summary (a block holds at most BlockCap
+	// symbols, so a lane fits 16 bits), nil when Level > 8 or when a sealed
+	// block holds fewer points than the alphabet has symbols.
+	Hist []uint16
 	// Sum is the sum of reconstruction values over the whole block.
 	Sum float64
 	// MinV and MaxV are the smallest and largest reconstruction value in

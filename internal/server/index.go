@@ -29,7 +29,7 @@ import (
 //
 //  1. Sealed blocks are never mutated after the index that contains them is
 //     published (seal-time trimming happens before the swap).
-//  2. The slices inside a sealedIndex (blocks, firstTs, tables) are
+//  2. The slices inside a sealedIndex (blocks, firstTs, lanes, tables) are
 //     append-only derivations: a newer index may share their backing arrays,
 //     but only cells beyond every published length are ever written, and
 //     readers index strictly below their own header's length.
@@ -47,11 +47,15 @@ type sealedIndex struct {
 	tables []*symbolic.Table
 	// blocks is the sealed prefix of the chain, in append order.
 	blocks []block
-	// firstTs is the sparse time directory: firstTs[i] == blocks[i].firstT.
-	// Kept as a dedicated array so a range lookup's binary searches touch 8
-	// bytes per probe; the only block struct rangeBlocks reads is the one
-	// straddling the range start.
+	// firstTs is the sparse time directory: firstTs[i] is the first
+	// timestamp of blocks[i], which the block itself does not keep. A
+	// dedicated array, so a range lookup's binary searches touch 8 bytes per
+	// probe; the only block struct rangeBlocks reads is the one straddling
+	// the range start.
 	firstTs []int64
+	// lanes is the meter's histogram slab as of publication: every sealed
+	// block's lanes, which block.lanes indexes.
+	lanes []uint16
 	// total is the symbol count across all sealed blocks.
 	total int
 	// ordered reports that the sealed blocks are time-disjoint and ascending
@@ -83,7 +87,7 @@ func (ix *sealedIndex) rangeBlocks(t0, t1 int64) (lo, hi int) {
 	// t0; of the blocks before it only the last can still reach t0, because an
 	// ordered chain has lastT[i] ≤ firstT[i+1] < t0 for every earlier one.
 	lo, _ = slices.BinarySearch(ix.firstTs, t0)
-	if lo > 0 && ix.blocks[lo-1].lastT() >= t0 {
+	if lo > 0 && ix.blocks[lo-1].lastT(ix.firstTs[lo-1]) >= t0 {
 		lo--
 	}
 	// First block starting at or past t1: it and everything after begin
@@ -100,7 +104,7 @@ func (ix *sealedIndex) rangeBlocks(t0, t1 int64) (lo, hi int) {
 func (ix *sealedIndex) visitRange(t0, t1 int64, fn func(BlockView)) {
 	lo, hi := ix.rangeBlocks(t0, t1)
 	for i := lo; i < hi; i++ {
-		fn(viewOf(&ix.blocks[i], ix.tables))
+		fn(viewOf(&ix.blocks[i], ix.firstTs[i], ix.tables, ix.lanes))
 	}
 }
 
@@ -109,7 +113,7 @@ func (ix *sealedIndex) visitRange(t0, t1 int64, fn func(BlockView)) {
 func (ix *sealedIndex) appendRange(t0, t1 int64, dst []BlockView) []BlockView {
 	lo, hi := ix.rangeBlocks(t0, t1)
 	for i := lo; i < hi; i++ {
-		dst = append(dst, viewOf(&ix.blocks[i], ix.tables))
+		dst = append(dst, viewOf(&ix.blocks[i], ix.firstTs[i], ix.tables, ix.lanes))
 	}
 	return dst
 }
@@ -169,7 +173,7 @@ func (m Meter) VisitRange(t0, t1 int64, fn func(BlockView)) {
 	m.sh.queryLocks.Add(1)
 	m.sh.mu.RLock()
 	idx = e.idx.Load()
-	if tail := e.tail(); tail != nil && tail.n > 0 && tail.firstT < t1 && tail.lastT() >= t0 {
+	if tail, tf := e.tail(), e.tailFirstT.Load(); tail != nil && tail.n > 0 && tf < t1 && tail.lastT(tf) >= t0 {
 		fn(e.view(tail))
 	}
 	m.sh.mu.RUnlock()
@@ -202,7 +206,7 @@ func (m Meter) CollectRange(t0, t1 int64, dst []BlockView, tail func(BlockView))
 	m.sh.queryLocks.Add(1)
 	m.sh.mu.RLock()
 	idx = e.idx.Load()
-	if tl := e.tail(); tl != nil && tl.n > 0 && tl.firstT < t1 && tl.lastT() >= t0 {
+	if tl, tf := e.tail(), e.tailFirstT.Load(); tl != nil && tl.n > 0 && tf < t1 && tl.lastT(tf) >= t0 {
 		tail(e.view(tl))
 	}
 	m.sh.mu.RUnlock()
@@ -211,19 +215,24 @@ func (m Meter) CollectRange(t0, t1 int64, dst []BlockView, tail func(BlockView))
 
 // publish swaps in a new sealed index after e's former tail (now
 // e.blocks[len(idx.blocks)]) was sealed. Caller holds the shard write lock.
-// Allocation-free when Reserve pre-sized the index arena and directory.
+// Allocation-free when Reserve pre-sized the index arena and directory. The
+// sealed block is the chain's last, so its lanes (if it kept any) end the
+// slab: the whole slab is published. It was the tail, so tailFirstT still
+// holds its first timestamp, which moves into the directory.
 func (e *meterEntry) publish() {
 	old := e.idx.Load()
 	n := len(old.blocks)
 	b := &e.blocks[n]
-	e.dirFirst = append(e.dirFirst, b.firstT)
+	first := e.tailFirstT.Load()
+	e.dirFirst = append(e.dirFirst, first)
 	ni := e.nextIndexSlot()
 	*ni = sealedIndex{
 		tables:  e.tables,
 		blocks:  e.blocks[:n+1],
 		firstTs: e.dirFirst[:n+1],
+		lanes:   e.lanes,
 		total:   old.total + int(b.n),
-		ordered: old.ordered && (n == 0 || e.blocks[n-1].lastT() <= b.firstT),
+		ordered: old.ordered && (n == 0 || e.blocks[n-1].lastT(e.dirFirst[n-1]) <= first),
 	}
 	e.idx.Store(ni)
 }
@@ -239,19 +248,19 @@ func (e *meterEntry) nextIndexSlot() *sealedIndex {
 	return new(sealedIndex)
 }
 
-// viewOf builds a read-only visitor view of one block under the given table
-// history (the published index's for sealed blocks, the live one for the
-// tail).
-func viewOf(b *block, tables []*symbolic.Table) BlockView {
+// viewOf builds a read-only visitor view of one block starting at firstT
+// under the given table history and lane slab (the published index's for
+// sealed blocks, the live ones for the tail).
+func viewOf(b *block, firstT int64, tables []*symbolic.Table, lanes []uint16) BlockView {
 	table := tables[b.epoch]
 	return BlockView{
-		FirstT:  b.firstT,
+		FirstT:  firstT,
 		Stride:  b.stride,
 		N:       int(b.n),
 		Level:   int(b.level),
 		Epoch:   int(b.epoch),
 		Payload: b.payload,
-		Hist:    b.hist,
+		Hist:    b.hist(lanes),
 		Sum:     b.sum,
 		MinV:    b.minV,
 		MaxV:    b.maxV,

@@ -19,21 +19,21 @@ func TestRangeBlocksMatchesLastTSearch(t *testing.T) {
 		var edges []int64
 		next := int64(rng.Intn(50)) - 25
 		for i := 0; i < n; i++ {
-			b := block{firstT: next, n: 1}
+			b, first := block{n: 1}, next
 			if rng.Intn(3) > 0 { // else a single-point block: stride 0, lastT == firstT
-				b.n = uint32(2 + rng.Intn(BlockCap-1))
+				b.n = uint16(2 + rng.Intn(BlockCap-1))
 				b.stride = int64(1 + rng.Intn(9))
 			}
 			ix.blocks = append(ix.blocks, b)
-			ix.firstTs = append(ix.firstTs, b.firstT)
-			edges = append(edges, b.firstT, b.lastT())
+			ix.firstTs = append(ix.firstTs, first)
+			edges = append(edges, first, b.lastT(first))
 			// The next block starts at this one's last timestamp (allowed:
 			// ordered means lastT ≤ next firstT), right after it, or past a gap.
-			next = b.lastT() + []int64{0, 0, 1, int64(rng.Intn(1000))}[rng.Intn(4)]
+			next = b.lastT(first) + []int64{0, 0, 1, int64(rng.Intn(1000))}[rng.Intn(4)]
 		}
 		probe := func(t0 int64) {
 			t.Helper()
-			want := sort.Search(n, func(i int) bool { return ix.blocks[i].lastT() >= t0 })
+			want := sort.Search(n, func(i int) bool { return ix.blocks[i].lastT(ix.firstTs[i]) >= t0 })
 			for _, t1 := range []int64{t0 + 1, t0 + 50, noTail} {
 				lo, hi := ix.rangeBlocks(t0, t1)
 				wantHi := want + sort.Search(n-want, func(i int) bool { return ix.firstTs[want+i] >= t1 })
@@ -67,8 +67,12 @@ func visitChain(s *Store, meterID uint64, fn func(BlockView)) {
 	defer sh.mu.RUnlock()
 	if e := sh.meter(meterID); e != nil {
 		for i := range e.blocks {
+			first := e.tailFirstT.Load()
+			if i < len(e.dirFirst) {
+				first = e.dirFirst[i]
+			}
 			if e.blocks[i].n > 0 {
-				fn(e.view(&e.blocks[i]))
+				fn(viewOf(&e.blocks[i], first, e.tables, e.lanes))
 			}
 		}
 	}

@@ -24,7 +24,7 @@ func (s *memSink) SealedBlock(meterID uint64, blk SealedBlock) ([]byte, error) {
 	s.arena = append(s.arena, cp)
 	rec := blk
 	rec.Payload = cp
-	rec.Hist = append([]uint32(nil), blk.Hist...)
+	rec.Hist = append([]uint16(nil), blk.Hist...)
 	s.sealed = append(s.sealed, rec)
 	return cp, nil
 }
@@ -192,7 +192,7 @@ func TestRestoreMeterValidates(t *testing.T) {
 		payload := make([]byte, (2*level+7)/8)
 		packSymbolAt(payload, level, 0, 1)
 		packSymbolAt(payload, level, 1, 2)
-		hist := make([]uint32, k)
+		hist := make([]uint16, k)
 		hist[1], hist[2] = 1, 1
 		return SealedBlock{
 			Epoch: 0, Level: level, N: 2, FirstT: 0, Stride: 900,

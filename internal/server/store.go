@@ -17,6 +17,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -104,14 +105,22 @@ type meterEntry struct {
 	// seal time, loaded by readers without the shard lock. Never nil (points
 	// at emptyIndex until the first seal).
 	idx atomic.Pointer[sealedIndex]
-	// dirFirst backs the published time directory: one firstT per sealed
-	// block, appended at seal time; published indexes hold length-capped
-	// prefixes of it.
+	// dirFirst backs the published time directory: the first timestamp of
+	// each sealed block (its only copy), appended at seal time; published
+	// indexes hold length-capped prefixes of it.
 	dirFirst []int64
+	// lanes is the meter's histogram slab: every block's 1<<level lanes,
+	// back to back in chain order (block.lanes is the offset). Append-only
+	// like dirFirst and published with the sealed index the same way; only
+	// the tail's lanes, the slab's last, are ever written, and an underfull
+	// tail gives them back at seal.
+	lanes []uint16
 	// tailFirstT is the live tail's first timestamp, or noTail while the
 	// meter has no unsealed points. Stored before the tail's first push and
 	// after the index swap, so VisitRange's double-load can prove a query
-	// range cannot reach the tail without locking.
+	// range cannot reach the tail without locking. It is the only copy of
+	// the tail's first timestamp (a block keeps none; a sealed block's is in
+	// dirFirst), so it keeps its value until the next tail opens.
 	tailFirstT atomic.Int64
 	// total is the symbol count across all blocks, tail included: written
 	// under the shard lock, loaded lock-free by TotalSymbols.
@@ -124,7 +133,6 @@ type meterEntry struct {
 	// resident for the arena's lifetime whether or not their block was
 	// trimmed, so MemoryFootprint counts slabs whole, never remainders.
 	payloadArena   []byte
-	histArena      []uint32
 	idxArena       []sealedIndex
 	arenaBytes     int64
 	pendingReserve int
@@ -150,70 +158,60 @@ func (e *meterEntry) tail() *block {
 	return &e.blocks[len(e.blocks)-1]
 }
 
-// newBlock appends a fresh block for the given epoch, carving payload and
-// histogram space from the reserve arena when available and falling back to
-// the spill-recycled tail buffer before the allocator.
-func (e *meterEntry) newBlock(epoch uint32, level, k int) *block {
+// newBlock appends a fresh block for the given epoch, carving payload space
+// from the reserve arena when available and falling back to the
+// spill-recycled tail buffer before the allocator, and histogram lanes from
+// the end of the lane slab.
+func (e *meterEntry) newBlock(epoch uint32, level int) *block {
 	nb := blockBytes(level)
-	var payload []byte
-	payloadFromArena := len(e.payloadArena) >= nb
-	if payloadFromArena {
-		payload = e.payloadArena[:nb:nb]
+	b := block{epoch: epoch, level: uint8(level)}
+	if len(e.payloadArena) >= nb {
+		b.payload = e.payloadArena[:nb:nb]
 		e.payloadArena = e.payloadArena[nb:]
+		b.flags |= flagArena
 	} else if cap(e.recycle) >= nb {
-		payload = e.recycle[:nb:nb]
-		clear(payload) // a tail's unused bytes read as zero, as in a fresh buffer
+		b.payload = e.recycle[:nb:nb]
+		clear(b.payload) // a tail's unused bytes read as zero, as in a fresh buffer
 		e.recycle = nil
 	} else {
-		payload = make([]byte, nb)
+		b.payload = make([]byte, nb)
 	}
-	var hist []uint32
-	histFromArena := false
-	if level <= maxHistLevel {
-		if histFromArena = len(e.histArena) >= k; histFromArena {
-			hist = e.histArena[:k:k]
-			e.histArena = e.histArena[k:]
-		} else {
-			hist = make([]uint32, k)
-		}
+	// A slab whose offsets would overflow uint32 (2^32 lanes, 8 GiB for one
+	// meter) leaves further blocks without a histogram: queries kernel-scan
+	// them, exactly as they do blocks above maxHistLevel.
+	if off := len(e.lanes); level <= maxHistLevel && uint64(off) <= math.MaxUint32 {
+		b.lanes = uint32(off)
+		b.flags |= flagHist
+		// Grow, not append(…, make(…)…), which allocates under -race.
+		e.lanes = slices.Grow(e.lanes, 1<<level)[:off+1<<level]
+		clear(e.lanes[off:]) // cells an earlier tail gave back
 	}
-	e.blocks = append(e.blocks, block{
-		epoch:            epoch,
-		level:            uint8(level),
-		payload:          payload,
-		hist:             hist,
-		payloadFromArena: payloadFromArena,
-		histFromArena:    histFromArena,
-	})
+	e.blocks = append(e.blocks, b)
 	return &e.blocks[len(e.blocks)-1]
 }
 
 // idxMeta is the resident cost of one published index struct.
 const idxMeta = int64(unsafe.Sizeof(sealedIndex{}))
 
-// reserveLocked sizes the arenas, block slice, time directory and index
-// arena for n more points under the meter's current table, so the whole
-// append-and-seal-and-publish cycle runs allocation-free. When the store
-// spills sealed payloads to a SealSink, the payload and histogram arenas are
-// skipped: a spilled block's bytes live in a segment file, so a full-history
-// payload slab would pin exactly the memory the spill path exists to evict
-// (the recycled tail buffer makes steady-state sealing allocation-free
-// instead).
+// reserveLocked sizes the payload arena, block slice, time directory, lane
+// slab and index arena for n more points under the meter's current table, so
+// the whole append-and-seal-and-publish cycle runs allocation-free. When the
+// store spills sealed payloads to a SealSink, the payload arena is skipped: a
+// spilled block's bytes live in a segment file, so a full-history payload
+// slab would pin exactly the memory the spill path exists to evict (the
+// recycled tail buffer makes steady-state sealing allocation-free instead).
+// Histogram lanes never spill, so the slab is pre-sized either way.
 func (e *meterEntry) reserveLocked(n int, persist bool) {
-	table := e.tables[len(e.tables)-1]
-	level, k := table.Level(), table.K()
+	level := e.tables[len(e.tables)-1].Level()
 	nb := (n+BlockCap-1)/BlockCap + 1
 	if !persist {
 		if need := nb * blockBytes(level); len(e.payloadArena) < need {
 			e.payloadArena = make([]byte, need)
 			e.arenaBytes += int64(need)
 		}
-		if level <= maxHistLevel {
-			if need := nb * k; len(e.histArena) < need {
-				e.histArena = make([]uint32, need)
-				e.arenaBytes += 4 * int64(need)
-			}
-		}
+	}
+	if level <= maxHistLevel {
+		e.lanes = slices.Grow(e.lanes, nb<<level)
 	}
 	if len(e.idxArena) < nb {
 		e.idxArena = make([]sealedIndex, nb)
@@ -275,7 +273,8 @@ func (sh *shard) meterList() []Meter {
 // SealedBlock is the exported form of one sealed packed block — what a
 // SealSink receives at seal time and what Store.RestoreMeter accepts at
 // recovery. Payload is the headerless packed symbol data trimmed to its used
-// bytes; Hist is the per-symbol count summary or nil.
+// bytes; Hist is the per-symbol count summary or nil (a sink must copy it if
+// it keeps it past the call: the store reuses an underfull block's lanes).
 type SealedBlock struct {
 	Epoch      int
 	Level      int
@@ -285,7 +284,7 @@ type SealedBlock struct {
 	Sum        float64
 	MinV, MaxV float64
 	Payload    []byte
-	Hist       []uint32
+	Hist       []uint16
 	// Spilled marks the payload as aliasing non-heap memory (an mmapped
 	// segment region); MemoryFootprint then excludes it. Sinks that persist
 	// a block and hand back an mmapped view set it implicitly; restores set
@@ -707,13 +706,13 @@ func (s *Store) appendRun(e *meterEntry, table *symbolic.Table, r Run) (int, err
 	}
 	epoch := uint32(len(e.tables) - 1)
 	values := table.ReconstructionValues()
-	tail := e.tail()
+	tail, first := e.tail(), e.tailFirstT.Load()
 	done := 0
 	for done < r.Count {
 		t := r.FirstT + int64(done)*r.Stride
 		m := 0
 		if tail != nil {
-			m = tail.admit(t, r.Stride, r.Count-done, epoch)
+			m = tail.admit(first, t, r.Stride, r.Count-done, epoch)
 		}
 		if m == 0 {
 			if tail != nil {
@@ -730,14 +729,14 @@ func (s *Store) appendRun(e *meterEntry, table *symbolic.Table, r Run) (int, err
 				}
 				e.publish()
 			}
-			tail = e.newBlock(epoch, level, table.K())
+			tail, first = e.newBlock(epoch, level), t
 			// Publish the new tail's start before its first symbol lands, so
 			// a lock-free reader that proves a stable index generation can
 			// trust this bound (see Meter.VisitRange).
 			e.tailFirstT.Store(t)
-			m = tail.admit(t, r.Stride, r.Count-done, epoch)
+			m = tail.admit(first, t, r.Stride, r.Count-done, epoch)
 		}
-		tail.extend(values, r.Packed, r.Pos+done, m)
+		tail.extend(values, tail.hist(e.lanes), r.Packed, r.Pos+done, m)
 		done += m
 	}
 	e.total.Add(int64(done))
@@ -750,7 +749,7 @@ func (s *Store) appendRun(e *meterEntry, table *symbolic.Table, r Run) (int, err
 // otherwise. Caller holds the shard write lock.
 func (s *Store) sealTail(e *meterEntry, tail *block) error {
 	if s.sink == nil {
-		tail.seal()
+		e.seal(tail)
 		return nil
 	}
 	return e.spill(s.sink, tail)
@@ -758,22 +757,22 @@ func (s *Store) sealTail(e *meterEntry, tail *block) error {
 
 // spill hands a just-sealed block to the sink and adopts the returned bytes
 // as the block's payload. On success the old heap payload buffer is parked
-// for reuse by the next tail, and an underfull block's histogram is dropped
-// exactly as seal() would drop it (the sink already persisted it; queries
-// kernel-scan partial blocks either way).
+// for reuse by the next tail, and an underfull block's lanes are given back
+// exactly as seal does (the sink already persisted them; queries kernel-scan
+// partial blocks either way).
 func (e *meterEntry) spill(sink SealSink, b *block) error {
 	used := (int(b.n)*int(b.level) + 7) / 8
 	adopted, err := sink.SealedBlock(e.id, SealedBlock{
 		Epoch:   int(b.epoch),
 		Level:   int(b.level),
 		N:       int(b.n),
-		FirstT:  b.firstT,
+		FirstT:  e.tailFirstT.Load(), // b is the tail
 		Stride:  b.stride,
 		Sum:     b.sum,
 		MinV:    b.minV,
 		MaxV:    b.maxV,
 		Payload: b.payload[:used:used],
-		Hist:    b.hist,
+		Hist:    b.hist(e.lanes),
 	})
 	if err != nil {
 		return err
@@ -785,19 +784,16 @@ func (e *meterEntry) spill(sink SealSink, b *block) error {
 	// a genuinely relocated payload frees the old buffer for recycling (and
 	// only then is the block's storage off-heap).
 	if relocated := &adopted[0] != &b.payload[0]; relocated {
-		if !b.payloadFromArena && cap(b.payload) > cap(e.recycle) {
+		if b.flags&flagArena == 0 && cap(b.payload) > cap(e.recycle) {
 			e.recycle = b.payload[:0]
 		}
 		b.payload = adopted[:used:used]
-		b.payloadFromArena = false
-		b.spilled = true
+		b.flags = b.flags&^flagArena | flagSpilled
+		e.trimLanes(b)
 	} else {
 		// The bytes stayed on the heap (no mapping available): trim them
 		// like any other seal.
-		b.seal()
-	}
-	if !b.histFromArena && b.hist != nil && int(b.n) < len(b.hist) {
-		b.hist = nil
+		e.seal(b)
 	}
 	return nil
 }
@@ -844,47 +840,75 @@ func (s *Store) RestoreMeter(meterID uint64, tables []*symbolic.Table, blocks []
 	}
 	e := &meterEntry{id: meterID, tables: append([]*symbolic.Table(nil), tables...)}
 	e.tailFirstT.Store(noTail)
-	total := 0
-	ordered := true
+	if len(blocks) == 0 {
+		e.idx.Store(&emptyIndex)
+		sh.register(e)
+		return nil
+	}
+	// Validate first, so every slice is sized exactly: the chain plus one
+	// tail block, the directory, and the lanes of every block that keeps its
+	// histogram plus one tail's (without that headroom, the tail that log
+	// replay opens would double the slab).
+	lanes := 0
 	for i, rb := range blocks {
 		if err := validateRestored(rb, e.tables); err != nil {
 			return fmt.Errorf("server: restore meter %d block %d: %w", meterID, i, err)
 		}
+		if keepLanes(rb) {
+			lanes += len(rb.Hist)
+		}
+	}
+	if level := e.tables[len(e.tables)-1].Level(); level <= maxHistLevel {
+		lanes += 1 << level
+	}
+	e.blocks = make([]block, len(blocks), len(blocks)+1)
+	e.dirFirst = make([]int64, len(blocks))
+	e.lanes = make([]uint16, 0, lanes)
+	total := 0
+	ordered := true
+	for i, rb := range blocks {
 		used := (rb.N*rb.Level + 7) / 8
-		e.blocks = append(e.blocks, block{
-			epoch:   uint32(rb.Epoch),
-			level:   uint8(rb.Level),
-			n:       uint32(rb.N),
-			firstT:  rb.FirstT,
+		b := &e.blocks[i]
+		*b = block{
 			stride:  rb.Stride,
 			sum:     rb.Sum,
 			minV:    rb.MinV,
 			maxV:    rb.MaxV,
 			payload: rb.Payload[:used:used],
-			hist:    rb.Hist,
-			spilled: rb.Spilled,
-		})
-		e.dirFirst = append(e.dirFirst, rb.FirstT)
+			epoch:   uint32(rb.Epoch),
+			n:       uint16(rb.N),
+			level:   uint8(rb.Level),
+		}
+		if keepLanes(rb) {
+			b.lanes = uint32(len(e.lanes))
+			b.flags |= flagHist
+			e.lanes = append(e.lanes, rb.Hist...)
+		}
+		if rb.Spilled {
+			b.flags |= flagSpilled
+		}
+		e.dirFirst[i] = rb.FirstT
 		total += rb.N
-		if i > 0 && e.blocks[i-1].lastT() > rb.FirstT {
+		if i > 0 && e.blocks[i-1].lastT(e.dirFirst[i-1]) > rb.FirstT {
 			ordered = false
 		}
 	}
 	e.total.Store(int64(total))
-	if len(e.blocks) == 0 {
-		e.idx.Store(&emptyIndex)
-	} else {
-		e.idx.Store(&sealedIndex{
-			tables:  e.tables,
-			blocks:  e.blocks[:len(e.blocks):len(e.blocks)],
-			firstTs: e.dirFirst[:len(e.blocks):len(e.blocks)],
-			total:   total,
-			ordered: ordered,
-		})
-	}
+	e.idx.Store(&sealedIndex{
+		tables:  e.tables,
+		blocks:  e.blocks[:len(blocks):len(blocks)],
+		firstTs: e.dirFirst,
+		lanes:   e.lanes[:len(e.lanes):len(e.lanes)],
+		total:   total,
+		ordered: ordered,
+	})
 	sh.register(e)
 	return nil
 }
+
+// keepLanes reports whether a restored block keeps its histogram: by the
+// rule seal applies live, an underfull block's lanes are dropped.
+func keepLanes(rb SealedBlock) bool { return rb.Hist != nil && rb.N >= len(rb.Hist) }
 
 // validateRestored checks one recovered block against the meter's table
 // history: referenced epoch, matching level, sane point count, payload large
@@ -943,7 +967,7 @@ func (s *Store) Snapshot(meterID uint64) (MeterState, bool) {
 	}
 	st := MeterState{ID: e.id, Sessions: e.sessions}
 	st.Tables = append([]*symbolic.Table(nil), e.tables...)
-	blocks := e.blocks
+	blocks, dir, tf := e.blocks, e.dirFirst, e.tailFirstT.Load()
 	total := int(e.total.Load())
 	var tailCopy block
 	if len(blocks) > 0 {
@@ -954,25 +978,32 @@ func (s *Store) Snapshot(meterID uint64) (MeterState, bool) {
 	}
 	sh.mu.RUnlock()
 
+	// Sealed blocks start where the directory says, the tail at tailFirstT.
+	firstT := func(i int) int64 {
+		if i < len(dir) {
+			return dir[i]
+		}
+		return tf
+	}
 	st.Points = make([]ReconPoint, 0, total)
 	var scratch []symbolic.Symbol
 	for i := 0; i+1 < len(blocks); i++ {
-		st.Points, scratch = appendBlockPoints(st.Points, &blocks[i], st.Tables, scratch)
+		st.Points, scratch = appendBlockPoints(st.Points, &blocks[i], firstT(i), st.Tables, scratch)
 	}
 	if len(blocks) > 0 {
-		st.Points, _ = appendBlockPoints(st.Points, &tailCopy, st.Tables, scratch)
+		st.Points, _ = appendBlockPoints(st.Points, &tailCopy, firstT(len(blocks)-1), st.Tables, scratch)
 	}
 	return st, true
 }
 
-// appendBlockPoints reconstructs one block's points via the codec's
-// sequential range decoder, reusing scratch across blocks.
-func appendBlockPoints(dst []ReconPoint, b *block, tables []*symbolic.Table, scratch []symbolic.Symbol) ([]ReconPoint, []symbolic.Symbol) {
+// appendBlockPoints reconstructs the points of one block starting at firstT
+// via the codec's sequential range decoder, reusing scratch across blocks.
+func appendBlockPoints(dst []ReconPoint, b *block, firstT int64, tables []*symbolic.Table, scratch []symbolic.Symbol) ([]ReconPoint, []symbolic.Symbol) {
 	values := tables[b.epoch].ReconstructionValues()
 	scratch = symbolic.AppendUnpackRange(scratch[:0], b.payload, int(b.level), 0, int(b.n))
 	for i, s := range scratch {
 		dst = append(dst, ReconPoint{
-			T: b.firstT + int64(i)*b.stride,
+			T: firstT + int64(i)*b.stride,
 			S: s,
 			V: values[s.Index()],
 		})
@@ -980,10 +1011,10 @@ func appendBlockPoints(dst []ReconPoint, b *block, tables []*symbolic.Table, scr
 	return dst, scratch
 }
 
-// view builds the visitor view for a block under the meter's live tables
-// (callers hold the shard lock).
+// view builds the visitor view of the tail block b under the meter's live
+// tables (callers hold the shard lock).
 func (e *meterEntry) view(b *block) BlockView {
-	return viewOf(b, e.tables)
+	return viewOf(b, e.tailFirstT.Load(), e.tables, e.lanes)
 }
 
 // Meters returns the IDs of every meter the store has seen, in no
@@ -1014,14 +1045,15 @@ func (s *Store) TotalSymbols() int {
 
 // MemoryFootprint returns the resident bytes attributable to point storage
 // and the number of stored points — the basis of the benchmark's
-// resident_bytes_per_symbol. Reserve arenas (payload, histogram and
-// index-struct slabs) are counted at their full allocated size (carved
-// regions stay resident for the slab's lifetime, trimmed or not); blocks add
-// their metadata plus any payload or histogram they own outside an arena —
-// except spilled payloads, which alias mmapped segment files and cost page
-// cache, not heap; the time directory adds 8 bytes per slot of its capacity
-// and the spill-recycled tail buffer its capacity. Table and map overhead is
-// excluded: both exist identically in any storage scheme.
+// resident_bytes_per_symbol. Reserve arenas (payload and index-struct slabs)
+// are counted at their full allocated size (carved regions stay resident for
+// the slab's lifetime, trimmed or not); blocks add their metadata plus any
+// payload they own outside an arena — except spilled payloads, which alias
+// mmapped segment files and cost page cache, not heap; the histogram lane
+// slab adds 2 bytes per lane of its capacity, the time directory 8 bytes per
+// slot of its capacity, and the spill-recycled tail buffer its capacity.
+// Table and map overhead is excluded: both exist identically in any storage
+// scheme.
 func (s *Store) MemoryFootprint() (bytes, points int64) {
 	const blockMeta = int64(unsafe.Sizeof(block{}))
 	for i := range s.shards {
@@ -1031,16 +1063,14 @@ func (s *Store) MemoryFootprint() (bytes, points int64) {
 			e := m.e
 			points += e.total.Load()
 			bytes += e.arenaBytes
+			bytes += 2 * int64(cap(e.lanes))
 			bytes += 8 * int64(cap(e.dirFirst))
 			bytes += int64(cap(e.recycle))
 			for j := range e.blocks {
 				b := &e.blocks[j]
 				bytes += blockMeta
-				if !b.payloadFromArena && !b.spilled {
+				if b.flags&(flagArena|flagSpilled) == 0 {
 					bytes += int64(cap(b.payload))
-				}
-				if !b.histFromArena {
-					bytes += 4 * int64(cap(b.hist))
 				}
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"symmeter/internal/symbolic"
 )
@@ -369,6 +370,15 @@ func TestMemoryFootprint(t *testing.T) {
 	}
 }
 
+// TestBlockLayout pins what the store keeps per block beside its payload and
+// histogram lanes: a field added to block fails here instead of drifting the
+// resident bytes per symbol.
+func TestBlockLayout(t *testing.T) {
+	if got := unsafe.Sizeof(block{}); got > 72 {
+		t.Fatalf("block is %d bytes, want ≤ 72", got)
+	}
+}
+
 // TestDegenerateStreamMemoryBounded pins the seal-time trimming: a stream
 // whose timestamps break the stride on every point (client-controlled wire
 // input — out-of-order replay, alternating clocks) seals a near-empty block
@@ -705,13 +715,16 @@ func TestTimeDirectoryPrunes(t *testing.T) {
 // published-directory readers (Meters/TotalSymbols) all hammer the same two
 // shards. Readers check per-meter full-range counts never go backwards (a
 // torn publication would lose sealed blocks) and every view is internally
-// consistent.
+// consistent, its histogram included: short blocks between two gaps give
+// their lanes back at seal, and the next tail reuses those cells while
+// readers hold views of the sealed blocks before them.
 func TestConcurrentPublishStress(t *testing.T) {
 	s := NewStore(2) // few shards: force meters to collide on locks
 	table := testTable(t)
 	const meters = 8
 	const batches = 60
 	const batchPts = 32
+	const shortPts = 3 // fewer than k: the block gives its lanes back
 	var writers, readers sync.WaitGroup
 	for id := uint64(1); id <= meters; id++ {
 		if err := s.StartSession(id); err != nil {
@@ -729,11 +742,15 @@ func TestConcurrentPublishStress(t *testing.T) {
 			var ts int64
 			for b := 0; b < batches; b++ {
 				pts := make([]symbolic.SymbolPoint, batchPts)
+				if b%11 == 7 {
+					pts = pts[:shortPts]
+					ts += 600 // and the gap below: a block of its own
+				}
 				for i := range pts {
 					pts[i] = symbolic.SymbolPoint{T: ts, S: table.Encode(float64(i))}
 					ts += 60
 				}
-				if b%7 == 3 {
+				if b%7 == 3 || b%11 == 7 {
 					ts += 600 // gap: forces a seal + publish
 				}
 				if b%13 == 5 {
@@ -771,6 +788,15 @@ func TestConcurrentPublishStress(t *testing.T) {
 					if v.N <= 0 || v.LastT() < v.FirstT {
 						t.Errorf("inconsistent view: n=%d firstT=%d lastT=%d", v.N, v.FirstT, v.LastT())
 					}
+					if v.Hist != nil {
+						mass := 0
+						for _, c := range v.Hist {
+							mass += int(c)
+						}
+						if mass != v.N {
+							t.Errorf("view of %d points has histogram mass %d", v.N, mass)
+						}
+					}
 					n += v.N
 				})
 				if n < last[id] {
@@ -798,7 +824,13 @@ func TestConcurrentPublishStress(t *testing.T) {
 	for id := uint64(1); id <= meters; id++ {
 		s.EndSession(id)
 	}
-	if got, want := s.TotalSymbols(), meters*batches*batchPts; got != want {
+	short := 0
+	for b := 0; b < batches; b++ {
+		if b%11 == 7 {
+			short++
+		}
+	}
+	if got, want := s.TotalSymbols(), meters*(batches*batchPts-short*(batchPts-shortPts)); got != want {
 		t.Fatalf("total = %d, want %d", got, want)
 	}
 	// Post-quiescence: lock-free counts equal snapshot reconstruction.

@@ -132,7 +132,7 @@ type blockImage struct {
 	FirstT, Stride int64
 	N, Epoch       int
 	Payload        []byte
-	Hist           []uint32
+	Hist           []uint16
 	Sum, Min, Max  uint64 // float summaries as IEEE bits
 }
 
@@ -404,9 +404,10 @@ func TestSkippedBatchStillValidated(t *testing.T) {
 	}
 }
 
-// TestFooterRoomRunningTotal: the segment writer's O(1) footer-size total
-// must equal the recomputed sum after every seal, across rollovers and mixed
-// histogram widths, and every finished segment must fit its preallocation.
+// TestFooterRoomRunningTotal: the footer the segment writer encodes as blocks
+// seal must be exactly the entries' sizes after every seal, across rollovers
+// and mixed histogram widths, and every finished segment must fit its
+// preallocation.
 func TestFooterRoomRunningTotal(t *testing.T) {
 	dir := t.TempDir()
 	const segCap = 64 << 10
@@ -417,6 +418,7 @@ func TestFooterRoomRunningTotal(t *testing.T) {
 	defer eng.Close()
 	sw := eng.segs[0]
 	rollovers := 0
+	want := 0 // footer bytes of the blocks sealed into the open segment
 	for i := 0; i < 600; i++ {
 		level := []int{2, 4, 8, 12}[i%4]
 		blk := server.SealedBlock{
@@ -424,7 +426,7 @@ func TestFooterRoomRunningTotal(t *testing.T) {
 			Payload: make([]byte, 512*level/8),
 		}
 		if level <= 8 {
-			blk.Hist = make([]uint32, 1<<level)
+			blk.Hist = make([]uint16, 1<<level)
 		}
 		seq := sw.seq
 		if _, err := sw.SealedBlock(uint64(i%3), blk); err != nil {
@@ -441,12 +443,12 @@ func TestFooterRoomRunningTotal(t *testing.T) {
 				t.Fatalf("segment %d finished at %d bytes, past its %d-byte preallocation", seq-1, st.Size(), segCap)
 			}
 		}
-		want := 0
-		for _, e := range sw.meta {
-			want += segBlockMetaLen + 4*len(e.blk.Hist)
+		if sw.seq != seq {
+			want = 0 // this block opened a new segment
 		}
-		if sw.metaBytes != want {
-			t.Fatalf("after seal %d: running total %d, recomputed %d", i, sw.metaBytes, want)
+		want += segBlockMetaLen + 4*len(blk.Hist)
+		if len(sw.footer) != want {
+			t.Fatalf("after seal %d: footer holds %d bytes, entries need %d", i, len(sw.footer), want)
 		}
 	}
 	if rollovers < 3 {
@@ -472,9 +474,9 @@ func TestFooterRoomRunningTotal(t *testing.T) {
 		t.Fatal("final segment read back empty")
 	}
 	// The histograms come back carved from one exactly-sized slab: back to
-	// back, each capped at its own lanes (what MemoryFootprint counts per
-	// block), and reading the segment allocates per segment, not per block.
-	var prev []uint32
+	// back, each capped at its own lanes, and reading the segment allocates
+	// per segment, not per block.
+	var prev []uint16
 	withHist := 0
 	for i, sb := range blocks {
 		h := sb.blk.Hist
@@ -488,7 +490,7 @@ func TestFooterRoomRunningTotal(t *testing.T) {
 		if len(h) != 1<<sb.blk.Level || cap(h) != len(h) {
 			t.Fatalf("block %d: histogram len %d cap %d at level %d", i, len(h), cap(h), sb.blk.Level)
 		}
-		if prev != nil && unsafe.Pointer(&h[0]) != unsafe.Add(unsafe.Pointer(&prev[0]), 4*len(prev)) {
+		if prev != nil && unsafe.Pointer(&h[0]) != unsafe.Add(unsafe.Pointer(&prev[0]), 2*len(prev)) {
 			t.Fatalf("block %d: histogram does not follow the previous one in the slab", i)
 		}
 		prev = h

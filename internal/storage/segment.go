@@ -75,10 +75,12 @@ type segmentWriter struct {
 	m    []byte // shared read-only mapping of the whole capacity (nil on !canMmap)
 	path string
 	off  int64
-	meta []segBlock
-	// metaBytes is the footer size the blocks in meta encode to, kept as a
-	// running total so the per-seal headroom check is O(1).
-	metaBytes int
+	// footer holds the open segment's footer entries, encoded as each block
+	// seals — the store reuses an underfull block's histogram lanes, so they
+	// are copied out at once — and blocks counts them. len(footer) is what
+	// the per-seal headroom check needs.
+	footer []byte
+	blocks int
 }
 
 func segName(shard int, seq uint64) string {
@@ -111,8 +113,8 @@ func (sw *segmentWriter) open() error {
 	}
 	sw.f = f
 	sw.off = int64(len(segMagic))
-	sw.meta = sw.meta[:0]
-	sw.metaBytes = 0
+	sw.footer = sw.footer[:0]
+	sw.blocks = 0
 	sw.seq++
 	return nil
 }
@@ -139,15 +141,23 @@ func (sw *segmentWriter) SealedBlock(meterID uint64, blk server.SealedBlock) ([]
 	if sw.m != nil {
 		adopted = sw.m[sw.off : sw.off+need : sw.off+need]
 	}
-	// The footer references the caller's Hist slice; sealed summaries never
-	// mutate after the seal, so aliasing is safe until finish() encodes it.
-	sw.meta = append(sw.meta, segBlock{
-		meterID: meterID,
-		blk:     blk,
-		off:     sw.off,
-		crc:     crc32.Checksum(blk.Payload, crcC),
-	})
-	sw.metaBytes += segBlockMetaLen + 4*len(blk.Hist)
+	f := binary.BigEndian.AppendUint64(sw.footer, meterID)
+	f = binary.BigEndian.AppendUint32(f, uint32(blk.Epoch))
+	f = append(f, byte(blk.Level))
+	f = binary.BigEndian.AppendUint16(f, uint16(len(blk.Hist)))
+	f = binary.BigEndian.AppendUint32(f, uint32(blk.N))
+	f = binary.BigEndian.AppendUint64(f, uint64(blk.FirstT))
+	f = binary.BigEndian.AppendUint64(f, uint64(blk.Stride))
+	f = binary.BigEndian.AppendUint64(f, math.Float64bits(blk.Sum))
+	f = binary.BigEndian.AppendUint64(f, math.Float64bits(blk.MinV))
+	f = binary.BigEndian.AppendUint64(f, math.Float64bits(blk.MaxV))
+	f = binary.BigEndian.AppendUint64(f, uint64(sw.off))
+	f = binary.BigEndian.AppendUint32(f, crc32.Checksum(blk.Payload, crcC))
+	for _, c := range blk.Hist {
+		f = binary.BigEndian.AppendUint32(f, uint32(c))
+	}
+	sw.footer = f
+	sw.blocks++
 	sw.off = (sw.off + need + 7) &^ 7
 	return adopted, nil
 }
@@ -156,7 +166,7 @@ func (sw *segmentWriter) SealedBlock(meterID uint64, blk server.SealedBlock) ([]
 // finished right now, plus one more max-width entry — the headroom check
 // that guarantees finish() always fits inside the preallocated capacity.
 func (sw *segmentWriter) footerRoom() int {
-	return sw.metaBytes + segBlockMetaLen + 4*1024
+	return len(sw.footer) + segBlockMetaLen + 4*1024
 }
 
 // finish writes the footer and trailer, fsyncs, shrinks the file to its real
@@ -166,7 +176,7 @@ func (sw *segmentWriter) finish() error {
 	if sw.f == nil {
 		return nil
 	}
-	if len(sw.meta) == 0 {
+	if sw.blocks == 0 {
 		// Nothing spilled: drop the empty file instead of manifesting it.
 		err := sw.f.Close()
 		sw.f = nil
@@ -175,29 +185,11 @@ func (sw *segmentWriter) finish() error {
 		}
 		return err
 	}
-	footer := make([]byte, 0, sw.footerRoom())
-	for i := range sw.meta {
-		e := &sw.meta[i]
-		footer = binary.BigEndian.AppendUint64(footer, e.meterID)
-		footer = binary.BigEndian.AppendUint32(footer, uint32(e.blk.Epoch))
-		footer = append(footer, byte(e.blk.Level))
-		footer = binary.BigEndian.AppendUint16(footer, uint16(len(e.blk.Hist)))
-		footer = binary.BigEndian.AppendUint32(footer, uint32(e.blk.N))
-		footer = binary.BigEndian.AppendUint64(footer, uint64(e.blk.FirstT))
-		footer = binary.BigEndian.AppendUint64(footer, uint64(e.blk.Stride))
-		footer = binary.BigEndian.AppendUint64(footer, math.Float64bits(e.blk.Sum))
-		footer = binary.BigEndian.AppendUint64(footer, math.Float64bits(e.blk.MinV))
-		footer = binary.BigEndian.AppendUint64(footer, math.Float64bits(e.blk.MaxV))
-		footer = binary.BigEndian.AppendUint64(footer, uint64(e.off))
-		footer = binary.BigEndian.AppendUint32(footer, e.crc)
-		for _, c := range e.blk.Hist {
-			footer = binary.BigEndian.AppendUint32(footer, c)
-		}
-	}
+	footer := sw.footer
 	trailer := make([]byte, 0, segTrailerLen)
 	trailer = binary.BigEndian.AppendUint64(trailer, uint64(sw.off))
 	trailer = binary.BigEndian.AppendUint32(trailer, uint32(len(footer)))
-	trailer = binary.BigEndian.AppendUint32(trailer, uint32(len(sw.meta)))
+	trailer = binary.BigEndian.AppendUint32(trailer, uint32(sw.blocks))
 	trailer = binary.BigEndian.AppendUint32(trailer, crc32.Checksum(footer, crcC))
 	trailer = append(trailer, segFooterMagic...)
 	if _, err := sw.f.WriteAt(footer, sw.off); err != nil {
@@ -270,17 +262,17 @@ func loadSegment(fsys FS, path string) (blocks []segBlock, mapping []byte, err e
 		return nil, nil, fmt.Errorf("storage: mmap segment %s: %w", path, err)
 	}
 	// One histogram slab per segment, sized exactly from the entries' histK
-	// before the decode loop and carved full-slice per block — so restoring a
-	// segment is one allocation instead of one per block, and each block still
-	// owns (and MemoryFootprint still counts) exactly its own lanes. A footer
-	// the walk below would reject stops this one at the same entry.
+	// before the decode loop and carved full-slice per block — so reading a
+	// segment is one allocation instead of one per block. It lives only until
+	// RestoreMeter copies the lanes into each meter's own slab. A footer the
+	// walk below would reject stops this one at the same entry.
 	lanes := 0
 	for i, off := 0, 0; i < count && off+segBlockMetaLen <= len(footer); i++ {
 		k := int(binary.BigEndian.Uint16(footer[off+13:]))
 		lanes += k
 		off += segBlockMetaLen + 4*k
 	}
-	slab := make([]uint32, lanes)
+	slab := make([]uint16, lanes)
 	blocks = make([]segBlock, 0, count)
 	off := 0
 	for i := 0; i < count; i++ {
@@ -308,7 +300,15 @@ func loadSegment(fsys FS, path string) (blocks []segBlock, mapping []byte, err e
 			}
 			e.blk.Hist, slab = slab[:histK:histK], slab[histK:]
 			for j := range e.blk.Hist {
-				e.blk.Hist[j] = binary.BigEndian.Uint32(footer[off+4*j:])
+				// A lane counts one block's symbols. Refuse anything a block
+				// cannot hold before narrowing it to the store's 16 bits, or
+				// a count that wraps could pass the histogram mass check.
+				c := binary.BigEndian.Uint32(footer[off+4*j:])
+				if c > server.BlockCap {
+					fsys.Munmap(mapping)
+					return nil, nil, fmt.Errorf("storage: segment %s: block %d histogram lane %d counts %d symbols, a block holds %d", path, i, j, c, server.BlockCap)
+				}
+				e.blk.Hist[j] = uint16(c)
 			}
 			off += 4 * histK
 		}

@@ -312,6 +312,59 @@ func TestSpillBoundsResidentMemory(t *testing.T) {
 	}
 }
 
+// TestRestoredFootprintPerBlock pins what a restored store keeps per sealed
+// block: its 72-byte struct, its 2-byte histogram lanes and its 8-byte
+// directory slot — the payload stays in the mapped segment. The fixture is
+// full blocks plus a one-point tail the log replays, which adds its own
+// struct, its lanes (the restore's headroom) and a heap payload.
+func TestRestoredFootprintPerBlock(t *testing.T) {
+	if !canMmap {
+		t.Skip("no mmap on this platform: sealed payloads stay heap-resident")
+	}
+	dir := t.TempDir()
+	table := testTable(t)
+	const sealed = 6 // full blocks per meter
+	eng := openTest(t, dir, SyncOff)
+	for _, m := range testMeters {
+		if err := eng.StartSession(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := PushNext(eng, m, table); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i <= sealed*server.BlockCap; {
+			n := min(96, sealed*server.BlockCap+1-i)
+			pts := make([]symbolic.SymbolPoint, n)
+			for j := range pts {
+				pts[j] = symbolic.SymbolPoint{T: int64(i+j) * 900, S: table.Encode(float64((i + j) * 13 % 4000))}
+			}
+			if _, err := AppendNext(eng, m, pts); err != nil {
+				t.Fatal(err)
+			}
+			i += n
+		}
+		eng.EndSession(m)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	eng = openTest(t, dir, SyncOff)
+	defer eng.Close()
+	if rs := eng.Recovery(); rs.SegmentBlocks != sealed*len(testMeters) {
+		t.Fatalf("restored %d segment blocks, want %d full ones", rs.SegmentBlocks, sealed*len(testMeters))
+	}
+	k, level := table.K(), table.Level()
+	perSealed := int64(72 + 2*k + 8)
+	perTail := int64(72 + 2*k + (server.BlockCap*level+7)/8)
+	bytes, points := eng.Store().MemoryFootprint()
+	if points != int64((sealed*server.BlockCap+1)*len(testMeters)) {
+		t.Fatalf("restored %d points", points)
+	}
+	if limit := int64(len(testMeters)) * (sealed*perSealed + perTail); bytes > limit {
+		t.Fatalf("restored store keeps %d B, want ≤ %d B (%d B per sealed block, %d B per tail)", bytes, limit, perSealed, perTail)
+	}
+}
+
 func TestRefusesNewerFormat(t *testing.T) {
 	dir := t.TempDir()
 	eng := openTest(t, dir, SyncOff)

@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -427,5 +428,43 @@ func TestCorruptSegmentPayloadFailsLoudly(t *testing.T) {
 	if _, err := Open(Options{Dir: dir, Shards: 4, Sync: SyncOff}); err == nil ||
 		!strings.Contains(err.Error(), "payload CRC") {
 		t.Fatalf("corrupt segment payload: got %v, want a payload CRC failure", err)
+	}
+}
+
+// TestOversizedHistogramLaneFailsLoudly: footer lanes are 32-bit on disk and
+// 16-bit in the store. A lane raised by 1<<16 narrows back to its old value,
+// so the histogram mass check alone would pass it; the footer's CRC is
+// recomputed, so only the lane bound can refuse it, and Open must.
+func TestOversizedHistogramLaneFailsLoudly(t *testing.T) {
+	dir := t.TempDir()
+	table := testTable(t)
+	eng := openTest(t, dir, SyncOff)
+	applyBatches(t, eng, table, testMeters[:1], 20)
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "seg", "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no finished segments (err %v)", err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailer := data[len(data)-segTrailerLen:]
+	footerOff := binary.BigEndian.Uint64(trailer)
+	footer := data[footerOff : footerOff+uint64(binary.BigEndian.Uint32(trailer[8:]))]
+	if k := binary.BigEndian.Uint16(footer[13:]); k != uint16(table.K()) {
+		t.Fatalf("first footer entry has %d lanes, want %d", k, table.K())
+	}
+	lane := footer[segBlockMetaLen:]
+	binary.BigEndian.PutUint32(lane, binary.BigEndian.Uint32(lane)+1<<16)
+	binary.BigEndian.PutUint32(trailer[16:], crc32.Checksum(footer, crcC))
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Options{Dir: dir, Shards: 4, Sync: SyncOff}); err == nil ||
+		!strings.Contains(err.Error(), "histogram lane") {
+		t.Fatalf("oversized footer lane: got %v, want a histogram lane failure", err)
 	}
 }

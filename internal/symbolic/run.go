@@ -119,9 +119,11 @@ func bitsAt(src []byte, bit, n int) byte {
 // over positions [start, end) of a headerless packed payload, one symbol at
 // a time in position order — float addition is not associative, so this is
 // the only order that reproduces a point-by-point fold bit for bit. When
-// hist is non-nil each symbol also bumps hist[idx]. The caller seeds minV
-// and maxV with the first value of a fresh fold.
-func PackedRangeFold(values []float64, hist []uint32, payload []byte, level, start, end int, sum, minV, maxV float64) (float64, float64, float64) {
+// hist is non-nil each symbol also bumps hist[idx]; its 16-bit lanes suit
+// one store block (at most 512 symbols), and the caller keeps every lane
+// under 65 536. The caller seeds minV and maxV with the first value of a
+// fresh fold.
+func PackedRangeFold(values []float64, hist []uint16, payload []byte, level, start, end int, sum, minV, maxV float64) (float64, float64, float64) {
 	if level != 4 || hist == nil {
 		walkPacked(payload, level, start, end, func(idx uint32) {
 			sum, minV, maxV = fold1(values[idx], sum, minV, maxV)

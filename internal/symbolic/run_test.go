@@ -127,9 +127,9 @@ func TestPackedRangeFold(t *testing.T) {
 				values[rng.Intn(k)] = math.NaN() // the passes after this one fold a NaN
 			}
 			for _, span := range [][2]int{{0, 0}, {0, 1}, {1, 2}, {0, 96}, {1, 96}, {2, 97}, {3, 98}, {95, 600}} {
-				var hist, wantHist []uint32
+				var hist, wantHist []uint16
 				if withHist {
-					hist, wantHist = make([]uint32, k), make([]uint32, k)
+					hist, wantHist = make([]uint16, k), make([]uint16, k)
 				}
 				sum, lo, hi := 12.5, -3.0, 4.0
 				ws, wlo, whi := sum, lo, hi
