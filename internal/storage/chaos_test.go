@@ -7,6 +7,7 @@
 package storage_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -69,7 +70,7 @@ func chaosOpen(t testing.TB, dir string, fsys storage.FS, sync storage.SyncMode,
 
 // startMeters opens a session and pushes the table for every meter (done on
 // a healthy disk, before any fault schedule is armed).
-func startMeters(t testing.TB, eng *storage.Engine, table *symbolic.Table, meters []uint64) {
+func startMeters(t testing.TB, eng server.Ingest, table *symbolic.Table, meters []uint64) {
 	t.Helper()
 	for _, m := range meters {
 		if err := eng.StartSession(m); err != nil {
@@ -442,7 +443,7 @@ func TestOpenUnwindsCleanly(t *testing.T) {
 		fault faultfs.Fault
 		mmap  bool
 	}{
-		{"wal-read-fails", faultfs.Fault{Op: faultfs.OpReadFile, Path: ".wal", N: 1}, false},
+		{"wal-read-fails", faultfs.Fault{Op: faultfs.OpMmap, Path: ".wal", N: 1}, false},
 		{"wal-open-fails", faultfs.Fault{Op: faultfs.OpOpen, Path: "shard-", N: 2}, false},
 		{"segment-open-fails", faultfs.Fault{Op: faultfs.OpOpen, Path: ".seg", N: 1}, false},
 		{"segment-mmap-fails", faultfs.Fault{Op: faultfs.OpMmap, Path: ".seg", N: 2}, true},
@@ -520,7 +521,7 @@ func TestOpenUnwindsCleanlyConcurrent(t *testing.T) {
 	haveMmap := ffs.Counts()[faultfs.OpMmap] > 0
 
 	wal := func(shard int, err error) faultfs.Fault {
-		return faultfs.Fault{Op: faultfs.OpReadFile, Path: fmt.Sprintf("shard-%04d.wal", shard), Err: err, Sticky: true}
+		return faultfs.Fault{Op: faultfs.OpMmap, Path: fmt.Sprintf("shard-%04d.wal", shard), Err: err, Sticky: true}
 	}
 	seg := func(shard int, err error) faultfs.Fault {
 		return faultfs.Fault{Op: faultfs.OpMmap, Path: fmt.Sprintf("%cseg%c%04d-", filepath.Separator, filepath.Separator, shard), Err: err, Sticky: true}
@@ -589,7 +590,7 @@ func TestFaultedRecoveryThenClean(t *testing.T) {
 	}
 	eng.Abandon() // crash shape: open segments without footers, WAL as written
 
-	ffs.SetFaults(faultfs.Fault{Op: faultfs.OpReadFile, Path: ".wal", N: 2})
+	ffs.SetFaults(faultfs.Fault{Op: faultfs.OpMmap, Path: ".wal", N: 2})
 	if _, err := storage.Open(storage.Options{
 		Dir: dir, Shards: 4, SegmentBytes: 64 << 10, FS: ffs, ProbeInterval: time.Hour,
 	}); !errors.Is(err, faultfs.ErrIO) {
@@ -600,6 +601,183 @@ func TestFaultedRecoveryThenClean(t *testing.T) {
 	}
 
 	ffs.SetFaults()
+	re := chaosOpen(t, dir, ffs, storage.SyncOff, time.Hour)
+	defer re.Close()
+	requireStoresEqual(t, re.Store(), buildOracle(t, table, meters, acked), meters)
+}
+
+// TestCleanOpenDoesNotCopyLog: a clean Open reads every WAL generation
+// through a mapping — never a whole-file read of the log — and allocates less
+// in total than the log holds, so restart cost carries no heap copy of the
+// retained history.
+func TestCleanOpenDoesNotCopyLog(t *testing.T) {
+	dir := t.TempDir()
+	ffs := faultfs.New()
+	table := chaosTable(t)
+	meters := make([]uint64, 16)
+	for i := range meters {
+		meters[i] = uint64(i + 1)
+	}
+	// Batches continue one another's stride — whole 512-point blocks, like a
+	// day-batched fleet — so the restored chains are as compact as the
+	// footers make them.
+	const batches = 160
+	want := server.NewStore(4)
+	eng := chaosOpen(t, dir, ffs, storage.SyncOff, time.Hour)
+	for _, ing := range []server.Ingest{eng, want} {
+		startMeters(t, ing, table, meters)
+		for idx := 0; idx < batches; idx++ {
+			for _, m := range meters {
+				pts := chaosBatch(m, 0, table)
+				for j := range pts {
+					pts[j].T = int64(idx*96+j) * 900
+				}
+				if _, err := storage.AppendNext(ing, m, pts); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logs, err := filepath.Glob(filepath.Join(dir, "wal", "*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walBytes uint64
+	for _, p := range logs {
+		st, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walBytes += uint64(st.Size())
+	}
+
+	// A whole-file read of any generation fails the Open outright.
+	ffs.SetFaults(faultfs.Fault{Op: faultfs.OpReadFile, Path: ".wal", Sticky: true})
+	reads := ffs.Counts()[faultfs.OpReadFile]
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	re, err := storage.Open(storage.Options{Dir: dir, Shards: 4, SegmentBytes: 64 << 10, FS: ffs, ProbeInterval: time.Hour})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("clean Open read the log whole: %v", err)
+	}
+	defer re.Close()
+	if got := ffs.Counts()[faultfs.OpReadFile] - reads; got != 1 {
+		t.Fatalf("clean Open made %d whole-file reads, want 1 (the manifest)", got)
+	}
+	if rs := re.Recovery(); rs.SegmentPoints == 0 || rs.WALRecords == 0 {
+		t.Fatalf("fixture must restore segments and scan the log: %+v", rs)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= walBytes {
+		t.Fatalf("clean Open allocated %d bytes for a %d-byte log", alloc, walBytes)
+	}
+	requireStoresEqual(t, re.Store(), want, meters)
+}
+
+// TestSegmentDirSyncFailureKeepsSegmentUnlisted: finish makes a segment's
+// directory entry durable before the manifest names it, so a failed fsync of
+// seg/ fails finish and leaves the segment out of the manifest — an orphan
+// the next recovery deletes, its blocks re-derived from the log.
+func TestSegmentDirSyncFailureKeepsSegmentUnlisted(t *testing.T) {
+	dir := t.TempDir()
+	ffs := faultfs.New()
+	table := chaosTable(t)
+	meters := []uint64{1, 2}
+	eng := chaosOpen(t, dir, ffs, storage.SyncOff, time.Hour)
+	startMeters(t, eng, table, meters)
+	acked := map[uint64][]int{}
+	for idx := 0; idx < 20; idx++ { // several sealed blocks in open segments
+		for _, m := range meters {
+			if _, err := storage.AppendNext(eng, m, chaosBatch(m, idx, table)); err != nil {
+				t.Fatal(err)
+			}
+			acked[m] = append(acked[m], idx)
+		}
+	}
+	ffs.SetFaults(faultfs.Fault{Op: faultfs.OpSyncDir, Path: filepath.Join(dir, "seg"), Sticky: true})
+	if err := eng.Flush(); !errors.Is(err, faultfs.ErrIO) {
+		t.Fatalf("Flush with seg/ unsyncable: got %v, want ErrIO", err)
+	}
+	finished, err := filepath.Glob(filepath.Join(dir, "seg", "*.seg"))
+	if err != nil || len(finished) == 0 {
+		t.Fatalf("fixture finished no segment: %v %v", finished, err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "MANIFEST.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man struct{ Segments []struct{ File string } }
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Segments) != 0 {
+		t.Fatalf("manifest lists %v before their directory entries are durable", man.Segments)
+	}
+
+	ffs.SetFaults()
+	eng.Abandon()
+	re := chaosOpen(t, dir, ffs, storage.SyncOff, time.Hour)
+	defer re.Close()
+	if rs := re.Recovery(); rs.Segments != 0 || rs.ReplayedPoints == 0 {
+		t.Fatalf("unlisted segments must replay from the log: %+v", rs)
+	}
+	requireStoresEqual(t, re.Store(), buildOracle(t, table, meters, acked), meters)
+}
+
+// TestWALDirSyncFailureBlocksRotation: a heal activates a fresh WAL
+// generation only once the new files' directory entries are durable — a
+// failed fsync of wal/ keeps the engine degraded on the old generation, and
+// the next probe heals it once the directory syncs again.
+func TestWALDirSyncFailureBlocksRotation(t *testing.T) {
+	dir := t.TempDir()
+	ffs := faultfs.New()
+	table := chaosTable(t)
+	meters := []uint64{1, 2}
+	eng := chaosOpen(t, dir, ffs, storage.SyncOff, 2*time.Millisecond)
+	defer eng.Abandon() // stops the probe if the test fails early
+	startMeters(t, eng, table, meters)
+	acked := map[uint64][]int{}
+	for _, m := range meters {
+		if _, err := storage.AppendNext(eng, m, chaosBatch(m, 0, table)); err != nil {
+			t.Fatal(err)
+		}
+		acked[m] = append(acked[m], 0)
+	}
+	walDir := filepath.Join(dir, "wal")
+	ffs.SetFaults(
+		faultfs.Fault{Op: faultfs.OpWrite, Path: ".wal", N: 1},
+		faultfs.Fault{Op: faultfs.OpSyncDir, Path: walDir, Sticky: true},
+	)
+	if _, err := storage.AppendNext(eng, 1, chaosBatch(1, 1, table)); !errors.Is(err, server.ErrDegraded) {
+		t.Fatalf("append on a failing log: got %v, want server.ErrDegraded", err)
+	}
+	waitFor(t, 5*time.Second, "a failed rotation", func() bool {
+		return strings.Contains(eng.Health().Reason, "wal rotation")
+	})
+	// The probe keeps retrying, so the state may read Recovering; what must
+	// not happen is an activated generation.
+	if h := eng.Health(); h.State == storage.StateHealthy || h.WALGen != 0 || h.Heals != 0 {
+		t.Fatalf("rotation activated without a durable wal/ entry: %+v", h)
+	}
+
+	// Once wal/ syncs again the heal lands on generation 1 — which also
+	// proves every failed attempt removed its files (creation is O_EXCL).
+	ffs.SetFaults()
+	waitFor(t, 5*time.Second, "heal", func() bool { return eng.Health().State == storage.StateHealthy })
+	if gen := eng.Health().WALGen; gen != 1 {
+		t.Fatalf("healed onto generation %d, want 1", gen)
+	}
+	for _, m := range meters {
+		if _, err := storage.AppendNext(eng, m, chaosBatch(m, 1, table)); err != nil {
+			t.Fatal(err)
+		}
+		acked[m] = append(acked[m], 1)
+	}
+	eng.Abandon()
 	re := chaosOpen(t, dir, ffs, storage.SyncOff, time.Hour)
 	defer re.Close()
 	requireStoresEqual(t, re.Store(), buildOracle(t, table, meters, acked), meters)

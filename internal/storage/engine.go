@@ -20,18 +20,19 @@
 // Recovery runs one independent pipeline per shard, on min(GOMAXPROCS, shards)
 // workers — a meter lives in exactly one shard of both the log and the store.
 // Each pipeline rebuilds its meters' sealed chains from the manifest-listed
-// segments (summaries and the firstT directory come from the segment footer —
-// no payload is decoded), then walks its WAL generations straight off the
-// read buffer and applies them the way live ingest did — each batch record's
-// packed bytes go to the store's run-granular commit as they lie in the
-// buffer — with each meter's already-restored point count skipped, rebuilding
-// the live tails and any blocks that sealed after the last finished segment.
-// A batch the segments cover whole is skipped on its header: its CRC, its
-// header fields and length, and its epoch against the log position are all
-// still checked. No symbol is unpacked either way. Anything torn at the very
-// end of a WAL was never acknowledged and is truncated; damage anywhere else
-// fails recovery loudly (ErrWALCorrupt) rather than silently dropping
-// acknowledged data.
+// segments (summaries and the firstT directory come from the segment footers,
+// decoded in place from the mapping — no payload is decoded), then maps its
+// WAL generations and walks them once, validating every record and queueing
+// only what the segments do not cover, and applies that list the way live
+// ingest did — each batch record's packed bytes go to the store's
+// run-granular commit as they lie in the mapping — rebuilding the live tails
+// and any blocks that sealed after the last finished segment. A batch the
+// segments cover whole is skipped on its header: its CRC, its header fields
+// and length, and its epoch against the log position are all still checked.
+// No symbol is unpacked either way, and no log byte is copied to the heap.
+// Anything torn at the very end of a WAL was never acknowledged and is
+// truncated; damage anywhere else fails recovery loudly (ErrWALCorrupt)
+// rather than silently dropping acknowledged data.
 //
 // Every filesystem operation goes through the FS seam (fs.go), and every
 // durability failure is classified by the health state machine (health.go):
@@ -109,10 +110,12 @@ type RecoveryStats struct {
 	// Meters is the number of recovered meters.
 	Meters int
 	// Duration is the wall-clock time recovery took inside Open.
-	// SegmentRestore, WALParse and Replay split the work by phase — footer
-	// load plus sealed-chain restore, log read plus framing scan, replay of
-	// the uncovered tail — each summed over the shard pipelines, which run in
-	// parallel: together they can exceed Duration.
+	// SegmentRestore, WALParse and Replay split the work by phase — segment
+	// mapping, in-place footer decode and sealed-chain install; the one scan
+	// of the mapped log (framing, CRC, record validation, covered points
+	// consumed, apply list built); the apply list's replay of the uncovered
+	// records — each summed over the shard pipelines, which run in parallel:
+	// together they can exceed Duration.
 	Duration       time.Duration
 	SegmentRestore time.Duration
 	WALParse       time.Duration
@@ -387,20 +390,32 @@ func (e *Engine) recover() error {
 
 // meterReplay is one meter's recovery state, local to its shard's pipeline.
 type meterReplay struct {
+	sealed    int                  // blocks the shard's segment footers hold for it
 	blocks    []server.SealedBlock // restored from manifest segments, in spill order
 	skip      int64                // leading points of the log those blocks cover
+	installed int                  // tables the restore installs: those the blocks reference
 	tables    []*symbolic.Table    // the log's whole table history, in order
-	installed int                  // tables the segment restore installed
-	tseen     int                  // table records replayed so far
 	maxSeq    uint64
 }
 
-// recoverShard is one shard's recovery pipeline: load its manifest segments,
-// scan its WAL generations, restore the sealed chains, replay the part of the
-// log the segments do not cover, and open the current generation for
-// appending.
-func (e *Engine) recoverShard(shard int, segs []manifestSegment) (RecoveryStats, error) {
-	var rs RecoveryStats
+// logRec is one record the log scan left for the apply pass — a table push
+// past the restored ones, or a batch with points the segments do not cover —
+// located in the mapped log. It holds no pointer, so a crash recovery's list
+// of every record grows without write barriers and is never scanned by GC.
+type logRec struct {
+	off int64 // the record's offset in its generation
+	gen int32 // index of its generation among the mapped ones
+	// pos is a batch's leading points the segments cover, or a table push's
+	// index in its meter's table history.
+	pos int32
+}
+
+// recoverShard is one shard's recovery pipeline: restore its meters' sealed
+// chains from the manifest segments, scan its WAL generations once, install
+// the chains, apply the part of the log the segments do not cover, and open
+// the current generation for appending. Every log mapping is released
+// before it returns; the segment mappings live on as the chains' payloads.
+func (e *Engine) recoverShard(shard int, segs []manifestSegment) (rs RecoveryStats, err error) {
 	meters := make(map[uint64]*meterReplay)
 	meter := func(id uint64) *meterReplay {
 		mr := meters[id]
@@ -413,44 +428,58 @@ func (e *Engine) recoverShard(shard int, segs []manifestSegment) (RecoveryStats,
 
 	// 1. Manifest segments: each meter's sealed chain in spill order
 	// (manifest order is per-shard finish order) and how many points of the
-	// log it covers. Summaries and the firstT directory come from the footer.
+	// log it covers. Summaries and the firstT directory come from the footers,
+	// decoded in place.
 	phase := time.Now()
+	footers := make([]segFooter, 0, len(segs))
 	for _, ms := range segs {
-		blocks, mapping, err := loadSegment(e.fs, filepath.Join(e.segDir(), ms.File))
+		sf, err := openSegment(e.fs, filepath.Join(e.segDir(), ms.File))
 		if err != nil {
 			return rs, err
 		}
-		e.trackMapping(mapping)
-		rs.Segments++
-		rs.SegmentBlocks += len(blocks)
-		for _, sb := range blocks {
-			mr := meter(sb.meterID)
-			mr.blocks = append(mr.blocks, sb.blk)
-			mr.skip += int64(sb.blk.N)
-			rs.SegmentPoints += int64(sb.blk.N)
-		}
+		e.trackMapping(sf.mapping)
+		footers = append(footers, sf)
+	}
+	rs.Segments = len(footers)
+	if rs.SegmentBlocks, rs.SegmentPoints, err = restoreSegments(footers, meter); err != nil {
+		return rs, err
 	}
 	rs.SegmentRestore = time.Since(phase)
 
-	// 2. Scan the shard's log — every generation up to the manifest's, oldest
-	// first; the record stream is their concatenation. Each file tolerates its
-	// own torn tail (truncated here); damage anywhere else is corruption. This
-	// pass validates the framing and collects each meter's table history,
-	// which the segment restore needs up front.
+	// 2. Scan the shard's log once — every generation up to the manifest's,
+	// oldest first, each mapped rather than read; the record stream is their
+	// concatenation. Each file tolerates its own torn tail (truncated here;
+	// only the intact prefix is read after); damage anywhere else is
+	// corruption. Every record is validated here, before anything touches the
+	// store: framing, table decode, each batch's header and its epoch against
+	// the log position. Sequenced records ('t'/'b') advance the meter's
+	// sequence high-water mark, covered ones too, since those were committed.
+	// A batch the segments cover whole is consumed on its header; what they do
+	// not cover, and every table past the restored ones, joins the apply list.
 	phase = time.Now()
-	var gens [][]byte // each generation's intact prefix
-	var valid int64   // the current generation's
+	var valid int64 // the current generation's intact prefix
+	var logMaps [][]byte
+	defer func() {
+		for _, m := range logMaps {
+			e.fs.Munmap(m)
+		}
+	}()
+	var apply []logRec
 	for g := uint64(0); g <= e.man.WALGen; g++ {
 		path := e.walGenPath(shard, g)
-		raw, err := e.fs.ReadFile(path)
+		raw, err := mapLog(e.fs, path)
 		if errors.Is(err, fs.ErrNotExist) {
 			continue
 		}
 		if err != nil {
 			return rs, err
 		}
+		if raw != nil {
+			logMaps = append(logMaps, raw)
+		}
 		sc := walScan{data: raw}
 		for {
+			at := sc.off
 			body, err := sc.next()
 			if err != nil {
 				return rs, fmt.Errorf("%s: %w", path, err)
@@ -459,22 +488,44 @@ func (e *Engine) recoverShard(shard int, segs []manifestSegment) (RecoveryStats,
 				break
 			}
 			rs.WALRecords++
-			typ, _, data, err := stripSeq(body)
+			typ, seq, payload, err := stripSeq(body)
 			if err != nil {
 				return rs, fmt.Errorf("%s: %w", path, err)
 			}
-			if typ != recTable {
-				continue
+			switch typ {
+			case recTable:
+				m, t, err := decodeTable(payload)
+				if err != nil {
+					return rs, fmt.Errorf("%s: %w", path, err)
+				}
+				if e.store.ShardFor(m) != shard {
+					return rs, fmt.Errorf("%s: %w: meter %d belongs to shard %d's log", path, ErrWALCorrupt, m, e.store.ShardFor(m))
+				}
+				mr := meter(m)
+				mr.maxSeq = max(mr.maxSeq, seq)
+				mr.tables = append(mr.tables, t)
+				if len(mr.tables) > mr.installed {
+					apply = append(apply, logRec{off: int64(at), gen: int32(len(logMaps) - 1), pos: int32(len(mr.tables) - 1)})
+				}
+			case recBatch:
+				h, err := parseBatchHeader(payload)
+				if err != nil {
+					return rs, fmt.Errorf("%s: %w", path, err)
+				}
+				mr := meters[h.meterID]
+				if mr == nil || int(h.epoch) != len(mr.tables)-1 {
+					return rs, fmt.Errorf("%s: %w: meter %d batch under epoch %d does not follow that table", path, ErrWALCorrupt, h.meterID, h.epoch)
+				}
+				mr.maxSeq = max(mr.maxSeq, seq)
+				from := min(mr.skip, int64(h.count))
+				mr.skip -= from
+				rs.SkippedPoints += from
+				if from < int64(h.count) {
+					apply = append(apply, logRec{off: int64(at), gen: int32(len(logMaps) - 1), pos: int32(from)})
+				}
+			default:
+				return rs, fmt.Errorf("%s: %w: unknown record type %#x", path, ErrWALCorrupt, body[0])
 			}
-			m, t, err := decodeTable(data)
-			if err != nil {
-				return rs, fmt.Errorf("%s: %w", path, err)
-			}
-			if e.store.ShardFor(m) != shard {
-				return rs, fmt.Errorf("%s: %w: meter %d belongs to shard %d's log", path, ErrWALCorrupt, m, e.store.ShardFor(m))
-			}
-			mr := meter(m)
-			mr.tables = append(mr.tables, t)
 		}
 		if sc.off < len(raw) {
 			if err := e.fs.Truncate(path, int64(sc.off)); err != nil {
@@ -482,105 +533,66 @@ func (e *Engine) recoverShard(shard int, segs []manifestSegment) (RecoveryStats,
 			}
 			rs.TornTails++
 		}
-		gens = append(gens, raw[:sc.off])
 		if g == e.man.WALGen {
 			valid = int64(sc.off)
 		}
 	}
 	rs.WALParse = time.Since(phase)
 
-	// 3. Restore the sealed chains, in meter order so the shard's directory
-	// comes back the same on every run. Only the tables the restored blocks
-	// reference are installed here; the replay pushes the rest in order.
+	// 3. Install the sealed chains, in meter order so the shard's directory
+	// comes back the same on every run, with the tables the blocks reference;
+	// the apply pass pushes the rest in order. Segments holding points the log
+	// no longer reaches, or epochs it never logged, mean the WAL was damaged
+	// or swapped — refuse rather than serve a silently shorter tail.
 	phase = time.Now()
 	ids := slices.Sorted(maps.Keys(meters))
-	for _, m := range ids {
-		mr := meters[m]
-		if len(mr.blocks) == 0 {
-			continue
-		}
-		maxEpoch := 0
-		for _, b := range mr.blocks {
-			maxEpoch = max(maxEpoch, b.Epoch)
-		}
-		if len(mr.tables) <= maxEpoch {
-			return rs, fmt.Errorf("%w: meter %d segments reference epoch %d but the log holds %d tables", ErrWALCorrupt, m, maxEpoch, len(mr.tables))
-		}
-		if err := e.store.RestoreMeter(m, mr.tables[:maxEpoch+1], mr.blocks); err != nil {
-			return rs, err
-		}
-		mr.installed = maxEpoch + 1
-	}
-	rs.SegmentRestore += time.Since(phase)
-
-	// 4. Replay the log through the live commit path, skipping each meter's
-	// already-restored prefix. A batch the segments cover whole is consumed on
-	// its validated header alone; the batch straddling the covered boundary
-	// and the uncovered tail commit straight from the record's packed bytes
-	// (batchHeader.apply → Store.AppendRun) — no symbol is ever unpacked.
-	// Sequenced records ('t'/'b') replay identically to their legacy twins and
-	// additionally advance the meter's sequence high-water mark — tracked even
-	// for covered batches, since those were committed too.
-	phase = time.Now()
-	for _, data := range gens {
-		for off := 0; off < len(data); {
-			var body []byte
-			body, off = recordAt(data, off)
-			typ, seq, payload, _ := stripSeq(body) // the scan already vetted it
-			switch typ {
-			case recTable:
-				m := binary.BigEndian.Uint64(payload)
-				mr := meters[m]
-				mr.maxSeq = max(mr.maxSeq, seq)
-				t := mr.tables[mr.tseen] // decoded once, by the scan
-				mr.tseen++
-				if mr.tseen <= mr.installed {
-					continue
-				}
-				if err := e.ensureMeter(m); err != nil {
-					return rs, err
-				}
-				if err := e.store.PushTable(m, t); err != nil {
-					return rs, replayErr(err)
-				}
-			case recBatch:
-				h, err := parseBatchHeader(payload)
-				if err != nil {
-					return rs, fmt.Errorf("shard %d wal: %w", shard, err)
-				}
-				mr := meters[h.meterID]
-				if mr == nil || int(h.epoch) != mr.tseen-1 {
-					return rs, fmt.Errorf("%w: meter %d batch under epoch %d does not follow that table in shard %d's log", ErrWALCorrupt, h.meterID, h.epoch, shard)
-				}
-				mr.maxSeq = max(mr.maxSeq, seq)
-				from := min(mr.skip, int64(h.count))
-				mr.skip -= from
-				rs.SkippedPoints += from
-				if from == int64(h.count) {
-					continue
-				}
-				n, err := h.apply(e.store, payload, int(from))
-				rs.ReplayedPoints += int64(n)
-				if err != nil {
-					return rs, replayErr(err)
-				}
-			default:
-				return rs, fmt.Errorf("%w: unknown record type %#x in shard %d wal", ErrWALCorrupt, body[0], shard)
-			}
-		}
-	}
-	rs.Replay = time.Since(phase)
-
-	// Segments holding points the log no longer reaches means the WAL was
-	// damaged or swapped — refuse rather than serve a silently shorter tail.
-	// Otherwise hand each meter's sequence high-water mark — what the next
-	// session's handshake ack carries — to the store.
 	for _, m := range ids {
 		mr := meters[m]
 		if mr.skip > 0 {
 			return rs, fmt.Errorf("%w: meter %d segments hold %d points past the end of the log", ErrWALCorrupt, m, mr.skip)
 		}
-		if len(mr.tables) > 0 {
+		if len(mr.blocks) == 0 {
+			continue
+		}
+		if len(mr.tables) < mr.installed {
+			return rs, fmt.Errorf("%w: meter %d segments reference epoch %d but the log holds %d tables", ErrWALCorrupt, m, mr.installed-1, len(mr.tables))
+		}
+		if err := e.store.RestoreMeter(m, mr.tables[:mr.installed], mr.blocks); err != nil {
+			return rs, err
+		}
+	}
+	rs.SegmentRestore += time.Since(phase)
+
+	// 4. Apply the list through the live commit path, in log order: a batch
+	// commits straight from the record's packed bytes past its covered prefix
+	// (batchHeader.apply → Store.AppendRun) — no symbol is ever unpacked.
+	phase = time.Now()
+	for _, r := range apply {
+		body, _ := recordAt(logMaps[r.gen], int(r.off))
+		typ, _, payload, _ := stripSeq(body) // the scan vetted the record
+		if typ == recTable {
+			m := binary.BigEndian.Uint64(payload)
+			if err := e.ensureMeter(m); err != nil {
+				return rs, err
+			}
+			if err := e.store.PushTable(m, meters[m].tables[r.pos]); err != nil {
+				return rs, replayErr(err)
+			}
+			continue
+		}
+		h, _ := parseBatchHeader(payload)
+		n, err := h.apply(e.store, payload, int(r.pos))
+		rs.ReplayedPoints += int64(n)
+		if err != nil {
+			return rs, replayErr(err)
+		}
+	}
+	rs.Replay = time.Since(phase)
+
+	// Hand each meter's sequence high-water mark — what the next session's
+	// handshake ack carries — to the store.
+	for _, m := range ids {
+		if mr := meters[m]; len(mr.tables) > 0 {
 			e.store.RestoreSeq(m, mr.maxSeq)
 			rs.Meters++
 		}
@@ -594,6 +606,26 @@ func (e *Engine) recoverShard(shard int, segs []manifestSegment) (RecoveryStats,
 	}
 	e.wals[shard].Store(newWAL(f, valid))
 	return rs, nil
+}
+
+// mapLog maps one WAL generation read-only: a missing file reports
+// fs.ErrNotExist, an empty one maps to nil (mmap refuses length 0). The file
+// is closed at once; the caller unmaps the bytes.
+func mapLog(fsys FS, path string) ([]byte, error) {
+	f, err := fsys.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil || st.Size() == 0 {
+		return nil, err
+	}
+	raw, err := fsys.Mmap(f, int(st.Size()))
+	if err != nil {
+		return nil, fmt.Errorf("storage: mmap log %s: %w", path, err)
+	}
+	return raw, nil
 }
 
 // unwind releases everything a failed recover() opened — WAL fds, segment

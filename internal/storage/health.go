@@ -263,9 +263,10 @@ func (e *Engine) probeDir() error {
 }
 
 // rotateWALs opens a fresh log file for every shard at the next WAL
-// generation, activates the generation with a manifest write (the barrier:
-// a crash before it leaves the new files as deletable orphans, a crash
-// after it replays them), and swaps the shard pointers. Old logs are
+// generation, makes their directory entries durable, activates the
+// generation with a manifest write (the barrier: a crash before it leaves
+// the new files as deletable orphans, a crash after it replays them), and
+// swaps the shard pointers. Old logs are
 // retired, not closed — in-flight appends and the group syncer may still
 // hold them — and get a best-effort final fsync for whatever they durably
 // hold; Close reaps them.
@@ -287,15 +288,18 @@ func (e *Engine) rotateWALs() error {
 	}
 
 	// Manifest barrier: the generation exists once this lands, and replay
-	// will read the new files. Until then they are orphans recovery deletes.
-	e.manMu.Lock()
-	prev := e.man.WALGen
-	e.man.WALGen = gen
-	err := writeManifest(e.fs, e.opts.Dir, e.man)
-	if err != nil {
-		e.man.WALGen = prev
+	// will read the new files — whose directory entries must be durable
+	// first. Until then they are orphans recovery deletes.
+	err := e.fs.SyncDir(filepath.Join(e.opts.Dir, "wal"))
+	if err == nil {
+		e.manMu.Lock()
+		prev := e.man.WALGen
+		e.man.WALGen = gen
+		if err = writeManifest(e.fs, e.opts.Dir, e.man); err != nil {
+			e.man.WALGen = prev
+		}
+		e.manMu.Unlock()
 	}
-	e.manMu.Unlock()
 	if err != nil {
 		for i, f := range files {
 			f.Close()

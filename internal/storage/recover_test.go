@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -465,30 +466,48 @@ func TestFooterRoomRunningTotal(t *testing.T) {
 	if st.Size() > segCap {
 		t.Fatalf("final segment finished at %d bytes, past its %d-byte preallocation", st.Size(), segCap)
 	}
-	blocks, mapping, err := loadSegment(OsFS{}, path)
-	if err != nil {
-		t.Fatal(err)
+	restore := func() (map[uint64]*meterReplay, []byte) {
+		sf, err := openSegment(OsFS{}, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meters := make(map[uint64]*meterReplay)
+		if _, _, err := restoreSegments([]segFooter{sf}, func(id uint64) *meterReplay {
+			if meters[id] == nil {
+				meters[id] = new(meterReplay)
+			}
+			return meters[id]
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return meters, sf.mapping
 	}
+	meters, mapping := restore()
 	defer OsFS{}.Munmap(mapping)
+	var blocks []server.SealedBlock
+	for _, mr := range meters {
+		blocks = append(blocks, mr.blocks...)
+	}
 	if len(blocks) == 0 {
 		t.Fatal("final segment read back empty")
 	}
-	// The histograms come back carved from one exactly-sized slab: back to
-	// back, each capped at its own lanes, and reading the segment allocates
-	// per segment, not per block.
+	// The histograms come back carved from one exactly-sized slab in spill
+	// (here: firstT) order: back to back, each capped at its own lanes, and
+	// reading the segment allocates per segment, not per block.
+	slices.SortFunc(blocks, func(a, b server.SealedBlock) int { return cmp.Compare(a.FirstT, b.FirstT) })
 	var prev []uint16
 	withHist := 0
-	for i, sb := range blocks {
-		h := sb.blk.Hist
-		if sb.blk.Level > 8 {
+	for i, blk := range blocks {
+		h := blk.Hist
+		if blk.Level > 8 {
 			if h != nil {
-				t.Fatalf("block %d: level %d carries a histogram", i, sb.blk.Level)
+				t.Fatalf("block %d: level %d carries a histogram", i, blk.Level)
 			}
 			continue
 		}
 		withHist++
-		if len(h) != 1<<sb.blk.Level || cap(h) != len(h) {
-			t.Fatalf("block %d: histogram len %d cap %d at level %d", i, len(h), cap(h), sb.blk.Level)
+		if len(h) != 1<<blk.Level || cap(h) != len(h) {
+			t.Fatalf("block %d: histogram len %d cap %d at level %d", i, len(h), cap(h), blk.Level)
 		}
 		if prev != nil && unsafe.Pointer(&h[0]) != unsafe.Add(unsafe.Pointer(&prev[0]), 2*len(prev)) {
 			t.Fatalf("block %d: histogram does not follow the previous one in the slab", i)
@@ -496,14 +515,11 @@ func TestFooterRoomRunningTotal(t *testing.T) {
 		prev = h
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		_, m, err := loadSegment(OsFS{}, path)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, m := restore()
 		OsFS{}.Munmap(m)
 	})
 	if withHist < 20 || allocs > float64(withHist)/2 {
-		t.Fatalf("loadSegment allocates %.0f times for %d histogram blocks", allocs, withHist)
+		t.Fatalf("restoring a segment allocates %.0f times for %d histogram blocks", allocs, withHist)
 	}
 }
 
@@ -537,4 +553,128 @@ func TestRecoveryMetricsMatchStats(t *testing.T) {
 			t.Errorf("exposition lacks %q", line)
 		}
 	}
+}
+
+// appendBatches appends batches [from, to) of every meter, under each
+// meter's next sequence numbers.
+func appendBatches(t *testing.T, eng *Engine, table *symbolic.Table, meters []uint64, from, to int) {
+	t.Helper()
+	for idx := from; idx < to; idx++ {
+		for _, m := range meters {
+			if _, err := AppendNext(eng, m, genBatch(m, idx, table)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestRecoverZeroLengthGeneration: a generation nothing was written to — zero
+// bytes, which cannot be mapped — is an empty stretch of the log between its
+// neighbours, after a clean close and after a crash.
+func TestRecoverZeroLengthGeneration(t *testing.T) {
+	for _, clean := range []bool{true, false} {
+		dir := t.TempDir()
+		table := testTable(t)
+		eng := openTest(t, dir, SyncOff)
+		applyBatches(t, eng, table, testMeters, 12)
+		for range 2 {
+			if err := eng.rotateWALs(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		appendBatches(t, eng, table, testMeters, 12, 20)
+		if clean {
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			eng.Abandon()
+		}
+		if st, err := os.Stat(eng.walGenPath(0, 1)); err != nil || st.Size() != 0 {
+			t.Fatalf("clean=%v: generation 1 must exist and be empty: %v", clean, err)
+		}
+		re := openTest(t, dir, SyncOff)
+		if rs := re.Recovery(); rs.TornTails != 0 || rs.ReplayedPoints == 0 {
+			t.Fatalf("clean=%v: %+v", clean, rs)
+		}
+		compareStores(t, re.Store(), oracleStore(t, table, testMeters, 20), testMeters)
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRecoverTornOnlyGeneration: a current generation holding nothing but
+// the first half of a record — a crash inside its very first write — is
+// truncated to empty, recovers the log before it, and takes appends again.
+func TestRecoverTornOnlyGeneration(t *testing.T) {
+	dir := t.TempDir()
+	table := testTable(t)
+	eng := openTest(t, dir, SyncOff)
+	applyBatches(t, eng, table, testMeters, 12)
+	if err := eng.rotateWALs(); err != nil {
+		t.Fatal(err)
+	}
+	shard := eng.store.ShardFor(testMeters[0])
+	gen0, gen1 := eng.walGenPath(shard, 0), eng.walGenPath(shard, 1)
+	eng.Abandon()
+	raw, err := os.ReadFile(gen0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, _, err := parseWAL(raw)
+	if err != nil || len(recs) == 0 {
+		t.Fatalf("generation 0: %d records, err %v", len(recs), err)
+	}
+	if err := os.WriteFile(gen1, raw[:recs[0].end/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re := openTest(t, dir, SyncOff)
+	if rs := re.Recovery(); rs.TornTails != 1 {
+		t.Fatalf("want the one torn generation truncated: %+v", rs)
+	}
+	if st, err := os.Stat(gen1); err != nil || st.Size() != 0 {
+		t.Fatalf("torn generation not truncated to empty: %v", err)
+	}
+	compareStores(t, re.Store(), oracleStore(t, table, testMeters, 12), testMeters)
+	appendBatches(t, re, table, testMeters, 12, 16)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again := openTest(t, dir, SyncOff)
+	defer again.Close()
+	compareStores(t, again.Store(), oracleStore(t, table, testMeters, 16), testMeters)
+}
+
+// TestRecoverUncoveredMeter: a meter none of whose points reached a segment
+// — it started after the others' chains were finished and never sealed a
+// block — replays wholly from the apply list, table push included, beside
+// meters whose logs the segments mostly cover.
+func TestRecoverUncoveredMeter(t *testing.T) {
+	dir := t.TempDir()
+	table := testTable(t)
+	covered, late := testMeters[:3], testMeters[3]
+	eng := openTest(t, dir, SyncOff)
+	applyBatches(t, eng, table, covered, 20)
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	applyBatches(t, eng, table, []uint64{late}, 3) // 288 points: no block seals
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := openTest(t, dir, SyncOff)
+	defer re.Close()
+	rs := re.Recovery()
+	if rs.SegmentPoints == 0 || rs.ReplayedPoints != int64(3*96)+(int64(len(covered)*20*96)-rs.SegmentPoints) {
+		t.Fatalf("the late meter must replay whole beside the covered ones: %+v", rs)
+	}
+	if got := re.LastSeq(late); got != 4 {
+		t.Fatalf("late meter LastSeq %d, want 4 (table + 3 batches)", got)
+	}
+	want := oracleStore(t, table, covered, 20)
+	applyBatches(t, want, table, []uint64{late}, 3)
+	compareStores(t, re.Store(), want, testMeters)
 }

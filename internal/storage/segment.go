@@ -20,8 +20,10 @@ import (
 // on-disk words through the same LUT kernels (the page cache decides what is
 // actually resident). Block summaries and the firstT directory travel in the
 // footer, so recovery rebuilds the RCU sealed index without decoding a
-// single payload symbol; it does read every payload byte once, to check its
-// CRC.
+// single payload symbol: it maps the finished file once, checks the footer in
+// place and decodes its entries straight into exactly-sized per-meter chains
+// whose payloads alias the mapping. It does read every payload byte once, to
+// check its CRC.
 //
 // Layout:
 //
@@ -52,14 +54,6 @@ const (
 	segBlockMetaLen     = 8 + 4 + 1 + 2 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 4
 	defaultSegmentBytes = 4 << 20
 )
-
-// segBlock is one footer entry.
-type segBlock struct {
-	meterID uint64
-	blk     server.SealedBlock
-	off     int64
-	crc     uint32 // CRC-32C of the payload bytes
-}
 
 // segmentWriter spills one shard's sealing blocks. All methods run under
 // that shard's store lock (the seal path), so the writer needs no locking of
@@ -170,8 +164,10 @@ func (sw *segmentWriter) footerRoom() int {
 }
 
 // finish writes the footer and trailer, fsyncs, shrinks the file to its real
-// length and registers the segment in the manifest. The mapping stays alive:
-// the store's published blocks alias it for the engine's lifetime.
+// length, makes its directory entry durable and registers the segment in the
+// manifest — never before the entry, or a power loss could leave the
+// manifest naming a file the directory lost. The mapping stays alive: the
+// store's published blocks alias it for the engine's lifetime.
 func (sw *segmentWriter) finish() error {
 	if sw.f == nil {
 		return nil
@@ -209,129 +205,148 @@ func (sw *segmentWriter) finish() error {
 	if err != nil {
 		return err
 	}
+	if err := sw.eng.fs.SyncDir(sw.eng.segDir()); err != nil {
+		return fmt.Errorf("storage: segment directory fsync: %w", err)
+	}
 	return sw.eng.addSegment(manifestSegment{File: filepath.Base(sw.path), Shard: sw.shard, Seq: sw.seq - 1})
 }
 
-// loadSegment reads a finished segment back: footer validation, one shared
-// mapping, and per-block SealedBlock views whose payloads alias the mapping.
-// Returned blocks are in spill (= seal) order.
-func loadSegment(fsys FS, path string) (blocks []segBlock, mapping []byte, err error) {
+// segFooter is a finished segment opened for restore: the whole file mapped
+// once and its frame checked — size, both magics, footer bounds and footer
+// CRC — with the footer read in place, as a sub-slice of the mapping.
+// restoreSegments decodes its entries.
+type segFooter struct {
+	path    string
+	mapping []byte
+	footer  []byte // the block entries, aliasing mapping
+	dataEnd int64  // the footer's offset: every payload ends at or before it
+	count   int    // entries the trailer declares
+}
+
+// openSegment maps path and validates its frame. On error nothing stays
+// mapped or open.
+func openSegment(fsys FS, path string) (segFooter, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return segFooter{}, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return nil, nil, err
+		return segFooter{}, err
 	}
 	size := st.Size()
 	if size < int64(len(segMagic))+segTrailerLen {
-		return nil, nil, fmt.Errorf("storage: segment %s: %d bytes is too small", path, size)
+		return segFooter{}, fmt.Errorf("storage: segment %s: %d bytes is too small", path, size)
 	}
-	var trailer [segTrailerLen]byte
-	if _, err := f.ReadAt(trailer[:], size-segTrailerLen); err != nil {
-		return nil, nil, err
-	}
-	if string(trailer[20:]) != segFooterMagic {
-		return nil, nil, fmt.Errorf("storage: segment %s: bad footer magic", path)
-	}
-	footerOff := int64(binary.BigEndian.Uint64(trailer[0:]))
-	footerLen := int64(binary.BigEndian.Uint32(trailer[8:]))
-	count := int(binary.BigEndian.Uint32(trailer[12:]))
-	wantCRC := binary.BigEndian.Uint32(trailer[16:])
-	if footerOff < int64(len(segMagic)) || footerOff+footerLen+segTrailerLen != size {
-		return nil, nil, fmt.Errorf("storage: segment %s: footer bounds [%d,%d) disagree with size %d", path, footerOff, footerOff+footerLen, size)
-	}
-	footer := make([]byte, footerLen)
-	if _, err := f.ReadAt(footer, footerOff); err != nil {
-		return nil, nil, err
-	}
-	if crc32.Checksum(footer, crcC) != wantCRC {
-		return nil, nil, fmt.Errorf("storage: segment %s: footer CRC mismatch", path)
-	}
-	var hdr [8]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return nil, nil, err
-	}
-	if string(hdr[:]) != segMagic {
-		return nil, nil, fmt.Errorf("storage: segment %s: bad magic", path)
-	}
-	mapping, err = fsys.Mmap(f, int(size))
+	mapping, err := fsys.Mmap(f, int(size))
 	if err != nil {
-		return nil, nil, fmt.Errorf("storage: mmap segment %s: %w", path, err)
+		return segFooter{}, fmt.Errorf("storage: mmap segment %s: %w", path, err)
 	}
-	// One histogram slab per segment, sized exactly from the entries' histK
-	// before the decode loop and carved full-slice per block — so reading a
-	// segment is one allocation instead of one per block. It lives only until
-	// RestoreMeter copies the lanes into each meter's own slab. A footer the
-	// walk below would reject stops this one at the same entry.
-	lanes := 0
-	for i, off := 0, 0; i < count && off+segBlockMetaLen <= len(footer); i++ {
-		k := int(binary.BigEndian.Uint16(footer[off+13:]))
-		lanes += k
-		off += segBlockMetaLen + 4*k
+	sf := segFooter{path: path, mapping: mapping}
+	trailer := mapping[size-segTrailerLen:]
+	sf.dataEnd = int64(binary.BigEndian.Uint64(trailer[0:]))
+	footerLen := int64(binary.BigEndian.Uint32(trailer[8:]))
+	sf.count = int(binary.BigEndian.Uint32(trailer[12:]))
+	switch {
+	case string(trailer[20:]) != segFooterMagic:
+		err = fmt.Errorf("storage: segment %s: bad footer magic", path)
+	case sf.dataEnd < int64(len(segMagic)) || sf.dataEnd+footerLen+segTrailerLen != size:
+		err = fmt.Errorf("storage: segment %s: footer bounds [%d,%d) disagree with size %d", path, sf.dataEnd, sf.dataEnd+footerLen, size)
+	case crc32.Checksum(mapping[sf.dataEnd:sf.dataEnd+footerLen], crcC) != binary.BigEndian.Uint32(trailer[16:]):
+		err = fmt.Errorf("storage: segment %s: footer CRC mismatch", path)
+	case string(mapping[:len(segMagic)]) != segMagic:
+		err = fmt.Errorf("storage: segment %s: bad magic", path)
 	}
-	slab := make([]uint16, lanes)
-	blocks = make([]segBlock, 0, count)
-	off := 0
-	for i := 0; i < count; i++ {
-		if off+segBlockMetaLen > len(footer) {
-			fsys.Munmap(mapping)
-			return nil, nil, fmt.Errorf("storage: segment %s: footer truncated at block %d", path, i)
-		}
-		e := segBlock{meterID: binary.BigEndian.Uint64(footer[off:])}
-		e.blk.Epoch = int(binary.BigEndian.Uint32(footer[off+8:]))
-		e.blk.Level = int(footer[off+12])
-		histK := int(binary.BigEndian.Uint16(footer[off+13:]))
-		e.blk.N = int(binary.BigEndian.Uint32(footer[off+15:]))
-		e.blk.FirstT = int64(binary.BigEndian.Uint64(footer[off+19:]))
-		e.blk.Stride = int64(binary.BigEndian.Uint64(footer[off+27:]))
-		e.blk.Sum = math.Float64frombits(binary.BigEndian.Uint64(footer[off+35:]))
-		e.blk.MinV = math.Float64frombits(binary.BigEndian.Uint64(footer[off+43:]))
-		e.blk.MaxV = math.Float64frombits(binary.BigEndian.Uint64(footer[off+51:]))
-		e.off = int64(binary.BigEndian.Uint64(footer[off+59:]))
-		e.crc = binary.BigEndian.Uint32(footer[off+67:])
-		off += segBlockMetaLen
-		if histK > 0 {
-			if off+4*histK > len(footer) {
-				fsys.Munmap(mapping)
-				return nil, nil, fmt.Errorf("storage: segment %s: footer truncated in block %d histogram", path, i)
-			}
-			e.blk.Hist, slab = slab[:histK:histK], slab[histK:]
-			for j := range e.blk.Hist {
-				// A lane counts one block's symbols. Refuse anything a block
-				// cannot hold before narrowing it to the store's 16 bits, or
-				// a count that wraps could pass the histogram mass check.
-				c := binary.BigEndian.Uint32(footer[off+4*j:])
-				if c > server.BlockCap {
-					fsys.Munmap(mapping)
-					return nil, nil, fmt.Errorf("storage: segment %s: block %d histogram lane %d counts %d symbols, a block holds %d", path, i, j, c, server.BlockCap)
-				}
-				e.blk.Hist[j] = uint16(c)
-			}
-			off += 4 * histK
-		}
-		if e.blk.Level < 1 || e.blk.Level > 30 || e.blk.N < 1 {
-			fsys.Munmap(mapping)
-			return nil, nil, fmt.Errorf("storage: segment %s: block %d has level %d, n %d", path, i, e.blk.Level, e.blk.N)
-		}
-		need := int64((e.blk.N*e.blk.Level + 7) / 8)
-		if e.off < int64(len(segMagic)) || e.off+need > footerOff {
-			fsys.Munmap(mapping)
-			return nil, nil, fmt.Errorf("storage: segment %s: block %d payload [%d,%d) outside data region", path, i, e.off, e.off+need)
-		}
-		e.blk.Payload = mapping[e.off : e.off+need : e.off+need]
-		if crc32.Checksum(e.blk.Payload, crcC) != e.crc {
-			fsys.Munmap(mapping)
-			return nil, nil, fmt.Errorf("storage: segment %s: block %d payload CRC mismatch", path, i)
-		}
-		e.blk.Spilled = canMmap
-		blocks = append(blocks, e)
-	}
-	if off != len(footer) {
+	if err != nil {
 		fsys.Munmap(mapping)
-		return nil, nil, fmt.Errorf("storage: segment %s: %d trailing footer bytes", path, len(footer)-off)
+		return segFooter{}, err
 	}
-	return blocks, mapping, nil
+	sf.footer = mapping[sf.dataEnd : sf.dataEnd+footerLen]
+	return sf, nil
+}
+
+// restoreSegments decodes a shard's footers, in manifest order, straight
+// into exactly-sized chains. The first walk checks every entry's bounds and
+// counts each meter's blocks and the histogram lanes; then one shard-wide
+// block array and one lane slab are allocated, the array is cut into
+// per-meter sub-slices, and the second walk fills them in spill order —
+// checking each block's level, n, lanes and payload CRC — while advancing
+// each meter's skip and installed. Payloads alias the mappings. It returns
+// the blocks and points restored.
+func restoreSegments(segs []segFooter, meter func(uint64) *meterReplay) (blocks int, points int64, err error) {
+	lanes := 0
+	for _, sf := range segs {
+		off := 0
+		for i := 0; i < sf.count; i++ {
+			if off+segBlockMetaLen > len(sf.footer) {
+				return 0, 0, fmt.Errorf("storage: segment %s: footer truncated at block %d", sf.path, i)
+			}
+			mr := meter(binary.BigEndian.Uint64(sf.footer[off:]))
+			k := int(binary.BigEndian.Uint16(sf.footer[off+13:]))
+			if off += segBlockMetaLen + 4*k; off > len(sf.footer) {
+				return 0, 0, fmt.Errorf("storage: segment %s: footer truncated in block %d histogram", sf.path, i)
+			}
+			mr.sealed++
+			lanes += k
+		}
+		if off != len(sf.footer) {
+			return 0, 0, fmt.Errorf("storage: segment %s: %d trailing footer bytes", sf.path, len(sf.footer)-off)
+		}
+		blocks += sf.count
+	}
+	chains := make([]server.SealedBlock, blocks)
+	slab := make([]uint16, lanes)
+	for _, sf := range segs {
+		for i, off := 0, 0; i < sf.count; i++ {
+			f := sf.footer[off:]
+			mr := meter(binary.BigEndian.Uint64(f))
+			if mr.blocks == nil {
+				mr.blocks, chains = chains[:0:mr.sealed], chains[mr.sealed:]
+			}
+			mr.blocks = mr.blocks[:len(mr.blocks)+1]
+			b := &mr.blocks[len(mr.blocks)-1]
+			b.Epoch = int(binary.BigEndian.Uint32(f[8:]))
+			b.Level = int(f[12])
+			histK := int(binary.BigEndian.Uint16(f[13:]))
+			b.N = int(binary.BigEndian.Uint32(f[15:]))
+			b.FirstT = int64(binary.BigEndian.Uint64(f[19:]))
+			b.Stride = int64(binary.BigEndian.Uint64(f[27:]))
+			b.Sum = math.Float64frombits(binary.BigEndian.Uint64(f[35:]))
+			b.MinV = math.Float64frombits(binary.BigEndian.Uint64(f[43:]))
+			b.MaxV = math.Float64frombits(binary.BigEndian.Uint64(f[51:]))
+			at := int64(binary.BigEndian.Uint64(f[59:]))
+			crc := binary.BigEndian.Uint32(f[67:])
+			off += segBlockMetaLen + 4*histK
+			if histK > 0 {
+				b.Hist, slab = slab[:histK:histK], slab[histK:]
+				for j := range b.Hist {
+					// A lane counts one block's symbols. Refuse anything a block
+					// cannot hold before narrowing it to the store's 16 bits, or
+					// a count that wraps could pass the histogram mass check.
+					c := binary.BigEndian.Uint32(f[segBlockMetaLen+4*j:])
+					if c > server.BlockCap {
+						return 0, 0, fmt.Errorf("storage: segment %s: block %d histogram lane %d counts %d symbols, a block holds %d", sf.path, i, j, c, server.BlockCap)
+					}
+					b.Hist[j] = uint16(c)
+				}
+			}
+			if b.Level < 1 || b.Level > 30 || b.N < 1 {
+				return 0, 0, fmt.Errorf("storage: segment %s: block %d has level %d, n %d", sf.path, i, b.Level, b.N)
+			}
+			need := int64((b.N*b.Level + 7) / 8)
+			if at < int64(len(segMagic)) || at+need > sf.dataEnd {
+				return 0, 0, fmt.Errorf("storage: segment %s: block %d payload [%d,%d) outside data region", sf.path, i, at, at+need)
+			}
+			b.Payload = sf.mapping[at : at+need : at+need]
+			if crc32.Checksum(b.Payload, crcC) != crc {
+				return 0, 0, fmt.Errorf("storage: segment %s: block %d payload CRC mismatch", sf.path, i)
+			}
+			b.Spilled = canMmap
+			mr.skip += int64(b.N)
+			mr.installed = max(mr.installed, b.Epoch+1)
+			points += int64(b.N)
+		}
+	}
+	return blocks, points, nil
 }
