@@ -340,6 +340,8 @@ func TestAppendRunValidation(t *testing.T) {
 		{Level: 4, Count: 1, Pos: 2, Packed: []byte{0}},
 		{Level: 4, Count: -1, Packed: []byte{0}},
 		{Level: 4, Count: 1, Pos: -1, Packed: []byte{0}},
+		{Level: 4, Count: 1, Epoch: -1, Packed: []byte{0}},
+		{Level: 4, Count: 1, Epoch: 1, Packed: []byte{0}},
 	} {
 		if n, err := st.AppendRun(1, r); err == nil || n != 0 {
 			t.Fatalf("run %+v accepted: n=%d", r, n)

@@ -145,7 +145,7 @@ func TestRestoreMeterRoundTrip(t *testing.T) {
 	// Rebuild a store from the sink's record of the sealed chain plus a
 	// replay of the tail points — the storage engine's recovery shape.
 	re := NewStore(2)
-	if err := re.RestoreMeter(9, []*symbolic.Table{table}, sink.sealed); err != nil {
+	if err := re.RestoreMeter(9, 0, []*symbolic.Table{table}, sink.sealed); err != nil {
 		t.Fatal(err)
 	}
 	sealedPts := 0
@@ -215,17 +215,17 @@ func TestRestoreMeterValidates(t *testing.T) {
 		st := NewStore(1)
 		blk := good()
 		mutate(&blk)
-		if err := st.RestoreMeter(1, []*symbolic.Table{table}, []SealedBlock{blk}); err == nil {
+		if err := st.RestoreMeter(1, 0, []*symbolic.Table{table}, []SealedBlock{blk}); err == nil {
 			t.Errorf("%s: restore accepted a corrupt block", name)
 		}
 	}
 	// The untouched block must pass (the cases above fail for their stated
 	// reason, not because the fixture is broken).
 	st := NewStore(1)
-	if err := st.RestoreMeter(1, []*symbolic.Table{table}, []SealedBlock{good()}); err != nil {
+	if err := st.RestoreMeter(1, 0, []*symbolic.Table{table}, []SealedBlock{good()}); err != nil {
 		t.Errorf("valid block rejected: %v", err)
 	}
-	if err := st.RestoreMeter(1, []*symbolic.Table{table}, nil); err == nil {
+	if err := st.RestoreMeter(1, 0, []*symbolic.Table{table}, nil); err == nil {
 		t.Error("second restore of the same meter must be refused")
 	}
 }

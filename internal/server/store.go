@@ -95,7 +95,7 @@ type meterEntry struct {
 	active   bool
 	// seq is the committed batch-sequence high-water mark (0 = nothing
 	// committed) — its only copy: the durability layer reads and advances
-	// this one too (AdmitSeq, AppendPacked, RestoreSeq). Guarded by the shard
+	// this one too (AdmitSeq, AppendPacked, RestoreMeter). Guarded by the shard
 	// lock; only the meter's single live session advances it.
 	seq uint64
 
@@ -449,17 +449,6 @@ func CheckSeq(meterID, hwm, seq uint64) (dup bool, err error) {
 	return false, nil
 }
 
-// RestoreSeq installs a recovered meter's committed high-water mark — the
-// highest seq recovery read back from the meter's logged writes.
-func (s *Store) RestoreSeq(meterID, seq uint64) {
-	sh := s.shardOf(meterID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e := sh.meter(meterID); e != nil {
-		e.seq = seq
-	}
-}
-
 // admit judges the meter's seq-th write in the one verdict order every
 // Ingest shares: an unknown meter, then a duplicate or gap (CheckSeq), then —
 // for a batch of n points — a missing table, then an empty batch. The caller
@@ -547,14 +536,16 @@ var ErrBadSymbol = errors.New("server: symbol level does not match table")
 
 // Run is a packed arithmetic run, the unit the store commits: Count symbols
 // of Level bits each, read from position Pos of the headerless packed payload
-// Packed, symbol i stamped FirstT + i·Stride. A wire batch packs into one; a
-// write-ahead-log batch record already is one, so replay commits the record's
-// own bytes.
+// Packed, symbol i stamped FirstT + i·Stride, under table epoch Epoch. A wire
+// batch packs into one under the current epoch; a write-ahead-log batch
+// record already is one, under the epoch it was logged with, so replay
+// commits the record's own bytes against a table history restored whole.
 type Run struct {
 	FirstT, Stride int64
 	Level, Count   int
 	Packed         []byte
 	Pos            int
+	Epoch          int
 }
 
 // PackPoints validates a batch against a table level and packs its symbols
@@ -630,7 +621,7 @@ func (s *Store) AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (int,
 	if err != nil {
 		return 0, false, err
 	}
-	n, err := s.appendPacked(e, table, pts, table.Level(), packed)
+	n, err := s.appendPacked(e, pts, table.Level(), packed)
 	if err == nil {
 		e.seq = seq
 	}
@@ -646,26 +637,27 @@ func (s *Store) AppendPacked(meterID, seq uint64, pts []symbolic.SymbolPoint, le
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, table, err := sh.current(meterID)
+	e, _, err := sh.current(meterID)
 	if err != nil {
 		return 0, err
 	}
-	n, err := s.appendPacked(e, table, pts, level, packed)
+	n, err := s.appendPacked(e, pts, level, packed)
 	if err == nil {
 		e.seq = seq
 	}
 	return n, err
 }
 
-// appendPacked commits a packed batch as its maximal arithmetic runs.
-func (s *Store) appendPacked(e *meterEntry, table *symbolic.Table, pts []symbolic.SymbolPoint, level int, packed []byte) (int, error) {
+// appendPacked commits a packed batch as its maximal arithmetic runs under
+// the current epoch.
+func (s *Store) appendPacked(e *meterEntry, pts []symbolic.SymbolPoint, level int, packed []byte) (int, error) {
 	total := 0
 	for i := 0; i < len(pts); {
-		r := Run{FirstT: pts[i].T, Level: level, Count: LeadingRun(pts[i:]), Packed: packed, Pos: i}
+		r := Run{FirstT: pts[i].T, Level: level, Count: LeadingRun(pts[i:]), Packed: packed, Pos: i, Epoch: len(e.tables) - 1}
 		if r.Count > 1 {
 			r.Stride = pts[i+1].T - pts[i].T
 		}
-		n, err := s.appendRun(e, table, r)
+		n, err := s.appendRun(e, r)
 		total += n
 		if err != nil {
 			return total, err
@@ -675,18 +667,22 @@ func (s *Store) appendPacked(e *meterEntry, table *symbolic.Table, pts []symboli
 	return total, nil
 }
 
-// AppendRun commits one packed run under the meter's current table epoch and
-// returns how many symbols were stored — the entry point WAL replay drives
-// with each record's own bytes.
+// AppendRun commits one packed run under table epoch r.Epoch and returns how
+// many symbols were stored — the entry point WAL replay drives with each
+// record's own bytes. An epoch outside the meter's table history is refused
+// with ErrNoTable.
 func (s *Store) AppendRun(meterID uint64, r Run) (int, error) {
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, table, err := sh.current(meterID)
+	e, _, err := sh.current(meterID)
 	if err != nil {
 		return 0, err
 	}
-	return s.appendRun(e, table, r)
+	if r.Epoch < 0 || r.Epoch >= len(e.tables) {
+		return 0, fmt.Errorf("%w: meter %d has no epoch %d", ErrNoTable, meterID, r.Epoch)
+	}
+	return s.appendRun(e, r)
 }
 
 // appendRun is the one commit path: it extends the tail block by as many of
@@ -696,7 +692,8 @@ func (s *Store) AppendRun(meterID uint64, r Run) (int, error) {
 // tail, publishes the sealed index (the single point where the lock-free read
 // path learns about new data), and opens a fresh block. Caller holds the
 // shard write lock.
-func (s *Store) appendRun(e *meterEntry, table *symbolic.Table, r Run) (int, error) {
+func (s *Store) appendRun(e *meterEntry, r Run) (int, error) {
+	table := e.tables[r.Epoch]
 	level := table.Level()
 	if r.Level != level {
 		return 0, fmt.Errorf("%w: run has level %d, table has level %d", ErrBadSymbol, r.Level, level)
@@ -704,7 +701,7 @@ func (s *Store) appendRun(e *meterEntry, table *symbolic.Table, r Run) (int, err
 	if r.Count < 0 || r.Pos < 0 || (r.Pos+r.Count)*level > 8*len(r.Packed) {
 		return 0, fmt.Errorf("server: run of %d symbols at position %d overruns %d packed bytes", r.Count, r.Pos, len(r.Packed))
 	}
-	epoch := uint32(len(e.tables) - 1)
+	epoch := uint32(r.Epoch)
 	values := table.ReconstructionValues()
 	tail, first := e.tail(), e.tailFirstT.Load()
 	done := 0
@@ -822,23 +819,26 @@ func (s *Store) Reserve(meterID uint64, n int) error {
 	return nil
 }
 
-// RestoreMeter installs a recovered meter: its table history and its sealed
-// block chain (typically read back from durable segment files, payloads
-// aliasing mmapped regions), publishing the sealed index so queries serve
-// the meter immediately and with the exact pruning the live path would have.
-// It is the recovery-time counterpart of StartSession + PushTable + AppendSeq
-// and must run before any live traffic for the meter; blocks must be in
-// their original seal order. Every field is validated against the table
-// history — recovery reads untrusted on-disk bytes, and a corrupt block must
-// fail loudly here rather than panic in a query kernel.
-func (s *Store) RestoreMeter(meterID uint64, tables []*symbolic.Table, blocks []SealedBlock) error {
+// RestoreMeter installs a recovered meter whole: its committed sequence
+// high-water mark seq, its entire table history, and its sealed block chain
+// (typically read back from durable segment files, payloads aliasing mmapped
+// regions), publishing the sealed index so queries serve the meter
+// immediately and with the exact pruning the live path would have. Log
+// replay then extends the chain through AppendRun, each run under its own
+// epoch. It is the recovery-time counterpart of a session's StartSession +
+// PushTableSeq + AppendSeq and must run before any live traffic for the
+// meter; blocks must be in their original seal order. Every field is
+// validated against the table history — recovery reads untrusted on-disk
+// bytes, and a corrupt block must fail loudly here rather than panic in a
+// query kernel.
+func (s *Store) RestoreMeter(meterID, seq uint64, tables []*symbolic.Table, blocks []SealedBlock) error {
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.meter(meterID) != nil {
 		return fmt.Errorf("server: meter %d already registered; restore must precede ingest", meterID)
 	}
-	e := &meterEntry{id: meterID, tables: append([]*symbolic.Table(nil), tables...)}
+	e := &meterEntry{id: meterID, seq: seq, tables: append([]*symbolic.Table(nil), tables...)}
 	e.tailFirstT.Store(noTail)
 	if len(blocks) == 0 {
 		e.idx.Store(&emptyIndex)

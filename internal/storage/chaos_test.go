@@ -7,9 +7,11 @@
 package storage_test
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -781,6 +783,149 @@ func TestWALDirSyncFailureBlocksRotation(t *testing.T) {
 	re := chaosOpen(t, dir, ffs, storage.SyncOff, time.Hour)
 	defer re.Close()
 	requireStoresEqual(t, re.Store(), buildOracle(t, table, meters, acked), meters)
+}
+
+// TestFailedOpenLeavesDirectoryUntouched: recovery reads and validates every
+// shard before it changes anything, so an Open that fails — here on a byte
+// flipped mid-log in one shard — deletes no orphan, truncates no torn tail
+// and writes, renames or syncs nothing: every file keeps its bytes.
+func TestFailedOpenLeavesDirectoryUntouched(t *testing.T) {
+	dir := t.TempDir()
+	table := chaosTable(t)
+	meters := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	eng := chaosOpen(t, dir, nil, storage.SyncOff, time.Hour)
+	startMeters(t, eng, table, meters)
+	for idx := 0; idx < 12; idx++ {
+		for _, m := range meters {
+			if _, err := storage.AppendNext(eng, m, chaosBatch(m, idx, table)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := eng.Close(); err != nil { // format 3, manifest-listed segments
+		t.Fatal(err)
+	}
+	logs, err := filepath.Glob(filepath.Join(dir, "wal", "shard-*.wal"))
+	if err != nil || len(logs) < 2 {
+		t.Fatalf("want two shard logs, have %v (err %v)", logs, err)
+	}
+
+	// Four defects: a torn tail (half a record header) in one shard's log, a
+	// flipped byte with intact records after it in another's, an unlisted
+	// segment and a WAL generation above the manifest's.
+	f, err := os.OpenFile(logs[0], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0, 0, 0, 9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(logs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0xFF
+	for path, data := range map[string][]byte{
+		logs[1]: raw,
+		filepath.Join(dir, "seg", "0003-000099.seg"):       []byte("no footer"),
+		filepath.Join(dir, "wal", "shard-0000-000001.wal"): nil,
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := fileHashes(t, dir)
+
+	ffs := faultfs.New()
+	if _, err := storage.Open(storage.Options{
+		Dir: dir, Shards: 4, SegmentBytes: 64 << 10, FS: ffs, ProbeInterval: time.Hour,
+	}); !errors.Is(err, storage.ErrWALCorrupt) {
+		t.Fatalf("Open over a corrupt log: got %v, want ErrWALCorrupt", err)
+	}
+	counts := ffs.Counts()
+	for _, op := range []faultfs.Op{faultfs.OpRemove, faultfs.OpTruncate, faultfs.OpWrite, faultfs.OpWriteAt, faultfs.OpRename, faultfs.OpSyncDir} {
+		if counts[op] != 0 {
+			t.Errorf("failed Open ran %d %v operations", counts[op], op)
+		}
+	}
+	if ob, mb := ffs.OpenBalance(), ffs.MmapBalance(); ob != 0 || mb != 0 {
+		t.Fatalf("failed Open leaked: open balance %d, mmap balance %d", ob, mb)
+	}
+	after := fileHashes(t, dir)
+	for name, sum := range before {
+		if got, ok := after[name]; !ok || got != sum {
+			t.Errorf("failed Open changed or removed %s", name)
+		}
+	}
+	if len(after) != len(before) {
+		t.Errorf("failed Open left %d files, want %d", len(after), len(before))
+	}
+}
+
+// fileHashes maps every file under dir, by its path relative to dir, to the
+// SHA-256 of its bytes.
+func fileHashes(t *testing.T, dir string) map[string][sha256.Size]byte {
+	t.Helper()
+	sums := make(map[string][sha256.Size]byte)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		sums[strings.TrimPrefix(path, dir)] = sha256.Sum256(raw)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sums
+}
+
+// TestFreshOpenSyncsWALDir: acknowledged batches land in the log generation
+// a fresh directory's Open creates, so that Open makes wal/ durable and fails
+// when it cannot — leaving no generation behind, so the retry creates and
+// syncs again; a reopen creates no log and syncs no directory.
+func TestFreshOpenSyncsWALDir(t *testing.T) {
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	ffs := faultfs.New(faultfs.Fault{Op: faultfs.OpSyncDir, Path: walDir})
+	opts := storage.Options{Dir: dir, Shards: 4, SegmentBytes: 64 << 10, FS: ffs, ProbeInterval: time.Hour}
+	if _, err := storage.Open(opts); !errors.Is(err, faultfs.ErrIO) {
+		t.Fatalf("fresh Open with wal/ unsyncable: got %v, want ErrIO", err)
+	}
+	if ob, mb := ffs.OpenBalance(), ffs.MmapBalance(); ob != 0 || mb != 0 {
+		t.Fatalf("failed Open leaked: open balance %d, mmap balance %d", ob, mb)
+	}
+	if logs, err := filepath.Glob(filepath.Join(walDir, "*.wal")); err != nil || len(logs) != 0 {
+		t.Fatalf("failed Open left generations %v (err %v)", logs, err)
+	}
+
+	ffs.SetFaults()
+	// The retry finds the manifest the failed Open wrote, so wal/ is the
+	// only directory it can sync.
+	syncs := ffs.Counts()[faultfs.OpSyncDir]
+	eng, err := storage.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ffs.Counts()[faultfs.OpSyncDir] - syncs; got != 1 {
+		t.Fatalf("Open retried after a failed wal/ fsync synced %d directories, want 1", got)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	syncs = ffs.Counts()[faultfs.OpSyncDir]
+	re, err := storage.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := ffs.Counts()[faultfs.OpSyncDir] - syncs; got != 0 {
+		t.Fatalf("reopen synced %d directories, want 0", got)
+	}
 }
 
 // TestFormat1ManifestMigrates: a directory written by the pre-generation

@@ -17,22 +17,26 @@
 // live tails, summaries and directories no matter how much history
 // accumulates.
 //
-// Recovery runs one independent pipeline per shard, on min(GOMAXPROCS, shards)
-// workers — a meter lives in exactly one shard of both the log and the store.
-// Each pipeline rebuilds its meters' sealed chains from the manifest-listed
-// segments (summaries and the firstT directory come from the segment footers,
-// decoded in place from the mapping — no payload is decoded), then maps its
-// WAL generations and walks them once, validating every record and queueing
-// only what the segments do not cover, and applies that list the way live
-// ingest did — each batch record's packed bytes go to the store's
-// run-granular commit as they lie in the mapping — rebuilding the live tails
-// and any blocks that sealed after the last finished segment. A batch the
-// segments cover whole is skipped on its header: its CRC, its header fields
-// and length, and its epoch against the log position are all still checked.
-// No symbol is unpacked either way, and no log byte is copied to the heap.
-// Anything torn at the very end of a WAL was never acknowledged and is
-// truncated; damage anywhere else fails recovery loudly (ErrWALCorrupt)
-// rather than silently dropping acknowledged data.
+// Recovery is two phases, scan then apply, each one independent pipeline per
+// shard on min(GOMAXPROCS, shards) workers — a meter lives in exactly one
+// shard of both the log and the store. The scan writes nothing: it decodes the
+// manifest-listed segments' footers in place into each meter's sealed chain
+// (no payload is decoded), maps the WAL generations and walks them once,
+// validating every record, and leaves a plan — per meter the table history,
+// sealed chain and sequence mark; per shard the batch records the segments do
+// not cover and the torn tails. A batch the segments cover whole is consumed
+// on its header: its CRC, its header fields and length, and its epoch and
+// level against the log position are all still checked. Only when every
+// shard's scan succeeds does the apply phase touch anything: it deletes the
+// orphans, truncates the torn tails (anything torn at the very end of a WAL
+// was never acknowledged), installs each meter with one store call, and
+// commits the uncovered records the way live ingest did — each batch
+// record's packed bytes go to the store's run-granular commit as they lie in
+// the mapping — rebuilding the live tails and any blocks that sealed after the
+// last finished segment. No symbol is unpacked, and no log byte is copied to
+// the heap. Damage anywhere but a log's tail fails recovery loudly
+// (ErrWALCorrupt) rather than silently dropping acknowledged data, and it
+// fails in the scan, so the directory stays as it was found.
 //
 // Every filesystem operation goes through the FS seam (fs.go), and every
 // durability failure is classified by the health state machine (health.go):
@@ -41,7 +45,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -69,11 +72,9 @@ type Options struct {
 	// Shards is the store's shard count for a fresh directory; an existing
 	// directory's manifest takes precedence (the WAL files are per-shard).
 	Shards int
-	// Sync is the WAL durability mode; the default is SyncGroup.
+	// Sync is the WAL durability mode; the default is SyncGroup (a
+	// background fsync every 2ms).
 	Sync SyncMode
-	// GroupInterval is the background fsync cadence under SyncGroup
-	// (default 2ms) — the OS-crash data-loss bound.
-	GroupInterval time.Duration
 	// SegmentBytes caps one segment file's preallocated size (default 4MiB,
 	// min 64KiB).
 	SegmentBytes int
@@ -110,12 +111,12 @@ type RecoveryStats struct {
 	// Meters is the number of recovered meters.
 	Meters int
 	// Duration is the wall-clock time recovery took inside Open.
-	// SegmentRestore, WALParse and Replay split the work by phase — segment
-	// mapping, in-place footer decode and sealed-chain install; the one scan
-	// of the mapped log (framing, CRC, record validation, covered points
-	// consumed, apply list built); the apply list's replay of the uncovered
-	// records — each summed over the shard pipelines, which run in parallel:
-	// together they can exceed Duration.
+	// SegmentRestore, WALParse and Replay split the work by step — segment
+	// mapping and in-place footer decode (scan) plus each meter's install
+	// (apply); the one walk of the mapped log (scan: framing, CRC, record
+	// validation, covered points consumed, batch list built); the batch
+	// list's commit (apply) — each summed over the shard pipelines, which run
+	// in parallel: together they can exceed Duration.
 	Duration       time.Duration
 	SegmentRestore time.Duration
 	WALParse       time.Duration
@@ -197,9 +198,6 @@ func Open(opts Options) (*Engine, error) {
 	if opts.SegmentBytes < 64<<10 {
 		opts.SegmentBytes = 64 << 10
 	}
-	if opts.GroupInterval <= 0 {
-		opts.GroupInterval = 2 * time.Millisecond
-	}
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = 500 * time.Millisecond
 	}
@@ -242,7 +240,7 @@ func Open(opts Options) (*Engine, error) {
 	e.registerHealthMetrics()
 	e.walGen.Store(man.WALGen)
 	if err := e.recover(); err != nil {
-		e.unwind()
+		e.release()
 		return nil, err
 	}
 	e.registerRecoveryMetrics()
@@ -298,22 +296,24 @@ func walGenOf(name string) (gen uint64, ok bool) {
 	return 0, false
 }
 
-// recover rebuilds the store: orphan cleanup, then one independent pipeline
-// per shard (recoverShard) on min(GOMAXPROCS, shards) workers. A meter lives
-// in exactly one shard of both the WAL and the store, so the pipelines share
-// nothing but what live ingest already shares across shards. On error the
-// caller (Open) unwinds every file and mapping opened so far — recover waits
-// for every worker first, so nothing is still being opened when it does.
+// recover rebuilds the store in two phases, each one pipeline per shard on
+// min(GOMAXPROCS, shards) workers (eachShard). A meter lives in exactly one
+// shard of both the WAL and the store, so the pipelines share nothing but
+// what live ingest already shares across shards. scanShard reads and
+// validates: it writes no file and calls no store mutator. Only once every
+// shard's scan has succeeded does recover delete the orphans and run
+// applyShard, which makes every change. On error the caller (Open) releases
+// every file and mapping opened so far — each phase waits for all its
+// workers first, so nothing is still being opened when it does.
 func (e *Engine) recover() error {
 	start := time.Now()
 	shards := e.opts.Shards
 
-	// Drop segment files the manifest does not list — the open segment of a
+	// Bucket the manifest's segments by shard and find the orphans beside
+	// them: segment files the manifest does not list — the open segment of a
 	// crashed run has no footer and its blocks replay from the WAL — and WAL
 	// generations above the manifest's: a heal that crashed before its
-	// manifest barrier never acknowledged anything into them. The manifest's
-	// segments are bucketed by shard here, before any pipeline can finish a
-	// respilled segment into e.man.
+	// manifest barrier never acknowledged anything into them.
 	listed := make(map[string]bool, len(e.man.Segments))
 	nextSeq := make([]uint64, shards)
 	shardSegs := make([][]manifestSegment, shards)
@@ -327,29 +327,43 @@ func (e *Engine) recover() error {
 		}
 		shardSegs[ms.Shard] = append(shardSegs[ms.Shard], ms)
 	}
+	var orphans []string
 	entries, err := e.fs.ReadDir(e.segDir())
 	if err != nil {
 		return err
 	}
 	for _, ent := range entries {
 		if !ent.IsDir() && !listed[ent.Name()] {
-			if err := e.fs.Remove(filepath.Join(e.segDir(), ent.Name())); err != nil {
-				return err
-			}
+			orphans = append(orphans, filepath.Join(e.segDir(), ent.Name()))
 		}
 	}
-	walEntries, err := e.fs.ReadDir(filepath.Join(e.opts.Dir, "wal"))
-	if err != nil {
+	walDir := filepath.Join(e.opts.Dir, "wal")
+	if entries, err = e.fs.ReadDir(walDir); err != nil {
 		return err
 	}
-	for _, ent := range walEntries {
+	for _, ent := range entries {
 		if gen, ok := walGenOf(ent.Name()); ok && gen > e.man.WALGen {
-			if err := e.fs.Remove(filepath.Join(e.opts.Dir, "wal", ent.Name())); err != nil {
-				return err
-			}
+			orphans = append(orphans, filepath.Join(walDir, ent.Name()))
 		}
 	}
 
+	plans := make([]shardPlan, shards)
+	defer func() {
+		for _, p := range plans {
+			for _, m := range p.logMaps {
+				e.fs.Munmap(m)
+			}
+		}
+	}()
+	if err := eachShard(shards, func(i int) error { return e.scanShard(i, shardSegs[i], &plans[i]) }); err != nil {
+		return err
+	}
+
+	for _, path := range orphans {
+		if err := e.fs.Remove(path); err != nil {
+			return err
+		}
+	}
 	// Install the seal sink before any replay, so blocks that seal during
 	// replay spill to fresh segments exactly as live ones do and recovery's
 	// resident memory stays bounded too.
@@ -359,8 +373,35 @@ func (e *Engine) recover() error {
 	}
 	e.store.SetSealSink(e)
 	e.wals = make([]atomic.Pointer[wal], shards)
+	err = eachShard(shards, func(i int) error { return e.applyShard(i, &plans[i]) })
+	// Acknowledged batches will land in a generation this Open created, so
+	// its directory entry must be durable before Open returns.
+	if err == nil && slices.ContainsFunc(plans, func(p shardPlan) bool { return p.create }) {
+		if err = e.fs.SyncDir(walDir); err != nil {
+			err = fmt.Errorf("storage: wal directory fsync: %w", err)
+		}
+	}
+	if err != nil {
+		// A generation this Open created must not outlive it: a retried
+		// Open would find it, create nothing, and so never sync wal/.
+		for i, p := range plans {
+			if p.create {
+				e.fs.Remove(e.walGenPath(i, e.man.WALGen))
+			}
+		}
+		return err
+	}
+	for _, p := range plans {
+		e.recovered.add(p.stats)
+	}
+	e.recovered.Duration = time.Since(start)
+	return nil
+}
 
-	stats := make([]RecoveryStats, shards)
+// eachShard runs fn for every shard on min(GOMAXPROCS, shards) workers. Every
+// shard runs to its own verdict, so the error reported is the lowest-numbered
+// failing shard's whatever the scheduling was.
+func eachShard(shards int, fn func(shard int) error) error {
 	errs := make([]error, shards)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
@@ -369,120 +410,122 @@ func (e *Engine) recover() error {
 		go func() {
 			defer wg.Done()
 			for i := int(cursor.Add(1)) - 1; i < shards; i = int(cursor.Add(1)) - 1 {
-				stats[i], errs[i] = e.recoverShard(i, shardSegs[i])
+				errs[i] = fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-	// Every shard ran to its own verdict, so the error reported is the
-	// lowest-numbered failing shard's whatever the scheduling was.
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
-	for _, rs := range stats {
-		e.recovered.add(rs)
-	}
-	e.recovered.Duration = time.Since(start)
 	return nil
 }
 
-// meterReplay is one meter's recovery state, local to its shard's pipeline.
+// meterReplay is one meter's part of its shard's plan.
 type meterReplay struct {
 	sealed    int                  // blocks the shard's segment footers hold for it
 	blocks    []server.SealedBlock // restored from manifest segments, in spill order
 	skip      int64                // leading points of the log those blocks cover
-	installed int                  // tables the restore installs: those the blocks reference
+	installed int                  // tables the blocks reference
 	tables    []*symbolic.Table    // the log's whole table history, in order
 	maxSeq    uint64
 }
 
-// logRec is one record the log scan left for the apply pass — a table push
-// past the restored ones, or a batch with points the segments do not cover —
-// located in the mapped log. It holds no pointer, so a crash recovery's list
-// of every record grows without write barriers and is never scanned by GC.
-type logRec struct {
-	off int64 // the record's offset in its generation
-	gen int32 // index of its generation among the mapped ones
-	// pos is a batch's leading points the segments cover, or a table push's
-	// index in its meter's table history.
-	pos int32
+// shardPlan is what scanShard read from one shard's files: everything
+// applyShard needs, none of it still to be checked.
+type shardPlan struct {
+	meters  map[uint64]*meterReplay
+	ids     []uint64   // meters' keys in ID order, the order apply installs them
+	logMaps [][]byte   // the mapped generations, oldest first
+	batches []logRec   // the batch records with points the segments do not cover
+	torn    []tornTail // logs whose unacknowledged tail apply truncates
+	valid   int64      // the current generation's intact prefix
+	create  bool       // the current generation does not exist yet
+	stats   RecoveryStats
 }
 
-// recoverShard is one shard's recovery pipeline: restore its meters' sealed
-// chains from the manifest segments, scan its WAL generations once, install
-// the chains, apply the part of the log the segments do not cover, and open
-// the current generation for appending. Every log mapping is released
-// before it returns; the segment mappings live on as the chains' payloads.
-func (e *Engine) recoverShard(shard int, segs []manifestSegment) (rs RecoveryStats, err error) {
-	meters := make(map[uint64]*meterReplay)
+// tornTail is a log file and the length of its intact prefix.
+type tornTail struct {
+	path string
+	size int64
+}
+
+// logRec is one batch record the scan left for the apply pass, located in the
+// mapped log. It holds no pointer, so a crash recovery's list of every record
+// grows without write barriers and is never scanned by GC.
+type logRec struct {
+	off  int64 // the record's offset in its generation
+	gen  int32 // index of its generation among the mapped ones
+	from int32 // its leading points the segments cover
+}
+
+// scanShard is one shard's read phase: it restores its meters' sealed chains
+// from the manifest segments, then scans its WAL generations once, and leaves
+// the result in p. It writes no file and calls no store mutator; its
+// mappings stay alive for the apply phase (segment mappings as the chains'
+// payloads, log mappings in p).
+func (e *Engine) scanShard(shard int, segs []manifestSegment, p *shardPlan) (err error) {
+	p.meters = make(map[uint64]*meterReplay)
 	meter := func(id uint64) *meterReplay {
-		mr := meters[id]
+		mr := p.meters[id]
 		if mr == nil {
 			mr = new(meterReplay)
-			meters[id] = mr
+			p.meters[id] = mr
 		}
 		return mr
 	}
+	rs := &p.stats
 
-	// 1. Manifest segments: each meter's sealed chain in spill order
-	// (manifest order is per-shard finish order) and how many points of the
-	// log it covers. Summaries and the firstT directory come from the footers,
+	// Manifest segments: each meter's sealed chain in spill order (manifest
+	// order is per-shard finish order) and how many points of the log it
+	// covers. Summaries and the firstT directory come from the footers,
 	// decoded in place.
 	phase := time.Now()
 	footers := make([]segFooter, 0, len(segs))
 	for _, ms := range segs {
 		sf, err := openSegment(e.fs, filepath.Join(e.segDir(), ms.File))
 		if err != nil {
-			return rs, err
+			return err
 		}
 		e.trackMapping(sf.mapping)
 		footers = append(footers, sf)
 	}
 	rs.Segments = len(footers)
 	if rs.SegmentBlocks, rs.SegmentPoints, err = restoreSegments(footers, meter); err != nil {
-		return rs, err
+		return err
 	}
 	rs.SegmentRestore = time.Since(phase)
 
-	// 2. Scan the shard's log once — every generation up to the manifest's,
-	// oldest first, each mapped rather than read; the record stream is their
-	// concatenation. Each file tolerates its own torn tail (truncated here;
-	// only the intact prefix is read after); damage anywhere else is
-	// corruption. Every record is validated here, before anything touches the
-	// store: framing, table decode, each batch's header and its epoch against
-	// the log position. Sequenced records ('t'/'b') advance the meter's
-	// sequence high-water mark, covered ones too, since those were committed.
-	// A batch the segments cover whole is consumed on its header; what they do
-	// not cover, and every table past the restored ones, joins the apply list.
+	// The shard's log, once — every generation up to the manifest's, oldest
+	// first, each mapped rather than read; the record stream is their
+	// concatenation. Each file may end in its own torn tail; damage anywhere
+	// else is corruption. Every record is validated: framing, table decode,
+	// each batch's header and its epoch and level against the log position.
+	// Sequenced records ('t'/'b') advance the meter's sequence high-water
+	// mark, covered ones too, since those were committed. A batch the segments
+	// cover whole is consumed on its header; the others join the batch list.
 	phase = time.Now()
-	var valid int64 // the current generation's intact prefix
-	var logMaps [][]byte
-	defer func() {
-		for _, m := range logMaps {
-			e.fs.Munmap(m)
-		}
-	}()
-	var apply []logRec
 	for g := uint64(0); g <= e.man.WALGen; g++ {
 		path := e.walGenPath(shard, g)
 		raw, err := mapLog(e.fs, path)
 		if errors.Is(err, fs.ErrNotExist) {
+			p.create = g == e.man.WALGen
 			continue
 		}
 		if err != nil {
-			return rs, err
+			return err
 		}
 		if raw != nil {
-			logMaps = append(logMaps, raw)
+			p.logMaps = append(p.logMaps, raw)
 		}
 		sc := walScan{data: raw}
 		for {
 			at := sc.off
 			body, err := sc.next()
 			if err != nil {
-				return rs, fmt.Errorf("%s: %w", path, err)
+				return fmt.Errorf("%s: %w", path, err)
 			}
 			if body == nil {
 				break
@@ -490,122 +533,114 @@ func (e *Engine) recoverShard(shard int, segs []manifestSegment) (rs RecoverySta
 			rs.WALRecords++
 			typ, seq, payload, err := stripSeq(body)
 			if err != nil {
-				return rs, fmt.Errorf("%s: %w", path, err)
+				return fmt.Errorf("%s: %w", path, err)
 			}
 			switch typ {
 			case recTable:
 				m, t, err := decodeTable(payload)
 				if err != nil {
-					return rs, fmt.Errorf("%s: %w", path, err)
+					return fmt.Errorf("%s: %w", path, err)
 				}
 				if e.store.ShardFor(m) != shard {
-					return rs, fmt.Errorf("%s: %w: meter %d belongs to shard %d's log", path, ErrWALCorrupt, m, e.store.ShardFor(m))
+					return fmt.Errorf("%s: %w: meter %d belongs to shard %d's log", path, ErrWALCorrupt, m, e.store.ShardFor(m))
 				}
 				mr := meter(m)
 				mr.maxSeq = max(mr.maxSeq, seq)
 				mr.tables = append(mr.tables, t)
-				if len(mr.tables) > mr.installed {
-					apply = append(apply, logRec{off: int64(at), gen: int32(len(logMaps) - 1), pos: int32(len(mr.tables) - 1)})
-				}
 			case recBatch:
 				h, err := parseBatchHeader(payload)
 				if err != nil {
-					return rs, fmt.Errorf("%s: %w", path, err)
+					return fmt.Errorf("%s: %w", path, err)
 				}
-				mr := meters[h.meterID]
-				if mr == nil || int(h.epoch) != len(mr.tables)-1 {
-					return rs, fmt.Errorf("%s: %w: meter %d batch under epoch %d does not follow that table", path, ErrWALCorrupt, h.meterID, h.epoch)
+				mr := p.meters[h.meterID]
+				if mr == nil || int(h.epoch) != len(mr.tables)-1 || h.level != mr.tables[h.epoch].Level() {
+					return fmt.Errorf("%s: %w: meter %d batch at level %d under epoch %d does not follow that table", path, ErrWALCorrupt, h.meterID, h.level, h.epoch)
 				}
 				mr.maxSeq = max(mr.maxSeq, seq)
 				from := min(mr.skip, int64(h.count))
 				mr.skip -= from
 				rs.SkippedPoints += from
 				if from < int64(h.count) {
-					apply = append(apply, logRec{off: int64(at), gen: int32(len(logMaps) - 1), pos: int32(from)})
+					p.batches = append(p.batches, logRec{off: int64(at), gen: int32(len(p.logMaps) - 1), from: int32(from)})
 				}
 			default:
-				return rs, fmt.Errorf("%s: %w: unknown record type %#x", path, ErrWALCorrupt, body[0])
+				return fmt.Errorf("%s: %w: unknown record type %#x", path, ErrWALCorrupt, body[0])
 			}
 		}
 		if sc.off < len(raw) {
-			if err := e.fs.Truncate(path, int64(sc.off)); err != nil {
-				return rs, err
-			}
-			rs.TornTails++
+			p.torn = append(p.torn, tornTail{path: path, size: int64(sc.off)})
 		}
 		if g == e.man.WALGen {
-			valid = int64(sc.off)
+			p.valid = int64(sc.off)
 		}
 	}
-	rs.WALParse = time.Since(phase)
 
-	// 3. Install the sealed chains, in meter order so the shard's directory
-	// comes back the same on every run, with the tables the blocks reference;
-	// the apply pass pushes the rest in order. Segments holding points the log
-	// no longer reaches, or epochs it never logged, mean the WAL was damaged
-	// or swapped — refuse rather than serve a silently shorter tail.
-	phase = time.Now()
-	ids := slices.Sorted(maps.Keys(meters))
-	for _, m := range ids {
-		mr := meters[m]
+	// Segments holding points the log no longer reaches, or epochs it never
+	// logged, mean the WAL was damaged or swapped — refuse rather than serve
+	// a silently shorter tail.
+	p.ids = slices.Sorted(maps.Keys(p.meters))
+	for _, m := range p.ids {
+		mr := p.meters[m]
 		if mr.skip > 0 {
-			return rs, fmt.Errorf("%w: meter %d segments hold %d points past the end of the log", ErrWALCorrupt, m, mr.skip)
-		}
-		if len(mr.blocks) == 0 {
-			continue
+			return fmt.Errorf("%w: meter %d segments hold %d points past the end of the log", ErrWALCorrupt, m, mr.skip)
 		}
 		if len(mr.tables) < mr.installed {
-			return rs, fmt.Errorf("%w: meter %d segments reference epoch %d but the log holds %d tables", ErrWALCorrupt, m, mr.installed-1, len(mr.tables))
-		}
-		if err := e.store.RestoreMeter(m, mr.tables[:mr.installed], mr.blocks); err != nil {
-			return rs, err
+			return fmt.Errorf("%w: meter %d segments reference epoch %d but the log holds %d tables", ErrWALCorrupt, m, mr.installed-1, len(mr.tables))
 		}
 	}
-	rs.SegmentRestore += time.Since(phase)
+	rs.TornTails = len(p.torn)
+	rs.Meters = len(p.ids)
+	rs.WALParse = time.Since(phase)
+	return nil
+}
 
-	// 4. Apply the list through the live commit path, in log order: a batch
-	// commits straight from the record's packed bytes past its covered prefix
-	// (batchHeader.apply → Store.AppendRun) — no symbol is ever unpacked.
+// applyShard is one shard's write phase, run only after every shard's scan
+// succeeded: it truncates the torn tails, installs each meter with one
+// RestoreMeter in ID order (so the shard's directory comes back the same on
+// every run), commits the batch list through the live commit path in log
+// order, and opens the current generation for appending. The scan validated
+// every log record against its meter's table history, so a replay error is
+// the environment's (the respill path's segment I/O failing on a full disk,
+// say), never the log's — and is not reported as corruption: telling an
+// operator the WAL is corrupt invites deleting a healthy one.
+func (e *Engine) applyShard(shard int, p *shardPlan) error {
+	for _, t := range p.torn {
+		if err := e.fs.Truncate(t.path, t.size); err != nil {
+			return err
+		}
+	}
+	phase := time.Now()
+	for _, m := range p.ids {
+		mr := p.meters[m]
+		if err := e.store.RestoreMeter(m, mr.maxSeq, mr.tables, mr.blocks); err != nil {
+			return err
+		}
+	}
+	p.stats.SegmentRestore += time.Since(phase)
+
+	// Each batch commits straight from the record's packed bytes past its
+	// covered prefix, under its own epoch (batchHeader.apply →
+	// Store.AppendRun) — no symbol is ever unpacked.
 	phase = time.Now()
-	for _, r := range apply {
-		body, _ := recordAt(logMaps[r.gen], int(r.off))
-		typ, _, payload, _ := stripSeq(body) // the scan vetted the record
-		if typ == recTable {
-			m := binary.BigEndian.Uint64(payload)
-			if err := e.ensureMeter(m); err != nil {
-				return rs, err
-			}
-			if err := e.store.PushTable(m, meters[m].tables[r.pos]); err != nil {
-				return rs, replayErr(err)
-			}
-			continue
-		}
+	for _, r := range p.batches {
+		body, _ := recordAt(p.logMaps[r.gen], int(r.off))
+		_, _, payload, _ := stripSeq(body)
 		h, _ := parseBatchHeader(payload)
-		n, err := h.apply(e.store, payload, int(r.pos))
-		rs.ReplayedPoints += int64(n)
+		n, err := h.apply(e.store, payload, int(r.from))
+		p.stats.ReplayedPoints += int64(n)
 		if err != nil {
-			return rs, replayErr(err)
+			return fmt.Errorf("storage: replay: %w", err)
 		}
 	}
-	rs.Replay = time.Since(phase)
+	p.stats.Replay = time.Since(phase)
 
-	// Hand each meter's sequence high-water mark — what the next session's
-	// handshake ack carries — to the store.
-	for _, m := range ids {
-		if mr := meters[m]; len(mr.tables) > 0 {
-			e.store.RestoreSeq(m, mr.maxSeq)
-			rs.Meters++
-		}
-	}
-
-	// 5. Open the current generation's log for appending (older generations
-	// stay closed — they are replay-only history).
+	// Older generations stay closed — they are replay-only history.
 	f, err := e.fs.OpenFile(e.walGenPath(shard, e.man.WALGen), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return rs, err
+		return err
 	}
-	e.wals[shard].Store(newWAL(f, valid))
-	return rs, nil
+	e.wals[shard].Store(newWAL(f, p.valid))
+	return nil
 }
 
 // mapLog maps one WAL generation read-only: a missing file reports
@@ -626,51 +661,6 @@ func mapLog(fsys FS, path string) ([]byte, error) {
 		return nil, fmt.Errorf("storage: mmap log %s: %w", path, err)
 	}
 	return raw, nil
-}
-
-// unwind releases everything a failed recover() opened — WAL fds, segment
-// writer fds, mappings — so a failed Open leaks nothing.
-func (e *Engine) unwind() {
-	for i := range e.wals {
-		if w := e.wals[i].Load(); w != nil {
-			w.close()
-		}
-	}
-	for _, sw := range e.segs {
-		if sw != nil && sw.f != nil {
-			sw.f.Close()
-			sw.f = nil
-		}
-	}
-	e.releaseMaps()
-}
-
-// replayErr classifies a store error hit while re-applying a log record.
-// The store's validation errors mean the log's *content* is inconsistent
-// with itself — that is corruption. Anything else (the respill path's
-// segment I/O failing with a full disk, say) is an environmental failure on
-// an intact log and must not be reported as damage: telling an operator the
-// WAL is corrupt invites deleting a healthy one.
-func replayErr(err error) error {
-	for _, verr := range []error{server.ErrBadSymbol, server.ErrNoTable, server.ErrUnknownMeter, server.ErrDuplicateMeter} {
-		if errors.Is(err, verr) {
-			return fmt.Errorf("%w: replay: %v", ErrWALCorrupt, err)
-		}
-	}
-	return fmt.Errorf("storage: replay: %w", err)
-}
-
-// ensureMeter registers a meter seen first in the WAL (no live session
-// exists during replay, so the session slot is released immediately).
-func (e *Engine) ensureMeter(meterID uint64) error {
-	if _, ok := e.store.Meter(meterID); ok {
-		return nil
-	}
-	if err := e.store.StartSession(meterID); err != nil {
-		return err
-	}
-	e.store.EndSession(meterID)
-	return nil
 }
 
 // SealedBlock implements server.SealSink by routing the block to its shard's
@@ -892,14 +882,41 @@ func (e *Engine) Flush() error {
 // the segment mappings. The store must not be queried afterwards: spilled
 // blocks alias the mappings Close unmaps.
 func (e *Engine) Close() error {
-	if !e.closed.CompareAndSwap(false, true) {
+	if !e.shutdown() {
 		return nil
 	}
-	if e.stop != nil {
-		close(e.stop)
-		e.syncWG.Wait()
+	return errors.Join(e.Flush(), e.release())
+}
+
+// Abandon releases the engine's file handles, goroutines and mappings
+// WITHOUT flushing or finishing anything — the programmatic stand-in for a
+// crash: on-disk state is exactly what a kill at this instant would leave
+// (open segments without footers, WAL synced only as far as the mode got).
+// The store must not be used afterwards. Tests and recovery benchmarks use
+// it to produce crash-shaped directories without leaking descriptors.
+func (e *Engine) Abandon() {
+	if e.shutdown() {
+		e.release()
 	}
-	errs := []error{e.Flush()}
+}
+
+// shutdown marks the engine closed and stops its background goroutines. It
+// reports false when the engine was already closed.
+func (e *Engine) shutdown() bool {
+	if !e.closed.CompareAndSwap(false, true) {
+		return false
+	}
+	close(e.stop)
+	e.syncWG.Wait()
+	return true
+}
+
+// release closes every log file (current and retired) and every open
+// segment file and unmaps every mapping — the one path a failed Open, Close
+// and Abandon share, so none of them leaks a descriptor or a mapping. It
+// returns the logs' close errors.
+func (e *Engine) release() error {
+	var errs []error
 	for i := range e.wals {
 		if w := e.wals[i].Load(); w != nil {
 			errs = append(errs, w.close())
@@ -911,42 +928,14 @@ func (e *Engine) Close() error {
 	}
 	e.retired = nil
 	e.retiredMu.Unlock()
-	e.releaseMaps()
-	return errors.Join(errs...)
-}
-
-// Abandon releases the engine's file handles, goroutines and mappings
-// WITHOUT flushing or finishing anything — the programmatic stand-in for a
-// crash: on-disk state is exactly what a kill at this instant would leave
-// (open segments without footers, WAL synced only as far as the mode got).
-// The store must not be used afterwards. Tests and recovery benchmarks use
-// it to produce crash-shaped directories without leaking descriptors.
-func (e *Engine) Abandon() {
-	if !e.closed.CompareAndSwap(false, true) {
-		return
-	}
-	if e.stop != nil {
-		close(e.stop)
-		e.syncWG.Wait()
-	}
-	for i := range e.wals {
-		if w := e.wals[i].Load(); w != nil {
-			w.close()
-		}
-	}
-	e.retiredMu.Lock()
-	for _, w := range e.retired {
-		w.close()
-	}
-	e.retired = nil
-	e.retiredMu.Unlock()
 	for _, sw := range e.segs {
-		if sw != nil && sw.f != nil {
+		if sw.f != nil {
 			sw.f.Close()
 			sw.f = nil
 		}
 	}
 	e.releaseMaps()
+	return errors.Join(errs...)
 }
 
 func (e *Engine) trackMapping(m []byte) {
@@ -996,6 +985,10 @@ func (e *Engine) addSegment(ms manifestSegment) error {
 	return err
 }
 
+// groupInterval is the background fsync cadence under SyncGroup — the
+// OS-crash data-loss bound.
+const groupInterval = 2 * time.Millisecond
+
 // groupSync is the SyncGroup background fsync loop: every interval, any
 // shard log with unsynced records gets one fsync. A failed fsync degrades
 // the engine immediately — the error used to stick silently to the wal and
@@ -1003,7 +996,7 @@ func (e *Engine) addSegment(ms manifestSegment) error {
 // it the moment it happens.
 func (e *Engine) groupSync() {
 	defer e.syncWG.Done()
-	t := time.NewTicker(e.opts.GroupInterval)
+	t := time.NewTicker(groupInterval)
 	defer t.Stop()
 	for {
 		select {

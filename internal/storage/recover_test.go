@@ -405,6 +405,44 @@ func TestSkippedBatchStillValidated(t *testing.T) {
 	}
 }
 
+// TestBatchLevelMismatchFailsScan: a batch record at a level its epoch's
+// table does not have is corruption whether the segments cover it whole (the
+// scan consumes it on its header) or not (the straddling last batch, which
+// apply would commit) — and the scan finds it before anything changes, so
+// the unlisted segment beside it survives the failed Open.
+func TestBatchLevelMismatchFailsScan(t *testing.T) {
+	dir, raw, recs := coveredLogDir(t)
+	level := testTable(t).Level()
+	first := slices.IndexFunc(recs, func(r walRecord) bool { return r.typ == recBatch })
+	last := len(recs) - 1
+	if first < 0 || recs[last].typ != recBatch {
+		t.Fatal("fixture must start and end its batches inside the log")
+	}
+	for name, victim := range map[string]int{"covered": first, "straddling": last} {
+		t.Run(name, func(t *testing.T) {
+			mut := restamp(raw, recs, victim, func(b []byte) []byte {
+				h, err := parseBatchHeader(b[1:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				b[13] = byte(level - 1)
+				return b[:1+batchHeaderLen+h.tsBytes()+(h.count*(level-1)+7)/8]
+			})
+			d := withLog(t, dir, mut)
+			orphan := filepath.Join(d, "seg", "0000-000099.seg")
+			if err := os.WriteFile(orphan, []byte("no footer"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(Options{Dir: d, Shards: 1, Sync: SyncOff}); !errors.Is(err, ErrWALCorrupt) {
+				t.Fatalf("Open returned %v, want ErrWALCorrupt", err)
+			}
+			if _, err := os.Stat(orphan); err != nil {
+				t.Fatalf("failed Open removed the unlisted segment: %v", err)
+			}
+		})
+	}
+}
+
 // TestFooterRoomRunningTotal: the footer the segment writer encodes as blocks
 // seal must be exactly the entries' sizes after every seal, across rollovers
 // and mixed histogram widths, and every finished segment must fit its
@@ -677,4 +715,93 @@ func TestRecoverUncoveredMeter(t *testing.T) {
 	want := oracleStore(t, table, covered, 20)
 	applyBatches(t, want, table, []uint64{late}, 3)
 	compareStores(t, re.Store(), want, testMeters)
+}
+
+// TestRecoverTableChangeAfterLastSegment: a batch replays under the epoch it
+// was logged with, not under the meter's first table. Past the last listed
+// segment every meter switches to a table with other representatives — the
+// odd meters at another level too — and keeps writing. A crash recovery must
+// rebuild the live chains block for block (boundaries, epochs, Sum bits),
+// and so must a second Open over the segments that replay spilled.
+func TestRecoverTableChangeAfterLastSegment(t *testing.T) {
+	dir := t.TempDir()
+	table := testTable(t)
+	vals := make([]float64, 4096)
+	for i := range vals {
+		vals[i] = float64(i*104729%5000) + 0.5
+	}
+	next := map[bool]*symbolic.Table{}
+	for odd, k := range map[bool]int{true: 8, false: 16} {
+		var err error
+		if next[odd], err = symbolic.Learn(symbolic.MethodMedian, vals, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if next[true].Level() == table.Level() || slices.Equal(next[false].ReconstructionValues(), table.ReconstructionValues()) {
+		t.Fatal("second tables must differ from the first in level and in representatives")
+	}
+
+	eng := openTest(t, dir, SyncOff)
+	applyBatches(t, eng, table, testMeters, 25)
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range testMeters {
+		if err := PushNext(eng, m, next[m%2 == 1]); err != nil {
+			t.Fatal(err)
+		}
+		for idx := 25; idx < 40; idx++ {
+			if _, err := AppendNext(eng, m, genBatch(m, idx, next[m%2 == 1])); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	live := make(map[uint64][]blockImage)
+	seqs := make(map[uint64]uint64)
+	for _, m := range testMeters {
+		live[m], seqs[m] = meterImage(t, eng.Store(), m), eng.LastSeq(m)
+		if last := live[m][len(live[m])-1]; last.Epoch != 1 {
+			t.Fatalf("meter %d: live tail at epoch %d, want 1", m, last.Epoch)
+		}
+	}
+	eng.Abandon()
+
+	requireLive := func(what string, re *Engine) {
+		t.Helper()
+		for _, m := range testMeters {
+			if got := re.LastSeq(m); got != seqs[m] {
+				t.Fatalf("%s meter %d: LastSeq %d, want %d", what, m, got, seqs[m])
+			}
+			got := meterImage(t, re.Store(), m)
+			if len(got) != len(live[m]) {
+				t.Fatalf("%s meter %d: %d blocks, want %d", what, m, len(got), len(live[m]))
+			}
+			for i := range got {
+				g, w := got[i], live[m][i]
+				// A restored underfull block keeps its footer histogram where
+				// the live seal dropped it.
+				if g.Hist == nil || w.Hist == nil {
+					g.Hist, w.Hist = nil, nil
+				}
+				if !reflect.DeepEqual(g, w) {
+					t.Fatalf("%s meter %d block %d:\n got %+v\nwant %+v", what, m, i, g, w)
+				}
+			}
+		}
+	}
+	re := openTest(t, dir, SyncOff)
+	if rs := re.Recovery(); rs.SkippedPoints == 0 || rs.ReplayedPoints < int64(len(testMeters)*15*96) {
+		t.Fatalf("fixture must replay every post-change batch past covered ones: %+v", rs)
+	}
+	requireLive("crash", re)
+	segs := re.Recovery().Segments
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again := openTest(t, dir, SyncOff)
+	defer again.Close()
+	if rs := again.Recovery(); rs.Segments <= segs {
+		t.Fatalf("replay spilled no segment: %d segments before, %d after", segs, rs.Segments)
+	}
+	requireLive("respilled", again)
 }

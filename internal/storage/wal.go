@@ -450,7 +450,7 @@ func (h batchHeader) tsBytes() int {
 // many symbols the store took.
 func (h batchHeader) apply(st *server.Store, data []byte, from int) (int, error) {
 	rest := data[batchHeaderLen:]
-	run := server.Run{Level: h.level, Packed: rest[h.tsBytes():], Pos: from, Count: h.count - from}
+	run := server.Run{Level: h.level, Packed: rest[h.tsBytes():], Pos: from, Count: h.count - from, Epoch: int(h.epoch)}
 	if h.kind == 0 {
 		run.Stride = int64(binary.BigEndian.Uint64(rest[8:]))
 		run.FirstT = int64(binary.BigEndian.Uint64(rest)) + int64(from)*run.Stride
