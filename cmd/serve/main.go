@@ -29,8 +29,8 @@
 //
 // The listener also answers remote queries: a connection whose first frame
 // is a query request ('Q') is dispatched to the compressed-domain engine
-// instead of the ingest path, with at most -query-conc queries executing
-// per connection. -query-addr adds a second, query-only listener (ingest
+// instead of the ingest path, and its requests are answered one at a time,
+// in request order. -query-addr adds a second, query-only listener (ingest
 // handshakes are refused there). After the fleet run the binary asks its
 // own fleet aggregate once more through pkg/client over TCP and checks it
 // against the in-process answer — the wire demo of the §2 story.
@@ -79,13 +79,11 @@ func run(args []string, out io.Writer) (err error) {
 		relearn     = fs.Bool("relearn", false, "rebuild and resend each meter's table daily (adaptive path)")
 		qfrom       = fs.Int64("qfrom", 0, "query range start (seconds since the stream epoch)")
 		qto         = fs.Int64("qto", 0, "query range end, exclusive (0 = unbounded)")
-		qworkers    = fs.Int("qworkers", 0, "fleet-query worker pool size (0 = GOMAXPROCS)")
 		hist        = fs.Bool("hist", false, "also print the fleet-wide symbol histogram for the query range")
 		queryAddr   = fs.String("query-addr", "", "additional query-only listen address (queries are always served on -addr too)")
 		idleTO      = fs.Duration("idle-timeout", 2*time.Minute, "reap connections silent past this; 0 disables")
 		writeTO     = fs.Duration("write-timeout", 0, "fail server response writes blocked past this (0 = 30s default, negative disables)")
 		budget      = fs.Int64("ingest-budget", 0, "per-shard in-flight ingest byte budget; over-budget batches get a typed retryable refusal (0 = unlimited)")
-		queryConc   = fs.Int("query-conc", 0, "max concurrently executing queries per connection (0 = default)")
 		metricsAddr = fs.String("metrics-addr", "", "telemetry HTTP listen address (/metrics, /healthz, /debug/pprof); empty disables")
 		dataDir     = fs.String("data-dir", "", "durable storage directory (WAL + segments); empty = in-memory only")
 		fsyncMode   = fs.String("fsync", "group", "WAL durability with -data-dir: off, group or always")
@@ -149,14 +147,13 @@ func run(args []string, out io.Writer) (err error) {
 	// Each meter will stream one symbol per window; reserving that capacity
 	// at handshake keeps the per-batch store commits allocation-free.
 	svc := server.New(server.Config{
-		Shards:           *shards,
-		ReservePoints:    fleetCfg.ExpectedPointsPerMeter(),
-		Store:            recovered,
-		IdleTimeout:      *idleTO,
-		WriteTimeout:     *writeTO,
-		IngestBudget:     *budget,
-		QueryConcurrency: *queryConc,
-		Metrics:          reg,
+		Shards:        *shards,
+		ReservePoints: fleetCfg.ExpectedPointsPerMeter(),
+		Store:         recovered,
+		IdleTimeout:   *idleTO,
+		WriteTimeout:  *writeTO,
+		IngestBudget:  *budget,
+		Metrics:       reg,
 	})
 	if eng != nil {
 		svc.SetIngest(eng)
@@ -165,9 +162,6 @@ func run(args []string, out io.Writer) (err error) {
 	// any remote query connection; registering it before Listen means the
 	// first accepted stream can already be a query.
 	qe := query.New(svc.Store())
-	if *qworkers > 0 {
-		qe.SetWorkers(*qworkers)
-	}
 	svc.SetQueryHandler(qe)
 	bound, err := svc.Listen(*addr)
 	if err != nil {
@@ -276,8 +270,9 @@ func run(args []string, out io.Writer) (err error) {
 
 	// The fleet summary is answered by the compressed-domain query engine —
 	// block summaries plus LUT edge kernels over the RCU-published sealed
-	// indexes, a bounded worker pool over the shards — not by reconstructing
-	// streams, and (for sealed data) without taking any shard lock.
+	// indexes, min(GOMAXPROCS, shards) workers over the shards (see
+	// query.Engine) — not by reconstructing streams, and (for sealed data)
+	// without taking any shard lock.
 	qstart := time.Now()
 	agg := qe.FleetAggregate(t0, t1)
 	qelapsed := time.Since(qstart)
@@ -289,9 +284,9 @@ func run(args []string, out io.Writer) (err error) {
 	fmt.Fprintf(out, "fleet: %d meters sent %d raw measurements -> %d symbols in %v (%.0f symbols/sec)\n",
 		len(rep.Meters), rep.Sent, stored, elapsed.Round(time.Millisecond), rate)
 	if agg.Count > 0 {
-		fmt.Fprintf(out, "query: fleet mean %.1f W, min %.1f W, max %.1f W over [%d,%d) — %d points in %v, compressed-domain, %d workers, %d tail-fold locks\n",
+		fmt.Fprintf(out, "query: fleet mean %.1f W, min %.1f W, max %.1f W over [%d,%d) — %d points in %v, compressed-domain, %d tail-fold locks\n",
 			agg.Mean(), agg.Min, agg.Max, t0, t1, agg.Count, qelapsed.Round(time.Microsecond),
-			qe.Workers(), svc.Store().QueryLockAcquisitions())
+			svc.Store().QueryLockAcquisitions())
 	} else {
 		fmt.Fprintf(out, "query: no points in [%d,%d) (%v, compressed-domain)\n", t0, t1, qelapsed.Round(time.Microsecond))
 	}

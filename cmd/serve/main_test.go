@@ -99,7 +99,7 @@ func TestServeQueryListener(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
 		"-meters", "2", "-shards", "4", "-seconds", "600", "-window", "60",
-		"-query-addr", "127.0.0.1:0", "-idle-timeout", "5s", "-query-conc", "2",
+		"-query-addr", "127.0.0.1:0", "-idle-timeout", "5s",
 	}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())

@@ -21,10 +21,10 @@
 //     batch kernel call per meter (internal/symbolic's SIMD-dispatched
 //     histogram kernels), folded into floats once per meter rather than once
 //     per block.
-//   - Bounded worker pool: fleet-wide queries run a fixed pool of workers
-//     (SetWorkers, default GOMAXPROCS) pulling shards from a shared cursor,
-//     so query parallelism scales with cores independently of shard count
-//     and never holds a shard lock across a scan.
+//   - Per-core fan-out: a fleet-wide query runs min(GOMAXPROCS, shards)
+//     workers pulling shards from a shared cursor, so query parallelism
+//     scales with cores independently of shard count and never holds a
+//     shard lock across a scan.
 //
 // Timestamps inside a block are arithmetic (firstT + i·stride), so range
 // overlap is integer division, not search.
@@ -125,28 +125,10 @@ func (h *Histogram) Total() uint64 {
 // Engine answers compressed-domain queries against one store.
 type Engine struct {
 	store *server.Store
-	// workers bounds fleet-query parallelism (see SetWorkers).
-	workers int
 }
 
-// New returns an engine over the store with fleet parallelism bounded by
-// GOMAXPROCS.
-func New(store *server.Store) *Engine {
-	return &Engine{store: store, workers: runtime.GOMAXPROCS(0)}
-}
-
-// SetWorkers bounds the worker pool fleet-wide queries fan out to (clamped
-// to ≥ 1). Workers read published indexes lock-free, so more workers scale
-// query throughput with cores instead of multiplying lock contention.
-func (e *Engine) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.workers = n
-}
-
-// Workers returns the current fleet-query parallelism bound.
-func (e *Engine) Workers() int { return e.workers }
+// New returns an engine over the store.
+func New(store *server.Store) *Engine { return &Engine{store: store} }
 
 // overlap returns the index range [i0, i1) of points in v whose timestamps
 // fall inside [t0, t1). Pure integer arithmetic: point i lives at
@@ -251,7 +233,7 @@ type meterScratch struct {
 // under the race detector sync.Pool deliberately drops a fraction of Puts,
 // which would fail the AllocsPerRun pins CI runs with -race. Channel ops
 // never allocate, so steady-state queries stay at zero allocations on every
-// build. Capacity covers the worker-pool bound with headroom.
+// build. Capacity covers a fleet query's fan-out with headroom.
 var scratchFree = make(chan *meterScratch, 64)
 
 func getScratch() *meterScratch {
@@ -373,34 +355,22 @@ func (e *Engine) Count(meterID uint64, t0, t1 int64) (uint64, bool) {
 	return n, true
 }
 
-// sumCount is the shared fold under Sum, Mean and the wire path's
-// OpSum/OpMean: the same batched aggregate fold Aggregate runs, so Sum,
-// Mean and Aggregate.Sum are bit-identical floats by construction — one
-// fold, not three reimplementations that happen to agree.
-func (e *Engine) sumCount(meterID uint64, t0, t1 int64) (float64, uint64, bool) {
-	a, ok := e.Aggregate(meterID, t0, t1)
-	return a.Sum, a.Count, ok
-}
-
-// Sum returns the sum of reconstruction values for the meter in [t0, t1),
-// using block summaries and the batched histogram kernels for edges. It is
-// bit-identical to Aggregate's Sum by construction (one shared fold).
+// Sum returns the sum of reconstruction values for the meter in [t0, t1).
+// It is Aggregate's Sum — one fold, so the two are bit-identical by
+// construction.
 func (e *Engine) Sum(meterID uint64, t0, t1 int64) (float64, bool) {
-	sum, _, ok := e.sumCount(meterID, t0, t1)
-	return sum, ok
+	a, ok := e.Aggregate(meterID, t0, t1)
+	return a.Sum, ok
 }
 
 // Mean returns the mean reconstruction value in [t0, t1); NaN when the
 // range is empty.
 func (e *Engine) Mean(meterID uint64, t0, t1 int64) (float64, bool) {
-	sum, n, ok := e.sumCount(meterID, t0, t1)
+	a, ok := e.Aggregate(meterID, t0, t1)
 	if !ok {
 		return 0, false
 	}
-	if n == 0 {
-		return math.NaN(), true
-	}
-	return sum / float64(n), true
+	return a.Mean(), true
 }
 
 // Min returns the smallest reconstruction value in [t0, t1); ok is false
@@ -494,12 +464,12 @@ func (e *Engine) Histogram(meterID uint64, t0, t1 int64) (Histogram, bool, error
 	return h, ok, nil
 }
 
-// forMeters runs fold over every meter handle in the store through a
-// bounded pool of nw workers pulling shards from a shared cursor. fold runs
-// on worker w for each meter; meters of one shard are processed by a single
-// worker, different shards land on different workers as they free up. This
-// is pure read-side fan-out: no shard lock is held across any of it (each
-// VisitRange inside fold locks at most briefly, for its own live tail).
+// forMeters runs fold over every meter handle in the store on nw workers
+// pulling shards from a shared cursor. fold runs on worker w for each meter;
+// meters of one shard are processed by a single worker, different shards
+// land on different workers as they free up. This is pure read-side
+// fan-out: no shard lock is held across any of it (each VisitRange inside
+// fold locks at most briefly, for its own live tail).
 func (e *Engine) forMeters(nw int, fold func(w int, m server.Meter)) {
 	shards := e.store.NumShards()
 	var cursor atomic.Int64
@@ -522,22 +492,15 @@ func (e *Engine) forMeters(nw int, fold func(w int, m server.Meter)) {
 	wg.Wait()
 }
 
-// poolSize clamps the configured worker bound to the shard count (a worker
-// per shard is the maximum useful fan-out for shard-granular work items).
+// poolSize is a fleet query's fan-out: a worker per core, and no more than
+// one per shard (shards are the work items). GOMAXPROCS is read per query.
 func (e *Engine) poolSize() int {
-	nw := e.workers
-	if n := e.store.NumShards(); nw > n {
-		nw = n
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	return nw
+	return min(runtime.GOMAXPROCS(0), e.store.NumShards())
 }
 
 // FleetAggregate computes count/sum/min/max across every meter in [t0, t1)
-// on the bounded worker pool, reading published indexes lock-free and
-// merging per-worker partials. Each worker folds meters through the batched
+// on poolSize workers, reading published indexes lock-free and merging
+// per-worker partials. Each worker folds meters through the batched
 // read path with one reused scratch — the per-block visitor closures the
 // fleet fold used to rebuild per meter are gone.
 func (e *Engine) FleetAggregate(t0, t1 int64) Agg {
@@ -559,16 +522,14 @@ func (e *Engine) FleetAggregate(t0, t1 int64) Agg {
 }
 
 // FleetSum returns the fleet-wide sum and count over [t0, t1): the same
-// batched fold as FleetAggregate, exposed in the shape the wire path's
-// fleet opcodes serialize.
+// batched fold as FleetAggregate.
 func (e *Engine) FleetSum(t0, t1 int64) (float64, uint64) {
 	a := e.FleetAggregate(t0, t1)
 	return a.Sum, a.Count
 }
 
 // FleetHistogram computes the fleet-wide per-symbol distribution over
-// [t0, t1) on the bounded worker pool. All covered blocks must share one
-// level.
+// [t0, t1) on poolSize workers. All covered blocks must share one level.
 func (e *Engine) FleetHistogram(t0, t1 int64) (Histogram, error) {
 	nw := e.poolSize()
 	partials := make([]Histogram, nw)

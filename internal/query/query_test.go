@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -468,9 +469,10 @@ func TestPrunedQueryZeroAllocAndLockFree(t *testing.T) {
 	}
 }
 
-// TestFleetWorkerPoolEquivalence pins the bounded pool: every worker count
-// produces bit-identical integer aggregates and tolerance-identical sums,
-// whether smaller, equal to, or larger than the shard count.
+// TestFleetWorkerPoolEquivalence pins the per-core fan-out: every worker
+// count — set through GOMAXPROCS, restored afterwards — produces
+// bit-identical integer aggregates and tolerance-identical sums, whether
+// smaller, equal to, or larger than the shard count.
 func TestFleetWorkerPoolEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	st := server.NewStore(8)
@@ -485,8 +487,9 @@ func TestFleetWorkerPoolEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 2, 3, 8, 64} {
-		e.SetWorkers(workers)
+		runtime.GOMAXPROCS(workers)
 		a := e.FleetAggregate(t0, t1)
 		if a.Count != ref.Count || a.Min != ref.Min || a.Max != ref.Max || relDiff(a.Sum, ref.Sum) > 1e-9 {
 			t.Fatalf("workers=%d: FleetAggregate %+v, want %+v", workers, a, ref)
@@ -556,10 +559,9 @@ func TestFleetQueryDuringIngest(t *testing.T) {
 	}
 	for r := 0; r < 3; r++ {
 		readers.Add(1)
-		go func(r int) {
+		go func() {
 			defer readers.Done()
 			e := New(st)
-			e.SetWorkers(1 + r)
 			var lastCount uint64
 			var h Histogram
 			for i := 0; ; i++ {
@@ -579,7 +581,7 @@ func TestFleetQueryDuringIngest(t *testing.T) {
 					return
 				}
 			}
-		}(r)
+		}()
 	}
 	writers.Wait()
 	close(stop)

@@ -3,7 +3,6 @@ package query
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"symmeter/internal/transport"
 )
@@ -15,11 +14,12 @@ import (
 // The method reuses res (including the Counts backing array) and allocates
 // nothing on the steady state for per-meter ops; failures come back as
 // *transport.QueryError so the session layer can answer with a typed 'X'
-// frame. Per-meter float results are bit-identical to the corresponding
-// in-process calls because both run the same folds in the same order
-// (Sum/Mean share sumCount, Min/Max/Aggregate share Aggregate); fleet-wide
+// frame. Histograms have their own path; every scalar op is shaped from one
+// Agg: FleetAggregate fleet-wide, Aggregate per meter, and Count for a
+// meter's OpCount, which reads no payload. Per-meter floats are therefore
+// bit-identical to the in-process calls, which run the same fold; fleet-wide
 // floats are merged from worker partials whose meter order is scheduling-
-// dependent, exactly as FleetSum/FleetAggregate themselves are.
+// dependent, exactly as FleetAggregate's own are.
 func (e *Engine) ServeQuery(req transport.QueryRequest, res *transport.QueryResult) error {
 	if req.T0 >= req.T1 {
 		return &transport.QueryError{
@@ -27,122 +27,67 @@ func (e *Engine) ServeQuery(req transport.QueryRequest, res *transport.QueryResu
 			Msg:  fmt.Sprintf("empty or inverted range [%d, %d)", req.T0, req.T1),
 		}
 	}
-	res.ID = req.ID
-	res.Op = req.Op
-	res.Count, res.Value, res.Sum, res.Min, res.Max = 0, 0, 0, 0, 0
-	res.Level = 0
-	res.Counts = res.Counts[:0]
-	if req.Fleet {
-		return e.serveFleet(req, res)
+	if req.Op < transport.OpCount || req.Op > transport.OpHistogram {
+		return &transport.QueryError{
+			Code: transport.QErrBadRequest,
+			Msg:  fmt.Sprintf("unknown op %#x", req.Op),
+		}
 	}
-	return e.serveMeter(req, res)
-}
-
-func (e *Engine) serveMeter(req transport.QueryRequest, res *transport.QueryResult) error {
-	switch req.Op {
-	case transport.OpCount:
+	*res = transport.QueryResult{ID: req.ID, Op: req.Op, Counts: res.Counts[:0]}
+	var a Agg
+	switch {
+	case req.Op == transport.OpHistogram:
+		return e.serveHistogram(req, res)
+	case req.Fleet:
+		a = e.FleetAggregate(req.T0, req.T1)
+	case req.Op == transport.OpCount:
 		n, ok := e.Count(req.MeterID, req.T0, req.T1)
 		if !ok {
 			return unknownMeter(req.MeterID)
 		}
-		res.Count = n
-	case transport.OpSum:
-		sum, n, ok := e.sumCount(req.MeterID, req.T0, req.T1)
-		if !ok {
-			return unknownMeter(req.MeterID)
-		}
-		res.Count, res.Sum = n, sum
-	case transport.OpMean:
-		sum, n, ok := e.sumCount(req.MeterID, req.T0, req.T1)
-		if !ok {
-			return unknownMeter(req.MeterID)
-		}
-		res.Count = n
-		if n == 0 {
-			res.Value = math.NaN()
-		} else {
-			res.Value = sum / float64(n)
-		}
-	case transport.OpMin, transport.OpMax:
-		a, ok := e.Aggregate(req.MeterID, req.T0, req.T1)
-		if !ok {
-			return unknownMeter(req.MeterID)
-		}
-		res.Count = a.Count
-		if req.Op == transport.OpMin {
-			res.Value = a.Min
-		} else {
-			res.Value = a.Max
-		}
-	case transport.OpAggregate:
-		a, ok := e.Aggregate(req.MeterID, req.T0, req.T1)
-		if !ok {
-			return unknownMeter(req.MeterID)
-		}
-		res.Count, res.Sum, res.Min, res.Max = a.Count, a.Sum, a.Min, a.Max
-	case transport.OpHistogram:
-		h := Histogram{Counts: res.Counts}
-		ok, err := e.HistogramInto(&h, req.MeterID, req.T0, req.T1)
-		res.Level, res.Counts = h.Level, h.Counts
-		if !ok {
-			return unknownMeter(req.MeterID)
-		}
-		if err != nil {
-			res.Counts = res.Counts[:0]
-			return histogramError(err)
-		}
+		a.Count = n
 	default:
-		return &transport.QueryError{
-			Code: transport.QErrBadRequest,
-			Msg:  fmt.Sprintf("unknown op %#x", req.Op),
+		var ok bool
+		if a, ok = e.Aggregate(req.MeterID, req.T0, req.T1); !ok {
+			return unknownMeter(req.MeterID)
 		}
+	}
+	res.Count = a.Count
+	switch req.Op {
+	case transport.OpSum:
+		res.Sum = a.Sum
+	case transport.OpMean:
+		res.Value = a.Mean()
+	case transport.OpMin:
+		res.Value = a.Min
+	case transport.OpMax:
+		res.Value = a.Max
+	case transport.OpAggregate:
+		res.Sum, res.Min, res.Max = a.Sum, a.Min, a.Max
 	}
 	return nil
 }
 
-func (e *Engine) serveFleet(req transport.QueryRequest, res *transport.QueryResult) error {
-	switch req.Op {
-	case transport.OpCount:
-		_, n := e.FleetSum(req.T0, req.T1)
-		res.Count = n
-	case transport.OpSum:
-		sum, n := e.FleetSum(req.T0, req.T1)
-		res.Count, res.Sum = n, sum
-	case transport.OpMean:
-		sum, n := e.FleetSum(req.T0, req.T1)
-		res.Count = n
-		if n == 0 {
-			res.Value = math.NaN()
-		} else {
-			res.Value = sum / float64(n)
-		}
-	case transport.OpMin, transport.OpMax:
-		a := e.FleetAggregate(req.T0, req.T1)
-		res.Count = a.Count
-		if req.Op == transport.OpMin {
-			res.Value = a.Min
-		} else {
-			res.Value = a.Max
-		}
-	case transport.OpAggregate:
-		a := e.FleetAggregate(req.T0, req.T1)
-		res.Count, res.Sum, res.Min, res.Max = a.Count, a.Sum, a.Min, a.Max
-	case transport.OpHistogram:
+// serveHistogram fills res with the request's distribution, per meter into
+// res.Counts' reused backing array.
+func (e *Engine) serveHistogram(req transport.QueryRequest, res *transport.QueryResult) error {
+	if req.Fleet {
 		h, err := e.FleetHistogram(req.T0, req.T1)
 		if err != nil {
 			return histogramError(err)
 		}
-		res.Level = h.Level
-		if cap(res.Counts) < len(h.Counts) {
-			res.Counts = make([]uint64, len(h.Counts))
-		}
-		res.Counts = res.Counts[:len(h.Counts)]
-		copy(res.Counts, h.Counts)
-	default:
-		return &transport.QueryError{
-			Code: transport.QErrBadRequest,
-			Msg:  fmt.Sprintf("unknown op %#x", req.Op),
-		}
+		res.Level, res.Counts = h.Level, h.Counts
+		return nil
+	}
+	h := Histogram{Counts: res.Counts}
+	ok, err := e.HistogramInto(&h, req.MeterID, req.T0, req.T1)
+	res.Level, res.Counts = h.Level, h.Counts
+	if !ok {
+		return unknownMeter(req.MeterID)
+	}
+	if err != nil {
+		res.Counts = res.Counts[:0]
+		return histogramError(err)
 	}
 	return nil
 }

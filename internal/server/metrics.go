@@ -33,7 +33,7 @@ type serviceMetrics struct {
 
 	// ingestBatchLat times each batch commit (WAL + store) inside the
 	// session loop; queryLat times ServeQuery execution inside the query
-	// workers. Both recorders are lock-free and zero-alloc (see
+	// session loop. Both recorders are lock-free and zero-alloc (see
 	// internal/metrics), so the hot paths keep their AllocsPerRun pins.
 	ingestBatchLat *metrics.Latency
 	queryLat       *metrics.Latency
@@ -75,7 +75,7 @@ func newServiceMetrics(reg *metrics.Registry) *serviceMetrics {
 		ingestBatchLat: reg.Latency("symmeter_ingest_batch_seconds",
 			"Ingest batch commit latency (WAL + store), per symbol batch."),
 		queryLat: reg.Latency("symmeter_query_seconds",
-			"Query execution latency inside the query workers."),
+			"Query execution latency inside the query session loop."),
 		framesIn:  transport.NewFrameMetrics(reg, "in"),
 		framesOut: transport.NewFrameMetrics(reg, "out"),
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -105,11 +106,12 @@ func TestQuerySessionPipelined(t *testing.T) {
 	}
 }
 
-// TestQueryConcurrencyBounded proves per-connection backpressure: with a
-// concurrency bound of 2 and every request blocked in the handler, at most
-// 2 requests are ever executing no matter how many the client pipelines.
+// TestQueryConcurrencyBounded proves per-connection backpressure: a
+// connection's requests are answered one at a time, so with every request
+// blocked in the handler at most 1 is ever executing no matter how many the
+// client pipelines.
 func TestQueryConcurrencyBounded(t *testing.T) {
-	const bound = 2
+	const bound = 1
 	var inflight, maxInflight atomic.Int64
 	release := make(chan struct{})
 	blocking := handlerFunc(func(req transport.QueryRequest, res *transport.QueryResult) error {
@@ -125,7 +127,7 @@ func TestQueryConcurrencyBounded(t *testing.T) {
 		*res = transport.QueryResult{ID: req.ID, Op: transport.OpCount}
 		return nil
 	})
-	_, addr := startQueryService(t, Config{Shards: 2, QueryConcurrency: bound}, blocking)
+	_, addr := startQueryService(t, Config{Shards: 2}, blocking)
 	conn := rawConn(t, addr)
 	const n = 6
 	for i := uint64(1); i <= n; i++ {
@@ -154,6 +156,26 @@ func TestQueryConcurrencyBounded(t *testing.T) {
 	}
 	if got := maxInflight.Load(); got != bound {
 		t.Fatalf("max in-flight after drain = %d, want %d", got, bound)
+	}
+}
+
+// TestQueryConnectionOneGoroutine pins the cost of an idle query
+// connection: after one round trip each, 16 open connections hold fewer
+// than 2 server goroutines apiece — the session's own, and no pool.
+func TestQueryConnectionOneGoroutine(t *testing.T) {
+	_, addr := startQueryService(t, Config{Shards: 2}, handlerFunc(echoHandler))
+	const conns = 16
+	before := runtime.NumGoroutine()
+	var res transport.QueryResult
+	for i := uint64(1); i <= conns; i++ {
+		conn := rawConn(t, addr)
+		sendQuery(t, conn, transport.QueryRequest{ID: i, Op: transport.OpCount, MeterID: i, T0: 0, T1: 1})
+		if err := readResponse(t, transport.NewFrameReader(conn), &res); err != nil || res.ID != i {
+			t.Fatalf("connection %d: id=%d err=%v", i, res.ID, err)
+		}
+	}
+	if grew := runtime.NumGoroutine() - before; grew >= 2*conns {
+		t.Fatalf("%d idle query connections grew the goroutine count by %d, want < %d", conns, grew, 2*conns)
 	}
 }
 

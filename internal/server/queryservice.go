@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"symmeter/internal/transport"
@@ -18,119 +16,73 @@ import (
 // request's id. It returns nil for an orderly end — an 'E' frame or a clean
 // EOF between frames (query clients, unlike sensors, may simply close).
 //
-// Concurrency model: a fixed pool of s.queryConc workers pulls requests
-// from an unbuffered channel. The read loop's blocking send is the
-// backpressure — a client pipelining more than the bound stops being read
-// (and eventually stops being able to write, courtesy of TCP), so one
-// connection can never fan out unbounded work against the store. Each
-// worker owns a reusable result struct and encode buffer, so the
-// steady-state request→execute→respond path allocates nothing; responses
-// are serialized by a write mutex and may interleave across requests in
-// any order (the id is the correlator).
+// Each request is decoded, executed and answered on this goroutine, one at
+// a time and in arrival order, into one reused result and encode buffer, so
+// the steady-state path allocates nothing and an idle connection costs one
+// goroutine. A client may still pipeline; the id correlates. One that
+// pipelines but stops reading answers stops being read (TCP is the
+// backpressure), and the write deadline (writeFrame) reaps it instead of
+// wedging the session forever.
 func (s *Service) runQuerySession(conn net.Conn, br *bufio.Reader) error {
-	h := s.queryHandler
-	var (
-		writeMu  sync.Mutex
-		writeErr atomic.Value // first conn.Write error, type error
-	)
-	respond := func(frame []byte) {
-		// The write deadline (via writeFrame) is what reaps a peer that
-		// pipelines requests but stops reading responses: once the socket
-		// buffers fill, the write blocks, the deadline fires, and the
-		// session tears down instead of wedging a worker forever.
-		writeMu.Lock()
-		err := s.writeFrame(conn, frame)
-		writeMu.Unlock()
-		if err != nil {
-			// Keep only the first failure; later writes fail for the same
-			// reason and would race to overwrite it.
-			writeErr.CompareAndSwap(nil, err)
-		}
-	}
-
+	fr := transport.NewFrameReader(br)
 	if s.draining.Load() {
 		// Graceful drain: a new query session gets a typed, retryable
 		// refusal addressed to its first request instead of a bare close.
 		s.met.drainRefusals.Inc()
-		fr := transport.NewFrameReader(br)
 		typ, payload, err := fr.Next()
 		if err != nil || typ != transport.FrameQuery {
 			return nil
 		}
 		req, _ := transport.DecodeQueryRequest(payload) // best-effort id extraction
-		respond(transport.AppendQueryErrorFrame(nil, req.ID, transport.VerdictDraining, ErrDraining.Error()))
+		// Best effort: the session ends here whether or not the refusal lands.
+		_ = s.writeFrame(conn, transport.AppendQueryErrorFrame(nil, req.ID, transport.VerdictDraining, ErrDraining.Error()))
 		return nil
 	}
 
-	jobs := make(chan transport.QueryRequest)
-	var wg sync.WaitGroup
-	for i := 0; i < s.queryConc; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var res transport.QueryResult
-			var buf []byte
-			for req := range jobs {
-				var err error
-				if h == nil {
-					err = errors.New("server: no query handler configured")
-				} else {
-					start := time.Now()
-					err = h.ServeQuery(req, &res)
-					s.met.queryLat.Since(start)
-				}
-				if err == nil {
-					buf, err = transport.AppendQueryResultFrame(buf[:0], &res)
-				}
-				if err != nil {
-					code, msg := transport.QueryErrorCode(err)
-					buf = transport.AppendQueryErrorFrame(buf[:0], req.ID, code, msg)
-				}
-				respond(buf)
-			}
-		}()
-	}
-	finish := func(err error) error {
-		close(jobs)
-		wg.Wait()
-		if werr, _ := writeErr.Load().(error); werr != nil && err == nil {
-			err = fmt.Errorf("server: query response write: %w", werr)
-		}
-		return err
-	}
-
-	fr := transport.NewFrameReader(br)
 	fr.SetMetrics(s.met.framesIn)
+	var res transport.QueryResult
+	var buf []byte
 	for {
-		if werr, _ := writeErr.Load().(error); werr != nil {
-			return finish(nil)
-		}
 		typ, payload, err := fr.Next()
-		if errors.Is(err, io.EOF) {
-			return finish(nil)
+		switch {
+		case errors.Is(err, io.EOF):
+			return nil
+		case err != nil:
+			return fmt.Errorf("server: query session: %w", err)
+		case typ == transport.FrameEnd:
+			return nil
+		case typ != transport.FrameQuery:
+			return fmt.Errorf("server: query session: %w: %#x", transport.ErrUnknownFrame, typ)
+		}
+		req, err := transport.DecodeQueryRequest(payload)
+		if err != nil {
+			// Malformed request: answer with a typed error addressed to
+			// whatever id could be extracted, then drop the session — the
+			// stream can no longer be trusted to be well-framed. The decode
+			// error is the session's verdict, so a failed write adds nothing.
+			code := transport.QErrBadRequest
+			if errors.Is(err, transport.ErrQueryVersionMismatch) {
+				code = transport.QErrVersion
+			}
+			_ = s.writeFrame(conn, transport.AppendQueryErrorFrame(buf[:0], req.ID, code, err.Error()))
+			return fmt.Errorf("server: query session: %w", err)
+		}
+		if s.queryHandler == nil {
+			err = errors.New("server: no query handler configured")
+		} else {
+			start := time.Now()
+			err = s.queryHandler.ServeQuery(req, &res)
+			s.met.queryLat.Since(start)
+		}
+		if err == nil {
+			buf, err = transport.AppendQueryResultFrame(buf[:0], &res)
 		}
 		if err != nil {
-			return finish(fmt.Errorf("server: query session: %w", err))
+			code, msg := transport.QueryErrorCode(err)
+			buf = transport.AppendQueryErrorFrame(buf[:0], req.ID, code, msg)
 		}
-		switch typ {
-		case transport.FrameQuery:
-			req, derr := transport.DecodeQueryRequest(payload)
-			if derr != nil {
-				// Malformed request: answer with a typed error addressed to
-				// whatever id could be extracted, then drop the session — the
-				// stream can no longer be trusted to be well-framed.
-				code := transport.QErrBadRequest
-				if errors.Is(derr, transport.ErrQueryVersionMismatch) {
-					code = transport.QErrVersion
-				}
-				respond(transport.AppendQueryErrorFrame(nil, req.ID, code, derr.Error()))
-				return finish(fmt.Errorf("server: query session: %w", derr))
-			}
-			jobs <- req
-		case transport.FrameEnd:
-			return finish(nil)
-		default:
-			return finish(fmt.Errorf("server: query session: %w: %#x", transport.ErrUnknownFrame, typ))
+		if err := s.writeFrame(conn, buf); err != nil {
+			return fmt.Errorf("server: query response write: %w", err)
 		}
 	}
 }

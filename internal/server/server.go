@@ -37,12 +37,6 @@ type Config struct {
 	// process. The deadline is refreshed on every read, so any frame
 	// progress keeps a session alive.
 	IdleTimeout time.Duration
-	// QueryConcurrency bounds how many requests a single query connection
-	// may have executing at once; 0 picks a default of 4. A pipelining
-	// client past the bound blocks in the server's read loop (TCP
-	// backpressure), so one greedy reader cannot fan out unbounded work
-	// against the store.
-	QueryConcurrency int
 	// IngestBudget, when positive, is the per-shard admission-control bound
 	// in estimated batch bytes: an ingest batch whose cost would push its
 	// shard's in-flight total past the budget is refused with ErrOverloaded
@@ -70,10 +64,6 @@ type Config struct {
 // defaultWriteTimeout is the response-write deadline when the config leaves
 // WriteTimeout zero.
 const defaultWriteTimeout = 30 * time.Second
-
-// defaultQueryConcurrency is the per-connection in-flight query bound when
-// the config leaves QueryConcurrency zero.
-const defaultQueryConcurrency = 4
 
 // Ingest is the write interface a session drives: the exactly-once batch
 // contract of the sequenced protocol. A plain *Store implements it with the
@@ -159,7 +149,6 @@ type Service struct {
 	queryHandler  QueryHandler
 	reservePoints int
 	idleTimeout   time.Duration
-	queryConc     int
 	ingestBudget  int64
 	writeTimeout  time.Duration
 
@@ -194,10 +183,6 @@ func New(cfg Config) *Service {
 		}
 		st = NewStore(shards)
 	}
-	conc := cfg.QueryConcurrency
-	if conc <= 0 {
-		conc = defaultQueryConcurrency
-	}
 	wt := cfg.WriteTimeout
 	if wt == 0 {
 		wt = defaultWriteTimeout
@@ -211,7 +196,6 @@ func New(cfg Config) *Service {
 		ingest:        st,
 		reservePoints: cfg.ReservePoints,
 		idleTimeout:   cfg.IdleTimeout,
-		queryConc:     conc,
 		ingestBudget:  cfg.IngestBudget,
 		writeTimeout:  wt,
 		inflight:      make([]atomic.Int64, st.NumShards()),

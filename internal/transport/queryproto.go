@@ -216,8 +216,9 @@ func QueryErrorCode(err error) (byte, string) {
 
 // QueryRequest is one decoded 'Q' frame.
 type QueryRequest struct {
-	// ID correlates the response; the server echoes it verbatim. Pipelining
-	// clients choose unique IDs per in-flight request.
+	// ID correlates the response; the server echoes it verbatim. A server
+	// answers one connection's requests one at a time, in request order;
+	// pipelining clients still choose unique IDs per in-flight request.
 	ID uint64
 	// Op is the aggregate to compute (OpCount … OpHistogram).
 	Op byte

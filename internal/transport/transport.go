@@ -116,28 +116,6 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame. It returns io.EOF only for a clean stream end
-// (no header bytes at all); a header without its payload is a truncated
-// stream and surfaces as io.ErrUnexpectedEOF.
-func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err // io.EOF for clean end, ErrUnexpectedEOF for torn header
-	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > MaxFrame {
-		return 0, nil, fmt.Errorf("%w: frame of %d bytes (limit %d)", ErrFrameTooLarge, n, MaxFrame)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, fmt.Errorf("transport: truncated frame payload: %w", err)
-	}
-	return hdr[0], payload, nil
-}
-
 // Handshake identifies one meter's session stream.
 type Handshake struct {
 	Version byte
@@ -167,7 +145,7 @@ func WriteHandshakeFlags(w io.Writer, meterID uint64, flags byte) error {
 // without FlagSequenced, as ErrBadHandshake (a client that needs semantics
 // this server lacks must not be half-understood).
 func ReadHandshake(r io.Reader) (Handshake, error) {
-	typ, payload, err := readFrame(r)
+	typ, payload, err := NewFrameReader(r).Next()
 	if err != nil {
 		return Handshake{}, fmt.Errorf("%w: %w", ErrBadHandshake, err)
 	}

@@ -7,7 +7,7 @@
 // A Client owns one connection and reuses its request buffer, response
 // decoder and histogram bins across calls, so the steady-state query path
 // allocates nothing. It is not safe for concurrent use; open one Client per
-// goroutine (the server bounds per-connection concurrency anyway, so
+// goroutine (the server answers one request at a time per connection, so
 // parallel readers want parallel connections).
 //
 //	c, err := client.Dial(addr)
@@ -139,10 +139,18 @@ func New(conn net.Conn) *Client {
 	}
 }
 
-// SetTimeout bounds each subsequent request's round trip (0 disables). A
+// SetTimeout bounds each subsequent request's round trip (0 disables and
+// clears the deadline the last timed request left on the connection). A
 // timeout poisons the client — the response may still be in flight, so the
 // connection must not be reused.
-func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
+func (c *Client) SetTimeout(d time.Duration) {
+	c.timeout = d
+	if d <= 0 && c.conn != nil {
+		if err := c.conn.SetDeadline(time.Time{}); err != nil {
+			c.fail(err)
+		}
+	}
+}
 
 // Close sends the end-of-stream frame (best effort) and closes the
 // connection.

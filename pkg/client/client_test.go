@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"symmeter/internal/query"
 	"symmeter/internal/server"
@@ -385,5 +386,21 @@ func TestClientClosePoisons(t *testing.T) {
 	}
 	if _, err := c.Count(1, 0, 10); err == nil {
 		t.Fatal("query on closed client succeeded")
+	}
+}
+
+// TestSetTimeoutZeroClearsDeadline checks that SetTimeout(0) really disables
+// the timeout: the deadline left by the last timed request must not outlive
+// it and fail the next untimed request once it passes.
+func TestSetTimeoutZeroClearsDeadline(t *testing.T) {
+	c, _ := dialFixture(t)
+	c.SetTimeout(30 * time.Millisecond)
+	if _, err := c.Count(1, 0, fixtureEnd); err != nil {
+		t.Fatal(err)
+	}
+	c.SetTimeout(0)
+	time.Sleep(60 * time.Millisecond)
+	if _, err := c.Count(1, 0, fixtureEnd); err != nil {
+		t.Fatalf("untimed request after SetTimeout(0): %v", err)
 	}
 }
