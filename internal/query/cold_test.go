@@ -123,7 +123,7 @@ func TestColdQueryZeroAllocAndLockFree(t *testing.T) {
 	if n := len(m.CollectRange(math.MinInt64, math.MaxInt64, nil, func(server.BlockView) {})); n < 3 {
 		t.Fatalf("fixture sealed only %d blocks", n)
 	}
-	tailT, ok := m.LiveTailStart()
+	tailT, ok := liveTailStart(m)
 	if !ok {
 		t.Fatal("no live tail")
 	}
@@ -141,8 +141,8 @@ func TestColdQueryZeroAllocAndLockFree(t *testing.T) {
 			t.Fatal("bad cold sum")
 		}
 	}
-	if a := testing.AllocsPerRun(100, coldRange); a != 0 {
-		t.Fatalf("mmap-backed range query allocates %.1f times per run, want 0", a)
+	if n := mallocs(100, coldRange); n != 0 {
+		t.Fatalf("mmap-backed range query made %d mallocs over 100 runs, want 0", n)
 	}
 	var h Histogram
 	coldHist := func() {
@@ -151,8 +151,8 @@ func TestColdQueryZeroAllocAndLockFree(t *testing.T) {
 		}
 	}
 	coldHist()
-	if a := testing.AllocsPerRun(100, coldHist); a != 0 {
-		t.Fatalf("mmap-backed histogram allocates %.1f times per run, want 0", a)
+	if n := mallocs(100, coldHist); n != 0 {
+		t.Fatalf("mmap-backed histogram made %d mallocs over 100 runs, want 0", n)
 	}
 	if got := st.QueryLockAcquisitions(); got != before {
 		t.Fatalf("cold sealed queries took %d shard locks, want 0", got-before)
@@ -191,7 +191,7 @@ func TestColdQueryAfterRecovery(t *testing.T) {
 			t.Fatal("bad recovered cold aggregate")
 		}
 	}
-	if a := testing.AllocsPerRun(100, pin); a != 0 {
-		t.Fatalf("recovered cold query allocates %.1f times per run, want 0", a)
+	if n := mallocs(100, pin); n != 0 {
+		t.Fatalf("recovered cold query made %d mallocs over 100 runs, want 0", n)
 	}
 }

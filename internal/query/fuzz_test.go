@@ -60,7 +60,7 @@ func FuzzQueryVsOracle(f *testing.F) {
 		// ends exactly at the live tail's first timestamp, so probe half-open
 		// ranges around it from both sides and across it.
 		if m, ok := st.Meter(77); ok {
-			if tf, live := m.LiveTailStart(); live {
+			if tf, live := liveTailStart(m); live {
 				const w = 900
 				for _, r := range [][2]int64{
 					{tf - 5*w, tf},         // sealed side only, ending at the boundary

@@ -164,74 +164,22 @@ func ceilDiv(a, b int64) int64 {
 	return q
 }
 
-// foldBlock adds one block's contribution over [t0, t1) to the aggregate:
-// the precomputed summary when the block is fully covered, a single kernel
-// scan of the covered positions otherwise.
-func foldBlock(a *Agg, v *server.BlockView, t0, t1 int64) {
-	i0, i1 := overlap(v, t0, t1)
-	if i0 == i1 {
-		return
-	}
-	if i0 == 0 && i1 == v.N {
-		a.observe(v.MinV, v.MaxV)
-		a.Count += uint64(v.N)
-		a.Sum += v.Sum
-		return
-	}
-	sum, minV, maxV := foldEdge(v, i0, i1)
-	a.observe(minV, maxV)
-	a.Count += uint64(i1 - i0)
-	a.Sum += sum
-}
-
-// foldEdge aggregates the partially-covered positions [i0, i1) of one block
-// into (sum, min, max). For histogram-friendly levels it does one kernel
-// scan of the payload and an O(k) fold; finer levels walk the accumulator.
-// Extremes are compared in the value domain — no monotonicity of Values in
-// the symbol index is assumed.
-func foldEdge(v *server.BlockView, i0, i1 int) (sum, minV, maxV float64) {
-	if v.Level > maxFoldLevel {
-		return symbolic.PackedRangeAggregate(v.Values, v.Payload, v.Level, i0, i1)
-	}
-	var histBuf [1 << maxFoldLevel]uint64
-	h := histBuf[:1<<uint(v.Level)]
-	symbolic.PackedRangeHistogram(h, v.Payload, v.Level, i0, i1)
-	first := true
-	for sym, c := range h {
-		if c == 0 {
-			continue
-		}
-		val := v.Values[sym]
-		sum += float64(c) * val
-		if first {
-			minV, maxV = val, val
-			first = false
-			continue
-		}
-		if val < minV {
-			minV = val
-		}
-		if val > maxV {
-			maxV = val
-		}
-	}
-	return sum, minV, maxV
-}
-
 // meterScratch is the reusable per-meter gather state of the batched fold:
-// the sealed views CollectRange returns, the edge spans grouped for one
-// batch kernel call, and the shared histogram those spans fold into. Pooled
-// so steady-state queries allocate nothing once the slices have grown to
-// the working set.
+// the sealed views CollectRange returns, the edge spans of the current run
+// (one level, one table) awaiting one batch kernel call, and the shared
+// histogram those spans fold into. Pooled so steady-state queries allocate
+// nothing once the slices have grown to the working set.
 type meterScratch struct {
-	views []server.BlockView
-	spans []symbolic.PackedSpan
-	hist  []uint64
+	views  []server.BlockView
+	spans  []symbolic.PackedSpan
+	hist   []uint64
+	level  int
+	values []float64
 }
 
 // scratchFree is a fixed-capacity freelist of meterScratch, not a sync.Pool:
 // under the race detector sync.Pool deliberately drops a fraction of Puts,
-// which would fail the AllocsPerRun pins CI runs with -race. Channel ops
+// which would fail the zero-malloc pins CI runs with -race. Channel ops
 // never allocate, so steady-state queries stay at zero allocations on every
 // build. Capacity covers a fleet query's fan-out with headroom.
 var scratchFree = make(chan *meterScratch, 64)
@@ -252,22 +200,50 @@ func putScratch(sc *meterScratch) {
 	}
 }
 
-// flushSpans folds the gathered edge spans — all at the same level, under
-// the same reconstruction values — into a: one batch histogram kernel call,
-// one histogram→float fold. Clears the span list.
-func (sc *meterScratch) flushSpans(a *Agg, level int, values []float64) {
+// fold is the one aggregate step, for sealed views and the live tail alike:
+// a block fully covered by [t0, t1) adds its summary, an edge finer than
+// maxFoldLevel takes the accumulator walk, and any other edge joins the
+// current span run — flushed first when its level or table differs, so one
+// batch kernel call folds each run. Extremes are compared in the value
+// domain: no monotonicity of Values in the symbol index is assumed.
+func (sc *meterScratch) fold(a *Agg, v *server.BlockView, t0, t1 int64) {
+	i0, i1 := overlap(v, t0, t1)
+	switch {
+	case i0 == i1:
+	case i0 == 0 && i1 == v.N:
+		a.observe(v.MinV, v.MaxV)
+		a.Count += uint64(v.N)
+		a.Sum += v.Sum
+	case v.Level > maxFoldLevel:
+		sum, lo, hi := symbolic.PackedRangeAggregate(v.Values, v.Payload, v.Level, i0, i1)
+		a.observe(lo, hi)
+		a.Count += uint64(i1 - i0)
+		a.Sum += sum
+	default:
+		if v.Level != sc.level || !sameValues(v.Values, sc.values) {
+			sc.flushSpans(a)
+			sc.level, sc.values = v.Level, v.Values
+		}
+		sc.spans = append(sc.spans, symbolic.PackedSpan{Payload: v.Payload, Start: i0, End: i1})
+	}
+}
+
+// flushSpans folds the gathered edge spans — all at sc.level, under
+// sc.values — into a: one batch histogram kernel call, one histogram→float
+// fold. Clears the span list.
+func (sc *meterScratch) flushSpans(a *Agg) {
 	if len(sc.spans) == 0 {
 		return
 	}
-	k := 1 << uint(level)
+	k := 1 << uint(sc.level)
 	if cap(sc.hist) < k {
 		sc.hist = make([]uint64, k)
 	} else {
 		sc.hist = sc.hist[:k]
 		clear(sc.hist)
 	}
-	symbolic.PackedRangeHistogramBatch(sc.hist, level, sc.spans)
-	if c, s, lo, hi := symbolic.HistogramAggregate(sc.hist, values); c > 0 {
+	symbolic.PackedRangeHistogramBatch(sc.hist, sc.level, sc.spans)
+	if c, s, lo, hi := symbolic.HistogramAggregate(sc.hist, sc.values); c > 0 {
 		a.observe(lo, hi)
 		a.Count += c
 		a.Sum += s
@@ -282,46 +258,19 @@ func sameValues(a, b []float64) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// aggregateMeter folds one meter's [t0, t1) contribution into a using the
-// batch read path: sealed views are collected lock-free (retainable — they
-// are immutable), fully-covered blocks contribute their summaries, and edge
-// spans are gathered per (level, table) run and folded through one batch
-// histogram kernel call per run. The live tail, which must not outlive the
-// shard read lock, is folded inside the collect callback exactly as the
-// per-block path used to.
+// aggregateMeter folds one meter's [t0, t1) contribution into a: every view
+// CollectRange yields goes through fold. The tail's span is flushed inside
+// the callback, while the shard read lock still freezes its payload; sealed
+// views are immutable, so their runs flush after the collect.
 func (e *Engine) aggregateMeter(a *Agg, sc *meterScratch, m server.Meter, t0, t1 int64) {
 	sc.views = m.CollectRange(t0, t1, sc.views[:0], func(v server.BlockView) {
-		foldBlock(a, &v, t0, t1)
+		sc.fold(a, &v, t0, t1)
+		sc.flushSpans(a)
 	})
-	curLevel := -1
-	var curValues []float64
 	for i := range sc.views {
-		v := &sc.views[i]
-		i0, i1 := overlap(v, t0, t1)
-		if i0 == i1 {
-			continue
-		}
-		if i0 == 0 && i1 == v.N {
-			a.observe(v.MinV, v.MaxV)
-			a.Count += uint64(v.N)
-			a.Sum += v.Sum
-			continue
-		}
-		if v.Level > maxFoldLevel {
-			// Too fine for a histogram: accumulator walk, straight into a.
-			sum, lo, hi := symbolic.PackedRangeAggregate(v.Values, v.Payload, v.Level, i0, i1)
-			a.observe(lo, hi)
-			a.Count += uint64(i1 - i0)
-			a.Sum += sum
-			continue
-		}
-		if v.Level != curLevel || !sameValues(v.Values, curValues) {
-			sc.flushSpans(a, curLevel, curValues)
-			curLevel, curValues = v.Level, v.Values
-		}
-		sc.spans = append(sc.spans, symbolic.PackedSpan{Payload: v.Payload, Start: i0, End: i1})
+		sc.fold(a, &sc.views[i], t0, t1)
 	}
-	sc.flushSpans(a, curLevel, curValues)
+	sc.flushSpans(a)
 }
 
 // Aggregate computes count, sum, min and max for one meter over [t0, t1) in
@@ -340,18 +289,24 @@ func (e *Engine) Aggregate(meterID uint64, t0, t1 int64) (Agg, bool) {
 }
 
 // Count returns the number of stored points for the meter in [t0, t1).
-// Count never touches a payload: fully-covered blocks contribute their
-// stored count, edge blocks pure index arithmetic.
+// Count never touches a payload: each view contributes its overlap, pure
+// index arithmetic.
 func (e *Engine) Count(meterID uint64, t0, t1 int64) (uint64, bool) {
 	m, ok := e.store.Meter(meterID)
 	if !ok {
 		return 0, false
 	}
 	var n uint64
-	m.VisitRange(t0, t1, func(v server.BlockView) {
+	sc := getScratch()
+	sc.views = m.CollectRange(t0, t1, sc.views[:0], func(v server.BlockView) {
 		i0, i1 := overlap(&v, t0, t1)
 		n += uint64(i1 - i0)
 	})
+	for i := range sc.views {
+		i0, i1 := overlap(&sc.views[i], t0, t1)
+		n += uint64(i1 - i0)
+	}
+	putScratch(sc)
 	return n, true
 }
 
@@ -468,7 +423,7 @@ func (e *Engine) Histogram(meterID uint64, t0, t1 int64) (Histogram, bool, error
 // pulling shards from a shared cursor. fold runs on worker w for each meter;
 // meters of one shard are processed by a single worker, different shards
 // land on different workers as they free up. This is pure read-side
-// fan-out: no shard lock is held across any of it (each VisitRange inside
+// fan-out: no shard lock is held across any of it (each CollectRange inside
 // fold locks at most briefly, for its own live tail).
 func (e *Engine) forMeters(nw int, fold func(w int, m server.Meter)) {
 	shards := e.store.NumShards()
@@ -500,9 +455,7 @@ func (e *Engine) poolSize() int {
 
 // FleetAggregate computes count/sum/min/max across every meter in [t0, t1)
 // on poolSize workers, reading published indexes lock-free and merging
-// per-worker partials. Each worker folds meters through the batched
-// read path with one reused scratch — the per-block visitor closures the
-// fleet fold used to rebuild per meter are gone.
+// per-worker partials. Each worker folds its meters with one reused scratch.
 func (e *Engine) FleetAggregate(t0, t1 int64) Agg {
 	nw := e.poolSize()
 	partials := make([]Agg, nw)

@@ -169,6 +169,13 @@ func relDiff(a, b float64) float64 {
 	return math.Abs(a-b) / (1 + math.Abs(b))
 }
 
+// liveTailStart returns the first timestamp of the meter's live tail, read
+// through CollectRange's tail callback; ok is false when it has none.
+func liveTailStart(m server.Meter) (tf int64, ok bool) {
+	m.CollectRange(math.MinInt64, math.MaxInt64, nil, func(v server.BlockView) { tf, ok = v.FirstT, true })
+	return tf, ok
+}
+
 // TestQueryMatchesOracle sweeps levels and range shapes deterministically:
 // empty ranges, single-point ranges, block-boundary straddles, full cover.
 func TestQueryMatchesOracle(t *testing.T) {
@@ -368,8 +375,24 @@ func TestExtremeTimestampQueries(t *testing.T) {
 	}
 }
 
-// TestQueryZeroAlloc pins the satellite contract: block-summary queries and
-// batched-kernel edge queries allocate nothing in steady state.
+// mallocs mirrors testing.AllocsPerRun — one warm-up call, GOMAXPROCS(1) —
+// but returns the total malloc count over the runs measured calls, so a
+// zero pin is exact: AllocsPerRun's integer average hides up to runs-1.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestQueryZeroAlloc pins the satellite contract: block-summary queries,
+// batched-kernel edge queries and a range that ends inside the live tail
+// allocate nothing in steady state.
 func TestQueryZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	st := server.NewStore(1)
@@ -395,16 +418,39 @@ func TestQueryZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hist() // warm the reused counts buffer
-	if a := testing.AllocsPerRun(100, full); a != 0 {
-		t.Fatalf("summary query allocates %.1f times per run, want 0", a)
+	// Ends inside the live tail: the tail's edge folds through the same step
+	// as a sealed block's, under the shard read lock.
+	m, _ := st.Meter(1)
+	tailT, ok := liveTailStart(m)
+	t0, t1 := int64(100*900), int64(2800*900+450)
+	if !ok || t1 <= tailT || t1 >= last {
+		t.Fatalf("tail-edge range [%d, %d) does not end inside the tail [%d, %d)", t0, t1, tailT, last)
 	}
-	if a := testing.AllocsPerRun(100, partial); a != 0 {
-		t.Fatalf("edge-kernel query allocates %.1f times per run, want 0", a)
+	tailEdge := func() {
+		if a, ok := e.Aggregate(1, t0, t1); !ok || a.Count == 0 {
+			t.Fatal("bad tail-edge aggregate")
+		}
+		if n, ok := e.Count(1, t0, t1); !ok || n == 0 {
+			t.Fatal("bad tail-edge count")
+		}
+		if _, err := e.HistogramInto(&h, 1, t0, t1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if a := testing.AllocsPerRun(100, hist); a != 0 {
-		t.Fatalf("HistogramInto allocates %.1f times per run, want 0", a)
+	for _, pin := range []struct {
+		name string
+		f    func()
+	}{
+		{"summary query", full},
+		{"edge-kernel query", partial},
+		{"HistogramInto", hist},
+		{"tail-edge query", tailEdge},
+	} {
+		if n := mallocs(100, pin.f); n != 0 {
+			t.Fatalf("%s made %d mallocs over 100 runs, want 0", pin.name, n)
+		}
 	}
+	checkAgainstOracle(t, e, st, 1, 16, t0, t1)
 }
 
 // TestPrunedQueryZeroAllocAndLockFree pins the read-path satellites
@@ -421,7 +467,7 @@ func TestPrunedQueryZeroAllocAndLockFree(t *testing.T) {
 	if !ok {
 		t.Fatal("meter unknown")
 	}
-	tailT, ok := m.LiveTailStart()
+	tailT, ok := liveTailStart(m)
 	if !ok {
 		t.Fatal("no live tail")
 	}
@@ -442,8 +488,8 @@ func TestPrunedQueryZeroAllocAndLockFree(t *testing.T) {
 			t.Fatal("bad pruned count")
 		}
 	}
-	if a := testing.AllocsPerRun(100, pruned); a != 0 {
-		t.Fatalf("pruned sealed query allocates %.1f times per run, want 0", a)
+	if n := mallocs(100, pruned); n != 0 {
+		t.Fatalf("pruned sealed query made %d mallocs over 100 runs, want 0", n)
 	}
 	var h Histogram
 	histPruned := func() {
@@ -452,8 +498,8 @@ func TestPrunedQueryZeroAllocAndLockFree(t *testing.T) {
 		}
 	}
 	histPruned()
-	if a := testing.AllocsPerRun(100, histPruned); a != 0 {
-		t.Fatalf("pruned HistogramInto allocates %.1f times per run, want 0", a)
+	if n := mallocs(100, histPruned); n != 0 {
+		t.Fatalf("pruned HistogramInto made %d mallocs over 100 runs, want 0", n)
 	}
 	if locks := st.QueryLockAcquisitions() - before; locks != 0 {
 		t.Fatalf("sealed-range engine queries took %d shard locks, want 0", locks)

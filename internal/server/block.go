@@ -215,8 +215,8 @@ func (b *block) extend(values []float64, hist []uint16, src []byte, pos, m int) 
 // BlockView is a read-only view of one packed block plus its epoch table's
 // lookup data. Views of sealed blocks (everything CollectRange returns in
 // its slice) are immutable and may be retained for the store's lifetime.
-// The live tail's view — delivered only through VisitRange's callback or
-// CollectRange's tail callback, under the shard read lock — must not be
+// The live tail's view — delivered only through CollectRange's tail
+// callback, under the shard read lock — must not be
 // retained past the callback: its Payload and Hist keep growing after the
 // lock is released.
 type BlockView struct {

@@ -6,18 +6,19 @@ import (
 	"symmeter/internal/symbolic"
 )
 
-// TestCollectRangeMatchesVisitRange pins CollectRange against VisitRange:
-// same sealed blocks (as a set keyed by FirstT), the tail delivered through
-// the callback exactly when the range reaches it, and identical lock
-// accounting — zero shard locks for a sealed-only range, exactly one for a
-// tail-touching one.
-func TestCollectRangeMatchesVisitRange(t *testing.T) {
+// TestCollectRangeMatchesChainWalk pins CollectRange against the unpruned
+// full-chain walk: the sealed views it returns are exactly the sealed blocks
+// whose [FirstT, LastT] meets the range (as a set keyed by FirstT), the tail
+// is delivered through the callback exactly when the range reaches it, and
+// the lock accounting holds — zero shard locks for a sealed-only range,
+// exactly one for a tail-touching one.
+func TestCollectRangeMatchesChainWalk(t *testing.T) {
 	s := NewStore(2)
 	table := testTable(t)
 	const w = 900
 	seedRegular(t, s, table, 1, 4*BlockCap+100, w) // 4 sealed blocks + live tail
 	m, _ := s.Meter(1)
-	tailT, ok := m.LiveTailStart()
+	tailT, ok := liveTailStart(m)
 	if !ok {
 		t.Fatal("no live tail")
 	}
@@ -35,7 +36,10 @@ func TestCollectRangeMatchesVisitRange(t *testing.T) {
 	} {
 		var wantSealed []BlockView
 		wantTailN := -1
-		m.VisitRange(tc.t0, tc.t1, func(v BlockView) {
+		visitChain(s, 1, func(v BlockView) {
+			if v.FirstT >= tc.t1 || v.LastT() < tc.t0 {
+				return
+			}
 			if v.FirstT >= tailT {
 				wantTailN = v.N
 				return
@@ -49,13 +53,13 @@ func TestCollectRangeMatchesVisitRange(t *testing.T) {
 		locks := s.QueryLockAcquisitions() - before
 
 		if (wantTailN >= 0) != tc.wantTail {
-			t.Fatalf("%s: oracle tail expectation inconsistent (VisitRange tail N=%d)", tc.name, wantTailN)
+			t.Fatalf("%s: oracle tail expectation inconsistent (chain-walk tail N=%d)", tc.name, wantTailN)
 		}
 		if gotTailN != wantTailN {
-			t.Fatalf("%s: tail callback N = %d, VisitRange saw %d", tc.name, gotTailN, wantTailN)
+			t.Fatalf("%s: tail callback N = %d, chain walk saw %d", tc.name, gotTailN, wantTailN)
 		}
 		if len(views) != len(wantSealed) {
-			t.Fatalf("%s: CollectRange returned %d sealed views, VisitRange %d", tc.name, len(views), len(wantSealed))
+			t.Fatalf("%s: CollectRange returned %d sealed views, chain walk %d", tc.name, len(views), len(wantSealed))
 		}
 		byFirstT := map[int64]BlockView{}
 		for _, v := range wantSealed {
@@ -67,7 +71,7 @@ func TestCollectRangeMatchesVisitRange(t *testing.T) {
 				t.Fatalf("%s: CollectRange returned unexpected block FirstT=%d", tc.name, v.FirstT)
 			}
 			if v.N != want.N || v.Level != want.Level || v.Sum != want.Sum || &v.Payload[0] != &want.Payload[0] {
-				t.Fatalf("%s: view FirstT=%d differs between CollectRange and VisitRange", tc.name, v.FirstT)
+				t.Fatalf("%s: view FirstT=%d differs between CollectRange and the chain walk", tc.name, v.FirstT)
 			}
 		}
 		wantLocks := int64(0)
@@ -102,7 +106,7 @@ func TestCollectRangeViewsRetainable(t *testing.T) {
 	const w = 900
 	seedRegular(t, s, table, 1, 2*BlockCap+10, w)
 	m, _ := s.Meter(1)
-	tailT, _ := m.LiveTailStart()
+	tailT, _ := liveTailStart(m)
 
 	views := m.CollectRange(0, tailT, nil, func(BlockView) {})
 	if len(views) != 2 {

@@ -35,7 +35,7 @@ import (
 //     readers index strictly below their own header's length.
 //  3. tailFirstT is stored before the tail's first point is pushed, and the
 //     index swap happens before tailFirstT moves to the next tail — so the
-//     double-load in Meter.VisitRange (index, tailFirstT, index again) either
+//     double-load in Meter.CollectRange (index, tailFirstT, index again) either
 //     proves a consistent generation or falls back to the locked path.
 
 // sealedIndex is the published, immutable view of one meter's sealed chain.
@@ -97,19 +97,10 @@ func (ix *sealedIndex) rangeBlocks(t0, t1 int64) (lo, hi int) {
 	return lo, hi
 }
 
-// visitRange invokes fn for every sealed block in the pruned [lo, hi) range,
-// building views against the index's own table history (not the live one —
-// the live one may gain tables concurrently, and these are the tables the
-// sealed epochs actually index).
-func (ix *sealedIndex) visitRange(t0, t1 int64, fn func(BlockView)) {
-	lo, hi := ix.rangeBlocks(t0, t1)
-	for i := lo; i < hi; i++ {
-		fn(viewOf(&ix.blocks[i], ix.firstTs[i], ix.tables, ix.lanes))
-	}
-}
-
 // appendRange appends a view of every sealed block in the pruned [lo, hi)
-// range to dst, against the index's own table history.
+// range to dst, against the index's own table history (not the live one:
+// that may gain tables concurrently, and these are the tables the sealed
+// epochs actually index).
 func (ix *sealedIndex) appendRange(t0, t1 int64, dst []BlockView) []BlockView {
 	lo, hi := ix.rangeBlocks(t0, t1)
 	for i := lo; i < hi; i++ {
@@ -138,24 +129,22 @@ func (m Meter) ID() uint64 { return m.e.id }
 // without locking.
 func (m Meter) TotalSymbols() int { return int(m.e.total.Load()) }
 
-// LiveTailStart returns the first timestamp of the live (unsealed) tail
-// block; ok is false when the meter has no live tail. Queries ending at or
-// before this bound never touch a lock.
-func (m Meter) LiveTailStart() (int64, bool) {
-	tf := m.e.tailFirstT.Load()
-	return tf, tf != noTail
-}
-
-// VisitRange invokes fn for every block that may hold points in [t0, t1):
-// the directory-pruned sealed blocks, read lock-free from the published
-// index, plus the live tail — folded under a brief shard read lock, and only
+// CollectRange is the store's one range read. Views of every sealed block
+// that may hold points in [t0, t1) — the directory-pruned blocks of the
+// published index, read lock-free — are appended to dst and returned. The
+// live tail, whose payload keeps mutating, is delivered through the tail
+// callback under a brief shard read lock: invoked at most once, and only
 // when the range can actually reach it. Callers must still per-block filter
 // with the view's timestamps (pruning is by block span, not by point).
-// Visit order is unspecified; fn must be order-insensitive and must not
-// retain the view's slices.
-func (m Meter) VisitRange(t0, t1 int64, fn func(BlockView)) {
+//
+// The returned sealed views MAY be retained and read after CollectRange
+// returns, for as long as the store lives: sealed blocks are immutable once
+// their index is published. The tail callback's view must not outlive the
+// callback. The tail callback fires before dst is extended, in sealed-chain
+// order.
+func (m Meter) CollectRange(t0, t1 int64, dst []BlockView, tail func(BlockView)) []BlockView {
 	if t0 >= t1 {
-		return
+		return dst
 	}
 	e := m.e
 	idx := e.idx.Load()
@@ -164,45 +153,11 @@ func (m Meter) VisitRange(t0, t1 int64, fn func(BlockView)) {
 		// index and reading the tail bound, so they describe one generation:
 		// every point of that generation's tail is ≥ tailFirstT ≥ t1, outside
 		// the half-open range. Sealed data alone answers the query — no lock.
-		idx.visitRange(t0, t1, fn)
-		return
+		return idx.appendRange(t0, t1, dst)
 	}
 	// The range may reach the live tail (or a seal raced us). Take the shard
 	// read lock briefly: under it the published index is stable, the tail
-	// cannot grow, and folding the tail is bounded by one block.
-	m.sh.queryLocks.Add(1)
-	m.sh.mu.RLock()
-	idx = e.idx.Load()
-	if tail, tf := e.tail(), e.tailFirstT.Load(); tail != nil && tail.n > 0 && tf < t1 && tail.lastT(tf) >= t0 {
-		fn(e.view(tail))
-	}
-	m.sh.mu.RUnlock()
-	idx.visitRange(t0, t1, fn)
-}
-
-// CollectRange is the batch counterpart of VisitRange, built for callers
-// that hand whole chains to batch kernels: views of every sealed block that
-// may hold points in [t0, t1) are appended to dst and returned, while the
-// live tail — whose payload keeps mutating and must be folded under the
-// shard read lock — is delivered through the tail callback (invoked at most
-// once, and only when the range can reach it).
-//
-// The returned sealed views MAY be retained and read after CollectRange
-// returns, for as long as the store lives: sealed blocks are immutable once
-// their index is published. The tail callback's view must not outlive the
-// callback, exactly as with VisitRange. Order is unspecified; dst is
-// extended in sealed-chain order after the tail callback fires.
-func (m Meter) CollectRange(t0, t1 int64, dst []BlockView, tail func(BlockView)) []BlockView {
-	if t0 >= t1 {
-		return dst
-	}
-	e := m.e
-	idx := e.idx.Load()
-	if t1 <= e.tailFirstT.Load() && e.idx.Load() == idx {
-		// Same double-load proof as VisitRange: the range cannot reach this
-		// generation's tail, sealed data answers it lock-free.
-		return idx.appendRange(t0, t1, dst)
-	}
+	// cannot grow, and the callback's work is bounded by one block.
 	m.sh.queryLocks.Add(1)
 	m.sh.mu.RLock()
 	idx = e.idx.Load()

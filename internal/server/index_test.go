@@ -59,6 +59,21 @@ func sealedBlocks(m Meter) int  { return len(m.e.idx.Load().blocks) }
 func sealedSymbols(m Meter) int { return m.e.idx.Load().total }
 func timeOrdered(m Meter) bool  { return m.e.idx.Load().ordered }
 
+// liveTailStart returns the first timestamp of the meter's live tail; ok is
+// false when it has none.
+func liveTailStart(m Meter) (int64, bool) {
+	tf := m.e.tailFirstT.Load()
+	return tf, tf != noTail
+}
+
+// eachView runs fn over every view CollectRange yields for [t0, t1): the
+// live tail inside its callback, then the sealed views.
+func eachView(m Meter, t0, t1 int64, fn func(BlockView)) {
+	for _, v := range m.CollectRange(t0, t1, nil, fn) {
+		fn(v)
+	}
+}
+
 // visitChain invokes fn for each non-empty block of the meter in append
 // order, under the shard read lock: the unpruned full-chain walk.
 func visitChain(s *Store, meterID uint64, fn func(BlockView)) {

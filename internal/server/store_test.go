@@ -201,6 +201,21 @@ func TestReserveUnknownMeter(t *testing.T) {
 	}
 }
 
+// mallocs mirrors testing.AllocsPerRun — one warm-up call, GOMAXPROCS(1) —
+// but returns the total malloc count over the runs measured calls, so a
+// zero pin is exact: AllocsPerRun's integer average hides up to runs-1.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // TestStoreAppendZeroAlloc enforces the hot ingest path's zero-allocation
 // contract: with block capacity reserved, AppendSeq on a regular stream must
 // not allocate — no error values, no per-point table lookups, no block or
@@ -222,13 +237,13 @@ func TestStoreAppendZeroAlloc(t *testing.T) {
 	for i := range syms {
 		syms[i] = table.Encode(float64(i * 10))
 	}
-	// +2 runs of slack: AllocsPerRun warms up with an extra call.
+	// +2 runs of slack: mallocs warms up with an extra call.
 	if err := s.Reserve(1, (runs+2)*batch); err != nil {
 		t.Fatal(err)
 	}
 	var next int64
 	var seq uint64
-	allocs := testing.AllocsPerRun(runs, func() {
+	allocs := mallocs(runs, func() {
 		for i := range pts {
 			pts[i] = symbolic.SymbolPoint{T: (next + int64(i)) * 60, S: syms[i]}
 		}
@@ -239,7 +254,7 @@ func TestStoreAppendZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state AppendSeq allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("steady-state AppendSeq made %d mallocs over %d runs, want 0", allocs, runs)
 	}
 }
 
@@ -556,7 +571,7 @@ func TestReserveBeforeTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	var next int64 = BlockCap
-	allocs := testing.AllocsPerRun(2, func() {
+	allocs := mallocs(2, func() {
 		for i := range pts {
 			pts[i].T = (next + int64(i)) * 60
 		}
@@ -566,7 +581,7 @@ func TestReserveBeforeTable(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Append after parked Reserve allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("Append after parked Reserve made %d mallocs over 2 runs, want 0", allocs)
 	}
 }
 
@@ -619,7 +634,7 @@ func TestSealedReadsLockFree(t *testing.T) {
 	if got := sealedBlocks(m); got != 4 {
 		t.Fatalf("sealed blocks = %d, want 4", got)
 	}
-	tailT, ok := m.LiveTailStart()
+	tailT, ok := liveTailStart(m)
 	if !ok {
 		t.Fatal("no live tail")
 	}
@@ -629,7 +644,7 @@ func TestSealedReadsLockFree(t *testing.T) {
 
 	before := s.QueryLockAcquisitions()
 	var pts int
-	m.VisitRange(0, tailT, func(v BlockView) { pts += v.N })
+	eachView(m, 0, tailT, func(v BlockView) { pts += v.N })
 	if pts != 4*BlockCap {
 		t.Fatalf("sealed range saw %d points, want %d", pts, 4*BlockCap)
 	}
@@ -641,7 +656,7 @@ func TestSealedReadsLockFree(t *testing.T) {
 
 	// A range reaching past the tail start folds the tail under one lock.
 	pts = 0
-	m.VisitRange(0, tailT+1, func(v BlockView) { pts += v.N })
+	eachView(m, 0, tailT+1, func(v BlockView) { pts += v.N })
 	if pts != 4*BlockCap+100 {
 		t.Fatalf("tail-touching range saw %d points, want %d", pts, 4*BlockCap+100)
 	}
@@ -668,20 +683,20 @@ func TestTimeDirectoryPrunes(t *testing.T) {
 	t0 := int64(10*BlockCap+5) * w
 	t1 := int64(10*BlockCap+50) * w
 	visited := 0
-	m.VisitRange(t0, t1, func(v BlockView) { visited++ })
+	eachView(m, t0, t1, func(v BlockView) { visited++ })
 	if visited != 1 {
 		t.Fatalf("1-block range visited %d blocks, want 1 (directory not pruning)", visited)
 	}
 	// A range straddling two block boundaries visits exactly three blocks.
 	visited = 0
-	m.VisitRange(int64(9*BlockCap+100)*w, int64(11*BlockCap+100)*w, func(v BlockView) { visited++ })
+	eachView(m, int64(9*BlockCap+100)*w, int64(11*BlockCap+100)*w, func(v BlockView) { visited++ })
 	if visited != 3 {
 		t.Fatalf("3-block range visited %d blocks, want 3", visited)
 	}
 	// Before-the-stream and after-the-sealed-chain ranges visit nothing
 	// sealed (the latter pays the tail fold only).
 	visited = 0
-	m.VisitRange(-1000, -1, func(v BlockView) { visited++ })
+	eachView(m, -1000, -1, func(v BlockView) { visited++ })
 	if visited != 0 {
 		t.Fatalf("pre-stream range visited %d blocks, want 0", visited)
 	}
@@ -697,7 +712,7 @@ func TestTimeDirectoryPrunes(t *testing.T) {
 		t.Fatal("replayed timestamps left the chain marked time-ordered")
 	}
 	got := 0
-	m.VisitRange(0, int64(1<<40), func(v BlockView) {
+	eachView(m, 0, int64(1<<40), func(v BlockView) {
 		i0, i1 := 0, v.N
 		if v.FirstT >= 1<<40 {
 			i0 = i1
@@ -711,7 +726,7 @@ func TestTimeDirectoryPrunes(t *testing.T) {
 
 // TestConcurrentPublishStress is the -race pin for the publication
 // protocol: concurrent Append (sealing and publishing), PushTable (epoch
-// changes), lock-free VisitRange readers, Snapshot reconstruction and the
+// changes), lock-free CollectRange readers, Snapshot reconstruction and the
 // published-directory readers (Meters/TotalSymbols) all hammer the same two
 // shards. Readers check per-meter full-range counts never go backwards (a
 // torn publication would lose sealed blocks) and every view is internally
@@ -784,7 +799,7 @@ func TestConcurrentPublishStress(t *testing.T) {
 					return
 				}
 				n := 0
-				m.VisitRange(-1, 1<<62, func(v BlockView) {
+				eachView(m, -1, 1<<62, func(v BlockView) {
 					if v.N <= 0 || v.LastT() < v.FirstT {
 						t.Errorf("inconsistent view: n=%d firstT=%d lastT=%d", v.N, v.FirstT, v.LastT())
 					}

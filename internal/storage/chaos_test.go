@@ -965,9 +965,25 @@ func TestFormat1ManifestMigrates(t *testing.T) {
 		buildOracle(t, table, []uint64{1}, map[uint64][]int{1: {0}}), []uint64{1})
 }
 
-// measureAppendAllocs returns AllocsPerRun for non-sealing AppendSeq batches
-// on an engine over fsys, after warming the WAL buffers and tail arenas.
-func measureAppendAllocs(t *testing.T, fsys storage.FS) float64 {
+// mallocs mirrors testing.AllocsPerRun — one warm-up call, GOMAXPROCS(1) —
+// but returns the total malloc count over the runs measured calls, so a
+// zero pin is exact: AllocsPerRun's integer average hides up to runs-1.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// measureAppendAllocs returns the mallocs of four non-sealing AppendSeq
+// batches on an engine over fsys, after warming the WAL buffers and tail
+// arenas.
+func measureAppendAllocs(t *testing.T, fsys storage.FS) uint64 {
 	t.Helper()
 	dir := t.TempDir()
 	eng, err := storage.Open(storage.Options{
@@ -994,7 +1010,7 @@ func measureAppendAllocs(t *testing.T, fsys storage.FS) float64 {
 		batches[i] = chaosBatch(7, 32+i, table)
 	}
 	i, seq := 0, eng.LastSeq(7)
-	return testing.AllocsPerRun(4, func() {
+	return mallocs(4, func() {
 		seq++
 		if _, dup, err := eng.AppendSeq(7, seq, batches[i]); err != nil || dup {
 			t.Fatalf("AppendSeq seq %d: dup=%v err=%v", seq, dup, err)
@@ -1009,12 +1025,70 @@ func measureAppendAllocs(t *testing.T, fsys storage.FS) float64 {
 func TestAppendAllocsThroughSeam(t *testing.T) {
 	osAllocs := measureAppendAllocs(t, nil) // nil = OsFS
 	faultAllocs := measureAppendAllocs(t, faultfs.New())
-	t.Logf("append allocs/run: OsFS=%v faultfs=%v", osAllocs, faultAllocs)
+	t.Logf("append mallocs over 4 runs: OsFS=%d faultfs=%d", osAllocs, faultAllocs)
 	if osAllocs != 0 {
-		t.Errorf("steady-state durable AppendSeq allocates %v per run through OsFS, want 0", osAllocs)
+		t.Errorf("steady-state durable AppendSeq made %d mallocs over 4 runs through OsFS, want 0", osAllocs)
 	}
 	if faultAllocs > osAllocs {
-		t.Errorf("the FS seam costs allocations: faultfs %v vs OsFS %v", faultAllocs, osAllocs)
+		t.Errorf("the FS seam costs allocations: faultfs %d vs OsFS %d", faultAllocs, osAllocs)
+	}
+}
+
+// TestPushTableSeqRefusalWritesNothing pins that a table push the sequence
+// check turns away never reaches the log: a duplicate (seq at or below the
+// mark) is acked and a gap is refused, both without one WAL write.
+func TestPushTableSeqRefusalWritesNothing(t *testing.T) {
+	ffs := faultfs.New()
+	eng := chaosOpen(t, t.TempDir(), ffs, storage.SyncOff, time.Hour)
+	defer eng.Close()
+	table := chaosTable(t)
+	startMeters(t, eng, table, []uint64{1})
+	mark := eng.LastSeq(1)
+	writes := ffs.Counts()[faultfs.OpWrite]
+	if dup, err := eng.PushTableSeq(1, mark, table); !dup || err != nil {
+		t.Fatalf("duplicate push: dup=%v err=%v, want an acked duplicate", dup, err)
+	}
+	if dup, err := eng.PushTableSeq(1, mark+2, table); dup || !errors.Is(err, server.ErrSeqGap) {
+		t.Fatalf("gap push: dup=%v err=%v, want ErrSeqGap", dup, err)
+	}
+	if got := ffs.Counts()[faultfs.OpWrite] - writes; got != 0 {
+		t.Fatalf("refused table pushes issued %d WAL writes, want 0", got)
+	}
+	if got := eng.LastSeq(1); got != mark {
+		t.Fatalf("mark moved from %d to %d", mark, got)
+	}
+}
+
+// TestGroupSyncOnlyUnderSyncGroup pins which mode runs the background
+// fsync: under SyncGroup an acked batch is followed by an fsync within the
+// group cadence, and under SyncOff no fsync happens at all.
+func TestGroupSyncOnlyUnderSyncGroup(t *testing.T) {
+	table := chaosTable(t)
+	for _, mode := range []storage.SyncMode{storage.SyncGroup, storage.SyncOff} {
+		ffs := faultfs.New()
+		eng := chaosOpen(t, t.TempDir(), ffs, mode, time.Hour)
+		startMeters(t, eng, table, []uint64{1})
+		syncs := ffs.Counts()[faultfs.OpSync]
+		if _, err := storage.AppendNext(eng, 1, chaosBatch(1, 0, table)); err != nil {
+			t.Fatal(err)
+		}
+		if mode == storage.SyncGroup {
+			deadline := time.Now().Add(2500 * storage.GroupInterval)
+			for ffs.Counts()[faultfs.OpSync] == syncs {
+				if time.Now().After(deadline) {
+					t.Fatalf("SyncGroup: no fsync within %v of an acked batch", 2500*storage.GroupInterval)
+				}
+				time.Sleep(storage.GroupInterval / 2)
+			}
+		} else {
+			time.Sleep(25 * storage.GroupInterval)
+			if got := ffs.Counts()[faultfs.OpSync] - syncs; got != 0 {
+				t.Fatalf("SyncOff: %d fsyncs within %v of an acked batch, want 0", got, 25*storage.GroupInterval)
+			}
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

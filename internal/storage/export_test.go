@@ -5,6 +5,9 @@ import (
 	"symmeter/internal/symbolic"
 )
 
+// GroupInterval is the SyncGroup fsync cadence, for tests that time it.
+const GroupInterval = groupInterval
+
 // PushNext and AppendNext drive any server.Ingest the way a session does:
 // each write takes the meter's next sequence number.
 func PushNext(ing server.Ingest, meterID uint64, t *symbolic.Table) error {

@@ -1,10 +1,10 @@
 package symbolic
 
-// Batch kernel entry points. The query engine used to fold one VisitRange
-// callback — one kernel call, one closure dispatch — per block; these let it
-// gather a whole sealed chain's worth of spans per meter and make one kernel
-// call, so per-call overhead (bounds checks, dispatch, edge handling) is
-// amortized across blocks and the assembly tiers see long contiguous runs.
+// Batch kernel entry points. The query engine gathers the partially covered
+// spans of a meter's range — sealed blocks and the live tail alike — and
+// makes one kernel call per run of spans sharing a level and table, so
+// per-call overhead (bounds checks, dispatch, edge handling) is amortized
+// across blocks and the assembly tiers see long contiguous runs.
 //
 // The float aggregate is deliberately NOT computed span-by-span: the batch
 // path folds every span into one integer histogram and derives (count, sum,

@@ -3,6 +3,7 @@ package client_test
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -331,6 +332,21 @@ func TestClientSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// mallocs mirrors testing.AllocsPerRun — one warm-up call, GOMAXPROCS(1) —
+// but returns the total malloc count over the runs measured calls, so a
+// zero pin is exact: AllocsPerRun's integer average hides up to runs-1.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // TestSessionAppendZeroAlloc pins the ingest round trip the way
 // TestClientSteadyStateZeroAlloc pins queries: a 96-symbol Session.Append —
 // frame assembly, the server's decode and commit into reserved capacity, its
@@ -368,8 +384,8 @@ func TestSessionAppendZeroAlloc(t *testing.T) {
 		firstT += batch * fixtureWindow
 	}
 	appendBatch() // warm the session's frame buffer and the server's decoder scratch
-	if n := testing.AllocsPerRun(runs, appendBatch); n != 0 {
-		t.Fatalf("steady-state Session.Append round trip allocates %v per run, want 0", n)
+	if n := mallocs(runs, appendBatch); n != 0 {
+		t.Fatalf("steady-state Session.Append round trip made %d mallocs over %d runs, want 0", n, runs)
 	}
 }
 
