@@ -11,6 +11,7 @@ import (
 
 	"symmeter/internal/server"
 	"symmeter/internal/symbolic"
+	"symmeter/internal/transport"
 )
 
 // randTable builds a deterministic random table at the given level with
@@ -146,7 +147,7 @@ func checkAgainstOracle(t *testing.T, e *Engine, st *server.Store, meterID uint6
 	} else if relDiff(m, o.sum/float64(o.count)) > 1e-9 {
 		t.Fatalf("[%d,%d) Mean = %v, oracle %v", t0, t1, m, o.sum/float64(o.count))
 	}
-	if k <= 1<<maxHistogramLevel {
+	if k <= 1<<12 { // the finest level Histogram answers
 		h, _, err := e.Histogram(meterID, t0, t1)
 		if err != nil {
 			t.Fatalf("[%d,%d) Histogram: %v", t0, t1, err)
@@ -230,7 +231,7 @@ func TestFleetMatchesPerMeter(t *testing.T) {
 		if !ok {
 			t.Fatalf("meter %d unknown", m)
 		}
-		want.merge(a)
+		want.Merge(a)
 		h, _, err := e.Histogram(uint64(m), t0, t1)
 		if err != nil {
 			t.Fatal(err)
@@ -556,6 +557,45 @@ func TestFleetWorkerPoolEquivalence(t *testing.T) {
 	}
 }
 
+// TestFleetCountMatchesAggregate pins the fleet count, which the wire's
+// fleet OpCount answers through the payload-free Count fan-out: it equals
+// FleetAggregate's Count and the sum of per-meter Counts over random ranges,
+// half of them reaching into the meters' live tails, in process and over
+// ServeQuery.
+func TestFleetCountMatchesAggregate(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	st := server.NewStore(8)
+	const meters = 19
+	var last int64
+	for m := 1; m <= meters; m++ {
+		last = max(last, seedMeter(t, st, rng, uint64(m), randTable(t, rng, 4), 300+rng.Intn(1500), 6, 500))
+	}
+	e := New(st)
+	var res transport.QueryResult
+	for i := 0; i < 60; i++ {
+		t0 := rng.Int63n(last) - 900
+		t1 := t0 + 1 + rng.Int63n(last-t0)
+		if i%2 == 1 {
+			t1 = last + 900 // reaches every live tail
+		}
+		var want uint64
+		for m := 1; m <= meters; m++ {
+			n, _ := e.Count(uint64(m), t0, t1)
+			want += n
+		}
+		if got := e.FleetCount(t0, t1); got != want {
+			t.Fatalf("[%d, %d): FleetCount %d, per-meter Counts sum to %d", t0, t1, got, want)
+		}
+		if a := e.FleetAggregate(t0, t1); a.Count != want {
+			t.Fatalf("[%d, %d): FleetAggregate count %d, per-meter Counts sum to %d", t0, t1, a.Count, want)
+		}
+		req := transport.QueryRequest{ID: uint64(i + 1), Op: transport.OpCount, Fleet: true, T0: t0, T1: t1}
+		if err := e.ServeQuery(req, &res); err != nil || res.Count != want {
+			t.Fatalf("[%d, %d): fleet OpCount %d (%v), want %d", t0, t1, res.Count, err, want)
+		}
+	}
+}
+
 // TestFleetQueryDuringIngest is the engine-level mixed-workload stress
 // (-race): fleet aggregates and per-meter histograms run concurrently with
 // appends that keep sealing and publishing blocks. Fleet counts over a
@@ -638,7 +678,7 @@ func TestFleetQueryDuringIngest(t *testing.T) {
 		if !ok {
 			t.Fatalf("meter %d unknown", m)
 		}
-		want.merge(a)
+		want.Merge(a)
 	}
 	got := e.FleetAggregate(0, 1<<60)
 	if got.Count != uint64(meters*batches*batchPts) {

@@ -15,11 +15,11 @@ import (
 // nothing on the steady state for per-meter ops; failures come back as
 // *transport.QueryError so the session layer can answer with a typed 'X'
 // frame. Histograms have their own path; every scalar op is shaped from one
-// Agg: FleetAggregate fleet-wide, Aggregate per meter, and Count for a
-// meter's OpCount, which reads no payload. Per-meter floats are therefore
-// bit-identical to the in-process calls, which run the same fold; fleet-wide
-// floats are merged from worker partials whose meter order is scheduling-
-// dependent, exactly as FleetAggregate's own are.
+// Agg: Count or FleetCount for OpCount, which read no payload, and otherwise
+// Aggregate per meter and FleetAggregate fleet-wide. Per-meter floats are
+// therefore bit-identical to the in-process calls, which run the same fold;
+// fleet-wide floats are merged from worker partials whose meter order is
+// scheduling-dependent, exactly as FleetAggregate's own are.
 func (e *Engine) ServeQuery(req transport.QueryRequest, res *transport.QueryResult) error {
 	if req.T0 >= req.T1 {
 		return &transport.QueryError{
@@ -38,14 +38,16 @@ func (e *Engine) ServeQuery(req transport.QueryRequest, res *transport.QueryResu
 	switch {
 	case req.Op == transport.OpHistogram:
 		return e.serveHistogram(req, res)
-	case req.Fleet:
-		a = e.FleetAggregate(req.T0, req.T1)
+	case req.Op == transport.OpCount && req.Fleet:
+		a.Count = e.FleetCount(req.T0, req.T1)
 	case req.Op == transport.OpCount:
 		n, ok := e.Count(req.MeterID, req.T0, req.T1)
 		if !ok {
 			return unknownMeter(req.MeterID)
 		}
 		a.Count = n
+	case req.Fleet:
+		a = e.FleetAggregate(req.T0, req.T1)
 	default:
 		var ok bool
 		if a, ok = e.Aggregate(req.MeterID, req.T0, req.T1); !ok {

@@ -10,8 +10,9 @@ import (
 // full-chain walk: the sealed views it returns are exactly the sealed blocks
 // whose [FirstT, LastT] meets the range (as a set keyed by FirstT), the tail
 // is delivered through the callback exactly when the range reaches it, and
-// the lock accounting holds — zero shard locks for a sealed-only range,
-// exactly one for a tail-touching one.
+// the lock accounting holds — zero shard locks for a range that ends before
+// the tail, exactly one for a range that reaches past the tail's start, even
+// when it starts after the tail's last point and so gets no tail callback.
 func TestCollectRangeMatchesChainWalk(t *testing.T) {
 	s := NewStore(2)
 	table := testTable(t)
@@ -22,17 +23,22 @@ func TestCollectRangeMatchesChainWalk(t *testing.T) {
 	if !ok {
 		t.Fatal("no live tail")
 	}
+	tailLast := tailT + 99*w // the tail holds the last 100 points
 
 	for _, tc := range []struct {
 		name     string
 		t0, t1   int64
 		wantTail bool
+		locks    int64
 	}{
-		{"sealed-only", 0, tailT, false},
-		{"tail-touching", 0, tailT + 1, true},
-		{"interior", int64(BlockCap+5) * w, int64(3*BlockCap-5) * w, false},
-		{"tail-only", tailT, 1 << 40, true},
-		{"before-stream", -1000, -1, false},
+		{"sealed-only", 0, tailT, false, 0},
+		{"tail-touching", 0, tailT + 1, true, 1},
+		{"interior", int64(BlockCap+5) * w, int64(3*BlockCap-5) * w, false, 0},
+		{"tail-only", tailT, 1 << 40, true, 1},
+		{"before-stream", -1000, -1, false, 0},
+		// Reaches past the tail's start, so it locks, but starts one stride
+		// after the tail's last point: the tail holds nothing in range.
+		{"past-tail", tailLast + w, 1 << 40, false, 1},
 	} {
 		var wantSealed []BlockView
 		wantTailN := -1
@@ -74,12 +80,8 @@ func TestCollectRangeMatchesChainWalk(t *testing.T) {
 				t.Fatalf("%s: view FirstT=%d differs between CollectRange and the chain walk", tc.name, v.FirstT)
 			}
 		}
-		wantLocks := int64(0)
-		if tc.wantTail {
-			wantLocks = 1
-		}
-		if locks != wantLocks {
-			t.Fatalf("%s: CollectRange took %d locks, want %d", tc.name, locks, wantLocks)
+		if locks != tc.locks {
+			t.Fatalf("%s: CollectRange took %d locks, want %d", tc.name, locks, tc.locks)
 		}
 	}
 

@@ -35,7 +35,7 @@ import (
 //     readers index strictly below their own header's length.
 //  3. tailFirstT is stored before the tail's first point is pushed, and the
 //     index swap happens before tailFirstT moves to the next tail — so the
-//     double-load in Meter.CollectRange (index, tailFirstT, index again) either
+//     double-load in Meter.resolve (index, tailFirstT, index again) either
 //     proves a consistent generation or falls back to the locked path.
 
 // sealedIndex is the published, immutable view of one meter's sealed chain.
@@ -97,18 +97,6 @@ func (ix *sealedIndex) rangeBlocks(t0, t1 int64) (lo, hi int) {
 	return lo, hi
 }
 
-// appendRange appends a view of every sealed block in the pruned [lo, hi)
-// range to dst, against the index's own table history (not the live one:
-// that may gain tables concurrently, and these are the tables the sealed
-// epochs actually index).
-func (ix *sealedIndex) appendRange(t0, t1 int64, dst []BlockView) []BlockView {
-	lo, hi := ix.rangeBlocks(t0, t1)
-	for i := lo; i < hi; i++ {
-		dst = append(dst, viewOf(&ix.blocks[i], ix.firstTs[i], ix.tables, ix.lanes))
-	}
-	return dst
-}
-
 // noTail is the tailFirstT sentinel while a meter has no live tail (or the
 // tail has no points yet): no timestamp can be ≥ it under a half-open range,
 // so every query may skip the tail.
@@ -129,13 +117,14 @@ func (m Meter) ID() uint64 { return m.e.id }
 // without locking.
 func (m Meter) TotalSymbols() int { return int(m.e.total.Load()) }
 
-// CollectRange is the store's one range read. Views of every sealed block
-// that may hold points in [t0, t1) — the directory-pruned blocks of the
-// published index, read lock-free — are appended to dst and returned. The
-// live tail, whose payload keeps mutating, is delivered through the tail
-// callback under a brief shard read lock: invoked at most once, and only
-// when the range can actually reach it. Callers must still per-block filter
-// with the view's timestamps (pruning is by block span, not by point).
+// CollectRange returns views of the blocks that may hold points in
+// [t0, t1), over the same range resolution as the fold steps (Count,
+// Aggregate, Histogram): the directory-pruned sealed blocks of the published
+// index, read lock-free, are appended to dst and returned, and the live tail,
+// whose payload keeps mutating, is delivered through the tail callback under
+// a brief shard read lock — at most once, and only when the range can
+// actually reach it. Callers must still per-block filter with the view's
+// timestamps (pruning is by block span, not by point).
 //
 // The returned sealed views MAY be retained and read after CollectRange
 // returns, for as long as the store lives: sealed blocks are immutable once
@@ -143,29 +132,51 @@ func (m Meter) TotalSymbols() int { return int(m.e.total.Load()) }
 // callback. The tail callback fires before dst is extended, in sealed-chain
 // order.
 func (m Meter) CollectRange(t0, t1 int64, dst []BlockView, tail func(BlockView)) []BlockView {
+	ix, lo, hi := m.resolve(t0, t1, func(b *block, firstT int64, tables []*symbolic.Table, lanes []uint16) {
+		tail(viewOf(b, firstT, tables, lanes))
+	})
+	for i := lo; i < hi; i++ {
+		dst = append(dst, viewOf(&ix.blocks[i], ix.firstTs[i], ix.tables, ix.lanes))
+	}
+	return dst
+}
+
+// resolve is the one range resolution behind every range read. It returns
+// the published index and the pruned run [lo, hi) of its sealed blocks that
+// may hold points in [t0, t1), and, when the range can reach the live tail,
+// first calls tail with the tail block, its first timestamp and the live
+// table history and lane slab — under the shard read lock, so the tail's
+// payload and lanes hold still for exactly the call. An empty or inverted
+// range resolves to nothing without locking. Callers read the sealed blocks
+// against ix's own tables and lanes, not the live ones: those may grow
+// concurrently, and ix's are the ones its blocks' epochs and lane offsets
+// index.
+func (m Meter) resolve(t0, t1 int64, tail func(b *block, firstT int64, tables []*symbolic.Table, lanes []uint16)) (ix *sealedIndex, lo, hi int) {
 	if t0 >= t1 {
-		return dst
+		return &emptyIndex, 0, 0
 	}
 	e := m.e
-	idx := e.idx.Load()
-	if t1 <= e.tailFirstT.Load() && e.idx.Load() == idx {
+	ix = e.idx.Load()
+	if t1 <= e.tailFirstT.Load() && e.idx.Load() == ix {
 		// The second load proves no seal was published between reading the
 		// index and reading the tail bound, so they describe one generation:
 		// every point of that generation's tail is ≥ tailFirstT ≥ t1, outside
 		// the half-open range. Sealed data alone answers the query — no lock.
-		return idx.appendRange(t0, t1, dst)
+		lo, hi = ix.rangeBlocks(t0, t1)
+		return ix, lo, hi
 	}
 	// The range may reach the live tail (or a seal raced us). Take the shard
 	// read lock briefly: under it the published index is stable, the tail
 	// cannot grow, and the callback's work is bounded by one block.
 	m.sh.queryLocks.Add(1)
 	m.sh.mu.RLock()
-	idx = e.idx.Load()
+	ix = e.idx.Load()
 	if tl, tf := e.tail(), e.tailFirstT.Load(); tl != nil && tl.n > 0 && tf < t1 && tl.lastT(tf) >= t0 {
-		tail(e.view(tl))
+		tail(tl, tf, e.tables, e.lanes)
 	}
 	m.sh.mu.RUnlock()
-	return idx.appendRange(t0, t1, dst)
+	lo, hi = ix.rangeBlocks(t0, t1)
+	return ix, lo, hi
 }
 
 // publish swaps in a new sealed index after e's former tail (now

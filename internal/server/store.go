@@ -117,7 +117,7 @@ type meterEntry struct {
 	lanes []uint16
 	// tailFirstT is the live tail's first timestamp, or noTail while the
 	// meter has no unsealed points. Stored before the tail's first push and
-	// after the index swap, so CollectRange's double-load can prove a query
+	// after the index swap, so Meter.resolve's double-load can prove a query
 	// range cannot reach the tail without locking. It is the only copy of
 	// the tail's first timestamp (a block keeps none; a sealed block's is in
 	// dirFirst), so it keeps its value until the next tail opens.
@@ -729,7 +729,7 @@ func (s *Store) appendRun(e *meterEntry, r Run) (int, error) {
 			tail, first = e.newBlock(epoch, level), t
 			// Publish the new tail's start before its first symbol lands, so
 			// a lock-free reader that proves a stable index generation can
-			// trust this bound (see Meter.CollectRange).
+			// trust this bound (see Meter.resolve).
 			e.tailFirstT.Store(t)
 			m = tail.admit(first, t, r.Stride, r.Count-done, epoch)
 		}
@@ -1009,12 +1009,6 @@ func appendBlockPoints(dst []ReconPoint, b *block, firstT int64, tables []*symbo
 		})
 	}
 	return dst, scratch
-}
-
-// view builds the visitor view of the tail block b under the meter's live
-// tables (callers hold the shard lock).
-func (e *meterEntry) view(b *block) BlockView {
-	return viewOf(b, e.tailFirstT.Load(), e.tables, e.lanes)
 }
 
 // Meters returns the IDs of every meter the store has seen, in no
