@@ -144,16 +144,13 @@ func run(args []string, out io.Writer) (err error) {
 		fmt.Fprintf(out, "storage: %s (fsync=%s): recovered %d meters — %d points from %d segments, %d replayed from %d WAL records (%d torn tails truncated) in %s\n",
 			*dataDir, eng.Sync(), rs.Meters, rs.SegmentPoints, rs.Segments, rs.ReplayedPoints, rs.WALRecords, rs.TornTails, rs.Duration.Round(time.Microsecond))
 	}
-	// Each meter will stream one symbol per window; reserving that capacity
-	// at handshake keeps the per-batch store commits allocation-free.
 	svc := server.New(server.Config{
-		Shards:        *shards,
-		ReservePoints: fleetCfg.ExpectedPointsPerMeter(),
-		Store:         recovered,
-		IdleTimeout:   *idleTO,
-		WriteTimeout:  *writeTO,
-		IngestBudget:  *budget,
-		Metrics:       reg,
+		Shards:       *shards,
+		Store:        recovered,
+		IdleTimeout:  *idleTO,
+		WriteTimeout: *writeTO,
+		IngestBudget: *budget,
+		Metrics:      reg,
 	})
 	if eng != nil {
 		svc.SetIngest(eng)

@@ -67,22 +67,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ExpectedPointsPerMeter returns an upper bound on the symbols one meter
-// will stream under this config (after defaulting) — the right value for
-// server.Config.ReservePoints so every store commit lands in pre-allocated
-// capacity. Per day: one symbol per touched window (ceiling, plus one for
-// window/day misalignment) and one more for the partial-window flush a
-// daily table relearn forces. Gaps can only reduce the actual count.
-func (c Config) ExpectedPointsPerMeter() int {
-	c = c.withDefaults()
-	perDay := int64(timeseries.SecondsPerDay)
-	if c.SecondsPerDay > 0 {
-		perDay = c.SecondsPerDay
-	}
-	symbolsPerDay := (perDay+c.Window-1)/c.Window + 2
-	return int(symbolsPerDay * int64(c.Days))
-}
-
 // MeterReport is one meter's end-to-end outcome.
 type MeterReport struct {
 	MeterID uint64

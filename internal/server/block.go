@@ -66,10 +66,6 @@ const (
 	// blocks at level ≤ maxHistLevel do, and an underfull one gives them back
 	// at seal).
 	flagHist uint8 = 1 << iota
-	// flagArena: the payload was carved from the meter's reserve arena. The
-	// slab outlives the block, so seal-time trimming would free nothing (the
-	// arena is accounted whole instead).
-	flagArena
 	// flagSpilled: the payload aliases a durable segment file (an mmapped
 	// region handed back by the store's SealSink). The bytes are no longer
 	// heap-resident, so MemoryFootprint excludes them.
@@ -169,18 +165,14 @@ func (b *block) admit(firstT, t, stride int64, count int, epoch uint32) int {
 // kernel-scan such blocks anyway). Timestamps are client-controlled wire
 // input, so a stream that keeps breaking the stride seals near-empty blocks
 // — without trimming, each would pin a full BlockCap payload plus k
-// histogram lanes, a memory-amplification vector. An arena-carved payload is
-// left alone: its slab outlives the block either way, so trimming would only
-// add an allocation (the arena's size is bounded by Reserve and accounted
-// whole). Full blocks (the regular-stream case) are untouched, keeping the
-// zero-alloc append contract. Per-block metadata (72 bytes) still bounds the
-// degenerate worst case; policing meters that produce pathological block
-// counts is a separate concern.
+// histogram lanes, a memory-amplification vector. Full blocks (the
+// regular-stream case) are untouched, so sealing one copies nothing.
+// Per-block metadata (72 bytes) still bounds the degenerate worst case;
+// policing meters that produce pathological block counts is a separate
+// concern.
 func (e *meterEntry) seal(b *block) {
-	if b.flags&flagArena == 0 {
-		if used := (int(b.n)*int(b.level) + 7) / 8; used < len(b.payload) {
-			b.payload = append(make([]byte, 0, used), b.payload[:used]...)
-		}
+	if used := (int(b.n)*int(b.level) + 7) / 8; used < len(b.payload) {
+		b.payload = append(make([]byte, 0, used), b.payload[:used]...)
 	}
 	e.trimLanes(b)
 }

@@ -181,7 +181,8 @@ func (m Meter) resolve(t0, t1 int64, tail func(b *block, firstT int64, tables []
 
 // publish swaps in a new sealed index after e's former tail (now
 // e.blocks[len(idx.blocks)]) was sealed. Caller holds the shard write lock.
-// Allocation-free when Reserve pre-sized the index arena and directory. The
+// It allocates the new sealedIndex — beside the next tail's payload, one of
+// the two allocations a seal makes — and grows the directory amortised. The
 // sealed block is the chain's last, so its lanes (if it kept any) end the
 // slab: the whole slab is published. It was the tail, so tailFirstT still
 // holds its first timestamp, which moves into the directory.
@@ -191,27 +192,14 @@ func (e *meterEntry) publish() {
 	b := &e.blocks[n]
 	first := e.tailFirstT.Load()
 	e.dirFirst = append(e.dirFirst, first)
-	ni := e.nextIndexSlot()
-	*ni = sealedIndex{
+	e.idx.Store(&sealedIndex{
 		tables:  e.tables,
 		blocks:  e.blocks[:n+1],
 		firstTs: e.dirFirst[:n+1],
 		lanes:   e.lanes,
 		total:   old.total + int(b.n),
 		ordered: old.ordered && (n == 0 || e.blocks[n-1].lastT(e.dirFirst[n-1]) <= first),
-	}
-	e.idx.Store(ni)
-}
-
-// nextIndexSlot carves a sealedIndex struct from the reserve arena, falling
-// back to the allocator for unreserved meters.
-func (e *meterEntry) nextIndexSlot() *sealedIndex {
-	if len(e.idxArena) > 0 {
-		ni := &e.idxArena[0]
-		e.idxArena = e.idxArena[1:]
-		return ni
-	}
-	return new(sealedIndex)
+	})
 }
 
 // viewOf builds a read-only visitor view of one block starting at firstT

@@ -20,12 +20,6 @@ import (
 type Config struct {
 	// Shards is the store's lock-domain count; 0 picks a default of 16.
 	Shards int
-	// ReservePoints, when positive, reserves packed-block capacity for that
-	// many points per meter at handshake time (parked until the meter's
-	// first table arrives, since the arenas are sized by its symbol level),
-	// so a session whose expected volume is known up front (e.g. replaying
-	// N days of fixed-window data) ingests every batch allocation-free.
-	ReservePoints int
 	// Store, when non-nil, is used instead of a fresh store — the recovery
 	// path: a durability layer rebuilds the store from disk and hands it to
 	// the service (Shards is then ignored).
@@ -83,7 +77,6 @@ const defaultWriteTimeout = 30 * time.Second
 type Ingest interface {
 	StartSession(meterID uint64) error
 	EndSession(meterID uint64)
-	Reserve(meterID uint64, n int) error
 	LastSeq(meterID uint64) uint64
 	PushTableSeq(meterID, seq uint64, t *symbolic.Table) (dup bool, err error)
 	AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (n int, dup bool, err error)
@@ -144,13 +137,12 @@ type Stats struct {
 // also answers query sessions: a connection whose first byte is a 'Q'
 // frame is dispatched to the query path instead of the ingest path.
 type Service struct {
-	store         *Store
-	ingest        Ingest
-	queryHandler  QueryHandler
-	reservePoints int
-	idleTimeout   time.Duration
-	ingestBudget  int64
-	writeTimeout  time.Duration
+	store        *Store
+	ingest       Ingest
+	queryHandler QueryHandler
+	idleTimeout  time.Duration
+	ingestBudget int64
+	writeTimeout time.Duration
 
 	// inflight is the per-shard admission gauge: estimated bytes of ingest
 	// batches currently being committed, bounded by ingestBudget.
@@ -192,15 +184,14 @@ func New(cfg Config) *Service {
 		reg = metrics.New()
 	}
 	s := &Service{
-		store:         st,
-		ingest:        st,
-		reservePoints: cfg.ReservePoints,
-		idleTimeout:   cfg.IdleTimeout,
-		ingestBudget:  cfg.IngestBudget,
-		writeTimeout:  wt,
-		inflight:      make([]atomic.Int64, st.NumShards()),
-		met:           newServiceMetrics(reg),
-		closers:       make(map[net.Conn]struct{}),
+		store:        st,
+		ingest:       st,
+		idleTimeout:  cfg.IdleTimeout,
+		ingestBudget: cfg.IngestBudget,
+		writeTimeout: wt,
+		inflight:     make([]atomic.Int64, st.NumShards()),
+		met:          newServiceMetrics(reg),
+		closers:      make(map[net.Conn]struct{}),
 	}
 	s.registerShardGauges()
 	return s

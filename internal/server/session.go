@@ -75,11 +75,6 @@ func (s *Service) runSession(conn net.Conn, r io.Reader) (symbols int64, err err
 		return 0, err
 	}
 	defer s.ingest.EndSession(meterID)
-	if s.reservePoints > 0 {
-		if err := s.ingest.Reserve(meterID, s.reservePoints); err != nil {
-			return 0, err
-		}
-	}
 
 	hwm := s.ingest.LastSeq(meterID)
 	var wbuf []byte

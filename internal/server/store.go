@@ -126,17 +126,6 @@ type meterEntry struct {
 	// under the shard lock, loaded lock-free by TotalSymbols.
 	total atomic.Int64
 
-	// Arena capacity carved into new blocks so a Reserve'd meter appends
-	// without allocating. pendingReserve parks a Reserve that arrived before
-	// the first table (the arena is sized by the table's level). arenaBytes
-	// accumulates every arena allocation at full size — carved regions stay
-	// resident for the arena's lifetime whether or not their block was
-	// trimmed, so MemoryFootprint counts slabs whole, never remainders.
-	payloadArena   []byte
-	idxArena       []sealedIndex
-	arenaBytes     int64
-	pendingReserve int
-
 	// recycle is the previous tail's heap payload buffer, freed up when a
 	// spill relocated that block's bytes into a segment file: the next tail
 	// block reuses it, so a persistent meter reaches a steady state where
@@ -158,18 +147,13 @@ func (e *meterEntry) tail() *block {
 	return &e.blocks[len(e.blocks)-1]
 }
 
-// newBlock appends a fresh block for the given epoch, carving payload space
-// from the reserve arena when available and falling back to the
-// spill-recycled tail buffer before the allocator, and histogram lanes from
-// the end of the lane slab.
+// newBlock appends a fresh block for the given epoch, taking payload space
+// from the spill-recycled tail buffer when there is one and from the
+// allocator otherwise, and histogram lanes from the end of the lane slab.
 func (e *meterEntry) newBlock(epoch uint32, level int) *block {
 	nb := blockBytes(level)
 	b := block{epoch: epoch, level: uint8(level)}
-	if len(e.payloadArena) >= nb {
-		b.payload = e.payloadArena[:nb:nb]
-		e.payloadArena = e.payloadArena[nb:]
-		b.flags |= flagArena
-	} else if cap(e.recycle) >= nb {
+	if cap(e.recycle) >= nb {
 		b.payload = e.recycle[:nb:nb]
 		clear(b.payload) // a tail's unused bytes read as zero, as in a fresh buffer
 		e.recycle = nil
@@ -188,37 +172,6 @@ func (e *meterEntry) newBlock(epoch uint32, level int) *block {
 	}
 	e.blocks = append(e.blocks, b)
 	return &e.blocks[len(e.blocks)-1]
-}
-
-// idxMeta is the resident cost of one published index struct.
-const idxMeta = int64(unsafe.Sizeof(sealedIndex{}))
-
-// reserveLocked sizes the payload arena, block slice, time directory, lane
-// slab and index arena for n more points under the meter's current table, so
-// the whole append-and-seal-and-publish cycle runs allocation-free. When the
-// store spills sealed payloads to a SealSink, the payload arena is skipped: a
-// spilled block's bytes live in a segment file, so a full-history payload
-// slab would pin exactly the memory the spill path exists to evict (the
-// recycled tail buffer makes steady-state sealing allocation-free instead).
-// Histogram lanes never spill, so the slab is pre-sized either way.
-func (e *meterEntry) reserveLocked(n int, persist bool) {
-	level := e.tables[len(e.tables)-1].Level()
-	nb := (n+BlockCap-1)/BlockCap + 1
-	if !persist {
-		if need := nb * blockBytes(level); len(e.payloadArena) < need {
-			e.payloadArena = make([]byte, need)
-			e.arenaBytes += int64(need)
-		}
-	}
-	if level <= maxHistLevel {
-		e.lanes = slices.Grow(e.lanes, nb<<level)
-	}
-	if len(e.idxArena) < nb {
-		e.idxArena = make([]sealedIndex, nb)
-		e.arenaBytes += int64(nb) * idxMeta
-	}
-	e.blocks = slices.Grow(e.blocks, nb)
-	e.dirFirst = slices.Grow(e.dirFirst, nb)
 }
 
 // shard is one lock domain of the store. The lock serializes writers (and
@@ -426,8 +379,8 @@ func (s *Store) EndSession(meterID uint64) {
 // decide which pending batches to replay.
 func (s *Store) LastSeq(meterID uint64) uint64 {
 	sh := s.shardOf(meterID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	if e := sh.meter(meterID); e != nil {
 		return e.seq
 	}
@@ -502,7 +455,7 @@ func (s *Store) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, erro
 	if dup || err != nil {
 		return dup, err
 	}
-	e.pushTable(t, s.sink != nil)
+	e.tables = append(e.tables, t)
 	e.seq = seq
 	return false, nil
 }
@@ -517,17 +470,8 @@ func (s *Store) PushTable(meterID uint64, t *symbolic.Table) error {
 	if e == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownMeter, meterID)
 	}
-	e.pushTable(t, s.sink != nil)
-	return nil
-}
-
-// pushTable appends the table and applies a Reserve that was waiting for it.
-func (e *meterEntry) pushTable(t *symbolic.Table, persist bool) {
 	e.tables = append(e.tables, t)
-	if e.pendingReserve > 0 {
-		e.reserveLocked(e.pendingReserve, persist)
-		e.pendingReserve = 0
-	}
+	return nil
 }
 
 // ErrBadSymbol reports a symbol whose level does not match the meter's
@@ -781,41 +725,17 @@ func (e *meterEntry) spill(sink SealSink, b *block) error {
 	// a genuinely relocated payload frees the old buffer for recycling (and
 	// only then is the block's storage off-heap).
 	if relocated := &adopted[0] != &b.payload[0]; relocated {
-		if b.flags&flagArena == 0 && cap(b.payload) > cap(e.recycle) {
+		if cap(b.payload) > cap(e.recycle) {
 			e.recycle = b.payload[:0]
 		}
 		b.payload = adopted[:used:used]
-		b.flags = b.flags&^flagArena | flagSpilled
+		b.flags |= flagSpilled
 		e.trimLanes(b)
 	} else {
 		// The bytes stayed on the heap (no mapping available): trim them
 		// like any other seal.
 		e.seal(b)
 	}
-	return nil
-}
-
-// Reserve pre-allocates block capacity for at least n points for the meter —
-// capacity planning for ingest bursts: a session that knows how many windows
-// a replayed day will produce makes every subsequent append allocation-free.
-// A Reserve arriving before the meter's first table (the session handshake
-// order) is parked and applied when the table lands, since the arena is
-// sized by the table's symbol level.
-func (s *Store) Reserve(meterID uint64, n int) error {
-	sh := s.shardOf(meterID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.meter(meterID)
-	if e == nil {
-		return fmt.Errorf("%w: %d", ErrUnknownMeter, meterID)
-	}
-	if len(e.tables) == 0 {
-		if n > e.pendingReserve {
-			e.pendingReserve = n
-		}
-		return nil
-	}
-	e.reserveLocked(n, s.sink != nil)
 	return nil
 }
 
@@ -1039,15 +959,13 @@ func (s *Store) TotalSymbols() int {
 
 // MemoryFootprint returns the resident bytes attributable to point storage
 // and the number of stored points — the basis of the benchmark's
-// resident_bytes_per_symbol. Reserve arenas (payload and index-struct slabs)
-// are counted at their full allocated size (carved regions stay resident for
-// the slab's lifetime, trimmed or not); blocks add their metadata plus any
-// payload they own outside an arena — except spilled payloads, which alias
-// mmapped segment files and cost page cache, not heap; the histogram lane
-// slab adds 2 bytes per lane of its capacity, the time directory 8 bytes per
-// slot of its capacity, and the spill-recycled tail buffer its capacity.
-// Table and map overhead is excluded: both exist identically in any storage
-// scheme.
+// resident_bytes_per_symbol. Each block adds its metadata plus the capacity
+// of its payload — except spilled payloads, which alias mmapped segment
+// files and cost page cache, not heap; the histogram lane slab adds 2 bytes
+// per lane of its capacity, the time directory 8 bytes per slot of its
+// capacity, and the spill-recycled tail buffer its capacity. Table, map and
+// published-index overhead is excluded: each exists identically in any
+// storage scheme.
 func (s *Store) MemoryFootprint() (bytes, points int64) {
 	const blockMeta = int64(unsafe.Sizeof(block{}))
 	for i := range s.shards {
@@ -1056,14 +974,13 @@ func (s *Store) MemoryFootprint() (bytes, points int64) {
 		for _, m := range sh.meterList() {
 			e := m.e
 			points += e.total.Load()
-			bytes += e.arenaBytes
 			bytes += 2 * int64(cap(e.lanes))
 			bytes += 8 * int64(cap(e.dirFirst))
 			bytes += int64(cap(e.recycle))
 			for j := range e.blocks {
 				b := &e.blocks[j]
 				bytes += blockMeta
-				if b.flags&(flagArena|flagSpilled) == 0 {
+				if b.flags&flagSpilled == 0 {
 					bytes += int64(cap(b.payload))
 				}
 			}

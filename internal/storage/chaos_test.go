@@ -981,8 +981,8 @@ func mallocs(runs int, f func()) uint64 {
 }
 
 // measureAppendAllocs returns the mallocs of four non-sealing AppendSeq
-// batches on an engine over fsys, after warming the WAL buffers and tail
-// arenas.
+// batches on an engine over fsys, after warming the WAL buffers and the
+// tail block.
 func measureAppendAllocs(t *testing.T, fsys storage.FS) uint64 {
 	t.Helper()
 	dir := t.TempDir()

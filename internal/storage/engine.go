@@ -704,9 +704,6 @@ func (e *Engine) StartSession(meterID uint64) error {
 // EndSession delegates to the store.
 func (e *Engine) EndSession(meterID uint64) { e.store.EndSession(meterID) }
 
-// Reserve delegates to the store.
-func (e *Engine) Reserve(meterID uint64, n int) error { return e.store.Reserve(meterID, n) }
-
 // LastSeq reports the meter's committed sequence high-water mark — 0 when
 // the meter is unknown or all of its history predates sequencing — from the
 // store, its one owner.

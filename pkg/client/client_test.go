@@ -84,9 +84,6 @@ func makeQueryStore(meters, points int) (*server.Store, error) {
 		if err := st.PushTable(id, table); err != nil {
 			return nil, err
 		}
-		if err := st.Reserve(id, points); err != nil {
-			return nil, err
-		}
 		var ts int64
 		for sent := 0; sent < points; {
 			batch := min(96, points-sent)
@@ -332,29 +329,32 @@ func TestClientSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// mallocs mirrors testing.AllocsPerRun — one warm-up call, GOMAXPROCS(1) —
-// but returns the total malloc count over the runs measured calls, so a
-// zero pin is exact: AllocsPerRun's integer average hides up to runs-1.
-func mallocs(runs int, f func()) uint64 {
+// inBlockMallocs runs f runs times at GOMAXPROCS(1) and sums the exact
+// mallocs of the calls that stay inside one block (f reports whether it
+// sealed one): sealing allocates by design, so only those calls pin to zero.
+func inBlockMallocs(runs int, f func() (sealed bool)) (n uint64, measured int) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	for range runs {
-		f()
+		runtime.ReadMemStats(&before)
+		sealed := f()
+		runtime.ReadMemStats(&after)
+		if !sealed {
+			n += after.Mallocs - before.Mallocs
+			measured++
+		}
 	}
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return n, measured
 }
 
 // TestSessionAppendZeroAlloc pins the ingest round trip the way
-// TestClientSteadyStateZeroAlloc pins queries: a 96-symbol Session.Append —
-// frame assembly, the server's decode and commit into reserved capacity, its
-// ack write, the client's ack read — allocates nothing in steady state, on
-// either side of the loopback connection.
+// TestClientSteadyStateZeroAlloc pins queries: a 96-symbol Session.Append
+// that stays inside the server's tail block — frame assembly, the server's
+// decode and commit, its ack write, the client's ack read — allocates
+// nothing, on either side of the loopback connection.
 func TestSessionAppendZeroAlloc(t *testing.T) {
-	const batch, runs = 96, 100
-	svc := server.New(server.Config{Shards: 2, ReservePoints: batch * (runs + 2)})
+	const batch, runs = 96, 120
+	svc := server.New(server.Config{Shards: 2})
 	addr, err := svc.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -376,16 +376,25 @@ func TestSessionAppendZeroAlloc(t *testing.T) {
 	for i := range syms {
 		syms[i] = symbolic.NewSymbol(i%table.K(), table.Level())
 	}
-	var firstT int64
-	appendBatch := func() {
-		if err := s.Append(firstT, fixtureWindow, syms); err != nil {
+	var sent int64
+	appendBatch := func() (sealed bool) {
+		// A batch seals the tail when it finds it full or overflows it.
+		off := sent % server.BlockCap
+		sealed = sent > 0 && (off == 0 || off+batch > server.BlockCap)
+		if err := s.Append(sent*fixtureWindow, fixtureWindow, syms); err != nil {
 			t.Fatal(err)
 		}
-		firstT += batch * fixtureWindow
+		sent += batch
+		return sealed
 	}
-	appendBatch() // warm the session's frame buffer and the server's decoder scratch
-	if n := mallocs(runs, appendBatch); n != 0 {
-		t.Fatalf("steady-state Session.Append round trip made %d mallocs over %d runs, want 0", n, runs)
+	// Warm the session's frame buffer and the server's decoder scratch up to
+	// a block boundary: lcm(BlockCap, batch) = 1536 points.
+	for range 1536 / batch {
+		appendBatch()
+	}
+	n, measured := inBlockMallocs(runs, appendBatch)
+	if n != 0 {
+		t.Fatalf("Session.Append round trip inside a block made %d mallocs over %d runs, want 0", n, measured)
 	}
 }
 
