@@ -95,14 +95,8 @@ func New(cfg Config) *Generator {
 	return g
 }
 
-// Config returns the effective configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 // Houses returns the number of houses.
 func (g *Generator) Houses() int { return g.cfg.Houses }
-
-// Days returns the number of days per house.
-func (g *Generator) Days() int { return g.cfg.Days }
 
 // mix combines seed components into a new seed (splitmix64 finalizer).
 func mix(parts ...int64) int64 {

@@ -41,8 +41,8 @@ func TestFullCoverageWithoutGaps(t *testing.T) {
 	if day.Len() != timeseries.SecondsPerDay {
 		t.Fatalf("Len = %d, want %d", day.Len(), timeseries.SecondsPerDay)
 	}
-	if day.Start() != 0 || day.End() != timeseries.SecondsPerDay-1 {
-		t.Fatalf("range [%d,%d]", day.Start(), day.End())
+	if end := day.Points[day.Len()-1].T; day.Start() != 0 || end != timeseries.SecondsPerDay-1 {
+		t.Fatalf("range [%d,%d]", day.Start(), end)
 	}
 }
 
@@ -152,8 +152,8 @@ func TestDiurnalStructure(t *testing.T) {
 		var evening, night float64
 		for d := 0; d < 7; d++ {
 			day := g.HouseDay(h, d)
-			evening += day.Slice(day.Start()+18*3600, day.Start()+22*3600).Summary().Mean
-			night += day.Slice(day.Start()+1*3600, day.Start()+5*3600).Summary().Mean
+			evening += hoursMean(day, 18, 22)
+			night += hoursMean(day, 1, 5)
 		}
 		if evening > night {
 			ok++
@@ -170,7 +170,7 @@ func TestLogNormalMarginal(t *testing.T) {
 	// skewness compared to raw values.
 	g := New(Config{Seed: 13, DisableGaps: true})
 	vals := g.HouseDay(0, 0).Values()
-	mean, median := stats.Mean(vals), stats.Median(vals)
+	mean, median := stats.Mean(vals), median(t, vals)
 	if !(mean > median) {
 		t.Fatalf("expected right skew: mean %v <= median %v", mean, median)
 	}
@@ -220,7 +220,7 @@ func TestHouse5IsGappy(t *testing.T) {
 	g := New(Config{Seed: 19, Days: 20})
 	badDays := func(h int) int {
 		bad := 0
-		for d := 0; d < g.Days(); d++ {
+		for d := 0; d < g.cfg.Days; d++ {
 			if int64(g.HouseDay(h, d).Len()) < 20*3600 {
 				bad++
 			}
@@ -229,7 +229,7 @@ func TestHouse5IsGappy(t *testing.T) {
 	}
 	b4 := badDays(4)
 	b0 := badDays(0)
-	if b4 <= b0 || b4 < g.Days()/2 {
+	if b4 <= b0 || b4 < g.cfg.Days/2 {
 		t.Fatalf("house5 bad days = %d, house1 = %d; want house5 chronically gappy", b4, b0)
 	}
 }
@@ -241,7 +241,7 @@ func TestWeekendDiffersFromWeekday(t *testing.T) {
 	var wd, we, wdN, weN float64
 	for d := 0; d < 21; d++ {
 		day := g.HouseDay(1, d)
-		m := day.Slice(day.Start()+7*3600, day.Start()+9*3600).Summary().Mean
+		m := hoursMean(day, 7, 9)
 		if weekend(d) {
 			we += m
 			weN++
@@ -288,7 +288,22 @@ func TestHouseOutOfRangePanics(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	g := New(Config{})
-	if g.Houses() != 6 || g.Days() != 30 {
-		t.Fatalf("defaults = %d houses, %d days", g.Houses(), g.Days())
+	if g.Houses() != 6 || g.cfg.Days != 30 {
+		t.Fatalf("defaults = %d houses, %d days", g.Houses(), g.cfg.Days)
 	}
+}
+
+// hoursMean is the mean load of a gap-free 1 Hz day over hours [from, to).
+func hoursMean(day *timeseries.Series, from, to int) float64 {
+	return (&timeseries.Series{Points: day.Points[from*3600 : to*3600]}).Summary().Mean
+}
+
+// median is the 2-quantile separator of vals: the median.
+func median(t *testing.T, vals []float64) float64 {
+	t.Helper()
+	seps, err := stats.KQuantiles(vals, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seps[0]
 }

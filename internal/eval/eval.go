@@ -212,16 +212,3 @@ func MAE(pred, actual []float64) (float64, error) {
 	}
 	return sum / float64(len(pred)), nil
 }
-
-// RMSE returns the root mean squared error.
-func RMSE(pred, actual []float64) (float64, error) {
-	if len(pred) != len(actual) || len(pred) == 0 {
-		return 0, errors.New("eval: RMSE needs equal, non-zero lengths")
-	}
-	var sum float64
-	for i := range pred {
-		d := pred[i] - actual[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(pred))), nil
-}

@@ -84,8 +84,6 @@ type Pipeline struct {
 	trainValues [][]float64
 	// vectors[window] holds eligible day-vectors for all houses.
 	vectors map[int64][]DayVector
-	// eligibleDays[h] lists day indices passing the coverage threshold.
-	eligibleDays [][]int
 	// tables caches learned lookup tables.
 	tables map[tableKey]*symbolic.Table
 	built  bool
@@ -140,20 +138,14 @@ func (p *Pipeline) Build(windows ...int64) error {
 	}
 	if !p.built {
 		p.trainValues = make([][]float64, p.cfg.Houses)
-		p.eligibleDays = make([][]int, p.cfg.Houses)
 	}
 
 	for h := 0; h < p.cfg.Houses; h++ {
 		for d := 0; d < p.cfg.Days; d++ {
 			day := p.gen.HouseDay(h, d)
-			if !p.built {
-				if d < p.cfg.TrainDays {
-					for _, pt := range day.Points {
-						p.trainValues[h] = append(p.trainValues[h], pt.V)
-					}
-				}
-				if p.coverage(day) >= p.cfg.CoverageThreshold {
-					p.eligibleDays[h] = append(p.eligibleDays[h], d)
+			if !p.built && d < p.cfg.TrainDays {
+				for _, pt := range day.Points {
+					p.trainValues[h] = append(p.trainValues[h], pt.V)
 				}
 			}
 			if p.coverage(day) < p.cfg.CoverageThreshold {
@@ -221,17 +213,6 @@ func (p *Pipeline) Vectors(window int64) ([]DayVector, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.vectors[window], nil
-}
-
-// EligibleDays returns the day indices of house h passing the coverage
-// threshold.
-func (p *Pipeline) EligibleDays(h int) ([]int, error) {
-	if err := p.Build(); err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.eligibleDays[h], nil
 }
 
 // Table returns the lookup table for (method, k) learned from house h's

@@ -168,7 +168,11 @@ func TestFleet64ConcurrentMeters(t *testing.T) {
 	if errs := svc.SessionErrors(); len(errs) != 0 {
 		t.Fatalf("session errors: %v", errs)
 	}
-	if got := len(svc.Store().Meters()); got != meters {
+	store, got := svc.Store(), 0
+	for s := range store.NumShards() {
+		got += len(store.ShardMeters(s))
+	}
+	if got != meters {
 		t.Fatalf("store meters = %d, want %d", got, meters)
 	}
 	wantSymbols := 600 / 60 // gap-free prefix → one symbol per full window

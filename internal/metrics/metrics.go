@@ -94,9 +94,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Add adjusts the value by n (negative to decrease).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
@@ -341,18 +338,3 @@ func (l *Latency) Count() int64 { return l.count.Load() }
 
 // SumSeconds returns the sum of all recorded samples in seconds.
 func (l *Latency) SumSeconds() float64 { return float64(l.sumNS.Load()) / 1e9 }
-
-// Quantile returns the current P² estimate for q, which must be one of the
-// registered quantiles (0.5, 0.95, 0.99); it returns 0 before any sample.
-// The estimate is in seconds.
-func (l *Latency) Quantile(q float64) float64 {
-	for i, lq := range latQuantiles {
-		if lq == q {
-			l.p2mu.Lock()
-			v := l.p2[i].Value()
-			l.p2mu.Unlock()
-			return v / 1e9
-		}
-	}
-	return 0
-}

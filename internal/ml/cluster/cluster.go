@@ -42,15 +42,6 @@ type Result struct {
 	K      int
 }
 
-// Sizes returns items per cluster.
-func (r Result) Sizes() []int {
-	out := make([]int, r.K)
-	for _, c := range r.Assign {
-		out[c]++
-	}
-	return out
-}
-
 // KMedoids runs the PAM-style k-medoids algorithm: greedy medoid
 // initialisation (k-means++-like, seeded), then alternating assignment and
 // medoid refinement until stable.

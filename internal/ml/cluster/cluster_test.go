@@ -59,7 +59,10 @@ func TestAgglomerativeSeparatesBlobs(t *testing.T) {
 	if res.K != 3 {
 		t.Fatalf("K = %d", res.K)
 	}
-	sizes := res.Sizes()
+	sizes := make([]int, res.K)
+	for _, c := range res.Assign {
+		sizes[c]++
+	}
 	for _, s := range sizes {
 		if s != 15 {
 			t.Fatalf("sizes = %v, want 15 each", sizes)

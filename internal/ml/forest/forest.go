@@ -27,9 +27,6 @@ type Config struct {
 	MaxDepth int
 }
 
-// DefaultConfig mirrors Weka-era defaults.
-func DefaultConfig() Config { return Config{Trees: 10} }
-
 // Classifier is a trained random forest.
 type Classifier struct {
 	cfg    Config
@@ -44,9 +41,6 @@ func New(cfg Config) *Classifier {
 	}
 	return &Classifier{cfg: cfg}
 }
-
-// NewDefault returns a default forest.
-func NewDefault() *Classifier { return New(DefaultConfig()) }
 
 // Fit trains the ensemble on bootstrap resamples.
 func (c *Classifier) Fit(d *ml.Dataset) error {
@@ -112,4 +106,4 @@ func (c *Classifier) Predict(x []float64) int {
 	return best
 }
 
-var _ ml.ProbClassifier = (*Classifier)(nil)
+var _ ml.Classifier = (*Classifier)(nil)

@@ -34,7 +34,7 @@ func noisyDataset(t *testing.T, n int, seed int64) *ml.Dataset {
 				x[j] = float64(1 - class)
 			}
 		}
-		d.MustAdd(x, class)
+		mustAdd(d, x, class)
 	}
 	return d
 }
@@ -75,7 +75,7 @@ func TestForestDeterministicWithSeed(t *testing.T) {
 
 func TestForestProbaSumsToOne(t *testing.T) {
 	d := noisyDataset(t, 100, 5)
-	f := NewDefault()
+	f := New(Config{})
 	if err := f.Fit(d); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestForestProbaSumsToOne(t *testing.T) {
 
 func TestForestEmptyErrors(t *testing.T) {
 	schema, _ := ml.NewSchema([]ml.Attribute{ml.NumericAttr("x")}, []string{"a", "b"})
-	if err := NewDefault().Fit(ml.NewDataset(schema)); err == nil {
+	if err := New(Config{}).Fit(ml.NewDataset(schema)); err == nil {
 		t.Fatal("empty training set should error")
 	}
 }
@@ -102,7 +102,7 @@ func TestForestUnfittedPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewDefault().Predict([]float64{0})
+	New(Config{}).Predict([]float64{0})
 }
 
 func TestForestDefaultsApplied(t *testing.T) {
@@ -125,7 +125,7 @@ func TestForestBeatsStumpOnInteraction(t *testing.T) {
 		if x*x+y*y > 0.5 {
 			class = 1
 		}
-		d.MustAdd([]float64{x, y}, class)
+		mustAdd(d, []float64{x, y}, class)
 	}
 	f := New(Config{Trees: 20, Seed: 1})
 	if err := f.Fit(d); err != nil {
@@ -144,5 +144,12 @@ func TestForestBeatsStumpOnInteraction(t *testing.T) {
 	}
 	if correct < 160 {
 		t.Fatalf("forest got %d/200 on circular boundary", correct)
+	}
+}
+
+// mustAdd adds an instance the test builds valid by construction.
+func mustAdd(d *ml.Dataset, x []float64, class int) {
+	if err := d.Add(x, class); err != nil {
+		panic(err)
 	}
 }

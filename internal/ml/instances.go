@@ -122,14 +122,6 @@ func (d *Dataset) Add(x []float64, class int) error {
 	return nil
 }
 
-// MustAdd is Add but panics on error; for tests and generated data whose
-// validity is guaranteed by construction.
-func (d *Dataset) MustAdd(x []float64, class int) {
-	if err := d.Add(x, class); err != nil {
-		panic(err)
-	}
-}
-
 // Len returns the number of instances.
 func (d *Dataset) Len() int { return len(d.Instances) }
 
@@ -140,18 +132,6 @@ func (d *Dataset) ClassCounts() []int {
 		counts[in.Class]++
 	}
 	return counts
-}
-
-// MajorityClass returns the most frequent class (lowest index wins ties).
-func (d *Dataset) MajorityClass() int {
-	counts := d.ClassCounts()
-	best := 0
-	for i, c := range counts {
-		if c > counts[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // Subset returns a dataset view containing the instances at the given
@@ -171,13 +151,6 @@ type Classifier interface {
 	Fit(d *Dataset) error
 	// Predict returns the predicted class index for a feature vector.
 	Predict(x []float64) int
-}
-
-// ProbClassifier is implemented by models that expose class probabilities.
-type ProbClassifier interface {
-	Classifier
-	// PredictProba returns a probability per class, summing to 1.
-	PredictProba(x []float64) []float64
 }
 
 // ErrNotFitted reports prediction before training.

@@ -67,40 +67,34 @@ func TestDatasetAddValidation(t *testing.T) {
 	}
 }
 
-func TestMustAddPanics(t *testing.T) {
-	d := NewDataset(testSchema(t))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	d.MustAdd([]float64{9, 9}, 0)
-}
-
 func TestClassCountsAndMajority(t *testing.T) {
 	d := NewDataset(testSchema(t))
-	d.MustAdd([]float64{0, 1}, 0)
-	d.MustAdd([]float64{1, 2}, 1)
-	d.MustAdd([]float64{2, 3}, 1)
+	mustAdd(d, []float64{0, 1}, 0)
+	mustAdd(d, []float64{1, 2}, 1)
+	mustAdd(d, []float64{2, 3}, 1)
 	counts := d.ClassCounts()
 	if counts[0] != 1 || counts[1] != 2 {
 		t.Fatalf("ClassCounts = %v", counts)
-	}
-	if d.MajorityClass() != 1 {
-		t.Fatalf("MajorityClass = %d", d.MajorityClass())
 	}
 }
 
 func TestSubsetSharesInstances(t *testing.T) {
 	d := NewDataset(testSchema(t))
-	d.MustAdd([]float64{0, 1}, 0)
-	d.MustAdd([]float64{1, 2}, 1)
-	d.MustAdd([]float64{2, 3}, 0)
+	mustAdd(d, []float64{0, 1}, 0)
+	mustAdd(d, []float64{1, 2}, 1)
+	mustAdd(d, []float64{2, 3}, 0)
 	sub := d.Subset([]int{2, 0})
 	if sub.Len() != 2 {
 		t.Fatalf("Len = %d", sub.Len())
 	}
 	if sub.Instances[0].X[0] != 2 || sub.Instances[1].X[0] != 0 {
 		t.Fatalf("Subset order wrong: %+v", sub.Instances)
+	}
+}
+
+// mustAdd adds an instance the test builds valid by construction.
+func mustAdd(d *Dataset, x []float64, class int) {
+	if err := d.Add(x, class); err != nil {
+		panic(err)
 	}
 }

@@ -25,14 +25,6 @@ type Classifier struct {
 	lo, hi []float64
 }
 
-// New returns a k-NN classifier with the given k.
-func New(k int) *Classifier {
-	if k <= 0 {
-		k = 3
-	}
-	return &Classifier{K: k}
-}
-
 // Fit memorises the training set and computes numeric attribute ranges.
 func (c *Classifier) Fit(d *ml.Dataset) error {
 	if d.Len() == 0 {
@@ -134,4 +126,4 @@ func (c *Classifier) PredictProba(x []float64) []float64 {
 	return votes
 }
 
-var _ ml.ProbClassifier = (*Classifier)(nil)
+var _ ml.Classifier = (*Classifier)(nil)

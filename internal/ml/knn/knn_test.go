@@ -22,14 +22,14 @@ func mixedDataset(t *testing.T) *ml.Dataset {
 	for i := 0; i < 100; i++ {
 		class := i % 2
 		x := float64(class)*10 + rng.NormFloat64()
-		d.MustAdd([]float64{x, float64(class)}, class)
+		mustAdd(d, []float64{x, float64(class)}, class)
 	}
 	return d
 }
 
 func TestKNNClassifies(t *testing.T) {
 	d := mixedDataset(t)
-	c := New(3)
+	c := (&Classifier{K: 3})
 	if err := c.Fit(d); err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestKNNClassifies(t *testing.T) {
 
 func TestKNNProbaSumsToOne(t *testing.T) {
 	d := mixedDataset(t)
-	c := New(5)
+	c := (&Classifier{K: 5})
 	if err := c.Fit(d); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestKNNProbaSumsToOne(t *testing.T) {
 
 func TestKNNMissingValues(t *testing.T) {
 	d := mixedDataset(t)
-	c := New(3)
+	c := (&Classifier{K: 3})
 	if err := c.Fit(d); err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +72,9 @@ func TestKNNMissingValues(t *testing.T) {
 func TestKNNKLargerThanTrainingSet(t *testing.T) {
 	schema, _ := ml.NewSchema([]ml.Attribute{ml.NumericAttr("x")}, []string{"a", "b"})
 	d := ml.NewDataset(schema)
-	d.MustAdd([]float64{0}, 0)
-	d.MustAdd([]float64{1}, 1)
-	c := New(50)
+	mustAdd(d, []float64{0}, 0)
+	mustAdd(d, []float64{1}, 1)
+	c := (&Classifier{K: 50})
 	if err := c.Fit(d); err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +89,9 @@ func TestKNNConstantAttribute(t *testing.T) {
 	}, []string{"a", "b"})
 	d := ml.NewDataset(schema)
 	for i := 0; i < 20; i++ {
-		d.MustAdd([]float64{7, float64(i % 2)}, i%2)
+		mustAdd(d, []float64{7, float64(i % 2)}, i%2)
 	}
-	c := New(3)
+	c := (&Classifier{K: 3})
 	if err := c.Fit(d); err != nil {
 		t.Fatal(err)
 	}
@@ -102,16 +102,20 @@ func TestKNNConstantAttribute(t *testing.T) {
 
 func TestKNNValidationAndPanics(t *testing.T) {
 	schema, _ := ml.NewSchema([]ml.Attribute{ml.NumericAttr("x")}, []string{"a", "b"})
-	if err := New(3).Fit(ml.NewDataset(schema)); err == nil {
+	if err := (&Classifier{K: 3}).Fit(ml.NewDataset(schema)); err == nil {
 		t.Fatal("empty training set should error")
-	}
-	if New(0).K != 3 {
-		t.Fatal("k<=0 should default to 3")
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(3).Predict([]float64{1})
+	(&Classifier{K: 3}).Predict([]float64{1})
+}
+
+// mustAdd adds an instance the test builds valid by construction.
+func mustAdd(d *ml.Dataset, x []float64, class int) {
+	if err := d.Add(x, class); err != nil {
+		panic(err)
+	}
 }

@@ -314,4 +314,4 @@ func (c *Classifier) Predict(x []float64) int {
 	return best
 }
 
-var _ ml.ProbClassifier = (*Classifier)(nil)
+var _ ml.Classifier = (*Classifier)(nil)

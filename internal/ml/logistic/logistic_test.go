@@ -20,7 +20,7 @@ func TestLinearlySeparableNumeric(t *testing.T) {
 		if x+y > 0 {
 			class = 1
 		}
-		d.MustAdd([]float64{x, y}, class)
+		mustAdd(d, []float64{x, y}, class)
 	}
 	lg := NewDefault()
 	if err := lg.Fit(d); err != nil {
@@ -56,7 +56,7 @@ func TestMulticlassNominal(t *testing.T) {
 		if rng.Float64() < 0.1 {
 			v = float64(rng.Intn(3))
 		}
-		d.MustAdd([]float64{v, float64(rng.Intn(2))}, class)
+		mustAdd(d, []float64{v, float64(rng.Intn(2))}, class)
 	}
 	lg := NewDefault()
 	if err := lg.Fit(d); err != nil {
@@ -73,7 +73,7 @@ func TestProbaSumsToOne(t *testing.T) {
 	schema, _ := ml.NewSchema([]ml.Attribute{ml.NumericAttr("x")}, []string{"a", "b", "c"})
 	d := ml.NewDataset(schema)
 	for i := 0; i < 30; i++ {
-		d.MustAdd([]float64{float64(i % 3)}, i%3)
+		mustAdd(d, []float64{float64(i % 3)}, i%3)
 	}
 	lg := NewDefault()
 	if err := lg.Fit(d); err != nil {
@@ -104,7 +104,7 @@ func TestMissingValuesHandled(t *testing.T) {
 		if i%10 == 0 {
 			x[0] = math.NaN()
 		}
-		d.MustAdd(x, class)
+		mustAdd(d, x, class)
 	}
 	lg := NewDefault()
 	if err := lg.Fit(d); err != nil {
@@ -135,7 +135,7 @@ func TestZeroVarianceNumericAttr(t *testing.T) {
 	d := ml.NewDataset(schema)
 	for i := 0; i < 40; i++ {
 		class := i % 2
-		d.MustAdd([]float64{7, float64(class)}, class)
+		mustAdd(d, []float64{7, float64(class)}, class)
 	}
 	lg := NewDefault()
 	if err := lg.Fit(d); err != nil {
@@ -150,5 +150,12 @@ func TestConfigDefaults(t *testing.T) {
 	lg := New(Config{})
 	if lg.cfg.MaxIter != 500 || lg.cfg.Tol <= 0 {
 		t.Fatalf("defaults = %+v", lg.cfg)
+	}
+}
+
+// mustAdd adds an instance the test builds valid by construction.
+func mustAdd(d *ml.Dataset, x []float64, class int) {
+	if err := d.Add(x, class); err != nil {
+		panic(err)
 	}
 }

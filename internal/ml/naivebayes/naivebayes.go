@@ -164,24 +164,4 @@ func (c *Classifier) Predict(x []float64) int {
 	return best
 }
 
-// PredictProba returns normalised posteriors via log-sum-exp.
-func (c *Classifier) PredictProba(x []float64) []float64 {
-	scores := c.logLikelihoods(x)
-	max := scores[0]
-	for _, s := range scores[1:] {
-		if s > max {
-			max = s
-		}
-	}
-	var z float64
-	for i := range scores {
-		scores[i] = math.Exp(scores[i] - max)
-		z += scores[i]
-	}
-	for i := range scores {
-		scores[i] /= z
-	}
-	return scores
-}
-
-var _ ml.ProbClassifier = (*Classifier)(nil)
+var _ ml.Classifier = (*Classifier)(nil)

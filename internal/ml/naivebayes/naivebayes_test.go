@@ -21,8 +21,8 @@ func nominalDataset(t *testing.T) *ml.Dataset {
 	}
 	d := ml.NewDataset(schema)
 	for i := 0; i < 20; i++ {
-		d.MustAdd([]float64{0, float64(i % 2)}, 0)
-		d.MustAdd([]float64{2, float64(2 - i%2)}, 1)
+		mustAdd(d, []float64{0, float64(i % 2)}, 0)
+		mustAdd(d, []float64{2, float64(2 - i%2)}, 1)
 	}
 	return d
 }
@@ -54,8 +54,8 @@ func TestGaussianClassification(t *testing.T) {
 	d := ml.NewDataset(schema)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100; i++ {
-		d.MustAdd([]float64{rng.NormFloat64() + 0, rng.NormFloat64() + 0}, 0)
-		d.MustAdd([]float64{rng.NormFloat64() + 5, rng.NormFloat64() + 5}, 1)
+		mustAdd(d, []float64{rng.NormFloat64() + 0, rng.NormFloat64() + 0}, 0)
+		mustAdd(d, []float64{rng.NormFloat64() + 5, rng.NormFloat64() + 5}, 1)
 	}
 	nb := New()
 	if err := nb.Fit(d); err != nil {
@@ -75,25 +75,6 @@ func TestGaussianClassification(t *testing.T) {
 	}
 }
 
-func TestPredictProbaSumsToOne(t *testing.T) {
-	d := nominalDataset(t)
-	nb := New()
-	if err := nb.Fit(d); err != nil {
-		t.Fatal(err)
-	}
-	p := nb.PredictProba([]float64{0, 1})
-	var sum float64
-	for _, v := range p {
-		if v < 0 || v > 1 {
-			t.Fatalf("probability out of range: %v", p)
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("probabilities sum to %v", sum)
-	}
-}
-
 func TestMissingValuesIgnored(t *testing.T) {
 	d := nominalDataset(t)
 	nb := New()
@@ -107,7 +88,7 @@ func TestMissingValuesIgnored(t *testing.T) {
 		t.Fatalf("Predict(all missing) = %d", got)
 	}
 	// Training with missing values must not crash either.
-	d.MustAdd([]float64{math.NaN(), 0}, 0)
+	mustAdd(d, []float64{math.NaN(), 0}, 0)
 	if err := nb.Fit(d); err != nil {
 		t.Fatal(err)
 	}
@@ -120,16 +101,16 @@ func TestLaplaceSmoothingUnseenValue(t *testing.T) {
 	}, []string{"x", "y"})
 	d := ml.NewDataset(schema)
 	for i := 0; i < 5; i++ {
-		d.MustAdd([]float64{0}, 0)
-		d.MustAdd([]float64{1}, 1)
+		mustAdd(d, []float64{0}, 0)
+		mustAdd(d, []float64{1}, 1)
 	}
 	nb := New()
 	if err := nb.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	p := nb.PredictProba([]float64{2}) // value "c" unseen
-	if math.IsNaN(p[0]) || p[0] <= 0 || p[1] <= 0 {
-		t.Fatalf("smoothing failed: %v", p)
+	ll := nb.logLikelihoods([]float64{2}) // value "c" unseen
+	if math.IsNaN(ll[0]) || math.IsInf(ll[0], -1) || math.IsInf(ll[1], -1) {
+		t.Fatalf("smoothing failed: %v", ll)
 	}
 }
 
@@ -138,8 +119,8 @@ func TestSingleValuedNumericAttribute(t *testing.T) {
 	schema, _ := ml.NewSchema([]ml.Attribute{ml.NumericAttr("x")}, []string{"a", "b"})
 	d := ml.NewDataset(schema)
 	for i := 0; i < 4; i++ {
-		d.MustAdd([]float64{1}, 0)
-		d.MustAdd([]float64{2}, 1)
+		mustAdd(d, []float64{1}, 0)
+		mustAdd(d, []float64{2}, 1)
 	}
 	nb := New()
 	if err := nb.Fit(d); err != nil {
@@ -154,17 +135,17 @@ func TestClassWithNoNumericValues(t *testing.T) {
 	// One class has only missing numerics; prediction must stay finite.
 	schema, _ := ml.NewSchema([]ml.Attribute{ml.NumericAttr("x")}, []string{"a", "b"})
 	d := ml.NewDataset(schema)
-	d.MustAdd([]float64{1}, 0)
-	d.MustAdd([]float64{1.5}, 0)
-	d.MustAdd([]float64{math.NaN()}, 1)
-	d.MustAdd([]float64{math.NaN()}, 1)
+	mustAdd(d, []float64{1}, 0)
+	mustAdd(d, []float64{1.5}, 0)
+	mustAdd(d, []float64{math.NaN()}, 1)
+	mustAdd(d, []float64{math.NaN()}, 1)
 	nb := New()
 	if err := nb.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	p := nb.PredictProba([]float64{1.2})
-	if math.IsNaN(p[0]) || math.IsNaN(p[1]) {
-		t.Fatalf("NaN probabilities: %v", p)
+	ll := nb.logLikelihoods([]float64{1.2})
+	if math.IsNaN(ll[0]) || math.IsNaN(ll[1]) {
+		t.Fatalf("NaN log-likelihoods: %v", ll)
 	}
 	if nb.Predict([]float64{1.2}) != 0 {
 		t.Fatal("class with data should win near its mean")
@@ -177,9 +158,9 @@ func TestPriorsInfluenceTies(t *testing.T) {
 		ml.NominalAttr("s", []string{"a"}),
 	}, []string{"rare", "common"})
 	d := ml.NewDataset(schema)
-	d.MustAdd([]float64{0}, 0)
+	mustAdd(d, []float64{0}, 0)
 	for i := 0; i < 9; i++ {
-		d.MustAdd([]float64{0}, 1)
+		mustAdd(d, []float64{0}, 1)
 	}
 	nb := New()
 	if err := nb.Fit(d); err != nil {
@@ -187,5 +168,12 @@ func TestPriorsInfluenceTies(t *testing.T) {
 	}
 	if nb.Predict([]float64{0}) != 1 {
 		t.Fatal("prior should favour the common class")
+	}
+}
+
+// mustAdd adds an instance the test builds valid by construction.
+func mustAdd(d *ml.Dataset, x []float64, class int) {
+	if err := d.Add(x, class); err != nil {
+		panic(err)
 	}
 }

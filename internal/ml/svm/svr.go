@@ -19,7 +19,6 @@ import (
 // Kernel computes k(a, b).
 type Kernel interface {
 	Eval(a, b []float64) float64
-	Name() string
 }
 
 // LinearKernel is the dot product (SMOreg's default polynomial of degree 1).
@@ -34,9 +33,6 @@ func (LinearKernel) Eval(a, b []float64) float64 {
 	return s
 }
 
-// Name identifies the kernel.
-func (LinearKernel) Name() string { return "linear" }
-
 // RBFKernel is exp(-gamma·|a-b|²).
 type RBFKernel struct{ Gamma float64 }
 
@@ -49,9 +45,6 @@ func (k RBFKernel) Eval(a, b []float64) float64 {
 	}
 	return math.Exp(-k.Gamma * s)
 }
-
-// Name identifies the kernel.
-func (k RBFKernel) Name() string { return "rbf" }
 
 // Config controls SVR training.
 type Config struct {
@@ -107,9 +100,6 @@ func New(cfg Config) *SVR {
 	}
 	return &SVR{cfg: cfg}
 }
-
-// NewDefault uses DefaultConfig.
-func NewDefault() *SVR { return New(DefaultConfig()) }
 
 // FitRegression trains on feature rows xs and targets ys.
 func (s *SVR) FitRegression(xs [][]float64, ys []float64) error {
@@ -247,16 +237,4 @@ func (s *SVR) PredictValue(x []float64) float64 {
 		}
 	}
 	return f*s.yrange + s.ymin
-}
-
-// SupportVectors returns how many training points have non-negligible
-// coefficients.
-func (s *SVR) SupportVectors() int {
-	n := 0
-	for _, b := range s.beta {
-		if math.Abs(b) > 1e-9 {
-			n++
-		}
-	}
-	return n
 }

@@ -77,7 +77,7 @@ func TestRBFNonlinear(t *testing.T) {
 func TestConstantTarget(t *testing.T) {
 	xs := [][]float64{{1}, {2}, {3}, {4}}
 	ys := []float64{5, 5, 5, 5}
-	s := NewDefault()
+	s := New(DefaultConfig())
 	if err := s.FitRegression(xs, ys); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestConstantTarget(t *testing.T) {
 }
 
 func TestFitValidation(t *testing.T) {
-	s := NewDefault()
+	s := New(DefaultConfig())
 	if err := s.FitRegression(nil, nil); err == nil {
 		t.Fatal("empty input should error")
 	}
@@ -105,7 +105,7 @@ func TestPredictUnfittedPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewDefault().PredictValue([]float64{1})
+	New(DefaultConfig()).PredictValue([]float64{1})
 }
 
 func TestKernels(t *testing.T) {
@@ -113,36 +113,12 @@ func TestKernels(t *testing.T) {
 	if lin.Eval([]float64{1, 2}, []float64{3, 4}) != 11 {
 		t.Fatal("linear kernel")
 	}
-	if lin.Name() != "linear" {
-		t.Fatal("linear name")
-	}
 	rbf := RBFKernel{Gamma: 1}
 	if got := rbf.Eval([]float64{0}, []float64{0}); got != 1 {
 		t.Fatalf("rbf self = %v", got)
 	}
 	if got := rbf.Eval([]float64{0}, []float64{1}); math.Abs(got-math.Exp(-1)) > 1e-12 {
 		t.Fatalf("rbf(0,1) = %v", got)
-	}
-	if rbf.Name() != "rbf" {
-		t.Fatal("rbf name")
-	}
-}
-
-func TestSupportVectorsReported(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i < 50; i++ {
-		x := rng.Float64()
-		xs = append(xs, []float64{x})
-		ys = append(ys, 2*x)
-	}
-	s := NewDefault()
-	if err := s.FitRegression(xs, ys); err != nil {
-		t.Fatal(err)
-	}
-	if s.SupportVectors() < 1 {
-		t.Fatal("expected at least one support vector")
 	}
 }
 

@@ -520,4 +520,4 @@ func (c *Classifier) String() string {
 	return fmt.Sprintf("tree(depth=%d, leaves=%d)", c.Depth(), c.Leaves())
 }
 
-var _ ml.ProbClassifier = (*Classifier)(nil)
+var _ ml.Classifier = (*Classifier)(nil)

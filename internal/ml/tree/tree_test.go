@@ -27,7 +27,7 @@ func conjunctionDataset(t *testing.T, n int) *ml.Dataset {
 		if p == 1 && q == 1 {
 			class = 1
 		}
-		d.MustAdd([]float64{p, q}, class)
+		mustAdd(d, []float64{p, q}, class)
 	}
 	return d
 }
@@ -69,7 +69,7 @@ func TestXORHasZeroGainAndStaysLeaf(t *testing.T) {
 		if p != q {
 			class = 1
 		}
-		d.MustAdd([]float64{p, q}, class)
+		mustAdd(d, []float64{p, q}, class)
 	}
 	tr := NewDefault()
 	if err := tr.Fit(d); err != nil {
@@ -84,8 +84,8 @@ func TestNumericThresholdSplit(t *testing.T) {
 	schema, _ := ml.NewSchema([]ml.Attribute{ml.NumericAttr("x")}, []string{"lo", "hi"})
 	d := ml.NewDataset(schema)
 	for i := 0; i < 20; i++ {
-		d.MustAdd([]float64{float64(i)}, 0)
-		d.MustAdd([]float64{float64(i) + 100}, 1)
+		mustAdd(d, []float64{float64(i)}, 0)
+		mustAdd(d, []float64{float64(i) + 100}, 1)
 	}
 	tr := NewDefault()
 	if err := tr.Fit(d); err != nil {
@@ -104,9 +104,9 @@ func TestNumericReusableAlongPath(t *testing.T) {
 	schema, _ := ml.NewSchema([]ml.Attribute{ml.NumericAttr("x")}, []string{"a", "b"})
 	d := ml.NewDataset(schema)
 	for i := 0; i < 10; i++ {
-		d.MustAdd([]float64{float64(i)}, 0)        // 0..9   -> a
-		d.MustAdd([]float64{float64(i) + 100}, 1)  // 100..  -> b
-		d.MustAdd([]float64{float64(i) + 1000}, 0) // 1000.. -> a
+		mustAdd(d, []float64{float64(i)}, 0)        // 0..9   -> a
+		mustAdd(d, []float64{float64(i) + 100}, 1)  // 100..  -> b
+		mustAdd(d, []float64{float64(i) + 1000}, 0) // 1000.. -> a
 	}
 	tr := NewDefault()
 	if err := tr.Fit(d); err != nil {
@@ -121,7 +121,7 @@ func TestPureNodeIsLeaf(t *testing.T) {
 	schema, _ := ml.NewSchema([]ml.Attribute{ml.NumericAttr("x")}, []string{"a", "b"})
 	d := ml.NewDataset(schema)
 	for i := 0; i < 10; i++ {
-		d.MustAdd([]float64{float64(i)}, 0)
+		mustAdd(d, []float64{float64(i)}, 0)
 	}
 	tr := NewDefault()
 	if err := tr.Fit(d); err != nil {
@@ -170,8 +170,8 @@ func TestUnseenNominalValueFallsBack(t *testing.T) {
 	}, []string{"x", "y"})
 	d := ml.NewDataset(schema)
 	for i := 0; i < 10; i++ {
-		d.MustAdd([]float64{0}, 0)
-		d.MustAdd([]float64{1}, 1)
+		mustAdd(d, []float64{0}, 0)
+		mustAdd(d, []float64{1}, 1)
 	}
 	tr := NewDefault()
 	if err := tr.Fit(d); err != nil {
@@ -194,7 +194,7 @@ func TestPruningShrinksNoisyTree(t *testing.T) {
 		d := ml.NewDataset(schema)
 		r := rand.New(rand.NewSource(7)) // same data both times
 		for i := 0; i < 200; i++ {
-			d.MustAdd([]float64{r.Float64(), r.Float64()}, r.Intn(2))
+			mustAdd(d, []float64{r.Float64(), r.Float64()}, r.Intn(2))
 		}
 		tr := New(Config{MinLeaf: 2, Prune: prune, CF: 0.25})
 		if err := tr.Fit(d); err != nil {
@@ -327,5 +327,12 @@ func TestDeterministicWithSeed(t *testing.T) {
 		if a.Predict(x) != b.Predict(x) {
 			t.Fatal("same seed must give same tree")
 		}
+	}
+}
+
+// mustAdd adds an instance the test builds valid by construction.
+func mustAdd(d *ml.Dataset, x []float64, class int) {
+	if err := d.Add(x, class); err != nil {
+		panic(err)
 	}
 }

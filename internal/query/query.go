@@ -121,41 +121,10 @@ func (e *Engine) Count(meterID uint64, t0, t1 int64) (uint64, bool) {
 	return m.Count(t0, t1), true
 }
 
-// Sum returns the sum of reconstruction values for the meter in [t0, t1).
-// It is Aggregate's Sum — one fold, so the two are bit-identical by
-// construction.
-func (e *Engine) Sum(meterID uint64, t0, t1 int64) (float64, bool) {
-	a, ok := e.Aggregate(meterID, t0, t1)
-	return a.Sum, ok
-}
-
-// Mean returns the mean reconstruction value in [t0, t1); NaN when the
-// range is empty.
-func (e *Engine) Mean(meterID uint64, t0, t1 int64) (float64, bool) {
-	a, ok := e.Aggregate(meterID, t0, t1)
-	if !ok {
-		return 0, false
-	}
-	return a.Mean(), true
-}
-
-// Min returns the smallest reconstruction value in [t0, t1); ok is false
-// when the meter is unknown or the range holds no points.
-func (e *Engine) Min(meterID uint64, t0, t1 int64) (float64, bool) {
-	a, ok := e.Aggregate(meterID, t0, t1)
-	return a.Min, ok && a.Count > 0
-}
-
-// Max is Min's counterpart.
-func (e *Engine) Max(meterID uint64, t0, t1 int64) (float64, bool) {
-	a, ok := e.Aggregate(meterID, t0, t1)
-	return a.Max, ok && a.Count > 0
-}
-
 // HistogramInto computes the per-symbol distribution for one meter over
-// [t0, t1) into h, reusing h.Counts' capacity — the zero-allocation form of
-// Histogram for callers that poll. ok reports whether the meter exists; a
-// range that covers no points leaves h.Counts empty.
+// [t0, t1) into h, reusing h.Counts' capacity, so a caller that polls
+// allocates nothing. ok reports whether the meter exists; a range that
+// covers no points leaves h.Counts empty.
 func (e *Engine) HistogramInto(h *Histogram, meterID uint64, t0, t1 int64) (bool, error) {
 	h.Level = 0
 	h.Counts = h.Counts[:0]
@@ -164,16 +133,6 @@ func (e *Engine) HistogramInto(h *Histogram, meterID uint64, t0, t1 int64) (bool
 		return false, nil
 	}
 	return true, m.Histogram(h, t0, t1)
-}
-
-// Histogram computes the per-symbol distribution for one meter over [t0, t1).
-func (e *Engine) Histogram(meterID uint64, t0, t1 int64) (Histogram, bool, error) {
-	var h Histogram
-	ok, err := e.HistogramInto(&h, meterID, t0, t1)
-	if err != nil {
-		return Histogram{}, ok, err
-	}
-	return h, ok, nil
 }
 
 // fanOut runs worker on nw workers — the calling goroutine and nw-1 others —
@@ -231,13 +190,6 @@ func (e *Engine) FleetAggregate(t0, t1 int64) Agg {
 		out.Merge(p)
 	}
 	return out
-}
-
-// FleetSum returns the fleet-wide sum and count over [t0, t1): the same
-// batched fold as FleetAggregate.
-func (e *Engine) FleetSum(t0, t1 int64) (float64, uint64) {
-	a := e.FleetAggregate(t0, t1)
-	return a.Sum, a.Count
 }
 
 // FleetCount returns the number of stored points across every meter in

@@ -136,10 +136,7 @@ func checkAgainstOracle(t *testing.T, e *Engine, st *server.Store, meterID uint6
 	if n, _ := e.Count(meterID, t0, t1); n != o.count {
 		t.Fatalf("[%d,%d) Count query = %d, oracle %d", t0, t1, n, o.count)
 	}
-	if s, _ := e.Sum(meterID, t0, t1); relDiff(s, o.sum) > 1e-9 {
-		t.Fatalf("[%d,%d) Sum query = %v, oracle %v", t0, t1, s, o.sum)
-	}
-	m, _ := e.Mean(meterID, t0, t1)
+	m := a.Mean()
 	if o.count == 0 {
 		if !math.IsNaN(m) {
 			t.Fatalf("[%d,%d) Mean of empty range = %v, want NaN", t0, t1, m)
@@ -148,8 +145,8 @@ func checkAgainstOracle(t *testing.T, e *Engine, st *server.Store, meterID uint6
 		t.Fatalf("[%d,%d) Mean = %v, oracle %v", t0, t1, m, o.sum/float64(o.count))
 	}
 	if k <= 1<<12 { // the finest level Histogram answers
-		h, _, err := e.Histogram(meterID, t0, t1)
-		if err != nil {
+		var h Histogram
+		if _, err := e.HistogramInto(&h, meterID, t0, t1); err != nil {
 			t.Fatalf("[%d,%d) Histogram: %v", t0, t1, err)
 		}
 		if o.count == 0 {
@@ -232,8 +229,8 @@ func TestFleetMatchesPerMeter(t *testing.T) {
 			t.Fatalf("meter %d unknown", m)
 		}
 		want.Merge(a)
-		h, _, err := e.Histogram(uint64(m), t0, t1)
-		if err != nil {
+		var h Histogram
+		if _, err := e.HistogramInto(&h, uint64(m), t0, t1); err != nil {
 			t.Fatal(err)
 		}
 		if wantHist == nil {
@@ -251,10 +248,6 @@ func TestFleetMatchesPerMeter(t *testing.T) {
 	if relDiff(got.Sum, want.Sum) > 1e-9 {
 		t.Fatalf("fleet sum = %v, merged %v", got.Sum, want.Sum)
 	}
-	sum, count := e.FleetSum(t0, t1)
-	if count != want.Count || relDiff(sum, want.Sum) > 1e-9 {
-		t.Fatalf("FleetSum = %v/%d, want %v/%d", sum, count, want.Sum, want.Count)
-	}
 	fh, err := e.FleetHistogram(t0, t1)
 	if err != nil {
 		t.Fatal(err)
@@ -270,12 +263,6 @@ func TestUnknownMeter(t *testing.T) {
 	e := New(server.NewStore(2))
 	if _, ok := e.Aggregate(404, 0, 1000); ok {
 		t.Fatal("Aggregate of unknown meter reported ok")
-	}
-	if _, ok := e.Sum(404, 0, 1000); ok {
-		t.Fatal("Sum of unknown meter reported ok")
-	}
-	if _, ok := e.Min(404, 0, 1000); ok {
-		t.Fatal("Min of unknown meter reported ok")
 	}
 }
 
@@ -406,10 +393,7 @@ func TestQueryZeroAlloc(t *testing.T) {
 		}
 	}
 	partial := func() { // cuts inside blocks on both ends: edge kernels
-		if s, ok := e.Sum(1, 100*900, 2500*900+450); !ok || s == 0 {
-			t.Fatal("bad sum")
-		}
-		if a, ok := e.Aggregate(1, 100*900, 2500*900+450); !ok || a.Count == 0 {
+		if a, ok := e.Aggregate(1, 100*900, 2500*900+450); !ok || a.Count == 0 || a.Sum == 0 {
 			t.Fatal("bad aggregate")
 		}
 	}
@@ -479,11 +463,8 @@ func TestPrunedQueryZeroAllocAndLockFree(t *testing.T) {
 	}
 	before := st.QueryLockAcquisitions()
 	pruned := func() {
-		if a, ok := e.Aggregate(1, t0, t1); !ok || a.Count == 0 {
+		if a, ok := e.Aggregate(1, t0, t1); !ok || a.Count == 0 || a.Sum == 0 {
 			t.Fatal("bad pruned aggregate")
-		}
-		if s, ok := e.Sum(1, t0, t1); !ok || s == 0 {
-			t.Fatal("bad pruned sum")
 		}
 		if n, ok := e.Count(1, t0, t1); !ok || n == 0 {
 			t.Fatal("bad pruned count")
@@ -529,7 +510,6 @@ func TestFleetWorkerPoolEquivalence(t *testing.T) {
 	e := New(st)
 	t0, t1 := int64(50*900), int64(800*900)
 	ref := e.FleetAggregate(t0, t1)
-	refSum, refCount := e.FleetSum(t0, t1)
 	refHist, err := e.FleetHistogram(t0, t1)
 	if err != nil {
 		t.Fatal(err)
@@ -540,10 +520,6 @@ func TestFleetWorkerPoolEquivalence(t *testing.T) {
 		a := e.FleetAggregate(t0, t1)
 		if a.Count != ref.Count || a.Min != ref.Min || a.Max != ref.Max || relDiff(a.Sum, ref.Sum) > 1e-9 {
 			t.Fatalf("workers=%d: FleetAggregate %+v, want %+v", workers, a, ref)
-		}
-		sum, count := e.FleetSum(t0, t1)
-		if count != refCount || relDiff(sum, refSum) > 1e-9 {
-			t.Fatalf("workers=%d: FleetSum %v/%d, want %v/%d", workers, sum, count, refSum, refCount)
 		}
 		h, err := e.FleetHistogram(t0, t1)
 		if err != nil {

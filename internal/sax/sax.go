@@ -14,7 +14,6 @@ package sax
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"symmeter/internal/stats"
 )
@@ -128,16 +127,6 @@ func (e *Encoder) Encode(xs []float64) (Word, error) {
 	return e.quantise(paa), nil
 }
 
-// EncodeWithoutNormalization skips the z-normalisation step — used by the
-// Fig. 3 demonstration to isolate exactly what normalisation destroys.
-func (e *Encoder) EncodeWithoutNormalization(xs []float64) (Word, error) {
-	paa, err := PAA(xs, e.W)
-	if err != nil {
-		return Word{}, err
-	}
-	return e.quantise(paa), nil
-}
-
 func (e *Encoder) quantise(paa []float64) Word {
 	symbols := make([]int, len(paa))
 	for i, v := range paa {
@@ -158,41 +147,4 @@ func (e *Encoder) symbol(v float64) int {
 		}
 	}
 	return lo
-}
-
-// MinDist is the SAX lower-bounding distance between two equal-length words
-// encoded with this encoder's parameters, for original series length n.
-// It lower-bounds the Euclidean distance of the z-normalised series.
-func (e *Encoder) MinDist(a, b Word, n int) (float64, error) {
-	if len(a.Symbols) != len(b.Symbols) {
-		return 0, errors.New("sax: word lengths differ")
-	}
-	if a.K != e.K || b.K != e.K {
-		return 0, errors.New("sax: words use a different alphabet")
-	}
-	var sum float64
-	for i := range a.Symbols {
-		d := e.cellDist(a.Symbols[i], b.Symbols[i])
-		sum += d * d
-	}
-	return math.Sqrt(float64(n)/float64(e.W)) * math.Sqrt(sum), nil
-}
-
-// cellDist is the breakpoint-gap distance between two symbols; adjacent or
-// equal symbols are distance 0 (the SAX dist table).
-func (e *Encoder) cellDist(r, c int) float64 {
-	if abs(r-c) <= 1 {
-		return 0
-	}
-	if r > c {
-		r, c = c, r
-	}
-	return e.breakpoints[c-1] - e.breakpoints[r]
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"symmeter/internal/stats"
 )
@@ -161,71 +160,17 @@ func TestFig3NormalizationDestroysLevel(t *testing.T) {
 		}
 		return out
 	}
-	uBig, _ := e.EncodeWithoutNormalization(sharedScale(big))
-	uSmall, _ := e.EncodeWithoutNormalization(sharedScale(small))
+	encodeRaw := func(xs []float64) Word {
+		paa, err := PAA(xs, e.W)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.quantise(paa)
+	}
+	uBig := encodeRaw(sharedScale(big))
+	uSmall := encodeRaw(sharedScale(small))
 	if uBig.String() == uSmall.String() {
 		t.Fatalf("shared-scale words identical: %v — level information lost", uBig)
-	}
-}
-
-func TestMinDistLowerBoundsEuclidean(t *testing.T) {
-	// Property: MinDist(SAX(a), SAX(b)) <= Euclid(znorm(a), znorm(b)).
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 64
-		a := make([]float64, n)
-		b := make([]float64, n)
-		for i := 0; i < n; i++ {
-			a[i] = rng.NormFloat64()*10 + 50
-			b[i] = rng.NormFloat64()*25 + 30
-		}
-		e, err := NewEncoder(8, 8)
-		if err != nil {
-			return false
-		}
-		wa, err1 := e.Encode(a)
-		wb, err2 := e.Encode(b)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		md, err := e.MinDist(wa, wb, n)
-		if err != nil {
-			return false
-		}
-		za, zb := ZNormalize(a), ZNormalize(b)
-		var euclid float64
-		for i := range za {
-			d := za[i] - zb[i]
-			euclid += d * d
-		}
-		euclid = math.Sqrt(euclid)
-		return md <= euclid+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMinDistErrorsAndIdentity(t *testing.T) {
-	e, _ := NewEncoder(4, 4)
-	w1 := Word{Symbols: []int{0, 1, 2, 3}, K: 4}
-	w2 := Word{Symbols: []int{0, 1}, K: 4}
-	if _, err := e.MinDist(w1, w2, 16); err == nil {
-		t.Fatal("length mismatch should error")
-	}
-	w3 := Word{Symbols: []int{0, 1, 2, 3}, K: 8}
-	if _, err := e.MinDist(w1, w3, 16); err == nil {
-		t.Fatal("alphabet mismatch should error")
-	}
-	d, err := e.MinDist(w1, w1, 16)
-	if err != nil || d != 0 {
-		t.Fatalf("self distance = %v, %v", d, err)
-	}
-	// Adjacent symbols have distance 0 (SAX dist table).
-	wAdj := Word{Symbols: []int{1, 2, 3, 3}, K: 4}
-	d, _ = e.MinDist(w1, wAdj, 16)
-	if d != 0 {
-		t.Fatalf("adjacent-symbol distance = %v, want 0", d)
 	}
 }
 

@@ -89,15 +89,6 @@ type Histogram struct {
 	Counts []uint64
 }
 
-// Total returns the histogram mass.
-func (h *Histogram) Total() uint64 {
-	var n uint64
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
 // FoldScratch is Aggregate's reusable edge state: the histogram that the
 // current run of edge spans — consecutive edges at one level under one
 // table — folds into, turned into floats once per run. A caller reuses one

@@ -110,9 +110,6 @@ type Meter struct {
 	sh *shard
 }
 
-// ID returns the meter's identifier.
-func (m Meter) ID() uint64 { return m.e.id }
-
 // TotalSymbols returns the meter's stored point count, tail included,
 // without locking.
 func (m Meter) TotalSymbols() int { return int(m.e.total.Load()) }

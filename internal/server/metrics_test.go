@@ -43,9 +43,6 @@ func TestStatsRegistryBacked(t *testing.T) {
 		t.Fatal("sessions did not settle")
 	}
 
-	if svc.Metrics() != reg {
-		t.Fatal("Metrics() must return the configured registry")
-	}
 	st := svc.Stats()
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -91,14 +88,69 @@ func TestStatsRegistryBacked(t *testing.T) {
 // (into its own registry), so hot paths never branch on telemetry.
 func TestPrivateRegistryDefault(t *testing.T) {
 	svc := New(Config{Shards: 2})
-	if svc.Metrics() == nil {
+	if svc.met.reg == nil {
 		t.Fatal("nil Config.Metrics must yield a private registry")
 	}
 	var buf bytes.Buffer
-	if err := svc.Metrics().WritePrometheus(&buf); err != nil {
+	if err := svc.met.reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "symmeter_ingest_sessions_total 0") {
 		t.Fatal("private registry missing the service families")
 	}
+}
+
+// TestPartingVerdictFrameCounted: the session-ending 'X' frame is a frame
+// out like any other. A busy-meter refusal (a second session for a live
+// meter) raises the out 'X' frame and byte counters by exactly that frame.
+func TestPartingVerdictFrameCounted(t *testing.T) {
+	reg := metrics.New()
+	svc := New(Config{Shards: 2, Metrics: reg})
+	addr, err := svc.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	sequencedDial(t, addr.String(), 5)
+	frames0, bytes0 := outVerdictFrames(t, reg)
+
+	second := rawConn(t, addr.String())
+	if err := transport.WriteHandshakeFlags(second, 5, transport.FlagSequenced); err != nil {
+		t.Fatal(err)
+	}
+	second.SetReadDeadline(time.Now().Add(5 * time.Second))
+	typ, payload, err := transport.NewFrameReader(second).Next()
+	if err != nil || typ != transport.FrameQueryError {
+		t.Fatalf("parting frame: typ=%#x err=%v", typ, err)
+	}
+	// The session error is recorded after the parting write is counted.
+	waitSessionErr(t, svc, ErrDuplicateMeter)
+	frames1, bytes1 := outVerdictFrames(t, reg)
+	if frames1-frames0 != 1 || bytes1-bytes0 != int64(5+len(payload)) {
+		t.Fatalf("out 'X' counters moved by %d frames, %d bytes; want 1 frame, %d bytes",
+			frames1-frames0, bytes1-bytes0, 5+len(payload))
+	}
+}
+
+// outVerdictFrames scrapes reg for the out-direction 'X' frame and byte
+// counters.
+func outVerdictFrames(t *testing.T, reg *metrics.Registry) (frames, bytes int64) {
+	t.Helper()
+	var buf strings.Builder
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		name, v, ok := strings.Cut(line, ` `)
+		if !ok {
+			continue
+		}
+		switch name {
+		case `symmeter_transport_frames_total{dir="out",type="X"}`:
+			fmt.Sscan(v, &frames)
+		case `symmeter_transport_frame_bytes_total{dir="out",type="X"}`:
+			fmt.Sscan(v, &bytes)
+		}
+	}
+	return frames, bytes
 }

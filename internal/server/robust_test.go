@@ -130,9 +130,12 @@ func TestIdleSessionReapedAndMeterFreed(t *testing.T) {
 
 // TestIdleTimeoutRefreshedPerFrame proves steady traffic keeps a session
 // alive well past the idle timeout — the deadline is per-read, not
-// per-connection.
+// per-connection. The session lives 3× the timeout while never going silent
+// for more than about a twentieth of it, so a loaded machine that delays a
+// frame by several gaps still does not reap it.
 func TestIdleTimeoutRefreshedPerFrame(t *testing.T) {
-	svc := New(Config{Shards: 2, IdleTimeout: 150 * time.Millisecond})
+	const idle = 400 * time.Millisecond
+	svc := New(Config{Shards: 2, IdleTimeout: idle})
 	addr, err := svc.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -143,14 +146,14 @@ func TestIdleTimeoutRefreshedPerFrame(t *testing.T) {
 	table := testTable(t)
 	conn.Write(seqTableFrame(1, table))
 	expectAck(t, fr, 1)
-	// Stream one window every ~50ms for 3× the idle timeout.
+	// Stream one window every ~20ms for 3× the idle timeout.
 	start := time.Now()
 	seq := uint64(1)
-	for time.Since(start) < 450*time.Millisecond {
+	for time.Since(start) < 3*idle {
 		seq++
 		conn.Write(seqBatchFrame(t, seq, int64(seq)*60, 60, []symbolic.Symbol{table.Encode(100)}))
 		expectAck(t, fr, seq)
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(20 * time.Millisecond)
 	}
 	writeRawFrame(t, conn, transport.FrameEnd, 0, nil)
 	conn.Close()

@@ -229,10 +229,6 @@ func (s *Service) Stats() Stats {
 	}
 }
 
-// Metrics returns the registry the service records into — the one from
-// Config.Metrics, or the private registry created when none was given.
-func (s *Service) Metrics() *metrics.Registry { return s.met.reg }
-
 // BeginDrain switches the service into graceful-drain mode: established
 // sessions keep their contracts, but new ingest handshakes and new query
 // sessions are answered with VerdictDraining — typed, retryable
@@ -463,7 +459,9 @@ func (s *Service) handleConn(conn net.Conn, queryOnly bool) {
 			}
 			conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 			frame := transport.AppendQueryErrorFrame(nil, 0, code, err.Error())
-			_, _ = conn.Write(frame)
+			if _, werr := conn.Write(frame); werr == nil {
+				s.met.framesOut.Observe(frame[0], len(frame)-5)
+			}
 		}
 		s.recordErr(err)
 	}

@@ -443,10 +443,12 @@ func (s *Store) AdmitSeq(meterID, seq uint64, batch bool, n int) (epoch, level i
 	return epoch, level, false, nil
 }
 
-// PushTableSeq is PushTable under a session sequence number: seq == hwm+1
-// commits the table and advances the mark, seq <= hwm is suppressed as a
-// duplicate (dup=true, nothing written, still to be acked), and a gap is
-// refused. The shard lock is held from the check until the mark advances.
+// PushTableSeq records a new lookup table for the meter under a session
+// sequence number, opening a new epoch (the current tail block is left to
+// seal itself on the next append): seq == hwm+1 commits the table and
+// advances the mark, seq <= hwm is suppressed as a duplicate (dup=true,
+// nothing written, still to be acked), and a gap is refused. The shard lock
+// is held from the check until the mark advances.
 func (s *Store) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, error) {
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
@@ -460,8 +462,9 @@ func (s *Store) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, erro
 	return false, nil
 }
 
-// PushTable records a new lookup table for the meter, opening a new epoch:
-// the current tail block is left to seal itself on the next append.
+// PushTable is PushTableSeq without a sequence number: it opens a new epoch
+// and leaves the mark alone. No ingest path calls it; it is the store half of
+// the storage tests' unsequenced legacy-record fixture.
 func (s *Store) PushTable(meterID uint64, t *symbolic.Table) error {
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
@@ -929,19 +932,6 @@ func appendBlockPoints(dst []ReconPoint, b *block, firstT int64, tables []*symbo
 		})
 	}
 	return dst, scratch
-}
-
-// Meters returns the IDs of every meter the store has seen, in no
-// particular order, reading only the published meter lists — no shard
-// lock is taken.
-func (s *Store) Meters() []uint64 {
-	var ids []uint64
-	for i := range s.shards {
-		for _, m := range s.shards[i].meterList() {
-			ids = append(ids, m.ID())
-		}
-	}
-	return ids
 }
 
 // TotalSymbols returns the number of stored points across all meters,

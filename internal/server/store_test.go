@@ -144,7 +144,7 @@ func TestConcurrentStoreAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				s.TotalSymbols()
-				s.Meters()
+				meterCount(s)
 				s.Snapshot(uint64(i%meters + 1))
 			}
 		}()
@@ -153,7 +153,7 @@ func TestConcurrentStoreAccess(t *testing.T) {
 	if got := s.TotalSymbols(); got != meters*10*8 {
 		t.Fatalf("total symbols = %d, want %d", got, meters*10*8)
 	}
-	if got := len(s.Meters()); got != meters {
+	if got := meterCount(s); got != meters {
 		t.Fatalf("meters = %d, want %d", got, meters)
 	}
 }
@@ -594,7 +594,7 @@ func TestSealedReadsLockFree(t *testing.T) {
 	if pts != 4*BlockCap {
 		t.Fatalf("sealed range saw %d points, want %d", pts, 4*BlockCap)
 	}
-	s.Meters()
+	meterCount(s)
 	s.TotalSymbols()
 	if got := s.QueryLockAcquisitions(); got != before {
 		t.Fatalf("sealed-only reads took %d shard locks, want 0", got-before)
@@ -767,7 +767,7 @@ func TestConcurrentPublishStress(t *testing.T) {
 				last[id] = n
 				if r == 0 {
 					s.TotalSymbols()
-					s.Meters()
+					meterCount(s)
 				}
 				if r == 1 && i%5 == 0 {
 					if st, ok := s.Snapshot(id); ok {
@@ -839,4 +839,14 @@ func TestRegistrationCostFlat(t *testing.T) {
 	if large > 2*small {
 		t.Fatalf("registration at 8 192 meters costs %.0f B, more than twice the %.0f B at 1 024", large, small)
 	}
+}
+
+// meterCount counts the meters on the store's published meter lists, taking
+// no shard lock.
+func meterCount(s *Store) int {
+	n := 0
+	for i := range s.NumShards() {
+		n += len(s.ShardMeters(i))
+	}
+	return n
 }

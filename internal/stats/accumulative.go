@@ -25,9 +25,6 @@ func (a *Accumulative) Add(x float64) {
 	a.count++
 }
 
-// Count returns how many values have been added.
-func (a *Accumulative) Count() int { return a.count }
-
 // Mean returns the running mean in O(1).
 func (a *Accumulative) Mean() float64 {
 	if a.count == 0 {
@@ -85,13 +82,4 @@ func (a *Accumulative) Snapshot() Point {
 	}
 	p.DistinctMedian = quantileSorted(distinct, 0.5)
 	return p
-}
-
-// Median returns the running median (consolidating first).
-func (a *Accumulative) Median() float64 {
-	a.consolidate()
-	if len(a.sorted) == 0 {
-		return 0
-	}
-	return quantileSorted(a.sorted, 0.5)
 }

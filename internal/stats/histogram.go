@@ -42,22 +42,6 @@ func (h *Histogram) Add(x float64) {
 	}
 }
 
-// AddAll records every observation in xs.
-func (h *Histogram) AddAll(xs []float64) {
-	for _, x := range xs {
-		h.Add(x)
-	}
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
 // Mode returns the lower edge of the most populated bin.
 func (h *Histogram) Mode() float64 {
 	best := 0

@@ -113,9 +113,6 @@ func (e *P2Quantile) linear(i int, d float64) float64 {
 	return e.q[i] + d*(e.q[i+int(d)]-e.q[i])/(e.n[i+int(d)]-e.n[i])
 }
 
-// Count returns the number of observations.
-func (e *P2Quantile) Count() int { return e.count }
-
 // Value returns the current quantile estimate. For fewer than five
 // observations it falls back to the exact small-sample quantile.
 func (e *P2Quantile) Value() float64 {

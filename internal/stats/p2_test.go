@@ -16,7 +16,7 @@ func TestP2Validation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Value() != 0 || e.Count() != 0 {
+	if e.Value() != 0 || e.count != 0 {
 		t.Fatal("empty estimator should report 0")
 	}
 }
@@ -29,8 +29,8 @@ func TestP2SmallSamplesExact(t *testing.T) {
 	if got := e.Value(); got != 3 {
 		t.Fatalf("median of {1,3,5} = %v", got)
 	}
-	if e.Count() != 3 {
-		t.Fatalf("Count = %d", e.Count())
+	if e.count != 3 {
+		t.Fatalf("count = %d", e.count)
 	}
 }
 
@@ -56,8 +56,8 @@ func TestP2AccuracyOnDistributions(t *testing.T) {
 				est.Add(x)
 				all = append(all, x)
 			}
-			exact := Quantile(all, q)
-			scale := Quantile(all, 0.75) - Quantile(all, 0.25)
+			exact := quantile(all, q)
+			scale := quantile(all, 0.75) - quantile(all, 0.25)
 			if err := math.Abs(est.Value() - exact); err > c.tol*scale {
 				t.Errorf("%s q=%v: P² %v vs exact %v (err %v, scale %v)",
 					c.name, q, est.Value(), exact, err, scale)

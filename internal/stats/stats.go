@@ -71,18 +71,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics (type-7, the common default).
-// It sorts a copy; the input is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
 // quantileSorted computes the type-7 quantile over already-sorted data.
 func quantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
@@ -103,9 +91,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
-
-// Median returns the 0.5-quantile.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // KQuantiles returns the k-1 interior separators that divide the ordered
 // data into k equal-sized subsets — exactly the separators of the paper's

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -31,7 +32,7 @@ func TestMeanVarianceStdDev(t *testing.T) {
 func TestEmptyInputsAreNaN(t *testing.T) {
 	for name, f := range map[string]func([]float64) float64{
 		"Mean": Mean, "Variance": Variance, "StdDev": StdDev,
-		"Min": Min, "Max": Max, "Median": Median,
+		"Min": Min, "Max": Max,
 	} {
 		if got := f(nil); !math.IsNaN(got) {
 			t.Errorf("%s(nil) = %v, want NaN", name, got)
@@ -46,34 +47,43 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
+// quantile is the type-7 q-quantile of xs, computed over a sorted copy.
+func quantile(xs []float64, q float64) float64 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return quantileSorted(sorted, q)
+}
+
 func TestQuantileKnownValues(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	cases := []struct{ q, want float64 }{
 		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75}, {-1, 1}, {2, 4},
 	}
 	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almostEq(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		if got := quantile(xs, c.q); !almostEq(got, c.want, 1e-12) {
+			t.Errorf("quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
-	if got := Quantile([]float64{42}, 0.7); got != 42 {
+	if got := quantile([]float64{42}, 0.7); got != 42 {
 		t.Fatalf("single-element quantile = %v", got)
 	}
 }
 
 func TestQuantileDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	Quantile(xs, 0.5)
+	if _, err := KQuantiles(xs, 2); err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(xs, []float64{3, 1, 2}) {
-		t.Fatal("Quantile mutated input")
+		t.Fatal("KQuantiles mutated input")
 	}
 }
 
 func TestMedianOddEven(t *testing.T) {
-	if got := Median([]float64{5, 1, 3}); got != 3 {
+	if got := quantile([]float64{5, 1, 3}, 0.5); got != 3 {
 		t.Fatalf("odd median = %v", got)
 	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
+	if got := quantile([]float64{4, 1, 3, 2}, 0.5); got != 2.5 {
 		t.Fatalf("even median = %v", got)
 	}
 }
@@ -178,7 +188,9 @@ func TestKQuantilesProperty(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
-	h.AddAll([]float64{0, 5, 9.999, 10, 49.999, 50, -1, math.NaN()})
+	for _, x := range []float64{0, 5, 9.999, 10, 49.999, 50, -1, math.NaN()} {
+		h.Add(x)
+	}
 	if h.Counts[0] != 3 {
 		t.Fatalf("bin0 = %d, want 3", h.Counts[0])
 	}
@@ -188,8 +200,12 @@ func TestHistogram(t *testing.T) {
 	if h.Over != 1 || h.Under != 1 {
 		t.Fatalf("over/under = %d/%d", h.Over, h.Under)
 	}
-	if h.Total() != 5 {
-		t.Fatalf("Total = %d", h.Total())
+	var total int64
+	for _, c := range h.Counts {
+		total += c
+	}
+	if total != 5 {
+		t.Fatalf("in-range total = %d", total)
 	}
 	if h.Mode() != 0 {
 		t.Fatalf("Mode = %v", h.Mode())
@@ -225,11 +241,11 @@ func TestAccumulativeMatchesBatch(t *testing.T) {
 			if !almostEq(p.Mean, Mean(all), 1e-9) {
 				t.Fatalf("at %d: mean %v != %v", i, p.Mean, Mean(all))
 			}
-			if !almostEq(p.Median, Median(all), 1e-9) {
-				t.Fatalf("at %d: median %v != %v", i, p.Median, Median(all))
+			if !almostEq(p.Median, quantile(all, 0.5), 1e-9) {
+				t.Fatalf("at %d: median %v != %v", i, p.Median, quantile(all, 0.5))
 			}
-			if !almostEq(p.DistinctMedian, Median(Distinct(all)), 1e-9) {
-				t.Fatalf("at %d: distinctmedian %v != %v", i, p.DistinctMedian, Median(Distinct(all)))
+			if !almostEq(p.DistinctMedian, quantile(Distinct(all), 0.5), 1e-9) {
+				t.Fatalf("at %d: distinctmedian %v != %v", i, p.DistinctMedian, quantile(Distinct(all), 0.5))
 			}
 			if p.Count != i+1 {
 				t.Fatalf("count %d != %d", p.Count, i+1)
@@ -241,7 +257,7 @@ func TestAccumulativeMatchesBatch(t *testing.T) {
 func TestAccumulativeEmpty(t *testing.T) {
 	var acc Accumulative
 	p := acc.Snapshot()
-	if p.Count != 0 || p.Mean != 0 || acc.Median() != 0 {
+	if p.Count != 0 || p.Mean != 0 || p.Median != 0 {
 		t.Fatalf("empty snapshot = %+v", p)
 	}
 }
@@ -249,12 +265,12 @@ func TestAccumulativeEmpty(t *testing.T) {
 func TestAccumulativeInterleavedSnapshots(t *testing.T) {
 	var acc Accumulative
 	acc.Add(3)
-	if acc.Median() != 3 {
+	if acc.Snapshot().Median != 3 {
 		t.Fatal("median of {3}")
 	}
 	acc.Add(1)
 	acc.Add(2)
-	if got := acc.Median(); got != 2 {
+	if got := acc.Snapshot().Median; got != 2 {
 		t.Fatalf("median of {1,2,3} = %v", got)
 	}
 	acc.Add(10)

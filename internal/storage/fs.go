@@ -27,7 +27,6 @@ type File interface {
 	Sync() error
 	Truncate(size int64) error
 	Stat() (os.FileInfo, error)
-	Name() string
 }
 
 // FS abstracts the filesystem operations the engine performs against its

@@ -99,7 +99,3 @@ func (e *Engine) registerRecoveryMetrics() {
 		"Points of the WAL the last recovery skipped as already covered by segments.",
 		func() float64 { return float64(rs.SkippedPoints) })
 }
-
-// Metrics returns the engine's registry — the one Options.Metrics supplied,
-// or the private one created in its absence.
-func (e *Engine) Metrics() *metrics.Registry { return e.met.reg }

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"symmeter/internal/metrics"
 	"symmeter/internal/server"
 	"symmeter/internal/symbolic"
 )
@@ -565,7 +566,8 @@ func TestFooterRoomRunningTotal(t *testing.T) {
 // Recovery() reports.
 func TestRecoveryMetricsMatchStats(t *testing.T) {
 	dir := buildEquivDir(t, true)
-	eng, err := Open(Options{Dir: dir, Shards: 8, Sync: SyncOff, SegmentBytes: 64 << 10})
+	reg := metrics.New()
+	eng, err := Open(Options{Dir: dir, Shards: 8, Sync: SyncOff, SegmentBytes: 64 << 10, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +577,7 @@ func TestRecoveryMetricsMatchStats(t *testing.T) {
 		t.Fatalf("recovery timings not recorded: %+v", rs)
 	}
 	var buf bytes.Buffer
-	if err := eng.Metrics().WritePrometheus(&buf); err != nil {
+	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for name, want := range map[string]float64{

@@ -167,19 +167,20 @@ func applyRecords(t testing.TB, recs []walRecord, upto int) *server.Store {
 	return st
 }
 
-// sameAggregates reports whether two stores agree bit-exactly on full-range
-// per-meter aggregates and histograms.
+// sameAggregates reports whether two stores hold the same number of meters
+// and agree bit-exactly on full-range per-meter aggregates and histograms
+// for every meter in testMeters, which covers every meter the WAL fixtures
+// write.
 func sameAggregates(t testing.TB, got, want *server.Store) bool {
 	t.Helper()
-	if got.TotalSymbols() != want.TotalSymbols() {
+	if got.TotalSymbols() != want.TotalSymbols() || meterCount(got) != meterCount(want) {
 		return false
 	}
 	ge, we := query.New(got), query.New(want)
-	ids := want.Meters()
-	for _, m := range ids {
-		ga, _ := ge.Aggregate(m, 0, math.MaxInt64)
-		wa, _ := we.Aggregate(m, 0, math.MaxInt64)
-		if ga.Count != wa.Count ||
+	for _, m := range testMeters {
+		ga, gok := ge.Aggregate(m, 0, math.MaxInt64)
+		wa, wok := we.Aggregate(m, 0, math.MaxInt64)
+		if gok != wok || ga.Count != wa.Count ||
 			math.Float64bits(ga.Sum) != math.Float64bits(wa.Sum) ||
 			math.Float64bits(ga.Min) != math.Float64bits(wa.Min) ||
 			math.Float64bits(ga.Max) != math.Float64bits(wa.Max) {
@@ -467,4 +468,13 @@ func TestOversizedHistogramLaneFailsLoudly(t *testing.T) {
 		!strings.Contains(err.Error(), "histogram lane") {
 		t.Fatalf("oversized footer lane: got %v, want a histogram lane failure", err)
 	}
+}
+
+// meterCount counts the meters on st's published meter lists.
+func meterCount(st *server.Store) int {
+	n := 0
+	for s := range st.NumShards() {
+		n += len(st.ShardMeters(s))
+	}
+	return n
 }

@@ -27,10 +27,9 @@ import (
 type AdaptiveEncoder struct {
 	cfg AdaptiveConfig
 
-	enc     *Encoder
-	method  Method
-	k       int
-	updates int
+	enc    *Encoder
+	method Method
+	k      int
 
 	// buffer holds recent true window averages for relearning.
 	buffer []float64
@@ -119,9 +118,6 @@ func NewAdaptiveEncoder(initial *Table, cfg AdaptiveConfig) (*AdaptiveEncoder, e
 // Table returns the current lookup table.
 func (a *AdaptiveEncoder) Table() *Table { return a.enc.Table() }
 
-// Updates returns how many times the table has been relearned.
-func (a *AdaptiveEncoder) Updates() int { return a.updates }
-
 // evalLevel is the histogram resolution used for drift detection: drift is
 // measured on symbols coarsened to at most 2^evalLevel bins, because a
 // day's worth of fine-grained (k=16) histogram is dominated by sampling
@@ -183,7 +179,6 @@ func (a *AdaptiveEncoder) evaluate(at int64) *TableUpdate {
 		return nil
 	}
 	a.enc = NewEncoder(newTable, a.cfg.Window)
-	a.updates++
 	a.baseline = nil // recalibrate against the new table
 	a.drifted = 0
 	return &TableUpdate{At: at, Table: newTable, Divergence: div}

@@ -40,9 +40,6 @@ func NewEncoder(table *Table, window int64) *Encoder {
 // aggregation server before sending symbolic data.
 func (e *Encoder) Table() *Table { return e.table }
 
-// Window returns the vertical aggregation window in seconds.
-func (e *Encoder) Window() int64 { return e.window }
-
 // Push feeds one measurement. If it completes a vertical window, the
 // window's symbol is returned with ok=true. Measurements must arrive in
 // timestamp order; out-of-order points return an error.
@@ -164,9 +161,6 @@ func (b *TableBuilder) PushSeries(s *timeseries.Series) {
 		b.values = append(b.values, p.V)
 	}
 }
-
-// Count returns how many values were recorded.
-func (b *TableBuilder) Count() int { return len(b.values) }
 
 // Build learns the lookup table. The builder can keep accumulating and
 // build again later (e.g. periodic table refresh when the distribution

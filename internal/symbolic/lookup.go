@@ -161,7 +161,11 @@ func (t *Table) Value(s Symbol) (float64, error) {
 }
 
 // SetRepresentatives installs per-bin reconstruction values (one per
-// symbol). Learners call this with bin means.
+// symbol). No production path calls it: learners write bin means directly
+// and a wire table carries its own. It is the fixture for tables whose
+// values are not monotone in the symbol index, which server's
+// TestAppendRunEqualsPerPoint and query's TestNonMonotoneRepresentatives
+// need.
 func (t *Table) SetRepresentatives(repr []float64) error {
 	if len(repr) != t.K() {
 		return fmt.Errorf("symbolic: need %d representatives, got %d", t.K(), len(repr))

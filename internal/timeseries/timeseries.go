@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // SecondsPerDay is the number of seconds in one day, used throughout the
@@ -79,9 +78,6 @@ func (s *Series) Empty() bool { return len(s.Points) == 0 }
 // Start returns the first timestamp. It panics on an empty series.
 func (s *Series) Start() int64 { return s.Points[0].T }
 
-// End returns the last timestamp. It panics on an empty series.
-func (s *Series) End() int64 { return s.Points[len(s.Points)-1].T }
-
 // Values returns the measurement values in order. The slice is freshly
 // allocated; mutating it does not affect the series.
 func (s *Series) Values() []float64 {
@@ -90,86 +86,6 @@ func (s *Series) Values() []float64 {
 		vs[i] = p.V
 	}
 	return vs
-}
-
-// Clone returns a deep copy of the series.
-func (s *Series) Clone() *Series {
-	pts := make([]Point, len(s.Points))
-	copy(pts, s.Points)
-	return &Series{Name: s.Name, Points: pts}
-}
-
-// Slice returns the sub-series with timestamps in [from, to). The returned
-// series shares backing storage with s.
-func (s *Series) Slice(from, to int64) *Series {
-	lo := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].T >= from })
-	hi := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].T >= to })
-	return &Series{Name: s.Name, Points: s.Points[lo:hi]}
-}
-
-// At returns the value at exactly timestamp t and whether it exists.
-func (s *Series) At(t int64) (float64, bool) {
-	i := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].T >= t })
-	if i < len(s.Points) && s.Points[i].T == t {
-		return s.Points[i].V, true
-	}
-	return 0, false
-}
-
-// Day holds one calendar day of data cut from a longer series.
-type Day struct {
-	// Index is the day number counting from the first day of the series.
-	Index int
-	// Start is the timestamp of the day boundary (midnight).
-	Start int64
-	// Series is the slice of the parent series within [Start, Start+86400).
-	Series *Series
-	// Coverage is the number of seconds of the day for which at least one
-	// measurement exists (for the paper's "enough data" threshold).
-	Coverage int64
-}
-
-// Days splits the series into calendar days aligned to multiples of 86400
-// seconds from epoch. Empty days inside the span are included with an empty
-// sub-series so callers can observe gaps.
-func (s *Series) Days() []Day {
-	if s.Empty() {
-		return nil
-	}
-	first := s.Start() - mod(s.Start(), SecondsPerDay)
-	last := s.End()
-	var days []Day
-	for idx, t := 0, first; t <= last; idx, t = idx+1, t+SecondsPerDay {
-		sub := s.Slice(t, t+SecondsPerDay)
-		days = append(days, Day{
-			Index:    idx,
-			Start:    t,
-			Series:   sub,
-			Coverage: coverage(sub.Points),
-		})
-	}
-	return days
-}
-
-// mod is the non-negative remainder of a/b for b > 0.
-func mod(a, b int64) int64 {
-	m := a % b
-	if m < 0 {
-		m += b
-	}
-	return m
-}
-
-// coverage counts distinct seconds with data, assuming second-resolution
-// timestamps (duplicates at the same second count once).
-func coverage(pts []Point) int64 {
-	var n int64
-	for i, p := range pts {
-		if i == 0 || p.T != pts[i-1].T {
-			n++
-		}
-	}
-	return n
 }
 
 // Resample aggregates the series into fixed windows of `window` seconds,
@@ -244,26 +160,6 @@ func Sum(name string, series ...*Series) *Series {
 		out = append(out, Point{T: t, V: v})
 	}
 	return &Series{Name: name, Points: out}
-}
-
-// Gaps returns the half-open intervals [from, to) longer than minGap seconds
-// during which the series has no data.
-type Gap struct {
-	From, To int64
-}
-
-// Gaps scans for runs of missing samples. period is the nominal sampling
-// period of the series (1 for 1 Hz); any inter-point spacing strictly larger
-// than period and at least minGap long is reported.
-func (s *Series) Gaps(period, minGap int64) []Gap {
-	var gaps []Gap
-	for i := 1; i < len(s.Points); i++ {
-		d := s.Points[i].T - s.Points[i-1].T
-		if d > period && d >= minGap {
-			gaps = append(gaps, Gap{From: s.Points[i-1].T + period, To: s.Points[i].T})
-		}
-	}
-	return gaps
 }
 
 // Stats summarises a series for quick inspection.

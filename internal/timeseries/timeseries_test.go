@@ -38,83 +38,6 @@ func TestFromValues(t *testing.T) {
 	}
 }
 
-func TestSliceHalfOpen(t *testing.T) {
-	s := FromValues("a", 0, 1, []float64{0, 1, 2, 3, 4})
-	sub := s.Slice(1, 4)
-	if got := sub.Values(); !reflect.DeepEqual(got, []float64{1, 2, 3}) {
-		t.Fatalf("Slice(1,4) = %v", got)
-	}
-	if sub2 := s.Slice(10, 20); !sub2.Empty() {
-		t.Fatalf("expected empty slice, got %d points", sub2.Len())
-	}
-	if sub3 := s.Slice(-5, 0); !sub3.Empty() {
-		t.Fatalf("Slice(-5,0) should be empty (half-open), got %d", sub3.Len())
-	}
-}
-
-func TestAt(t *testing.T) {
-	s := FromValues("a", 10, 10, []float64{5, 6, 7})
-	if v, ok := s.At(20); !ok || v != 6 {
-		t.Fatalf("At(20) = %v,%v", v, ok)
-	}
-	if _, ok := s.At(15); ok {
-		t.Fatal("At(15) should not exist")
-	}
-}
-
-func TestDaysSplitsAndCoverage(t *testing.T) {
-	// Two days: day 0 fully covered at 1 Hz for 100 s, then a gap, then day 1
-	// with 50 s of data.
-	var pts []Point
-	for i := int64(0); i < 100; i++ {
-		pts = append(pts, Point{T: i, V: 1})
-	}
-	for i := int64(0); i < 50; i++ {
-		pts = append(pts, Point{T: SecondsPerDay + i, V: 2})
-	}
-	s := MustNew("h", pts)
-	days := s.Days()
-	if len(days) != 2 {
-		t.Fatalf("len(days) = %d, want 2", len(days))
-	}
-	if days[0].Coverage != 100 || days[1].Coverage != 50 {
-		t.Fatalf("coverage = %d,%d want 100,50", days[0].Coverage, days[1].Coverage)
-	}
-	if days[0].Start != 0 || days[1].Start != SecondsPerDay {
-		t.Fatalf("day starts = %d,%d", days[0].Start, days[1].Start)
-	}
-}
-
-func TestDaysIncludesEmptyMiddleDay(t *testing.T) {
-	pts := []Point{{T: 0, V: 1}, {T: 2 * SecondsPerDay, V: 2}}
-	days := MustNew("h", pts).Days()
-	if len(days) != 3 {
-		t.Fatalf("len(days) = %d, want 3", len(days))
-	}
-	if days[1].Coverage != 0 || !days[1].Series.Empty() {
-		t.Fatal("middle day should be empty")
-	}
-}
-
-func TestDaysNegativeTimestampsAlign(t *testing.T) {
-	pts := []Point{{T: -10, V: 1}, {T: 5, V: 2}}
-	days := MustNew("h", pts).Days()
-	if len(days) != 2 {
-		t.Fatalf("len(days) = %d, want 2", len(days))
-	}
-	if days[0].Start != -SecondsPerDay || days[1].Start != 0 {
-		t.Fatalf("day starts = %d,%d", days[0].Start, days[1].Start)
-	}
-}
-
-func TestCoverageCountsDistinctSeconds(t *testing.T) {
-	s := MustNew("h", []Point{{T: 1}, {T: 1}, {T: 2}, {T: 4}})
-	days := s.Days()
-	if days[0].Coverage != 3 {
-		t.Fatalf("coverage = %d, want 3 (duplicate second counted once)", days[0].Coverage)
-	}
-}
-
 func TestResampleAverages(t *testing.T) {
 	s := FromValues("a", 0, 1, []float64{1, 2, 3, 4, 5, 6})
 	r := s.Resample(3)
@@ -183,18 +106,6 @@ func TestSumEmptyAndNil(t *testing.T) {
 	}
 }
 
-func TestGaps(t *testing.T) {
-	s := MustNew("a", []Point{{T: 0}, {T: 1}, {T: 5}, {T: 6}, {T: 100}})
-	gaps := s.Gaps(1, 3)
-	want := []Gap{{From: 2, To: 5}, {From: 7, To: 100}}
-	if !reflect.DeepEqual(gaps, want) {
-		t.Fatalf("Gaps = %v, want %v", gaps, want)
-	}
-	if g := s.Gaps(1, 1000); g != nil {
-		t.Fatalf("no gap should exceed 1000s, got %v", g)
-	}
-}
-
 func TestSummary(t *testing.T) {
 	s := FromValues("a", 0, 1, []float64{2, 4, 6})
 	st := s.Summary()
@@ -237,15 +148,6 @@ func TestReadCSVErrors(t *testing.T) {
 	// Header-only and empty inputs are fine.
 	if s, err := ReadCSV("x", strings.NewReader("timestamp,value\n")); err != nil || !s.Empty() {
 		t.Fatalf("header only: %v %v", s, err)
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	s := FromValues("a", 0, 1, []float64{1, 2})
-	c := s.Clone()
-	c.Points[0].V = 99
-	if s.Points[0].V != 1 {
-		t.Fatal("Clone must not share storage")
 	}
 }
 

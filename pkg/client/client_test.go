@@ -157,39 +157,40 @@ func TestClientMatchesEngineMeterOps(t *testing.T) {
 				t.Fatalf("Count(%d, %d, %d) = %d, %v; want %d", id, t0, t1, gotN, err, wantN)
 			}
 
-			wantSum, _ := eng.Sum(id, t0, t1)
+			// The engine's Aggregate is the oracle of every scalar op.
+			wantAgg, _ := eng.Aggregate(id, t0, t1)
+			wantSum := wantAgg.Sum
 			gotSum, gotSumN, err := c.Sum(id, t0, t1)
 			if err != nil || !bitsEqual(gotSum, wantSum) || gotSumN != wantN {
 				t.Fatalf("Sum(%d, %d, %d) = %v/%d, %v; want %v/%d", id, t0, t1, gotSum, gotSumN, err, wantSum, wantN)
 			}
 
-			wantMean, _ := eng.Mean(id, t0, t1)
+			wantMean := wantAgg.Mean()
 			gotMean, err := c.Mean(id, t0, t1)
 			if err != nil || !bitsEqual(gotMean, wantMean) {
 				t.Fatalf("Mean(%d, %d, %d) = %v, %v; want %v", id, t0, t1, gotMean, err, wantMean)
 			}
 
-			wantMin, wantMinOK := eng.Min(id, t0, t1)
+			wantMin, wantMinOK := wantAgg.Min, wantAgg.Count > 0
 			gotMin, gotMinOK, err := c.Min(id, t0, t1)
 			if err != nil || gotMinOK != wantMinOK || (wantMinOK && !bitsEqual(gotMin, wantMin)) {
 				t.Fatalf("Min(%d, %d, %d) = %v/%v, %v; want %v/%v", id, t0, t1, gotMin, gotMinOK, err, wantMin, wantMinOK)
 			}
-			wantMax, wantMaxOK := eng.Max(id, t0, t1)
+			wantMax, wantMaxOK := wantAgg.Max, wantAgg.Count > 0
 			gotMax, gotMaxOK, err := c.Max(id, t0, t1)
 			if err != nil || gotMaxOK != wantMaxOK || (wantMaxOK && !bitsEqual(gotMax, wantMax)) {
 				t.Fatalf("Max(%d, %d, %d) = %v/%v, %v; want %v/%v", id, t0, t1, gotMax, gotMaxOK, err, wantMax, wantMaxOK)
 			}
 
-			wantAgg, _ := eng.Aggregate(id, t0, t1)
 			gotAgg, err := c.Aggregate(id, t0, t1)
 			if err != nil || gotAgg.Count != wantAgg.Count || !bitsEqual(gotAgg.Sum, wantAgg.Sum) ||
 				!bitsEqual(gotAgg.Min, wantAgg.Min) || !bitsEqual(gotAgg.Max, wantAgg.Max) {
 				t.Fatalf("Aggregate(%d, %d, %d) = %+v, %v; want %+v", id, t0, t1, gotAgg, err, wantAgg)
 			}
 
-			wantH, _, herr := eng.Histogram(id, t0, t1)
-			if herr != nil {
-				t.Fatal(herr)
+			var wantH query.Histogram
+			if _, err := eng.HistogramInto(&wantH, id, t0, t1); err != nil {
+				t.Fatal(err)
 			}
 			gotH, err := c.Histogram(id, t0, t1)
 			if err != nil || gotH.Level != wantH.Level || len(gotH.Counts) != len(wantH.Counts) {
@@ -217,7 +218,8 @@ func TestClientMatchesEngineFleetOps(t *testing.T) {
 	for _, w := range windows {
 		t0, t1 := w[0], w[1]
 
-		wantSum, wantN := eng.FleetSum(t0, t1)
+		wantAgg := eng.FleetAggregate(t0, t1)
+		wantSum, wantN := wantAgg.Sum, wantAgg.Count
 		gotN, err := c.FleetCount(t0, t1)
 		if err != nil || gotN != wantN {
 			t.Fatalf("FleetCount(%d, %d) = %d, %v; want %d", t0, t1, gotN, err, wantN)
@@ -227,7 +229,6 @@ func TestClientMatchesEngineFleetOps(t *testing.T) {
 			t.Fatalf("FleetSum(%d, %d) = %v/%d, %v; want %v/%d", t0, t1, gotSum, gotSumN, err, wantSum, wantN)
 		}
 
-		wantAgg := eng.FleetAggregate(t0, t1)
 		gotAgg, err := c.FleetAggregate(t0, t1)
 		if err != nil || gotAgg.Count != wantAgg.Count ||
 			!approxEqual(gotAgg.Sum, wantAgg.Sum) ||

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"symmeter/internal/query"
 	"symmeter/pkg/client"
 )
 
@@ -92,7 +93,7 @@ func FuzzQueryProtocol(f *testing.F) {
 			}
 			var wantN uint64
 			if fleet {
-				_, wantN = eng.FleetSum(t0, t1)
+				wantN = eng.FleetCount(t0, t1)
 			} else {
 				wantN, _ = eng.Count(meterID, t0, t1)
 			}
@@ -105,7 +106,8 @@ func FuzzQueryProtocol(f *testing.F) {
 				if checkErr(err) {
 					return
 				}
-				wantSum, wantN := eng.FleetSum(t0, t1)
+				wantAgg := eng.FleetAggregate(t0, t1)
+				wantSum, wantN := wantAgg.Sum, wantAgg.Count
 				if gotN != wantN || !approxEqual(gotSum, wantSum) {
 					t.Fatalf("fleet sum = %v/%d, want %v/%d", gotSum, gotN, wantSum, wantN)
 				}
@@ -114,8 +116,8 @@ func FuzzQueryProtocol(f *testing.F) {
 				if checkErr(err) {
 					return
 				}
-				wantSum, _ := eng.Sum(meterID, t0, t1)
-				wantN, _ := eng.Count(meterID, t0, t1)
+				wantAgg, _ := eng.Aggregate(meterID, t0, t1)
+				wantSum, wantN := wantAgg.Sum, wantAgg.Count
 				if gotN != wantN || !bitsEqual(gotSum, wantSum) {
 					t.Fatalf("sum = %v/%d, want %v/%d", gotSum, gotN, wantSum, wantN)
 				}
@@ -126,7 +128,8 @@ func FuzzQueryProtocol(f *testing.F) {
 				if checkErr(err) {
 					return
 				}
-				wantSum, wantN := eng.FleetSum(t0, t1)
+				wantAgg := eng.FleetAggregate(t0, t1)
+				wantSum, wantN := wantAgg.Sum, wantAgg.Count
 				wantMean := math.NaN()
 				if wantN > 0 {
 					wantMean = wantSum / float64(wantN)
@@ -140,7 +143,8 @@ func FuzzQueryProtocol(f *testing.F) {
 				if checkErr(err) {
 					return
 				}
-				wantMean, _ := eng.Mean(meterID, t0, t1)
+				wantAgg, _ := eng.Aggregate(meterID, t0, t1)
+				wantMean := wantAgg.Mean()
 				if !bitsEqual(gotMean, wantMean) {
 					t.Fatalf("mean = %v, want %v", gotMean, wantMean)
 				}
@@ -160,7 +164,8 @@ func FuzzQueryProtocol(f *testing.F) {
 				if checkErr(err) {
 					return
 				}
-				wantMin, wantOK := eng.Min(meterID, t0, t1)
+				wantAgg, _ := eng.Aggregate(meterID, t0, t1)
+				wantMin, wantOK := wantAgg.Min, wantAgg.Count > 0
 				if gotOK != wantOK || (wantOK && !bitsEqual(gotMin, wantMin)) {
 					t.Fatalf("min = %v/%v, want %v/%v", gotMin, gotOK, wantMin, wantOK)
 				}
@@ -181,7 +186,8 @@ func FuzzQueryProtocol(f *testing.F) {
 			if checkErr(err) {
 				return
 			}
-			wantMax, wantOK := eng.Max(meterID, t0, t1)
+			wantAgg, _ := eng.Aggregate(meterID, t0, t1)
+			wantMax, wantOK := wantAgg.Max, wantAgg.Count > 0
 			if gotOK != wantOK || (wantOK && !bitsEqual(gotMax, wantMax)) {
 				t.Fatalf("max = %v/%v, want %v/%v", gotMax, gotOK, wantMax, wantOK)
 			}
@@ -227,8 +233,8 @@ func FuzzQueryProtocol(f *testing.F) {
 				}
 				wantLevel, wantCounts = wantH.Level, wantH.Counts
 			} else {
-				wantH, _, herr := eng.Histogram(meterID, t0, t1)
-				if herr != nil {
+				var wantH query.Histogram
+				if _, herr := eng.HistogramInto(&wantH, meterID, t0, t1); herr != nil {
 					t.Fatalf("engine histogram: %v", herr)
 				}
 				wantLevel, wantCounts = wantH.Level, wantH.Counts
