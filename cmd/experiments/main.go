@@ -5,8 +5,8 @@
 //	experiments -run table1        # the full Table 1 grid
 //	experiments -run all           # everything
 //
-// See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for recorded
-// output and paper-vs-measured commentary.
+// -run also takes the extensions beyond the paper's figures: compression,
+// drift, clustering, privacy and ablation.
 package main
 
 import (

@@ -1,47 +1,38 @@
-// Command serve demonstrates the §2 deployment story at fleet scale over
-// real TCP on localhost: a concurrent aggregation server listens with a
-// sharded packed block store, M simulated smart meters (internal/fleet)
-// connect in parallel, each opens a pkg/client Session for its meter ID,
-// learns a lookup table from two days of history, streams days of symbols
-// (15-minute vertical segmentation by default) as sequenced batches the
-// server acknowledges one by one, and the server answers fleet-wide
-// aggregates directly in the
-// compressed domain — count, mean, min, max and (optionally) the symbol
-// histogram over a queried time range — alongside the per-meter MAE
-// reconstruction check.
+// Command serve is the aggregation server of the paper's §2 deployment: it
+// listens for smart meters over TCP, stores each meter's lookup table once
+// and its symbols packed in a sharded block store, and answers aggregates in
+// the compressed domain — count, sum, mean, min, max and symbol histograms
+// over a time range, per meter or fleet-wide — until it is signalled.
 //
 // With -data-dir the store is durable: every batch hits a per-shard WAL
 // before it commits, sealed blocks spill into mmapped segment files, and a
-// restart recovers the whole fleet's history before serving — so the query
-// line at the end aggregates recovered + fresh data together. SIGINT and
+// restart recovers the whole fleet's history before serving. SIGINT and
 // SIGTERM drain in-flight sessions and flush storage instead of dying
 // mid-frame; a flush failure exits non-zero.
 //
-//	serve                        # 4 meters, 16 shards, 1 day each
-//	serve -meters 64 -shards 32 -days 3
-//	serve -meters 2 -seconds 3600    # only the first hour of each day
-//	serve -hist -qfrom 172800 -qto 216000  # histogram of the live day's first 12 hours
-//	                                       # (stored data starts after the 2 training days)
-//	serve -data-dir /var/lib/symmeter -fsync group   # durable ingest + recovery
-//	serve -cpuprofile cpu.out        # profile ingest + query
-//	serve -query-addr 127.0.0.1:7700 # dedicated query-only listener
-//	serve -idle-timeout 30s          # reap silent connections after 30s
+//	serve                                          # in-memory, 16 shards
+//	serve -addr 127.0.0.1:7701 -shards 32
+//	serve -data-dir /var/lib/symmeter -fsync group # durable ingest + recovery
+//	serve -query-addr 127.0.0.1:7700               # dedicated query-only listener
+//	serve -metrics-addr 127.0.0.1:9100             # /metrics, /healthz, /debug/pprof
+//	serve -idle-timeout 30s                        # reap silent connections after 30s
+//	serve -cpuprofile cpu.out -memprofile mem.out  # profile until shutdown
 //
-// The listener also answers remote queries: a connection whose first frame
-// is a query request ('Q') is dispatched to the compressed-domain engine
-// instead of the ingest path, and its requests are answered one at a time,
-// in request order. -query-addr adds a second, query-only listener (ingest
-// handshakes are refused there). After the fleet run the binary asks its
-// own fleet aggregate once more through pkg/client over TCP and checks it
-// against the in-process answer — the wire demo of the §2 story.
+// The listener takes both ingest sessions (pkg/client Session) and remote
+// queries (pkg/client Client): a connection whose first frame is a query
+// request ('Q') is dispatched to the compressed-domain engine instead of the
+// ingest path, and its requests are answered one at a time, in request
+// order. -query-addr adds a second, query-only listener (ingest handshakes
+// are refused there). examples/fleet is a client that streams a simulated
+// fleet to a running server and checks its answers.
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -49,37 +40,36 @@ import (
 	"syscall"
 	"time"
 
-	"symmeter/internal/fleet"
 	"symmeter/internal/metrics"
 	"symmeter/internal/query"
 	"symmeter/internal/server"
 	"symmeter/internal/storage"
-	"symmeter/internal/symbolic"
-	"symmeter/pkg/client"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, nil)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, out io.Writer) (err error) {
+// listening is where a started server accepts connections. query is the
+// ingest address unless -query-addr is set; metrics is empty without
+// -metrics-addr.
+type listening struct {
+	ingest, query, metrics string
+}
+
+// run serves until ctx is done, then drains and flushes. Once every
+// listener is bound it passes their addresses to ready, if ready is not nil.
+func run(ctx context.Context, args []string, out io.Writer, ready func(listening)) (err error) {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	var (
 		addr        = fs.String("addr", "127.0.0.1:0", "listen address")
-		meters      = fs.Int("meters", 4, "number of concurrent simulated meters")
 		shards      = fs.Int("shards", 16, "store shard count")
-		days        = fs.Int("days", 1, "days of live data each meter streams after its 2 training days")
-		seconds     = fs.Int64("seconds", 0, "cap each day to its first N seconds (0 = whole day)")
-		seed        = fs.Int64("seed", 1, "dataset seed (meter i uses seed+i)")
-		k           = fs.Int("k", 16, "alphabet size")
-		window      = fs.Int64("window", 900, "vertical window seconds")
-		relearn     = fs.Bool("relearn", false, "rebuild and resend each meter's table daily (adaptive path)")
-		qfrom       = fs.Int64("qfrom", 0, "query range start (seconds since the stream epoch)")
-		qto         = fs.Int64("qto", 0, "query range end, exclusive (0 = unbounded)")
-		hist        = fs.Bool("hist", false, "also print the fleet-wide symbol histogram for the query range")
 		queryAddr   = fs.String("query-addr", "", "additional query-only listen address (queries are always served on -addr too)")
 		idleTO      = fs.Duration("idle-timeout", 2*time.Minute, "reap connections silent past this; 0 disables")
 		writeTO     = fs.Duration("write-timeout", 0, "fail server response writes blocked past this (0 = 30s default, negative disables)")
@@ -108,15 +98,6 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}()
 
-	fleetCfg := fleet.Config{
-		Meters:        *meters,
-		Days:          *days,
-		SecondsPerDay: *seconds,
-		Window:        *window,
-		K:             *k,
-		Seed:          *seed,
-		RelearnPerDay: *relearn,
-	}
 	// One registry backs everything this process records — the engine's WAL
 	// recorders and health gauges, the service's session counters and latency
 	// quantiles — and is what -metrics-addr exposes.
@@ -134,10 +115,10 @@ func run(args []string, out io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		// Close is idempotent: the happy path and the signal path close
-		// explicitly (and report errors); this backstop covers every early
-		// error return so no run leaves the syncer goroutine, the segment
-		// mappings, or an unflushed open segment behind.
+		// Close is idempotent: shutdown closes explicitly (and reports
+		// errors); this backstop covers every early error return so no run
+		// leaves the syncer goroutine, the segment mappings, or an
+		// unflushed open segment behind.
 		defer eng.Close()
 		recovered = eng.Store()
 		rs := eng.Recovery()
@@ -155,24 +136,22 @@ func run(args []string, out io.Writer) (err error) {
 	if eng != nil {
 		svc.SetIngest(eng)
 	}
-	// The compressed-domain engine answers both the summary printed below and
-	// any remote query connection; registering it before Listen means the
-	// first accepted stream can already be a query.
-	qe := query.New(svc.Store())
-	svc.SetQueryHandler(qe)
+	// Registering the query engine before Listen means the first accepted
+	// stream can already be a query.
+	svc.SetQueryHandler(query.New(svc.Store()))
 	bound, err := svc.Listen(*addr)
 	if err != nil {
 		return err
 	}
 	defer svc.Close()
 	fmt.Fprintf(out, "server listening on %s (%d shards)\n", bound, svc.Store().NumShards())
-	qbound := bound
+	at := listening{ingest: bound.String(), query: bound.String()}
 	if *queryAddr != "" {
 		qb, err := svc.ListenQuery(*queryAddr)
 		if err != nil {
 			return err
 		}
-		qbound = qb
+		at.query = qb.String()
 		fmt.Fprintf(out, "query listener on %s\n", qb)
 	}
 	if *metricsAddr != "" {
@@ -183,148 +162,16 @@ func run(args []string, out io.Writer) (err error) {
 		msrv := &http.Server{Handler: telemetryMux(reg, eng)}
 		go msrv.Serve(mln)
 		defer msrv.Close()
+		at.metrics = mln.Addr().String()
 		fmt.Fprintf(out, "telemetry on http://%s/metrics\n", mln.Addr())
 	}
-
-	// SIGINT/SIGTERM drain cleanly — finish reading what connected sensors
-	// already sent, flush storage — instead of dying mid-frame.
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
-
-	start := time.Now()
-	fleetDone := make(chan *fleet.Report, 1)
-	fleetErr := make(chan error, 1)
-	go func() {
-		rep, err := fleet.Run(bound.String(), fleetCfg)
-		if err != nil {
-			fleetErr <- err
-			return
-		}
-		fleetDone <- rep
-	}()
-	var rep *fleet.Report
-	select {
-	case rep = <-fleetDone:
-	case err := <-fleetErr:
-		return err
-	case sig := <-sigCh:
-		fmt.Fprintf(out, "received %v: draining sessions and flushing storage\n", sig)
-		return shutdown(svc, eng, out)
-	}
-	// Every meter whose dial succeeded produced a server-side session (even
-	// one that failed mid-stream), and a just-closed connection may still be
-	// un-accepted in the listener backlog — wait for all of them before
-	// closing the listener so no stream is dropped.
-	var connected int64
-	for _, m := range rep.Meters {
-		if m.Connected {
-			connected++
-		}
-	}
-	if !svc.AwaitSessions(connected, 30*time.Second) {
-		fmt.Fprintf(out, "warning: timed out waiting for %d sessions to finish; results may be incomplete\n", connected)
-	}
-	elapsed := time.Since(start)
-	t0, t1 := *qfrom, *qto
-	if t1 <= 0 {
-		// Unbounded: only a point at exactly MaxInt64 is unreachable by a
-		// half-open range, so this matches the stored total.
-		t1 = math.MaxInt64
-	}
-	// Every ingest session has finished, so the store is complete: ask the
-	// fleet aggregate through the wire now, while the listeners are still up
-	// — pkg/client speaks the 'Q'/'R' frame protocol to the listener the
-	// meters used (or the dedicated -query-addr one), and Drain below would
-	// otherwise wait on the open query session.
-	wc, err := client.Dial(qbound.String())
-	if err != nil {
-		return fmt.Errorf("wire query dial: %w", err)
-	}
-	wstart := time.Now()
-	wagg, werr := wc.FleetAggregate(t0, t1)
-	welapsed := time.Since(wstart)
-	wc.Close()
-	if werr != nil {
-		return fmt.Errorf("wire query: %w", werr)
-	}
-	svc.Drain()
-	rep.Evaluate(svc.Store())
-
-	const maxLines = 16
-	for i, m := range rep.Meters {
-		if i == maxLines && len(rep.Meters) > maxLines+1 {
-			fmt.Fprintf(out, "  ... %d more meters\n", len(rep.Meters)-maxLines)
-			break
-		}
-		if m.Err != nil {
-			fmt.Fprintf(out, "  meter %4d: FAILED: %v\n", m.MeterID, m.Err)
-			continue
-		}
-		fmt.Fprintf(out, "  meter %4d: %d raw -> %d symbols, MAE %.1f W\n",
-			m.MeterID, m.Sent, m.Symbols, m.MAE)
+	if ready != nil {
+		ready(at)
 	}
 
-	// The fleet summary is answered by the compressed-domain query engine —
-	// block summaries plus LUT edge kernels over the RCU-published sealed
-	// indexes, min(GOMAXPROCS, shards) workers over the shards (see
-	// query.Engine) — not by reconstructing streams, and (for sealed data)
-	// without taking any shard lock.
-	qstart := time.Now()
-	agg := qe.FleetAggregate(t0, t1)
-	qelapsed := time.Since(qstart)
-	// The ingest total is always the full stored count — the -qfrom/-qto
-	// window restricts only the query line below.
-	stored := svc.Store().TotalSymbols()
-
-	rate := float64(stored) / elapsed.Seconds()
-	fmt.Fprintf(out, "fleet: %d meters sent %d raw measurements -> %d symbols in %v (%.0f symbols/sec)\n",
-		len(rep.Meters), rep.Sent, stored, elapsed.Round(time.Millisecond), rate)
-	if agg.Count > 0 {
-		fmt.Fprintf(out, "query: fleet mean %.1f W, min %.1f W, max %.1f W over [%d,%d) — %d points in %v, compressed-domain, %d tail-fold locks\n",
-			agg.Mean(), agg.Min, agg.Max, t0, t1, agg.Count, qelapsed.Round(time.Microsecond),
-			svc.Store().QueryLockAcquisitions())
-	} else {
-		fmt.Fprintf(out, "query: no points in [%d,%d) (%v, compressed-domain)\n", t0, t1, qelapsed.Round(time.Microsecond))
-	}
-	if *hist {
-		h, err := qe.FleetHistogram(t0, t1)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "query: histogram (level %d): %v\n", h.Level, h.Counts)
-	}
-
-	// The wire answer from before the drain must agree with the in-process
-	// engine on the identical frozen store.
-	if wagg.Count != agg.Count {
-		return fmt.Errorf("wire query saw %d points, in-process saw %d", wagg.Count, agg.Count)
-	}
-	fmt.Fprintf(out, "netquery: fleet mean %.1f W over %d points via pkg/client in %v — matches in-process\n",
-		wagg.Mean(), wagg.Count, welapsed.Round(time.Microsecond))
-
-	st := svc.Stats()
-	fmt.Fprintf(out, "wire: %d bytes in (tables + symbols + framing); raw would be %d bytes\n",
-		st.BytesIn, symbolic.RawSize(rep.Sent))
-	printRobustness(out, st)
-	if eng != nil {
-		printHealth(out, eng, st.DegradedSessions)
-		// All queries above are done; flushing finishes the open segments
-		// and makes the next start recover from footers instead of replay.
-		if err := eng.Close(); err != nil {
-			return fmt.Errorf("storage flush: %w", err)
-		}
-		walBytes, segBytes, derr := eng.DiskUsage()
-		if derr == nil {
-			fmt.Fprintf(out, "storage: flushed; on disk: %d WAL bytes, %d segment bytes\n", walBytes, segBytes)
-		}
-	}
-	if n := svc.SessionErrorCount(); n > 0 {
-		fmt.Fprintf(out, "session errors: %d (oldest kept: %v)\n", n, svc.SessionErrors()[0])
-		return fmt.Errorf("%d of %d sessions failed", n, len(rep.Meters))
-	}
-	fmt.Fprintln(out, "session errors: 0")
-	return nil
+	<-ctx.Done()
+	fmt.Fprintln(out, "shutting down: draining sessions and flushing storage")
+	return shutdown(svc, eng, out)
 }
 
 // telemetryMux assembles the -metrics-addr HTTP surface: /metrics in
@@ -390,12 +237,22 @@ func printRobustness(out io.Writer, st server.Stats) {
 // shutdown is the signal path: stop admitting sessions (new ingest and query
 // connections get the typed retryable VerdictDraining, so clients back off
 // and redial elsewhere), give in-flight sessions a moment to finish reading
-// what their peers already sent, then cut connections and flush the storage
-// engine. A flush failure is the one thing that must exit non-zero — it
-// means acknowledged data may need the WAL replayed on the next start.
+// what their peers already sent, then cut connections, flush the storage
+// engine and print what the process served. A flush failure is the one
+// thing that must exit non-zero — it means acknowledged data may need the
+// WAL replayed on the next start.
 func shutdown(svc *server.Service, eng *storage.Engine, out io.Writer) error {
 	svc.BeginDrain()
-	if !svc.AwaitSessions(svc.Stats().Sessions, 5*time.Second) {
+	// Query sessions get the same moment as ingest ones: a client that has
+	// just closed its connection must not be cut before its session reads
+	// the EOF, or the cut would count as a failed session.
+	deadline := time.Now().Add(5 * time.Second)
+	settled := svc.AwaitSessions(svc.Stats().Sessions, 5*time.Second)
+	for settled && svc.Stats().ActiveQueries > 0 {
+		settled = time.Now().Before(deadline)
+		time.Sleep(time.Millisecond)
+	}
+	if !settled {
 		fmt.Fprintln(out, "warning: sessions still active after drain timeout; closing them")
 	}
 	svc.Close()
@@ -403,13 +260,24 @@ func shutdown(svc *server.Service, eng *storage.Engine, out io.Writer) error {
 	// separate Stats() calls here could disagree with each other while the
 	// reaped sessions' final counter updates land.
 	st := svc.Stats()
+	fmt.Fprintf(out, "served: %d ingest sessions committed %d symbols, %d bytes in; %d query sessions took %d tail-fold locks; store holds %d symbols\n",
+		st.Sessions, st.Symbols, st.BytesIn, st.QuerySessions, svc.Store().QueryLockAcquisitions(), svc.Store().TotalSymbols())
 	printRobustness(out, st)
 	if eng != nil {
 		printHealth(out, eng, st.DegradedSessions)
 		if err := eng.Close(); err != nil {
 			return fmt.Errorf("storage flush on shutdown: %w", err)
 		}
-		fmt.Fprintln(out, "storage flushed cleanly")
+		line := "storage flushed cleanly"
+		if walBytes, segBytes, err := eng.DiskUsage(); err == nil {
+			line += fmt.Sprintf("; on disk: %d WAL bytes, %d segment bytes", walBytes, segBytes)
+		}
+		fmt.Fprintln(out, line)
+	}
+	if n := svc.SessionErrorCount(); n > 0 {
+		fmt.Fprintf(out, "session errors: %d (oldest kept: %v)\n", n, svc.SessionErrors()[0])
+	} else {
+		fmt.Fprintln(out, "session errors: 0")
 	}
 	fmt.Fprintln(out, "shutdown complete")
 	return nil

@@ -2,73 +2,176 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"symmeter/internal/fleet"
 	"symmeter/internal/server"
 	"symmeter/internal/storage"
+	"symmeter/pkg/client"
 )
 
-// TestServeEndToEnd runs the whole binary in-process: a real listener on
-// 127.0.0.1:0, two concurrent meters, and the printed reconstruction
-// summary.
-func TestServeEndToEnd(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{
-		"-meters", "2", "-shards", "4", "-seconds", "600", "-window", "60",
-	}, &out)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
+// served is one serve run on its own goroutine, listening until stopped.
+type served struct {
+	listening
+	cancel  context.CancelFunc
+	done    chan error
+	out     bytes.Buffer
+	stopped bool
+}
+
+// startServe runs serve with args and returns once every listener is bound;
+// the run is stopped when the test ends if the test did not stop it.
+func startServe(t *testing.T, args ...string) *served {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	s := &served{cancel: cancel, done: make(chan error, 1)}
+	ready := make(chan listening, 1)
+	go func() { s.done <- run(ctx, args, &s.out, func(l listening) { ready <- l }) }()
+	select {
+	case s.listening = <-ready:
+	case err := <-s.done:
+		cancel()
+		t.Fatalf("serve exited before listening: %v\n%s", err, s.out.String())
 	}
-	got := out.String()
-	for _, want := range []string{
-		"server listening on 127.0.0.1:",
-		"(4 shards)",
-		"fleet: 2 meters",
-		"symbols/sec)",
-		"compressed-domain",
-		"query: fleet mean",
-		"netquery: fleet mean",
-		"matches in-process",
-		"bytes in",
-		"session errors: 0",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
+	t.Cleanup(func() {
+		if !s.stopped {
+			s.stop()
 		}
+	})
+	return s
+}
+
+// stop cancels the run's context, as SIGINT or SIGTERM does, and returns
+// what the run printed and returned.
+func (s *served) stop() (string, error) {
+	s.stopped = true
+	s.cancel()
+	err := <-s.done
+	return s.out.String(), err
+}
+
+// streamFleet streams a gap-free fleet of n meters, 600 s at 60 s windows
+// each, to addr and returns the symbols the server acked.
+func streamFleet(t *testing.T, addr string, n int) uint64 {
+	t.Helper()
+	rep, err := fleet.Run(addr, fleet.Config{
+		Meters: n, Days: 1, SecondsPerDay: 600, Window: 60, Seed: 1, DisableGaps: true,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := strings.Count(got, "raw -> "); n != 2 {
-		t.Errorf("want 2 per-meter summary lines, got %d:\n%s", n, got)
+	var acked uint64
+	for _, m := range rep.Meters {
+		if m.Err != nil {
+			t.Fatalf("meter %d: %v", m.MeterID, m.Err)
+		}
+		acked += uint64(m.Acked)
+	}
+	if acked == 0 {
+		t.Fatal("the fleet acked no symbols")
+	}
+	return acked
+}
+
+// fleetAgg asks addr for the fleet aggregate over [t0, t1) through
+// pkg/client.
+func fleetAgg(t *testing.T, addr string, t0, t1 int64) client.Agg {
+	t.Helper()
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	a, err := c.FleetAggregate(t0, t1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// wantOutput fails the test for each want that out does not contain.
+func wantOutput(t *testing.T, out string, wants ...string) {
+	t.Helper()
+	for _, want := range wants {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
 	}
 }
 
-// TestServeHistogramAndProfiles covers the query-range flags, the fleet
-// histogram, and the pprof plumbing in one end-to-end run.
+// TestServeIdleUntilSignalled: a server with no data directory and no
+// traffic stays up, answers a fleet query with nothing, and shuts down
+// cleanly once its context is cancelled.
+func TestServeIdleUntilSignalled(t *testing.T) {
+	s := startServe(t, "-shards", "4")
+	select {
+	case err := <-s.done:
+		t.Fatalf("idle server exited on its own: %v\n%s", err, s.out.String())
+	case <-time.After(300 * time.Millisecond):
+	}
+	if a := fleetAgg(t, s.query, math.MinInt64, math.MaxInt64); a.Count != 0 {
+		t.Fatalf("idle server fleet count = %d, want 0", a.Count)
+	}
+	out, err := s.stop()
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, out)
+	}
+	wantOutput(t, out, "server listening on 127.0.0.1:", "served: 0 ingest sessions", "session errors: 0", "shutdown complete")
+}
+
+// TestServeEndToEnd runs the binary in-process against two concurrent
+// meters over a real listener: the wire fleet count is exactly what the
+// meters had acked, and the shutdown summary reports the ingest.
+func TestServeEndToEnd(t *testing.T) {
+	s := startServe(t, "-shards", "4")
+	acked := streamFleet(t, s.ingest, 2)
+	a := fleetAgg(t, s.query, math.MinInt64, math.MaxInt64)
+	if a.Count != acked || math.IsNaN(a.Mean()) || a.Min > a.Max {
+		t.Fatalf("wire fleet aggregate %+v, meters acked %d", a, acked)
+	}
+	out, err := s.stop()
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, out)
+	}
+	wantOutput(t, out,
+		"server listening on 127.0.0.1:",
+		"(4 shards)",
+		"served: 2 ingest sessions committed ",
+		"bytes in",
+		"session errors: 0",
+		"shutdown complete",
+	)
+}
+
+// TestServeHistogramAndProfiles covers a ranged fleet histogram over the
+// wire and the pprof plumbing in one end-to-end run.
 func TestServeHistogramAndProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
-	var out bytes.Buffer
+	s := startServe(t, "-shards", "2", "-cpuprofile", cpu, "-memprofile", mem)
+	streamFleet(t, s.ingest, 1)
+	c, err := client.Dial(s.query)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The two training days precede the streamed day, so live timestamps
 	// start at 2·86400 = 172800.
-	err := run([]string{
-		"-meters", "1", "-shards", "2", "-seconds", "600", "-window", "60",
-		"-hist", "-qfrom", "172800", "-qto", "173100",
-		"-cpuprofile", cpu, "-memprofile", mem,
-	}, &out)
+	h, err := c.FleetHistogram(172800, 173100)
+	c.Close()
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
+		t.Fatal(err)
 	}
-	got := out.String()
-	if !strings.Contains(got, "query: histogram (level 4):") {
-		t.Errorf("output missing histogram line:\n%s", got)
+	if h.Level != 4 || h.Total() == 0 {
+		t.Errorf("histogram over [172800,173100) = level %d, %d points; want level 4 covering points", h.Level, h.Total())
 	}
-	// The generator simulates missing windows, so the exact count varies;
-	// the range must be echoed and must cover at least one point.
-	if !strings.Contains(got, "over [172800,173100)") || strings.Contains(got, "— 0 points") {
-		t.Errorf("query over [172800,173100) should report its range and cover points:\n%s", got)
+	if out, err := s.stop(); err != nil {
+		t.Fatalf("run: %v\n%s", err, out)
 	}
 	for _, p := range []string{cpu, mem} {
 		fi, err := os.Stat(p)
@@ -82,118 +185,86 @@ func TestServeHistogramAndProfiles(t *testing.T) {
 // the command instead of being dropped silently.
 func TestServeMemProfileFailure(t *testing.T) {
 	mem := filepath.Join(t.TempDir(), "missing", "mem.out")
-	var out bytes.Buffer
-	err := run([]string{
-		"-meters", "1", "-shards", "2", "-seconds", "60", "-window", "60",
-		"-memprofile", mem,
-	}, &out)
-	if err == nil {
+	s := startServe(t, "-shards", "2", "-memprofile", mem)
+	if _, err := s.stop(); err == nil {
 		t.Fatalf("run succeeded with unwritable -memprofile %s", mem)
 	}
 }
 
-// TestServeQueryListener runs the fleet with a dedicated query-only
-// listener and a finite idle timeout: the wire demo must answer through the
-// second listener and still match the in-process engine.
+// TestServeQueryListener runs the server with a dedicated query-only
+// listener and a finite idle timeout: the fleet streams to -addr and the
+// wire query through the second listener sees every acked symbol.
 func TestServeQueryListener(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{
-		"-meters", "2", "-shards", "4", "-seconds", "600", "-window", "60",
-		"-query-addr", "127.0.0.1:0", "-idle-timeout", "5s",
-	}, &out)
+	s := startServe(t, "-shards", "4", "-query-addr", "127.0.0.1:0", "-idle-timeout", "5s")
+	if s.query == s.ingest {
+		t.Fatalf("query listener shares the ingest address %s", s.ingest)
+	}
+	acked := streamFleet(t, s.ingest, 2)
+	if a := fleetAgg(t, s.query, math.MinInt64, math.MaxInt64); a.Count != acked {
+		t.Fatalf("query listener saw %d points, meters acked %d", a.Count, acked)
+	}
+	out, err := s.stop()
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
+		t.Fatalf("run: %v\n%s", err, out)
 	}
-	got := out.String()
-	for _, want := range []string{
-		"query listener on 127.0.0.1:",
-		"netquery: fleet mean",
-		"matches in-process",
-		"session errors: 0",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
+	wantOutput(t, out, "query listener on 127.0.0.1:", "session errors: 0")
 }
 
+// TestServeBadFlags: a bad flag value and a demo flag are both refused.
 func TestServeBadFlags(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-meters", "not-a-number"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-shards", "not-a-number"}, &out, nil); err == nil {
 		t.Fatal("bad flag value should error")
 	}
-	if err := run([]string{"-meters", "0"}, &out); err == nil {
-		t.Fatal("zero meters should error")
+	err := run(context.Background(), []string{"-meters", "1"}, &out, nil)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -meters") {
+		t.Fatalf("-meters: err = %v, want an unknown-flag refusal", err)
 	}
 }
 
-// TestServePersistenceRoundTrip runs the fleet twice against one data
-// directory: the first run persists through the WAL + segment engine, the
-// second must recover that history before serving and end with strictly
-// more stored symbols than a cold run produces.
+// TestServePersistenceRoundTrip runs the server twice on one data
+// directory, streaming the same fleet each time: the second start must
+// recover the first run's history before serving, so its wire fleet count
+// ends at exactly twice the first's.
 func TestServePersistenceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	args := []string{
-		"-meters", "2", "-shards", "4", "-seconds", "600", "-window", "60",
-		"-data-dir", dir, "-fsync", "off",
-	}
-	var first bytes.Buffer
-	if err := run(args, &first); err != nil {
-		t.Fatalf("first run: %v\n%s", err, first.String())
-	}
-	got := first.String()
-	for _, want := range []string{
-		"storage: " + dir,
-		"recovered 0 meters",
-		"storage: flushed; on disk:",
-		"session errors: 0",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("first run missing %q:\n%s", want, got)
-		}
-	}
+	args := []string{"-shards", "4", "-data-dir", dir, "-fsync", "off"}
 
-	var second bytes.Buffer
-	if err := run(args, &second); err != nil {
-		t.Fatalf("second run: %v\n%s", err, second.String())
+	s := startServe(t, args...)
+	acked := streamFleet(t, s.ingest, 2)
+	first := fleetAgg(t, s.query, math.MinInt64, math.MaxInt64).Count
+	if first != acked {
+		t.Fatalf("first run: wire count %d, meters acked %d", first, acked)
 	}
-	got = second.String()
-	if !strings.Contains(got, "recovered 2 meters") {
-		t.Errorf("second run should recover both meters:\n%s", got)
-	}
-	if strings.Contains(got, "recovered 2 meters — 0 points from 0 segments, 0 replayed") {
-		t.Errorf("second run recovered no data:\n%s", got)
-	}
-	// Two identical runs on one directory: the second serves both days, so
-	// its fleet query covers twice the points. Cheap proxy: the stored
-	// symbol total printed by run 2 exceeds run 1's.
-	if c1, c2 := storedSymbols(t, first.String()), storedSymbols(t, second.String()); c2 <= c1 {
-		t.Errorf("second run stored %d symbols, first %d — recovery added nothing", c2, c1)
-	}
-}
-
-// storedSymbols extracts N from "… -> N symbols in …" on the fleet line.
-func storedSymbols(t *testing.T, out string) int {
-	t.Helper()
-	_, rest, ok := strings.Cut(out, "raw measurements -> ")
-	if !ok {
-		t.Fatalf("no fleet line in output:\n%s", out)
-	}
-	numStr, _, ok := strings.Cut(rest, " symbols in ")
-	if !ok {
-		t.Fatalf("unparseable fleet line:\n%s", out)
-	}
-	n, err := strconv.Atoi(numStr)
+	out, err := s.stop()
 	if err != nil {
-		t.Fatalf("fleet symbol count %q: %v", numStr, err)
+		t.Fatalf("first run: %v\n%s", err, out)
 	}
-	return n
+	wantOutput(t, out, "storage: "+dir, "recovered 0 meters", "storage flushed cleanly; on disk:", "session errors: 0")
+
+	s = startServe(t, args...)
+	if got := fleetAgg(t, s.query, math.MinInt64, math.MaxInt64).Count; got != first {
+		t.Fatalf("restart recovered %d points, first run stored %d", got, first)
+	}
+	streamFleet(t, s.ingest, 2)
+	second := fleetAgg(t, s.query, math.MinInt64, math.MaxInt64).Count
+	out, err = s.stop()
+	if err != nil {
+		t.Fatalf("second run: %v\n%s", err, out)
+	}
+	wantOutput(t, out, "recovered 2 meters")
+	if strings.Contains(out, "recovered 2 meters — 0 points from 0 segments, 0 replayed") {
+		t.Errorf("second run recovered no data:\n%s", out)
+	}
+	if second != 2*first {
+		t.Errorf("second run ends with %d points, want 2×%d", second, first)
+	}
 }
 
 // TestServeBadFsyncMode rejects unknown -fsync values up front.
 func TestServeBadFsyncMode(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-data-dir", t.TempDir(), "-fsync", "sometimes"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-data-dir", t.TempDir(), "-fsync", "sometimes"}, &out, nil); err == nil {
 		t.Fatal("unknown fsync mode should error")
 	}
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"net/http"
@@ -51,13 +50,12 @@ func TestTelemetryMuxLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var connected int64
 	for _, m := range rep.Meters {
-		if m.Connected {
-			connected++
+		if m.Err != nil {
+			t.Fatalf("meter %d: %v", m.MeterID, m.Err)
 		}
 	}
-	if !svc.AwaitSessions(connected, 10*time.Second) {
+	if !svc.AwaitSessions(int64(len(rep.Meters)), 10*time.Second) {
 		t.Fatal("sessions did not finish")
 	}
 
@@ -178,24 +176,33 @@ func TestHealthzDegraded(t *testing.T) {
 }
 
 // TestServeMetricsFlag wires -metrics-addr through the whole binary: the run
-// must bind the telemetry listener, print its address, and finish cleanly
-// with the listener torn down.
+// binds the telemetry listener and prints its address, a scrape of the live
+// listener counts the fleet's sessions, and the run shuts down cleanly with
+// the listener torn down.
 func TestServeMetricsFlag(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{
-		"-meters", "2", "-shards", "4", "-seconds", "600", "-window", "60",
-		"-metrics-addr", "127.0.0.1:0",
-	}, &out)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
+	s := startServe(t, "-shards", "4", "-metrics-addr", "127.0.0.1:0")
+	streamFleet(t, s.ingest, 2)
+	if !strings.HasPrefix(s.metrics, "127.0.0.1:") {
+		t.Fatalf("telemetry bound %q", s.metrics)
 	}
-	got := out.String()
-	for _, want := range []string{
-		"telemetry on http://127.0.0.1:",
-		"session errors: 0",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
+	resp, err := http.Get("http://" + s.metrics + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "symmeter_ingest_sessions_total 2\n") {
+		t.Errorf("/metrics = %d, want 200 with symmeter_ingest_sessions_total 2", resp.StatusCode)
+	}
+	out, err := s.stop()
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, out)
+	}
+	wantOutput(t, out, "telemetry on http://127.0.0.1:", "session errors: 0")
+	if _, err := http.Get("http://" + s.metrics + "/healthz"); err == nil {
+		t.Error("telemetry listener still answers after shutdown")
 	}
 }

@@ -30,6 +30,7 @@ var fenced = map[string]string{
 	"internal/symbolic.SymbolSeries.Coarsen":     "§4: higher-resolution symbols \"can easily be converted\" to lower ones",
 	"internal/server.Store.PushTable":            "store half of storage's PushTableLegacy, the unsequenced table record of TestOnDiskBytesGolden and the recovery equivalence fixtures",
 	"internal/symbolic.Table.SetRepresentatives": "fixture for non-monotone representatives: server's levelTable (TestAppendRunEqualsPerPoint) and query's TestNonMonotoneRepresentatives",
+	"internal/server.Store.Snapshot":             "reference decoder of the stored stream for query's checkAgainstOracle and FuzzQueryVsOracle and fleet's TestFleetGapsRelearnBitExact",
 }
 
 // TestNoDeadExports fails when an exported name declared in a non-test file

@@ -8,8 +8,9 @@ import (
 	"symmeter/internal/symbolic"
 )
 
-// Ablation studies for the design choices DESIGN.md §5 calls out, runnable
-// as `cmd/experiments -run ablation`.
+// Ablation studies of two design choices — how much history the separators
+// are learned from, and which quantiser learns them — runnable as
+// `cmd/experiments -run ablation`.
 
 // LearningWindowRow reports downstream classification quality for one
 // separator-learning history length — the practical consequence of the

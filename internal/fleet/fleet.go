@@ -1,10 +1,10 @@
 // Package fleet simulates a fleet of smart meters streaming to an
-// aggregation server over real TCP — the load generator behind cmd/serve's
-// demo and the server's concurrency tests. Each simulated meter learns its
-// lookup table from training days of synthetic data (internal/dataset), then
-// encodes its live days window by window and sends the symbols through its
-// own pkg/client Session, the same sequenced, acknowledged ingest path any
-// real sensor takes.
+// aggregation server over real TCP — the load generator behind the
+// examples/fleet demo client. Each simulated meter learns its lookup table
+// from training days of synthetic data (internal/dataset), then encodes its
+// live days window by window and sends the symbols through its own
+// pkg/client Session, the same sequenced, acknowledged ingest path any real
+// sensor takes.
 package fleet
 
 import (
@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"symmeter/internal/dataset"
-	"symmeter/internal/server"
 	"symmeter/internal/symbolic"
 	"symmeter/internal/timeseries"
 	"symmeter/pkg/client"
@@ -72,26 +71,16 @@ type MeterReport struct {
 	MeterID uint64
 	// Sent is the raw measurements pushed into the meter's encoder.
 	Sent int
-	// Symbols is how many reconstructed points the server stored (filled
-	// by Evaluate).
-	Symbols int
-	// Matched is how many of those aligned with a ground-truth window
-	// (filled by Evaluate).
-	Matched int
-	// MAE is the mean absolute error in watts between the server's
-	// reconstruction and the true window averages (filled by Evaluate).
+	// Acked is how many symbols the server acknowledged: each one is
+	// committed exactly once.
+	Acked int
+	// MAE is the mean absolute error in watts between each encoded window's
+	// true average and its symbol's reconstruction value — the error of the
+	// server's reconstruction, computed where the paper puts it, at the
+	// sensor.
 	MAE float64
 	// Err is the sensor-side failure, nil on success.
 	Err error
-	// Connected reports whether the meter's session dial succeeded — even a
-	// meter that later failed mid-stream produced a server-side session, so
-	// drivers waiting for sessions (Service.AwaitSessions) must count
-	// connected meters, not successful ones.
-	Connected bool
-
-	// sent is every window the meter encoded, in order: the time and
-	// symbol it sent, with the window's true average as V.
-	sent []server.ReconPoint
 }
 
 // Report aggregates a fleet run.
@@ -103,7 +92,7 @@ type Report struct {
 
 // Run dials addr once per meter and streams each meter's data over its own
 // session, all concurrently. It returns when every meter has closed its
-// session; drain the service before evaluating.
+// session; every symbol a meter counts as acked is committed by then.
 func Run(addr string, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Meters < 1 {
@@ -144,8 +133,19 @@ func dayPoints(gen *dataset.Generator, d int, cap int64) []timeseries.Point {
 
 func runMeter(addr string, id uint64, seedOff int64, cfg Config) MeterReport {
 	rep := MeterReport{MeterID: id}
-	fail := func(err error) MeterReport { rep.Err = err; return rep }
+	sess, err := client.DialSession(addr, id, client.SessionConfig{})
+	if err != nil {
+		rep.Err = err
+		return rep
+	}
+	defer sess.Close()
+	rep.Err = streamMeter(sess, seedOff, cfg, &rep)
+	return rep
+}
 
+// streamMeter learns one meter's table from its training days and streams
+// its live days to out, filling rep's sensor-side counts as it goes.
+func streamMeter(out sink, seedOff int64, cfg Config, rep *MeterReport) error {
 	gen := dataset.New(dataset.Config{
 		Seed:        cfg.Seed + seedOff,
 		Houses:      1,
@@ -161,25 +161,24 @@ func runMeter(addr string, id uint64, seedOff int64, cfg Config) MeterReport {
 	}
 	table, err := builder.Build(symbolic.MethodMedian, cfg.K)
 	if err != nil {
-		return fail(err)
+		return err
 	}
-
-	sess, err := client.DialSession(addr, id, client.SessionConfig{})
+	m, err := newMeter(out, table, cfg.Window, cfg.BatchSize)
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	rep.Connected = true
-	defer sess.Close()
-	m, err := newMeter(sess, table, cfg.Window, cfg.BatchSize)
-	if err != nil {
-		return fail(err)
-	}
+	defer func() {
+		rep.Acked = m.acked
+		if m.encoded > 0 {
+			rep.MAE = m.absErr / float64(m.encoded)
+		}
+	}()
 	for d := cfg.TrainDays; d < cfg.TrainDays+cfg.Days; d++ {
 		pts := dayPoints(gen, d, cfg.SecondsPerDay)
 		var dayVals []float64
 		for _, p := range pts {
 			if err := m.push(p); err != nil {
-				return fail(err)
+				return err
 			}
 			rep.Sent++
 			if cfg.RelearnPerDay {
@@ -189,42 +188,50 @@ func runMeter(addr string, id uint64, seedOff int64, cfg Config) MeterReport {
 		if cfg.RelearnPerDay && d < cfg.TrainDays+cfg.Days-1 && len(dayVals) > 0 {
 			next, err := symbolic.Learn(symbolic.MethodMedian, dayVals, cfg.K)
 			if err != nil {
-				return fail(err)
+				return err
 			}
 			if err := m.updateTable(next); err != nil {
-				return fail(err)
+				return err
 			}
 		}
 	}
-	if err := m.flush(); err != nil {
-		return fail(err)
-	}
-	rep.sent = m.sent
-	return rep
+	return m.flush()
+}
+
+// sink is where a meter's tables and batches go: in Run its pkg/client
+// Session, whose calls return once the server acknowledged them; in tests a
+// recorder of the stream the meter produced.
+type sink interface {
+	PushTable(t *symbolic.Table) error
+	Append(firstT, window int64, symbols []symbolic.Symbol) error
 }
 
 // meter is one simulated sensor's encode-and-batch loop. A single encoder
 // yields both the symbol sent for each window and the window's true average,
-// so the ground truth shares the sent stream's window alignment by
-// construction. Symbols are sent in batches of consecutive windows only — a
-// data gap starts a new batch, so the server reconstructs every timestamp as
-// firstT + i*window — of at most batchSize symbols; the partial window is
-// flushed before a table update and at the end, so no window straddles two
-// tables. Every table and batch goes out through the meter's Session, which
-// returns once the server acknowledged it.
+// so the meter accumulates its reconstruction error as it encodes. Symbols
+// are sent in batches of consecutive windows only — a data gap starts a new
+// batch, so the server reconstructs every timestamp as firstT + i*window — of
+// at most batchSize symbols; the partial window is flushed before a table
+// update and at the end, so no window straddles two tables.
 type meter struct {
-	out       *client.Session
+	out       sink
 	enc       *symbolic.Encoder
+	values    []float64 // the current table's reconstruction values
 	window    int64
 	batchSize int
 
 	batch         []symbolic.Symbol
 	firstT, nextT int64
-	sent          []server.ReconPoint
+
+	// encoded counts the windows encoded and absErr sums |window average −
+	// reconstruction value| over them; acked counts the symbols the sink
+	// accepted.
+	encoded, acked int
+	absErr         float64
 }
 
 // newMeter sends the first table and returns the meter ready to push.
-func newMeter(out *client.Session, table *symbolic.Table, window int64, batchSize int) (*meter, error) {
+func newMeter(out sink, table *symbolic.Table, window int64, batchSize int) (*meter, error) {
 	m := &meter{out: out, window: window, batchSize: batchSize}
 	if err := m.setTable(table); err != nil {
 		return nil, err
@@ -237,6 +244,7 @@ func (m *meter) setTable(t *symbolic.Table) error {
 		return err
 	}
 	m.enc = symbolic.NewEncoder(t, m.window)
+	m.values = t.ReconstructionValues()
 	return nil
 }
 
@@ -250,7 +258,8 @@ func (m *meter) push(p timeseries.Point) error {
 }
 
 func (m *meter) add(sp symbolic.SymbolPoint, avg float64) error {
-	m.sent = append(m.sent, server.ReconPoint{T: sp.T, S: sp.S, V: avg})
+	m.encoded++
+	m.absErr += math.Abs(avg - m.values[sp.S.Index()])
 	if len(m.batch) > 0 && sp.T != m.nextT {
 		if err := m.sendBatch(); err != nil {
 			return err
@@ -273,6 +282,9 @@ func (m *meter) sendBatch() error {
 		return nil
 	}
 	err := m.out.Append(m.firstT, m.window, m.batch)
+	if err == nil {
+		m.acked += len(m.batch)
+	}
 	m.batch = m.batch[:0]
 	return err
 }
@@ -294,33 +306,4 @@ func (m *meter) updateTable(t *symbolic.Table) error {
 		return err
 	}
 	return m.setTable(t)
-}
-
-// Evaluate fills each MeterReport's server-side fields from the store:
-// symbol counts and the reconstruction MAE against the meter's true window
-// averages, matched by timestamp.
-func (r *Report) Evaluate(store *server.Store) {
-	for i := range r.Meters {
-		m := &r.Meters[i]
-		st, ok := store.Snapshot(m.MeterID)
-		if !ok {
-			continue
-		}
-		m.Symbols = len(st.Points)
-		var sum float64
-		j := 0
-		for _, tp := range m.sent {
-			for j < len(st.Points) && st.Points[j].T < tp.T {
-				j++
-			}
-			if j < len(st.Points) && st.Points[j].T == tp.T {
-				sum += math.Abs(tp.V - st.Points[j].V)
-				m.Matched++
-				j++
-			}
-		}
-		if m.Matched > 0 {
-			m.MAE = sum / float64(m.Matched)
-		}
-	}
 }

@@ -42,10 +42,10 @@ func ramp(lo, step float64, n int) []float64 {
 	return vals
 }
 
-// streamMeter runs one meter against a live service: push every measurement,
+// streamRaw runs one meter against a live service: push every measurement,
 // swapping in each later table before the measurement index it is keyed by,
 // then flush. It returns the meter's stored state once its session is done.
-func streamMeter(t *testing.T, svc *server.Service, addr string, window int64, batch int, tables map[int]*symbolic.Table, raw []timeseries.Point) server.MeterState {
+func streamRaw(t *testing.T, svc *server.Service, addr string, window int64, batch int, tables map[int]*symbolic.Table, raw []timeseries.Point) server.MeterState {
 	t.Helper()
 	sess, err := client.DialSession(addr, 1, client.SessionConfig{})
 	if err != nil {
@@ -93,7 +93,7 @@ func TestGapStartsNewBatch(t *testing.T) {
 	for _, ts := range []int64{0, 5, 10, 15, 70, 75, 80, 85} {
 		raw = append(raw, timeseries.Point{T: ts, V: 500})
 	}
-	st := streamMeter(t, svc, addr, 10, 100, map[int]*symbolic.Table{0: table}, raw)
+	st := streamRaw(t, svc, addr, 10, 100, map[int]*symbolic.Table{0: table}, raw)
 	// Windows: [0,10) [10,20) [70,80) [80,90) → T = 10,20,80,90.
 	wantT := []int64{10, 20, 80, 90}
 	if len(st.Points) != len(wantT) {
@@ -122,7 +122,7 @@ func TestTableUpdateMidStream(t *testing.T) {
 		}
 		raw = append(raw, timeseries.Point{T: i, V: v})
 	}
-	st := streamMeter(t, svc, addr, 10, 4, map[int]*symbolic.Table{0: table, 100: table2}, raw)
+	st := streamRaw(t, svc, addr, 10, 4, map[int]*symbolic.Table{0: table, 100: table2}, raw)
 	if len(st.Tables) != 2 {
 		t.Fatalf("tables = %d, want 2", len(st.Tables))
 	}
@@ -161,9 +161,7 @@ func TestFleet64ConcurrentMeters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.AwaitSessions(meters, 10*time.Second)
-	svc.Drain()
-	rep.Evaluate(svc.Store())
+	awaitSessions(t, svc, meters)
 
 	if errs := svc.SessionErrors(); len(errs) != 0 {
 		t.Fatalf("session errors: %v", errs)
@@ -183,13 +181,10 @@ func TestFleet64ConcurrentMeters(t *testing.T) {
 		if m.Sent != 600 {
 			t.Fatalf("meter %d sent %d, want 600", m.MeterID, m.Sent)
 		}
-		if m.Symbols != wantSymbols {
-			t.Fatalf("meter %d symbols = %d, want %d", m.MeterID, m.Symbols, wantSymbols)
+		if m.Acked != wantSymbols {
+			t.Fatalf("meter %d acked %d symbols, want %d", m.MeterID, m.Acked, wantSymbols)
 		}
-		if m.Matched != m.Symbols {
-			t.Fatalf("meter %d matched %d of %d symbols against truth", m.MeterID, m.Matched, m.Symbols)
-		}
-		if m.MAE < 0 {
+		if m.MAE <= 0 || math.IsInf(m.MAE, 0) || math.IsNaN(m.MAE) {
 			t.Fatalf("meter %d MAE = %v", m.MeterID, m.MAE)
 		}
 	}
@@ -221,9 +216,7 @@ func TestFleetRelearnMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.AwaitSessions(8, 10*time.Second)
-	svc.Drain()
-	rep.Evaluate(svc.Store())
+	awaitSessions(t, svc, 8)
 	if errs := svc.SessionErrors(); len(errs) != 0 {
 		t.Fatalf("session errors: %v", errs)
 	}
@@ -238,9 +231,32 @@ func TestFleetRelearnMidStream(t *testing.T) {
 		if len(st.Tables) != 3 { // initial + one relearn per non-final day
 			t.Fatalf("meter %d tables = %d, want 3", m.MeterID, len(st.Tables))
 		}
-		if m.Matched != m.Symbols {
-			t.Fatalf("meter %d matched %d of %d", m.MeterID, m.Matched, m.Symbols)
+		if len(st.Points) != m.Acked {
+			t.Fatalf("meter %d stored %d points, acked %d", m.MeterID, len(st.Points), m.Acked)
 		}
+	}
+}
+
+// recorder is a sink that keeps what a meter sent, expanding each batch to
+// its points' timestamps the way the server does.
+type recorder struct {
+	points []symbolic.SymbolPoint
+}
+
+func (r *recorder) PushTable(*symbolic.Table) error { return nil }
+
+func (r *recorder) Append(firstT, window int64, symbols []symbolic.Symbol) error {
+	for i, s := range symbols {
+		r.points = append(r.points, symbolic.SymbolPoint{T: firstT + int64(i)*window, S: s})
+	}
+	return nil
+}
+
+// awaitSessions waits until n ingest sessions have run and none is active.
+func awaitSessions(t *testing.T, svc *server.Service, n int64) {
+	t.Helper()
+	if !svc.AwaitSessions(n, 10*time.Second) {
+		t.Fatalf("%d sessions did not finish", n)
 	}
 }
 
@@ -248,29 +264,39 @@ func TestFleetRelearnMidStream(t *testing.T) {
 // simulation on and a table relearn per day — gaps split batches, relearns
 // flush partial windows — and requires every meter's stored stream to be its
 // encoder's output bit-exact: the same timestamps, the same symbol indexes,
-// and one table per streamed day.
+// and one table per streamed day. The reference stream is the same meter
+// replayed into a recorder, which must also report the same acked count and
+// sensor-side MAE as the run over TCP.
 func TestFleetGapsRelearnBitExact(t *testing.T) {
 	const days = 3
 	svc, addr := startService(t, 4)
-	rep, err := Run(addr, Config{
+	cfg := Config{
 		Meters:        8,
 		Days:          days,
 		BatchSize:     16,
 		Seed:          5,
 		RelearnPerDay: true,
-	})
+	}
+	rep, err := Run(addr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.AwaitSessions(int64(len(rep.Meters)), 10*time.Second)
-	svc.Drain()
+	awaitSessions(t, svc, int64(len(rep.Meters)))
 	if errs := svc.SessionErrors(); len(errs) != 0 {
 		t.Fatalf("session errors: %v", errs)
 	}
 	gappy := false
-	for _, m := range rep.Meters {
+	for i, m := range rep.Meters {
 		if m.Err != nil {
 			t.Fatalf("meter %d: %v", m.MeterID, m.Err)
+		}
+		var rec recorder
+		want := MeterReport{MeterID: m.MeterID}
+		if err := streamMeter(&rec, int64(i), cfg.withDefaults(), &want); err != nil {
+			t.Fatal(err)
+		}
+		if m != want {
+			t.Fatalf("meter %d over TCP reported %+v, replayed locally %+v", m.MeterID, m, want)
 		}
 		st, ok := svc.Store().Snapshot(m.MeterID)
 		if !ok {
@@ -279,10 +305,10 @@ func TestFleetGapsRelearnBitExact(t *testing.T) {
 		if len(st.Tables) != days {
 			t.Fatalf("meter %d tables = %d, want %d", m.MeterID, len(st.Tables), days)
 		}
-		if len(st.Points) != len(m.sent) {
-			t.Fatalf("meter %d stored %d points, encoded %d", m.MeterID, len(st.Points), len(m.sent))
+		if len(st.Points) != len(rec.points) || len(st.Points) != m.Acked {
+			t.Fatalf("meter %d stored %d points, encoded %d, acked %d", m.MeterID, len(st.Points), len(rec.points), m.Acked)
 		}
-		for i, want := range m.sent {
+		for i, want := range rec.points {
 			got := st.Points[i]
 			if got.T != want.T || got.S.Index() != want.S.Index() || got.S.Level() != want.S.Level() {
 				t.Fatalf("meter %d point %d: stored T=%d symbol %d, encoded T=%d symbol %d",

@@ -411,7 +411,7 @@ func (s *Service) serve(ln net.Listener, queryOnly bool) {
 // handleConn classifies one accepted connection by its first frame byte and
 // runs the matching session loop. The pre-claimed active slot either stays
 // (ingest) or transfers to the query counters once classified, so ingest
-// drain semantics (AwaitSessions, Drain) never count query readers.
+// drain semantics (AwaitSessions) never count query readers.
 func (s *Service) handleConn(conn net.Conn, queryOnly bool) {
 	defer s.track(conn, false)
 	defer conn.Close()
@@ -486,13 +486,13 @@ func (s *Service) track(conn net.Conn, add bool) {
 
 // AwaitSessions blocks until the service has accepted at least n ingest
 // sessions and none is still running, or until timeout elapses (it reports
-// which). Fleet drivers call it between "all sensors have closed their
-// connections" and Drain: a freshly-closed connection can still be sitting
-// un-accepted in the listener's backlog, and closing the listener at that
-// moment would silently drop it along with its data. n must count only
-// peers that actually connected — a driver whose sensor died before dialing
-// must not wait for a session that will never arrive. Query sessions are
-// counted separately and never hold this up.
+// which). Graceful shutdown calls it before closing the listeners: a
+// freshly-closed connection can still be sitting un-accepted in the
+// listener's backlog, and closing the listener at that moment would
+// silently drop it along with its data. n must count only peers that
+// actually connected — a caller whose sensor died before dialing must not
+// wait for a session that will never arrive. Query sessions are counted
+// separately and never hold this up.
 func (s *Service) AwaitSessions(n int64, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -505,21 +505,6 @@ func (s *Service) AwaitSessions(n int64, timeout time.Duration) bool {
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-}
-
-// Drain stops accepting and waits for in-flight sessions to finish reading
-// whatever their peers already sent. Call after all sensors have closed
-// their connections to get a complete store (AwaitSessions first if the
-// peers only just closed).
-func (s *Service) Drain() {
-	s.mu.Lock()
-	lns := s.lns
-	s.lns = nil
-	s.mu.Unlock()
-	for _, ln := range lns {
-		ln.Close()
-	}
-	s.wg.Wait()
 }
 
 // Close force-stops the service: every listener and live connection is

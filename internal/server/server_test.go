@@ -158,8 +158,9 @@ func TestDuplicateMeterRejected(t *testing.T) {
 	expectAck(t, firstFR, 2)
 	writeRawFrame(t, first, transport.FrameEnd, 0, nil)
 	first.Close()
-	svc.AwaitSessions(2, 10*time.Second)
-	svc.Drain()
+	if !svc.AwaitSessions(2, 10*time.Second) {
+		t.Fatal("sessions did not finish")
+	}
 	st, _ := svc.Store().Snapshot(5)
 	if len(st.Points) != 2 {
 		t.Fatalf("meter 5 points = %d, want 2", len(st.Points))
@@ -211,8 +212,9 @@ func TestAbruptDisconnectMidBatch(t *testing.T) {
 		writeRawFrame(t, c, transport.FrameEnd, 0, nil)
 		c.Close()
 	}
-	svc.AwaitSessions(3, 10*time.Second)
-	svc.Drain()
+	if !svc.AwaitSessions(3, 10*time.Second) {
+		t.Fatal("sessions did not finish")
+	}
 	// Windows ending at 1020, 1080 and 1140 → 3 symbols per clean session;
 	// the victim resumes on its committed table.
 	st, _ = svc.Store().Snapshot(victim)

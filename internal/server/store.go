@@ -9,9 +9,7 @@
 // Decoder); this package owns connection lifecycle (Service), per-meter
 // decoding state (session) and the shared mutable state (Store — packed
 // block chains, see block.go; lock-free published read path, see index.go).
-// internal/query answers aggregates on top of the Store's Meter handles;
-// internal/fleet simulates M meters streaming concurrently over real TCP for
-// load generation.
+// internal/query answers aggregates on top of the Store's Meter handles.
 package server
 
 import (

@@ -68,7 +68,8 @@ func (s HealthState) String() string {
 }
 
 // Health is a point-in-time snapshot of the engine's condition and fault
-// counters, for operators (cmd/serve stats) and tests.
+// counters, for operators (cmd/serve's /healthz and shutdown summary) and
+// tests.
 type Health struct {
 	State  HealthState
 	Reason string // first failure that caused the current degradation, "" when healthy

@@ -25,7 +25,7 @@ const (
 	MethodDistinctMedian
 	// MethodLloydMax places separators by 1-D k-means (Lloyd–Max), the
 	// MSE-optimal scalar quantiser — not in the paper, provided as an
-	// ablation against its three heuristics (DESIGN.md §5).
+	// ablation against its three heuristics (`experiments -run ablation`).
 	MethodLloydMax
 )
 
