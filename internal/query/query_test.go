@@ -369,6 +369,10 @@ func TestExtremeTimestampQueries(t *testing.T) {
 func mallocs(runs int, f func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
+	// Collect before the window opens: a cycle that ends inside it wakes
+	// runtime background work (the unique map's post-GC cleanup, the
+	// scavenger's timer) whose mallocs ReadMemStats would count as f's.
+	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range runs {

@@ -201,6 +201,10 @@ func TestAppendRejectsBatchAtomically(t *testing.T) {
 // stay inside one block at exactly zero and bounds the seals on their own.
 func splitMallocs(runs int, f func() (sealed int)) (inBlock, atSeal uint64, seals int) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// Collect before the window opens: a cycle that ends inside it wakes
+	// runtime background work (the unique map's post-GC cleanup, the
+	// scavenger's timer) whose mallocs ReadMemStats would count as f's.
+	runtime.GC()
 	var before, after runtime.MemStats
 	for range runs {
 		runtime.ReadMemStats(&before)

@@ -8,6 +8,8 @@ package stats
 import (
 	"errors"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -71,31 +73,43 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// quantileSorted computes the type-7 quantile over already-sorted data.
+// quantileSorted computes the type-7 quantile over already-sorted data. It
+// reads only the ranks quantileRanks returns.
 func quantileSorted(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 1 {
-		return sorted[0]
+	lo, hi, frac := quantileRanks(len(sorted), q)
+	if lo == hi {
+		return sorted[lo]
 	}
-	if q <= 0 {
-		return sorted[0]
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// quantileRanks returns the ranks the type-7 q-quantile of n sorted values
+// interpolates between, and the weight of the upper one. lo == hi when the
+// quantile is a single order statistic.
+func quantileRanks(n int, q float64) (lo, hi int, frac float64) {
+	if n == 1 || q <= 0 {
+		return 0, 0, 0
 	}
 	if q >= 1 {
-		return sorted[n-1]
+		return n - 1, n - 1, 0
 	}
 	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
+	lo = int(math.Floor(pos))
 	if lo+1 >= n {
-		return sorted[n-1]
+		return n - 1, n - 1, 0
 	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return lo, lo + 1, pos - float64(lo)
 }
 
 // KQuantiles returns the k-1 interior separators that divide the ordered
 // data into k equal-sized subsets — exactly the separators of the paper's
 // *median* horizontal segmentation. The returned slice has length k-1 and is
 // non-decreasing.
+//
+// The result is bit-identical to quantileSorted over a sort.Float64s copy of
+// xs (NaN first), but no copy is sorted: the at most 2(k-1) ranks the
+// quantiles read are placed by a multi-rank quickselect on one working copy,
+// in expected O(n log k) time rather than O(n log n).
 func KQuantiles(xs []float64, k int) ([]float64, error) {
 	if len(xs) == 0 {
 		return nil, ErrEmpty
@@ -103,13 +117,132 @@ func KQuantiles(xs []float64, k int) ([]float64, error) {
 	if k < 2 {
 		return nil, errors.New("stats: k must be >= 2")
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
+	n := len(xs)
+	ranks := make([]int, 0, 2*(k-1))
+	for i := 1; i < k; i++ {
+		lo, hi, _ := quantileRanks(n, float64(i)/float64(k))
+		ranks = append(ranks, lo, hi)
+	}
+	slices.Sort(ranks)
+	ranks = slices.Compact(ranks)
+
+	work := append([]float64(nil), xs...)
+	// sort.Float64s orders NaN before every number: move the NaNs to the
+	// front, and the ranks beyond them select among numbers only, where <
+	// is a strict weak order.
+	nan := 0
+	for i, x := range work {
+		if math.IsNaN(x) {
+			work[i], work[nan] = work[nan], work[i]
+			nan++
+		}
+	}
+	first, _ := slices.BinarySearch(ranks, nan)
+	selectRanks(work, nan, n, ranks[first:], 2*bits.Len(uint(n)))
+
 	seps := make([]float64, k-1)
 	for i := 1; i < k; i++ {
-		seps[i-1] = quantileSorted(sorted, float64(i)/float64(k))
+		seps[i-1] = quantileSorted(work, float64(i)/float64(k))
 	}
 	return seps, nil
+}
+
+// selectRanks permutes a[lo:hi], which holds no NaN, so that a[r] holds the
+// value an ascending sort of a[lo:hi] would put there, for every r in ranks:
+// ascending, distinct and within [lo, hi). It partitions around a sampled
+// pivot, recurses into the smaller side that still holds a rank and loops on
+// the other. A range still unplaced after depth partitions, which only input
+// built against the pivot sampling can cause, is sorted instead, so the worst
+// case stays O(n log n).
+func selectRanks(a []float64, lo, hi int, ranks []int, depth int) {
+	for len(ranks) > 0 {
+		if hi-lo <= 16 {
+			insertionSort(a[lo:hi])
+			return
+		}
+		if depth == 0 {
+			sort.Float64s(a[lo:hi])
+			return
+		}
+		depth--
+		p := pivot(a[lo:hi])
+		j := lo + partition(a[lo:hi], p)
+		if j == lo {
+			// p is the least value in range: split its run off the front
+			// instead (x < next(p) is x <= p), placing every rank inside it.
+			if math.IsInf(p, 1) {
+				return
+			}
+			j = lo + partition(a[lo:hi], math.Nextafter(p, math.Inf(1)))
+			first, _ := slices.BinarySearch(ranks, j)
+			lo, ranks = j, ranks[first:]
+			continue
+		}
+		split, _ := slices.BinarySearch(ranks, j)
+		if j-lo < hi-j {
+			selectRanks(a, lo, j, ranks[:split], depth)
+			lo, ranks = j, ranks[split:]
+		} else {
+			selectRanks(a, j, hi, ranks[split:], depth)
+			hi, ranks = j, ranks[:split]
+		}
+	}
+}
+
+// pivot returns the median of the first, middle and last values of a, or for
+// a long a Tukey's ninther: the median of three such medians, spread over it.
+func pivot(a []float64) float64 {
+	n := len(a)
+	m := n / 2
+	if n <= 256 {
+		return median3(a[0], a[m], a[n-1])
+	}
+	e := n / 8
+	return median3(
+		median3(a[0], a[e], a[2*e]),
+		median3(a[m-e], a[m], a[m+e]),
+		median3(a[n-1-2*e], a[n-1-e], a[n-1]))
+}
+
+// median3 returns the median of three NaN-free values.
+func median3(x, y, z float64) float64 {
+	if y < x {
+		x, y = y, x
+	}
+	if z < y {
+		y = z
+		if y < x {
+			y = x
+		}
+	}
+	return y
+}
+
+// partition moves the values of a below p to its front and returns how many
+// there are. It is a Lomuto partition with no data-dependent branch (the
+// compiler turns the conditional increment into a flag set), so unsorted
+// input costs no mispredictions.
+func partition(a []float64, p float64) int {
+	j := 0
+	for i, x := range a {
+		a[i] = a[j]
+		a[j] = x
+		below := 0
+		if x < p {
+			below = 1
+		}
+		j += below
+	}
+	return j
+}
+
+// insertionSort sorts a short NaN-free slice in place.
+func insertionSort(a []float64) {
+	for i := 1; i < len(a); i++ {
+		for j := i; j > 0 && a[j] < a[j-1]; j-- {
+			a[j], a[j-1] = a[j-1], a[j]
+		}
+	}
 }
 
 // Distinct returns the sorted distinct values of xs.

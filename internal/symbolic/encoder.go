@@ -2,6 +2,7 @@ package symbolic
 
 import (
 	"fmt"
+	"math"
 
 	"symmeter/internal/timeseries"
 )
@@ -12,6 +13,11 @@ import (
 // segmentation with a fixed lookup table, and emits symbols as windows
 // complete. It never looks at future data.
 //
+// Push, PushWithValue and EncodeSeries take the same step per point. A point
+// inside the open window costs a subtract, a compare and an add (fold); the
+// divide that aligns a timestamp to its window runs only for a point that
+// leaves it (open), once per window on a dense series.
+//
 // The lookup table must be learned from historical data before streaming
 // starts ("the first horizontal segmentation has to be performed before the
 // system can start to process any data", §2.2); see TableBuilder.
@@ -19,11 +25,15 @@ type Encoder struct {
 	table  *Table
 	window int64
 
-	// Current window state.
+	// The open window starts at winStart; a timestamp t folds into it
+	// without a divide when uint64(t-winStart) < span. span is window while
+	// a window is open and winStart+window does not overflow, 0 otherwise:
+	// then the wrapped difference is exact, and every point goes to open.
+	// count > 0 exactly while a window is open.
 	winStart int64
+	span     uint64
 	sum      float64
 	count    int
-	started  bool
 }
 
 // NewEncoder returns an online encoder emitting one symbol per `window`
@@ -52,20 +62,44 @@ func (e *Encoder) Push(p timeseries.Point) (out SymbolPoint, ok bool, err error)
 // average value — the quantity a sensor still has in hand before it is
 // quantised away (the adaptive relearning path needs it).
 func (e *Encoder) PushWithValue(p timeseries.Point) (out SymbolPoint, avg float64, ok bool, err error) {
+	if e.fold([]timeseries.Point{p}) == 1 {
+		return out, 0, false, nil
+	}
+	return e.open(p)
+}
+
+// fold adds the leading points of ps that fall in the open window to it and
+// returns how many it took: the whole cost of points that complete nothing.
+// It inlines, and keeps the running sum in a register across a run.
+func (e *Encoder) fold(ps []timeseries.Point) int {
+	sum, n := e.sum, 0
+	for n < len(ps) && uint64(ps[n].T-e.winStart) < e.span {
+		sum += ps[n].V
+		n++
+	}
+	e.sum = sum
+	e.count += n
+	return n
+}
+
+// open takes a point fold refused: it closes the open window, emitting its
+// symbol, and opens the point's own. window <= 0 encodes the point alone.
+func (e *Encoder) open(p timeseries.Point) (out SymbolPoint, avg float64, ok bool, err error) {
 	if e.window <= 0 {
 		return SymbolPoint{T: p.T, S: e.table.Encode(p.V)}, p.V, true, nil
 	}
 	ws := p.T - mod64(p.T, e.window)
-	if !e.started {
-		e.winStart = ws
-		e.started = true
+	if e.count > 0 {
+		if ws < e.winStart {
+			return SymbolPoint{}, 0, false, fmt.Errorf("symbolic: out-of-order point at t=%d (window starts %d)", p.T, e.winStart)
+		}
+		if ws > e.winStart {
+			out, avg, ok = e.emit()
+		}
 	}
-	if ws < e.winStart {
-		return SymbolPoint{}, 0, false, fmt.Errorf("symbolic: out-of-order point at t=%d (window starts %d)", p.T, e.winStart)
-	}
-	if ws > e.winStart {
-		out, avg, ok = e.emit()
-		e.winStart = ws
+	e.winStart, e.span = ws, uint64(e.window)
+	if ws > math.MaxInt64-e.window {
+		e.span = 0
 	}
 	e.sum += p.V
 	e.count++
@@ -84,7 +118,7 @@ func (e *Encoder) Flush() (SymbolPoint, bool) {
 // windows.
 func (e *Encoder) FlushWithValue() (SymbolPoint, float64, bool) {
 	out, avg, ok := e.emit()
-	e.started = false
+	e.span = 0
 	return out, avg, ok
 }
 
@@ -122,8 +156,14 @@ func EncodeSeries(s *timeseries.Series, table *Table, window int64) (*SymbolSeri
 		}
 		out.Points = make([]SymbolPoint, 0, want)
 	}
-	for _, p := range s.Points {
-		sp, ok, err := e.Push(p)
+	for ps := s.Points; len(ps) > 0; ps = ps[1:] {
+		// Fold the run inside the open window, then push the point that
+		// leaves it.
+		ps = ps[e.fold(ps):]
+		if len(ps) == 0 {
+			break
+		}
+		sp, ok, err := e.Push(ps[0])
 		if err != nil {
 			return nil, err
 		}

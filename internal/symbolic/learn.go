@@ -169,12 +169,12 @@ func lloydMaxSeparators(values []float64, k int) ([]float64, error) {
 }
 
 // learnRepresentatives sets each bin's reconstruction value to the mean of
-// the training values that encode into it.
+// the training values that encode into it, summed in input order.
 func (t *Table) learnRepresentatives(values []float64) {
 	sums := make([]float64, t.K())
 	counts := make([]int, t.K())
 	for _, v := range values {
-		i := t.Encode(v).Index()
+		i := t.bin(v)
 		sums[i] += v
 		counts[i]++
 	}

@@ -113,11 +113,27 @@ func (t *Table) Method() Method { return t.method }
 //	(ii) v > βk-1         → ak
 //	(iii) βj-1 < v <= βj  → aj
 func (t *Table) Encode(v float64) Symbol {
-	// sort.SearchFloat64s finds the first separator >= v; Definition 3 bins
-	// are left-open/right-closed (βj-1 < v <= βj), so search for the first
-	// separator that is >= v.
-	idx := sort.Search(len(t.separators), func(i int) bool { return t.separators[i] >= v })
-	return Symbol{index: uint32(idx), level: uint8(t.alphabet.Level())}
+	return Symbol{index: uint32(t.bin(v)), level: uint8(t.alphabet.Level())}
+}
+
+// bin returns the index of the first separator >= v, or k-1 when there is
+// none: the bin Definition 3's left-open, right-closed ranges put v in. It is
+// the binary search sort.Search would run, with no data-dependent branch:
+// k is a power of two, so log2(k) halvings over the k-1 separators (a
+// virtual +Inf closes the last) land on the answer. NaN separators sort
+// first (NewTable's order) and compare false, like separators below v, so
+// the predicate stays monotone; a NaN value lands in the last bin.
+func (t *Table) bin(v float64) int {
+	seps := t.separators
+	i := 0
+	for half := (len(seps) + 1) >> 1; half > 0; half >>= 1 {
+		right := 0
+		if !(seps[i+half-1] >= v) {
+			right = 1
+		}
+		i += half & -right
+	}
+	return i
 }
 
 // Bounds returns the half-open value interval (lo, hi] covered by the given

@@ -335,6 +335,10 @@ func TestClientSteadyStateZeroAlloc(t *testing.T) {
 // sealed one): sealing allocates by design, so only those calls pin to zero.
 func inBlockMallocs(runs int, f func() (sealed bool)) (n uint64, measured int) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// Collect before the window opens: a cycle that ends inside it wakes
+	// runtime background work (the unique map's post-GC cleanup, the
+	// scavenger's timer) whose mallocs ReadMemStats would count as f's.
+	runtime.GC()
 	var before, after runtime.MemStats
 	for range runs {
 		runtime.ReadMemStats(&before)
