@@ -7,7 +7,7 @@
 // representation directly; this package is that premise as a query path.
 // The per-meter fold it runs lives in internal/server, beside the index it
 // reads (server.Meter's Count, Aggregate and Histogram); this package shapes
-// answers from it and fans fleet-wide queries out. Four mechanisms make it
+// answers from it and fans fleet-wide queries out. Five mechanisms make it
 // fast:
 //
 //   - Lock-free sealed reads: every fold runs against the meter's
@@ -24,6 +24,20 @@
 //     block is scanned by internal/symbolic's SIMD-dispatched histogram
 //     kernel straight into one run histogram per level and table, folded
 //     into floats once per run rather than once per block.
+//   - Per-table runs across meters: the store interns lookup tables, so
+//     meters with byte-identical tables — pushed live or recovered from the
+//     log — share one *Table, and a fleet worker keeps one edge run per
+//     table open across meters (server.FleetScratch, at most 8, the oldest
+//     evicted first). A meter's edge span copies its whole payload bytes
+//     into its run's staging buffer, one kernel call scans a full buffer,
+//     and each run turns into floats once, when it is evicted or the query
+//     ends, instead of a kernel call and a float fold per meter.
+//     FleetHistogram stages every meter's edges in one buffer per worker.
+//     On a 2-vCPU guest BenchmarkFleetAggregate with 8 tables over 1 024
+//     meters fell from 489 to 284 ns per meter on one worker (314 to 195 on
+//     two) and BenchmarkFleetHistogram from 879 to 648; where every meter
+//     has its own table nothing is shared, and the fold costs what the
+//     per-meter one did (529 ns both).
 //   - Per-core fan-out: a fleet-wide query runs min(GOMAXPROCS, shards)
 //     workers pulling shards from a shared cursor. Each worker folds into an
 //     accumulator and scratch of its own and publishes its partial once, so
@@ -72,28 +86,35 @@ type Engine struct {
 // New returns an engine over the store.
 func New(store *server.Store) *Engine { return &Engine{store: store} }
 
-// scratchFree is a fixed-capacity freelist of fold scratch, not a
-// sync.Pool: under the race detector sync.Pool deliberately drops a fraction
-// of Puts, which would fail the zero-malloc pins CI runs with -race. Channel
-// ops never allocate, so steady-state queries stay at zero allocations on
-// every build. Capacity covers a fleet query's fan-out with headroom.
-var scratchFree = make(chan *server.FoldScratch, 64)
+// freelist is a fixed-capacity freelist of fold scratch, not a sync.Pool:
+// under the race detector sync.Pool deliberately drops a fraction of Puts,
+// which would fail the zero-malloc pins CI runs with -race. Channel ops
+// never allocate, so steady-state queries stay at zero allocations on every
+// build.
+type freelist[T any] chan *T
 
-func getScratch() *server.FoldScratch {
+func (f freelist[T]) get() *T {
 	select {
-	case sc := <-scratchFree:
+	case sc := <-f:
 		return sc
 	default:
-		return new(server.FoldScratch)
+		return new(T)
 	}
 }
 
-func putScratch(sc *server.FoldScratch) {
+func (f freelist[T]) put(sc *T) {
 	select {
-	case scratchFree <- sc:
+	case f <- sc:
 	default:
 	}
 }
+
+// Per-meter queries fold with a FoldScratch, fleet workers with a
+// FleetScratch. Capacity covers a fleet query's fan-out with headroom.
+var (
+	foldScratch  = make(freelist[server.FoldScratch], 64)
+	fleetScratch = make(freelist[server.FleetScratch], 64)
+)
 
 // Aggregate computes count, sum, min and max for one meter over [t0, t1) in
 // a single pruned pass over the published index. ok reports whether the
@@ -104,9 +125,9 @@ func (e *Engine) Aggregate(meterID uint64, t0, t1 int64) (Agg, bool) {
 		return Agg{}, false
 	}
 	var a Agg
-	sc := getScratch()
+	sc := foldScratch.get()
 	m.Aggregate(&a, sc, t0, t1)
-	putScratch(sc)
+	foldScratch.put(sc)
 	return a, true
 }
 
@@ -171,18 +192,20 @@ func (e *Engine) poolSize() int {
 
 // FleetAggregate computes count/sum/min/max across every meter in [t0, t1)
 // on poolSize workers, reading published indexes lock-free and merging
-// per-worker partials.
+// per-worker partials. Each worker stages its meters' edge spans per table
+// (Meter.AggregateRuns), so meters sharing a table fold as one run.
 func (e *Engine) FleetAggregate(t0, t1 int64) Agg {
 	partials := make([]Agg, e.poolSize())
 	e.fanOut(len(partials), func(w int, next func() (int, bool)) {
 		var a Agg
-		sc := getScratch()
+		fs := fleetScratch.get()
 		for s, ok := next(); ok; s, ok = next() {
 			for _, m := range e.store.ShardMeters(s) {
-				m.Aggregate(&a, sc, t0, t1)
+				m.AggregateRuns(&a, fs, t0, t1)
 			}
 		}
-		putScratch(sc)
+		fs.FlushAggregate(&a)
+		fleetScratch.put(fs)
 		partials[w] = a
 	})
 	var out Agg
@@ -214,6 +237,8 @@ func (e *Engine) FleetCount(t0, t1 int64) uint64 {
 
 // FleetHistogram computes the fleet-wide per-symbol distribution over
 // [t0, t1) on poolSize workers. All covered blocks must share one level.
+// Each worker stages its meters' edge spans in one buffer
+// (Meter.HistogramRuns) and scans it when it fills.
 func (e *Engine) FleetHistogram(t0, t1 int64) (Histogram, error) {
 	nw := e.poolSize()
 	partials := make([]Histogram, nw)
@@ -221,13 +246,16 @@ func (e *Engine) FleetHistogram(t0, t1 int64) (Histogram, error) {
 	e.fanOut(nw, func(w int, next func() (int, bool)) {
 		var h Histogram
 		var err error
+		fs := fleetScratch.get()
 		for s, ok := next(); ok && err == nil; s, ok = next() {
 			for _, m := range e.store.ShardMeters(s) {
-				if err = m.Histogram(&h, t0, t1); err != nil {
+				if err = m.HistogramRuns(&h, fs, t0, t1); err != nil {
 					break
 				}
 			}
 		}
+		fs.FlushHistogram(&h)
+		fleetScratch.put(fs)
 		partials[w], errs[w] = h, err
 	})
 	var out Histogram

@@ -15,7 +15,9 @@ import (
 // sealed blocks lock-free) and reads the published index in place — block
 // summaries, payloads, lanes and epoch tables — so no per-block view is
 // built. A block fully covered by the range contributes its summary; a
-// partly covered edge is scanned by the packed-symbol kernels.
+// partly covered edge is scanned by the packed-symbol kernels. A fleet
+// worker folds many meters with the same resolution through the by-table
+// variants in fleetfold.go, which keep runs open across meters.
 
 const (
 	// maxFoldLevel bounds the run histogram Aggregate folds edge spans into;
@@ -100,8 +102,8 @@ type FoldScratch struct {
 	level  int
 	hist   [1 << maxFoldLevel]uint64
 	// The trailing pad keeps every field above at least a cache line from
-	// the end of the struct, so two scratches — one per fleet worker — never
-	// share a line however the allocator places them.
+	// the end of the struct, so two scratches in use by concurrent queries
+	// never share a line however the allocator places them.
 	_ [64]byte
 }
 
@@ -174,12 +176,29 @@ func (m Meter) Aggregate(a *Agg, sc *FoldScratch, t0, t1 int64) {
 
 // fold is the one aggregate step per block: a block fully covered by
 // [t0, t1) adds its summary, an edge finer than maxFoldLevel takes the
-// accumulator walk, and any other edge is histogrammed into the current run
-// — flushed first when its level or table differs. Extremes are compared in
-// the value domain: no monotonicity of values in the symbol index is
-// assumed.
+// accumulator walk (both in foldDirect), and any other edge is histogrammed
+// into the current run — flushed first when its level or table differs.
+// Extremes are compared in the value domain: no monotonicity of values in
+// the symbol index is assumed.
 func (sc *FoldScratch) fold(a *Agg, b *block, firstT int64, tables []*symbolic.Table, t0, t1 int64) {
 	i0, i1 := b.overlap(firstT, t0, t1)
+	if a.foldDirect(b, tables, i0, i1) {
+		return
+	}
+	level, values := int(b.level), tables[b.epoch].ReconstructionValues()
+	// Tables are immutable, so one values array means one table.
+	if sc.values == nil || level != sc.level || &values[0] != &sc.values[0] {
+		sc.flush(a)
+		sc.values, sc.level = values, level
+		clear(sc.hist[:1<<level])
+	}
+	symbolic.PackedRangeHistogram(sc.hist[:1<<level], b.payload, level, i0, i1)
+}
+
+// foldDirect folds b's points [i0, i1) into a when they need no run — none
+// at all, the whole block (its summary), or an edge finer than maxFoldLevel
+// (the accumulator walk) — and reports whether it did.
+func (a *Agg) foldDirect(b *block, tables []*symbolic.Table, i0, i1 int) bool {
 	switch {
 	case i0 == i1:
 	case i0 == 0 && i1 == int(b.n):
@@ -192,15 +211,9 @@ func (sc *FoldScratch) fold(a *Agg, b *block, firstT int64, tables []*symbolic.T
 		a.Count += uint64(i1 - i0)
 		a.Sum += sum
 	default:
-		level, values := int(b.level), tables[b.epoch].ReconstructionValues()
-		// Tables are immutable, so one values array means one table.
-		if sc.values == nil || level != sc.level || &values[0] != &sc.values[0] {
-			sc.flush(a)
-			sc.values, sc.level = values, level
-			clear(sc.hist[:1<<level])
-		}
-		symbolic.PackedRangeHistogram(sc.hist[:1<<level], b.payload, level, i0, i1)
+		return false
 	}
+	return true
 }
 
 // flush turns the open run's histogram into one float fold into a and
@@ -209,12 +222,18 @@ func (sc *FoldScratch) flush(a *Agg) {
 	if sc.values == nil {
 		return
 	}
-	if c, s, lo, hi := symbolic.HistogramAggregate(sc.hist[:1<<sc.level], sc.values); c > 0 {
+	a.foldRun(sc.hist[:1<<sc.level], sc.values)
+	sc.values = nil
+}
+
+// foldRun folds a run's integer histogram over its table's reconstruction
+// values into a: the one float fold of every edge run.
+func (a *Agg) foldRun(hist []uint64, values []float64) {
+	if c, s, lo, hi := symbolic.HistogramAggregate(hist, values); c > 0 {
 		a.observe(lo, hi)
 		a.Count += c
 		a.Sum += s
 	}
-	sc.values = nil
 }
 
 // Histogram adds the meter's per-symbol distribution over [t0, t1) into h,
@@ -237,12 +256,25 @@ func (m Meter) Histogram(h *Histogram, t0, t1 int64) error {
 // h.Level.
 func (h *Histogram) fold(b *block, firstT int64, lanes []uint16, t0, t1 int64) error {
 	i0, i1 := b.overlap(firstT, t0, t1)
+	if done, err := h.foldDirect(b, lanes, i0, i1); done || err != nil {
+		return err
+	}
+	symbolic.PackedRangeHistogram(h.Counts, b.payload, h.Level, i0, i1)
+	return nil
+}
+
+// foldDirect checks b's level against h — taking it on when h is empty —
+// and adds b's points [i0, i1) when they need no payload scan: none at all,
+// or a whole block with stored lanes (O(k)). It reports whether it added
+// them; a false return with a nil error leaves a scan of [i0, i1) at
+// h.Level to the caller.
+func (h *Histogram) foldDirect(b *block, lanes []uint16, i0, i1 int) (bool, error) {
 	if i0 == i1 {
-		return nil
+		return true, nil
 	}
 	level := int(b.level)
 	if level > maxHistogramLevel {
-		return fmt.Errorf("%w: level %d > %d", ErrLevelTooFine, level, maxHistogramLevel)
+		return false, fmt.Errorf("%w: level %d > %d", ErrLevelTooFine, level, maxHistogramLevel)
 	}
 	if len(h.Counts) == 0 {
 		h.Level = level
@@ -254,16 +286,15 @@ func (h *Histogram) fold(b *block, firstT int64, lanes []uint16, t0, t1 int64) e
 			h.Counts = make([]uint64, k)
 		}
 	} else if h.Level != level {
-		return fmt.Errorf("%w: %d vs %d", ErrMixedLevels, h.Level, level)
+		return false, fmt.Errorf("%w: %d vs %d", ErrMixedLevels, h.Level, level)
 	}
 	if i0 == 0 && i1 == int(b.n) {
 		if hist := b.hist(lanes); hist != nil {
 			for s, c := range hist {
 				h.Counts[s] += uint64(c)
 			}
-			return nil
+			return true, nil
 		}
 	}
-	symbolic.PackedRangeHistogram(h.Counts, b.payload, level, i0, i1)
-	return nil
+	return false, nil
 }

@@ -265,6 +265,9 @@ type Store struct {
 	// sink, when non-nil, receives every block at seal time (the durability
 	// hook); set once before ingest via SetSealSink.
 	sink SealSink
+	// tables interns every meter's tables: byte-identical tables, live or
+	// recovered, are one *symbolic.Table (see tableset.go).
+	tables tableSet
 }
 
 // SetSealSink installs the seal-time durability hook. It must be called
@@ -446,7 +449,8 @@ func (s *Store) AdmitSeq(meterID, seq uint64, batch bool, n int) (epoch, level i
 // seal itself on the next append): seq == hwm+1 commits the table and
 // advances the mark, seq <= hwm is suppressed as a duplicate (dup=true,
 // nothing written, still to be acked), and a gap is refused. The shard lock
-// is held from the check until the mark advances.
+// is held from the check until the mark advances. The epoch holds the store's
+// interned copy of t (see tableSet), never t itself.
 func (s *Store) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, error) {
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
@@ -455,7 +459,7 @@ func (s *Store) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, erro
 	if dup || err != nil {
 		return dup, err
 	}
-	e.tables = append(e.tables, t)
+	e.tables = append(e.tables, s.tables.intern(t, false))
 	e.seq = seq
 	return false, nil
 }
@@ -471,7 +475,7 @@ func (s *Store) PushTable(meterID uint64, t *symbolic.Table) error {
 	if e == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownMeter, meterID)
 	}
-	e.tables = append(e.tables, t)
+	e.tables = append(e.tables, s.tables.intern(t, false))
 	return nil
 }
 
@@ -748,7 +752,11 @@ func (e *meterEntry) spill(sink SealSink, b *block) error {
 // replay then extends the chain through AppendRun, each run under its own
 // epoch. It is the recovery-time counterpart of a session's StartSession +
 // PushTableSeq + AppendSeq and must run before any live traffic for the
-// meter; blocks must be in their original seal order. Every field is
+// meter; blocks must be in their original seal order. The history is
+// interned like a live push, so a restart keeps one copy of each distinct
+// table, not one per meter or log record; the store takes the tables over
+// (keeps a table it has no bytes-equal one for, not a copy), and the caller
+// must not change them afterwards. Every field is
 // validated against the table history — recovery reads untrusted on-disk
 // bytes, and a corrupt block must fail loudly here rather than panic in a
 // query kernel.
@@ -759,7 +767,10 @@ func (s *Store) RestoreMeter(meterID, seq uint64, tables []*symbolic.Table, bloc
 	if sh.meter(meterID) != nil {
 		return fmt.Errorf("server: meter %d already registered; restore must precede ingest", meterID)
 	}
-	e := &meterEntry{id: meterID, seq: seq, tables: append([]*symbolic.Table(nil), tables...)}
+	e := &meterEntry{id: meterID, seq: seq, tables: make([]*symbolic.Table, len(tables))}
+	for i, t := range tables {
+		e.tables[i] = s.tables.intern(t, true)
+	}
 	e.tailFirstT.Store(noTail)
 	if len(blocks) == 0 {
 		e.idx.Store(&emptyIndex)

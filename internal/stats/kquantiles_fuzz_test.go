@@ -20,6 +20,36 @@ func kQuantilesSorted(xs []float64, k int) []float64 {
 	return seps
 }
 
+// Distinct returns the sorted distinct values of xs: a sort.Float64s copy
+// deduplicated by !=, so every NaN stays. It is the definition
+// KQuantilesDistinct's set must reproduce, and the oracle of
+// FuzzKQuantilesVsSort's distinct half.
+func Distinct(xs []float64) []float64 {
+	if len(xs) == 0 {
+		return nil
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	out := sorted[:1]
+	for _, x := range sorted[1:] {
+		if x != out[len(out)-1] {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// kQuantilesDistinctSorted is KQuantilesDistinct's definition: quantileSorted
+// over Distinct(xs).
+func kQuantilesDistinctSorted(xs []float64, k int) []float64 {
+	d := Distinct(xs)
+	seps := make([]float64, k-1)
+	for i := 1; i < k; i++ {
+		seps[i-1] = quantileSorted(d, float64(i)/float64(k))
+	}
+	return seps
+}
+
 // sameQuantile reports whether two quantiles agree: bit for bit, any NaN
 // equal to any NaN, and -0 equal to +0, which sort.Float64s may order
 // either way.
@@ -71,9 +101,10 @@ func fuzzValues(rng *rand.Rand, n, distinct int) []float64 {
 	return xs
 }
 
-// FuzzKQuantilesVsSort holds the selection-based KQuantiles bit-identical to
-// the sorted definition, over inputs with duplicates, NaN, ±Inf and ±0, from
-// a single value up to a few thousand, with k from 2 to past n.
+// FuzzKQuantilesVsSort holds the selection-based KQuantiles and the
+// hash-deduplicating KQuantilesDistinct bit-identical to their sorted
+// definitions, over inputs with duplicates, NaN, ±Inf and ±0, from a single
+// value up to a few thousand, with k from 2 to past n.
 func FuzzKQuantilesVsSort(f *testing.F) {
 	f.Add(int64(1), uint16(1), uint16(14), uint8(0))     // n = 1
 	f.Add(int64(2), uint16(5), uint16(254), uint8(0))    // n < k
@@ -97,16 +128,29 @@ func FuzzKQuantilesVsSort(f *testing.F) {
 				t.Fatalf("KQuantiles modified its input at %d", i)
 			}
 		}
-		want := kQuantilesSorted(xs, k)
-		if len(got) != len(want) {
-			t.Fatalf("n=%d k=%d: %d separators, want %d", count, k, len(got), len(want))
-		}
-		for i := range want {
-			if !sameQuantile(got[i], want[i]) {
-				t.Fatalf("n=%d k=%d: separator %d = %v (%#x), sorted definition gives %v (%#x)",
-					count, k, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		check := func(name string, got, want []float64) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s n=%d k=%d: %d separators, want %d", name, count, k, len(got), len(want))
+			}
+			for i := range want {
+				if !sameQuantile(got[i], want[i]) {
+					t.Fatalf("%s n=%d k=%d: separator %d = %v (%#x), sorted definition gives %v (%#x)",
+						name, count, k, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
 			}
 		}
+		check("KQuantiles", got, kQuantilesSorted(xs, k))
+		dist, err := KQuantilesDistinct(xs, k)
+		if err != nil {
+			t.Fatalf("KQuantilesDistinct(n=%d, k=%d): %v", count, k, err)
+		}
+		for i := range xs {
+			if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+				t.Fatalf("KQuantilesDistinct modified its input at %d", i)
+			}
+		}
+		check("KQuantilesDistinct", dist, kQuantilesDistinctSorted(xs, k))
 	})
 }
 

@@ -117,15 +117,6 @@ func KQuantiles(xs []float64, k int) ([]float64, error) {
 	if k < 2 {
 		return nil, errors.New("stats: k must be >= 2")
 	}
-	n := len(xs)
-	ranks := make([]int, 0, 2*(k-1))
-	for i := 1; i < k; i++ {
-		lo, hi, _ := quantileRanks(n, float64(i)/float64(k))
-		ranks = append(ranks, lo, hi)
-	}
-	slices.Sort(ranks)
-	ranks = slices.Compact(ranks)
-
 	work := append([]float64(nil), xs...)
 	// sort.Float64s orders NaN before every number: move the NaNs to the
 	// front, and the ranks beyond them select among numbers only, where <
@@ -137,6 +128,21 @@ func KQuantiles(xs []float64, k int) ([]float64, error) {
 			nan++
 		}
 	}
+	return kQuantilesOf(work, nan, k), nil
+}
+
+// kQuantilesOf returns the k-1 separators of work, whose first nan values
+// are its NaNs and the rest numbers in any order: it places the at most
+// 2(k-1) ranks quantileSorted reads, permuting work, and reads them.
+func kQuantilesOf(work []float64, nan, k int) []float64 {
+	n := len(work)
+	ranks := make([]int, 0, 2*(k-1))
+	for i := 1; i < k; i++ {
+		lo, hi, _ := quantileRanks(n, float64(i)/float64(k))
+		ranks = append(ranks, lo, hi)
+	}
+	slices.Sort(ranks)
+	ranks = slices.Compact(ranks)
 	first, _ := slices.BinarySearch(ranks, nan)
 	selectRanks(work, nan, n, ranks[first:], 2*bits.Len(uint(n)))
 
@@ -144,7 +150,7 @@ func KQuantiles(xs []float64, k int) ([]float64, error) {
 	for i := 1; i < k; i++ {
 		seps[i-1] = quantileSorted(work, float64(i)/float64(k))
 	}
-	return seps, nil
+	return seps
 }
 
 // selectRanks permutes a[lo:hi], which holds no NaN, so that a[r] holds the
@@ -245,36 +251,56 @@ func insertionSort(a []float64) {
 	}
 }
 
-// Distinct returns the sorted distinct values of xs.
-func Distinct(xs []float64) []float64 {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := sorted[:1]
-	for _, x := range sorted[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 // KQuantilesDistinct computes k-quantile separators over the *set* of
 // distinct values — the paper's *distinctmedian* learner, which avoids bias
 // toward values that occur very often (e.g. standby power).
+//
+// The set is the one a sort.Float64s copy of xs deduplicated by != gives:
+// every NaN (NaN != NaN) first, then each number once, +0 and -0 being one.
+// It is built by hashing, not sorting, and only the ranks the quantiles read
+// are placed, as KQuantiles places them.
 func KQuantilesDistinct(xs []float64, k int) ([]float64, error) {
-	d := Distinct(xs)
-	if len(d) == 0 {
+	if len(xs) == 0 {
 		return nil, ErrEmpty
 	}
 	if k < 2 {
 		return nil, errors.New("stats: k must be >= 2")
 	}
-	seps := make([]float64, k-1)
-	for i := 1; i < k; i++ {
-		seps[i-1] = quantileSorted(d, float64(i)/float64(k))
+	work, nan := distinct(xs)
+	return kQuantilesOf(work, nan, k), nil
+}
+
+// distinct returns the values of xs deduplicated by !=, in input order but
+// with the NaNs, every one kept, moved to the front, and their count. A
+// linear-probing set of each number's bits (-0 taken as +0), at most half
+// full, finds the duplicates in expected O(n).
+func distinct(xs []float64) (work []float64, nan int) {
+	// A slot holds a key XOR empty, so the zeroed table reads as empty: no
+	// number's bits equal empty, a NaN pattern.
+	const empty = 0x7FF8_0000_0000_0001
+	shift := 64 - bits.Len(uint(2*len(xs)))
+	set := make([]uint64, 1<<(64-shift))
+	mask := uint64(len(set) - 1)
+	work = make([]float64, 0, len(xs))
+	for _, x := range xs {
+		if x != x {
+			work = append(work, x)
+			work[nan], work[len(work)-1] = x, work[nan]
+			nan++
+			continue
+		}
+		key := math.Float64bits(x)
+		if x == 0 {
+			key = 0
+		}
+		i := key * 0x9E37_79B9_7F4A_7C15 >> shift
+		for set[i] != 0 && set[i] != key^empty {
+			i = (i + 1) & mask
+		}
+		if set[i] == 0 {
+			set[i] = key ^ empty
+			work = append(work, x)
+		}
 	}
-	return seps, nil
+	return work, nan
 }

@@ -211,7 +211,7 @@ func (w *wal) appendTable(typ byte, seq, meterID uint64, t *symbolic.Table) (int
 		buf = binary.BigEndian.AppendUint64(buf, seq)
 	}
 	buf = binary.BigEndian.AppendUint64(buf, meterID)
-	buf = append(buf, symbolic.MarshalTable(t)...)
+	buf = symbolic.AppendTable(buf, t)
 	w.buf = buf
 	return w.writeLocked(buf)
 }

@@ -268,23 +268,23 @@ func TableWireSize(k int) int {
 // MarshalTable serialises a table for transmission (header, level, min,
 // max, separators, representatives).
 func MarshalTable(t *Table) []byte {
-	buf := make([]byte, 0, TableWireSize(t.K())+2)
-	buf = append(buf, 'T', byte(t.Level()), byte(t.method))
+	return AppendTable(make([]byte, 0, TableWireSize(t.K())), t)
+}
+
+// AppendTable appends MarshalTable's bytes for t to dst: a caller that
+// reuses dst serialises without allocating.
+func AppendTable(dst []byte, t *Table) []byte {
+	dst = append(dst, 'T', byte(t.Level()), byte(t.method))
 	le := binary.LittleEndian
-	appendF := func(v float64) {
-		var tmp [8]byte
-		le.PutUint64(tmp[:], math.Float64bits(v))
-		buf = append(buf, tmp[:]...)
-	}
-	appendF(t.min)
-	appendF(t.max)
+	dst = le.AppendUint64(dst, math.Float64bits(t.min))
+	dst = le.AppendUint64(dst, math.Float64bits(t.max))
 	for _, s := range t.separators {
-		appendF(s)
+		dst = le.AppendUint64(dst, math.Float64bits(s))
 	}
 	for _, r := range t.repr {
-		appendF(r)
+		dst = le.AppendUint64(dst, math.Float64bits(r))
 	}
-	return buf
+	return dst
 }
 
 // UnmarshalTable parses a table serialised by MarshalTable.

@@ -169,14 +169,21 @@ func lloydMaxSeparators(values []float64, k int) ([]float64, error) {
 }
 
 // learnRepresentatives sets each bin's reconstruction value to the mean of
-// the training values that encode into it, summed in input order.
+// the training values that encode into it, summed in input order. The bins
+// of a block of values are found first, together (binBlock), and the block's
+// sums and counts added after.
 func (t *Table) learnRepresentatives(values []float64) {
 	sums := make([]float64, t.K())
 	counts := make([]int, t.K())
-	for _, v := range values {
-		i := t.bin(v)
-		sums[i] += v
-		counts[i]++
+	var bins [256]int32
+	for len(values) > 0 {
+		block := values[:min(len(values), len(bins))]
+		t.binBlock(bins[:], block)
+		for j, v := range block {
+			sums[bins[j]] += v
+			counts[bins[j]]++
+		}
+		values = values[len(block):]
 	}
 	for i := range sums {
 		if counts[i] > 0 {

@@ -136,6 +136,26 @@ func (t *Table) bin(v float64) int {
 	return i
 }
 
+// binBlock sets bins[j] to bin(vs[j]) for every j, running the halvings
+// level by level across the whole block instead of value by value: one
+// value's halvings form a chain of dependent compares, while a level's
+// compares for different values are independent, so the core overlaps
+// them. bins must be as long as vs.
+func (t *Table) binBlock(bins []int32, vs []float64) {
+	seps := t.separators
+	bins = bins[:len(vs)]
+	clear(bins)
+	for half := int32(len(seps)+1) >> 1; half > 0; half >>= 1 {
+		for j, v := range vs {
+			right := int32(0)
+			if !(seps[bins[j]+half-1] >= v) {
+				right = 1
+			}
+			bins[j] += half & -right
+		}
+	}
+}
+
 // Bounds returns the half-open value interval (lo, hi] covered by the given
 // symbol at this table's level. The outer bins extend to the training min
 // and max.

@@ -20,9 +20,9 @@ func sensorDays(days int) []*timeseries.Series {
 	return out
 }
 
-// BenchmarkLearn learns a MethodMedian k = 16 table from two 1 Hz days, the
-// sensor's bootstrap (§3): the in-package counterpart of the benchmark's
-// symbolic.learn_ms row.
+// BenchmarkLearn learns a k = 16 table from two 1 Hz days, the sensor's
+// bootstrap (§3), with the median learner — the in-package counterpart of
+// the benchmark's symbolic.learn_ms row — and with the distinct-median one.
 func BenchmarkLearn(b *testing.B) {
 	var vals []float64
 	for _, day := range sensorDays(2) {
@@ -30,15 +30,19 @@ func BenchmarkLearn(b *testing.B) {
 			vals = append(vals, p.V)
 		}
 	}
-	start := time.Now()
-	n := 0
-	for b.Loop() {
-		if _, err := symbolic.Learn(symbolic.MethodMedian, vals, 16); err != nil {
-			b.Fatal(err)
-		}
-		n++
+	for _, method := range []symbolic.Method{symbolic.MethodMedian, symbolic.MethodDistinctMedian} {
+		b.Run(method.String(), func(b *testing.B) {
+			start := time.Now()
+			n := 0
+			for b.Loop() {
+				if _, err := symbolic.Learn(method, vals, 16); err != nil {
+					b.Fatal(err)
+				}
+				n++
+			}
+			b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(n*len(vals)), "ns/value")
+		})
 	}
-	b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(n*len(vals)), "ns/value")
 }
 
 // BenchmarkEncodeSeries encodes one 1 Hz day into 900 s windows: the
