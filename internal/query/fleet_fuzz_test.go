@@ -24,7 +24,9 @@ import (
 // epoch). Levels are 1, 2, 4, 8 and 12 (12 folds edges value by value), one
 // per store, so histograms agree on a level, except that one meter in four
 // stores takes another level. Every meter keeps a live tail, and the ranges
-// run from empty through partial days to the whole history.
+// run from empty through partial days to the whole history. On one worker,
+// the ranges asked again in reverse order must give the same sums to the
+// bit: a pooled scratch carries nothing from one query into the next.
 func FuzzFleetVsPerMeter(f *testing.F) {
 	f.Add(int64(1), uint8(30), uint8(8), uint8(2), uint8(0), uint16(600))
 	f.Add(int64(2), uint8(40), uint8(20), uint8(0), uint8(3), uint16(1400))
@@ -32,6 +34,7 @@ func FuzzFleetVsPerMeter(f *testing.F) {
 	f.Add(int64(4), uint8(25), uint8(0), uint8(3), uint8(2), uint16(900))
 	f.Add(int64(5), uint8(5), uint8(5), uint8(1), uint8(7), uint16(1100))
 	f.Add(int64(6), uint8(33), uint8(17), uint8(2), uint8(0), uint16(50))
+	f.Add(int64(7), uint8(39), uint8(12), uint8(2), uint8(1), uint16(1400))
 	f.Fuzz(func(t *testing.T, seed int64, metersRaw, poolRaw, levelRaw, mixRaw uint8, nRaw uint16) {
 		rng := rand.New(rand.NewSource(seed))
 		meters := 1 + int(metersRaw)%40
@@ -108,7 +111,8 @@ func FuzzFleetVsPerMeter(f *testing.F) {
 				[2]int64{t0, t0 + rng.Int63n(3*w)})      // a point or two, or none
 		}
 		bits := math.Float64bits
-		for _, r := range ranges {
+		oneWorker := make([]Agg, len(ranges))
+		for ri, r := range ranges {
 			t0, t1 := r[0], r[1]
 			var want Agg
 			var wantH Histogram
@@ -142,6 +146,9 @@ func FuzzFleetVsPerMeter(f *testing.F) {
 				got := e.FleetAggregate(t0, t1)
 				gotH, err := e.FleetHistogram(t0, t1)
 				runtime.GOMAXPROCS(prev)
+				if procs == 1 {
+					oneWorker[ri] = got
+				}
 				if got.Count != want.Count || (want.Count > 0 &&
 					(bits(got.Min) != bits(want.Min) || bits(got.Max) != bits(want.Max) || relDiff(got.Sum, want.Sum) > 1e-9)) {
 					t.Fatalf("GOMAXPROCS %d [%d, %d): fleet %+v, merged per-meter %+v", procs, t0, t1, got, want)
@@ -162,6 +169,14 @@ func FuzzFleetVsPerMeter(f *testing.F) {
 						}
 					}
 				}
+			}
+		}
+		prev := runtime.GOMAXPROCS(1)
+		defer runtime.GOMAXPROCS(prev)
+		for ri := len(ranges) - 1; ri >= 0; ri-- {
+			got, first := e.FleetAggregate(ranges[ri][0], ranges[ri][1]), oneWorker[ri]
+			if got.Count != first.Count || bits(got.Sum) != bits(first.Sum) || bits(got.Min) != bits(first.Min) || bits(got.Max) != bits(first.Max) {
+				t.Fatalf("[%d, %d) asked again: %+v, first %+v", ranges[ri][0], ranges[ri][1], got, first)
 			}
 		}
 	})

@@ -26,18 +26,22 @@
 //     into floats once per run rather than once per block.
 //   - Per-table runs across meters: the store interns lookup tables, so
 //     meters with byte-identical tables — pushed live or recovered from the
-//     log — share one *Table, and a fleet worker keeps one edge run per
-//     table open across meters (server.FleetScratch, at most 8, the oldest
-//     evicted first). A meter's edge span copies its whole payload bytes
+//     log — share one *Table. A fleet worker folds a meter whose table
+//     recurs (it has an open run, or was the table of one of the last 8
+//     meters folded without one) by table: one edge run per table stays
+//     open across meters (server.FleetScratch, at most 8, the oldest
+//     evicted first), a meter's edge span copies its whole payload bytes
 //     into its run's staging buffer, one kernel call scans a full buffer,
 //     and each run turns into floats once, when it is evicted or the query
-//     ends, instead of a kernel call and a float fold per meter.
-//     FleetHistogram stages every meter's edges in one buffer per worker.
-//     On a 2-vCPU guest BenchmarkFleetAggregate with 8 tables over 1 024
-//     meters fell from 489 to 284 ns per meter on one worker (314 to 195 on
-//     two) and BenchmarkFleetHistogram from 879 to 648; where every meter
-//     has its own table nothing is shared, and the fold costs what the
-//     per-meter one did (529 ns both).
+//     ends. Any other meter takes the per-meter fold, so a fleet where every
+//     household learned its own table opens no run. FleetHistogram stages
+//     every meter's edges in one buffer per worker. The gain needs shared
+//     tables — an expert table (§3.2), or benchmark/'s 8 house tables over
+//     its meters. On a 2-vCPU guest BenchmarkFleetAggregate with 8 tables
+//     over 1 024 meters fell from 390 to 228 ns per meter on one worker
+//     (223 to 173 on two); with one table per meter it stayed within noise
+//     of the per-meter fold (paired ratio 0.998 on one worker, 1.010 on
+//     two).
 //   - Per-core fan-out: a fleet-wide query runs min(GOMAXPROCS, shards)
 //     workers pulling shards from a shared cursor. Each worker folds into an
 //     accumulator and scratch of its own and publishes its partial once, so

@@ -185,7 +185,13 @@ func (sc *FoldScratch) fold(a *Agg, b *block, firstT int64, tables []*symbolic.T
 	if a.foldDirect(b, tables, i0, i1) {
 		return
 	}
-	level, values := int(b.level), tables[b.epoch].ReconstructionValues()
+	sc.span(a, b, tables[b.epoch], i0, i1)
+}
+
+// span histograms b's edge [i0, i1) under table t into the current run,
+// flushed first when its level or table differs.
+func (sc *FoldScratch) span(a *Agg, b *block, t *symbolic.Table, i0, i1 int) {
+	level, values := int(b.level), t.ReconstructionValues()
 	// Tables are immutable, so one values array means one table.
 	if sc.values == nil || level != sc.level || &values[0] != &sc.values[0] {
 		sc.flush(a)

@@ -754,18 +754,30 @@ func (e *meterEntry) spill(sink SealSink, b *block) error {
 // PushTableSeq + AppendSeq and must run before any live traffic for the
 // meter; blocks must be in their original seal order. The history is
 // interned like a live push, so a restart keeps one copy of each distinct
-// table, not one per meter or log record; the store takes the tables over
-// (keeps a table it has no bytes-equal one for, not a copy), and the caller
-// must not change them afterwards. Every field is
-// validated against the table history — recovery reads untrusted on-disk
-// bytes, and a corrupt block must fail loudly here rather than panic in a
-// query kernel.
+// table, not one per meter or log record; the store keeps the given tables
+// themselves where it has no bytes-equal one, so the caller hands them over
+// and must not change them afterwards. Every field is validated against
+// the table history — recovery reads untrusted on-disk bytes, and a corrupt
+// block must fail loudly here rather than panic in a query kernel.
 func (s *Store) RestoreMeter(meterID, seq uint64, tables []*symbolic.Table, blocks []SealedBlock) error {
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.meter(meterID) != nil {
 		return fmt.Errorf("server: meter %d already registered; restore must precede ingest", meterID)
+	}
+	// Validate first, so a corrupt meter interns nothing and every slice is
+	// sized exactly: the chain plus one tail block, the directory, and the
+	// lanes of every block that keeps its histogram plus one tail's (without
+	// that headroom, the tail that log replay opens would double the slab).
+	lanes := 0
+	for i, rb := range blocks {
+		if err := validateRestored(rb, tables); err != nil {
+			return fmt.Errorf("server: restore meter %d block %d: %w", meterID, i, err)
+		}
+		if keepLanes(rb) {
+			lanes += len(rb.Hist)
+		}
 	}
 	e := &meterEntry{id: meterID, seq: seq, tables: make([]*symbolic.Table, len(tables))}
 	for i, t := range tables {
@@ -776,19 +788,6 @@ func (s *Store) RestoreMeter(meterID, seq uint64, tables []*symbolic.Table, bloc
 		e.idx.Store(&emptyIndex)
 		sh.register(e)
 		return nil
-	}
-	// Validate first, so every slice is sized exactly: the chain plus one
-	// tail block, the directory, and the lanes of every block that keeps its
-	// histogram plus one tail's (without that headroom, the tail that log
-	// replay opens would double the slab).
-	lanes := 0
-	for i, rb := range blocks {
-		if err := validateRestored(rb, e.tables); err != nil {
-			return fmt.Errorf("server: restore meter %d block %d: %w", meterID, i, err)
-		}
-		if keepLanes(rb) {
-			lanes += len(rb.Hist)
-		}
 	}
 	if level := e.tables[len(e.tables)-1].Level(); level <= maxHistLevel {
 		lanes += 1 << level

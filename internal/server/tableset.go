@@ -22,9 +22,11 @@ import (
 // representative included — stay distinct: the key is the bytes, not the
 // values. The set indexes a hash of the bytes, not the bytes themselves, so
 // a table costs the set a map entry rather than a second copy of its
-// contents; a lookup re-marshals the candidate to compare. Interned tables
-// are never dropped: every one is in some meter's history, which the store
-// keeps for its lifetime anyway.
+// contents; a lookup re-marshals the candidate to compare. A table whose
+// hash an interned table with other bytes already holds is not interned: it
+// gets a copy of its own, which is just as correct and needs no second
+// index for a 64-bit collision. Interned tables are never dropped: each is
+// in some meter's history, which the store keeps for its lifetime anyway.
 //
 // The stdlib alternative, unique.Make, interns comparable values only: it
 // would intern the key string — a copy of the bytes per table again — and a
@@ -34,19 +36,17 @@ type tableSet struct {
 	mu     sync.Mutex
 	seed   maphash.Seed
 	tables map[uint64]*symbolic.Table
-	// collided holds, by their bytes, the tables whose hash an earlier
-	// table's bytes took: almost always empty.
-	collided map[string]*symbolic.Table
 	// key and cand are marshalling scratch, reused under mu: a lookup that
 	// hits allocates nothing.
 	key, cand []byte
 }
 
 // intern returns the set's table with t's bytes, adding one the first time
-// those bytes are seen: t itself when owned — the caller hands t over and
-// keeps no reference it could change it through, as recovery does with the
-// tables it decodes — and otherwise a copy, so no later change to the
-// caller's object reaches a stored block's values.
+// those bytes are seen: a copy of t, so no later change to the caller's
+// object (SetRepresentatives) reaches a stored block's values, or t itself
+// when owned — the caller hands t over and keeps no reference to it, as
+// recovery does with the tables it decodes, where a copy per distinct table
+// measured 5–10 % of a clean Open with one table per meter.
 func (ts *tableSet) intern(t *symbolic.Table, owned bool) *symbolic.Table {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
@@ -56,13 +56,10 @@ func (ts *tableSet) intern(t *symbolic.Table, owned bool) *symbolic.Table {
 	}
 	ts.key = symbolic.AppendTable(ts.key[:0], t)
 	h := maphash.Bytes(ts.seed, ts.key)
-	c, ok := ts.tables[h]
-	if ok {
+	c, hit := ts.tables[h]
+	if hit {
 		ts.cand = symbolic.AppendTable(ts.cand[:0], c)
 		if bytes.Equal(ts.cand, ts.key) {
-			return c
-		}
-		if c, ok := ts.collided[string(ts.key)]; ok {
 			return c
 		}
 	}
@@ -75,13 +72,8 @@ func (ts *tableSet) intern(t *symbolic.Table, owned bool) *symbolic.Table {
 			c = t
 		}
 	}
-	switch {
-	case !ok:
+	if !hit {
 		ts.tables[h] = c
-	case ts.collided == nil:
-		ts.collided = map[string]*symbolic.Table{string(ts.key): c}
-	default:
-		ts.collided[string(ts.key)] = c
 	}
 	return c
 }

@@ -160,10 +160,11 @@ func BenchmarkInternTable(b *testing.B) {
 	})
 }
 
-// TestTableSetHashCollision: two tables whose bytes hash alike stay two
-// tables, each found again by its bytes. A real collision of the 64-bit
-// hash cannot be built, so the test plants the first table under the
-// second's hash.
+// TestTableSetHashCollision: a table whose hash an interned table with
+// other bytes holds gets a copy of its own bytes, not the other table, and
+// the interned one is still found. A real collision of the 64-bit hash
+// cannot be built, so the test plants the first table under the second's
+// hash.
 func TestTableSetHashCollision(t *testing.T) {
 	var ts tableSet
 	a := internFixture(t)
@@ -171,13 +172,75 @@ func TestTableSetHashCollision(t *testing.T) {
 	ca := ts.intern(a, false)
 	ts.tables[maphash.Bytes(ts.seed, symbolic.MarshalTable(b))] = ca
 	cb := ts.intern(b, false)
-	if cb == ca || !slices.Equal(symbolic.MarshalTable(cb), symbolic.MarshalTable(b)) {
-		t.Fatal("a colliding table was answered with the other table")
+	if cb == ca || cb == b || !slices.Equal(symbolic.MarshalTable(cb), symbolic.MarshalTable(b)) {
+		t.Fatal("a colliding table was not answered with a copy of its own bytes")
 	}
-	if ts.intern(decoded(t, b, nil), false) != cb || ts.intern(decoded(t, a, nil), false) != ca {
+	if ts.intern(decoded(t, a, nil), false) != ca {
 		t.Fatal("an interned table was not found again by its bytes")
 	}
-	if owned := decoded(t, internFixture(t), func(b []byte) { b[4] ^= 1 }); ts.intern(owned, true) != owned {
-		t.Fatal("an owned table new to the set was copied")
+}
+
+// TestFailedRestoreInternsNothing: RestoreMeter validates a meter's blocks
+// before it interns the meter's tables, so a corrupt meter leaves no table
+// in the set.
+func TestFailedRestoreInternsNothing(t *testing.T) {
+	st := NewStore(4)
+	table := internFixture(t)
+	bad := SealedBlock{FirstT: 0, Stride: 900, N: 4, Level: table.Level() + 1, Payload: make([]byte, 4)}
+	if err := st.RestoreMeter(1, 1, []*symbolic.Table{table}, []SealedBlock{bad}); err == nil {
+		t.Fatal("a block at the wrong level was restored")
+	}
+	if n := len(st.tables.tables); n != 0 {
+		t.Fatalf("a failed restore left %d tables interned", n)
+	}
+}
+
+// TestRepushedTableFoldsAsOne: a meter that re-pushes a byte-identical table
+// as a new object holds one interned table for both epochs, so Aggregate
+// folds the edge spans on either side of the re-push into one run, exactly
+// as it does for a meter that re-pushes the same object: the two answers are
+// bit-equal, Sum included. Without interning, the new object would open a
+// second run, and the Sum could differ in its last bits.
+func TestRepushedTableFoldsAsOne(t *testing.T) {
+	st := NewStore(4)
+	base := levelTable(t, 4)
+	syms := func(n, off int) []symbolic.SymbolPoint {
+		pts := make([]symbolic.SymbolPoint, n)
+		for i := range pts {
+			pts[i] = symbolic.SymbolPoint{T: int64(off+i) * 900, S: symbolic.NewSymbol((i*7+off)%16, 4)}
+		}
+		return pts
+	}
+	// Epoch 0 seals a full block and a 188-point one at the re-push; epoch 1
+	// seals a full block and keeps an 88-point tail.
+	for m, second := range map[uint64]*symbolic.Table{1: base, 2: decoded(t, base, nil)} {
+		if err := st.StartSession(m); err != nil {
+			t.Fatal(err)
+		}
+		for seq, step := range []func(uint64) error{
+			func(seq uint64) error { _, err := st.PushTableSeq(m, seq, base); return err },
+			func(seq uint64) error { _, _, err := st.AppendSeq(m, seq, syms(700, 0)); return err },
+			func(seq uint64) error { _, err := st.PushTableSeq(m, seq, second); return err },
+			func(seq uint64) error { _, _, err := st.AppendSeq(m, seq, syms(600, 700)); return err },
+		} {
+			if err := step(uint64(seq + 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if snap, _ := st.Snapshot(2); len(snap.Tables) != 2 || snap.Tables[0] != snap.Tables[1] {
+		t.Fatal("a re-pushed byte-identical table was not interned into the first")
+	}
+	// From inside epoch 0's second block to inside epoch 1's first: two
+	// sealed edge spans, one under each epoch, folded back to back.
+	t0, t1 := int64(600*900), int64(1000*900)
+	var got [3]Agg
+	for m := uint64(1); m <= 2; m++ {
+		meter, _ := st.Meter(m)
+		var sc FoldScratch
+		meter.Aggregate(&got[m], &sc, t0, t1)
+	}
+	if got[1].Count != 400 || got[1] != got[2] || math.Float64bits(got[1].Sum) != math.Float64bits(got[2].Sum) {
+		t.Fatalf("re-pushed copy %+v, re-pushed object %+v", got[2], got[1])
 	}
 }
