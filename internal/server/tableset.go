@@ -24,7 +24,7 @@ import (
 // a table costs the set a map entry rather than a second copy of its
 // contents; a lookup re-marshals the candidate to compare. A table whose
 // hash an interned table with other bytes already holds is not interned: it
-// gets a copy of its own, which is just as correct and needs no second
+// stays a table of its own, which is just as correct and needs no second
 // index for a 64-bit collision. Interned tables are never dropped: each is
 // in some meter's history, which the store keeps for its lifetime anyway.
 //
