@@ -24,13 +24,12 @@ var exemptDirs = map[string]bool{
 // reasons qualify: a paper definition (cite the section) and a fixture that
 // another package's tests need (name the test).
 var fenced = map[string]string{
-	"internal/symbolic.VerticalAverage":          "Definition 2 (count-based vertical segmentation); the pipeline uses the wall-clock form, timeseries.Series.Resample",
-	"internal/symbolic.ExpertTable":              "§3.2's expert-defined lookup table, the paper's alternative to a learned one",
-	"internal/symbolic.Symbol.Covers":            "§3's partial order on symbols of different resolutions",
-	"internal/symbolic.SymbolSeries.Coarsen":     "§4: higher-resolution symbols \"can easily be converted\" to lower ones",
-	"internal/server.Store.PushTable":            "store half of storage's PushTableLegacy, the unsequenced table record of TestOnDiskBytesGolden and the recovery equivalence fixtures",
-	"internal/symbolic.Table.SetRepresentatives": "fixture for non-monotone representatives: server's levelTable (TestAppendRunEqualsPerPoint) and query's TestNonMonotoneRepresentatives",
-	"internal/server.Store.Snapshot":             "reference decoder of the stored stream for query's checkAgainstOracle and FuzzQueryVsOracle and fleet's TestFleetGapsRelearnBitExact",
+	"internal/symbolic.VerticalAverage":      "Definition 2 (count-based vertical segmentation); the pipeline uses the wall-clock form, timeseries.Series.Resample",
+	"internal/symbolic.ExpertTable":          "§3.2's expert-defined lookup table, the paper's alternative to a learned one",
+	"internal/symbolic.Symbol.Covers":        "§3's partial order on symbols of different resolutions",
+	"internal/symbolic.SymbolSeries.Coarsen": "§4: higher-resolution symbols \"can easily be converted\" to lower ones",
+	"internal/server.Store.PushTable":        "store half of storage's PushTableLegacy, the unsequenced table record of TestOnDiskBytesGolden and the recovery equivalence fixtures",
+	"internal/server.Store.Snapshot":         "reference decoder of the stored stream for query's checkAgainstOracle and FuzzQueryVsOracle and fleet's TestFleetGapsRelearnBitExact",
 }
 
 // TestNoDeadExports fails when an exported name declared in a non-test file

@@ -105,23 +105,6 @@ func (c *ConfusionMatrix) WeightedF1() float64 {
 	return sum / float64(total)
 }
 
-// String renders the matrix with row/column labels.
-func (c *ConfusionMatrix) String() string {
-	out := "actual\\pred"
-	for _, cl := range c.Classes {
-		out += fmt.Sprintf("%10s", cl)
-	}
-	out += "\n"
-	for i, row := range c.M {
-		out += fmt.Sprintf("%-11s", c.Classes[i])
-		for _, v := range row {
-			out += fmt.Sprintf("%10d", v)
-		}
-		out += "\n"
-	}
-	return out
-}
-
 // CVResult is the outcome of a cross-validation run.
 type CVResult struct {
 	Confusion *ConfusionMatrix

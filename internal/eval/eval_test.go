@@ -3,7 +3,6 @@ package eval
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"symmeter/internal/ml"
@@ -29,9 +28,6 @@ func TestConfusionMatrixBasics(t *testing.T) {
 	wantF1 := 2 * 1 * (2.0 / 3) / (1 + 2.0/3)
 	if math.Abs(f1-wantF1) > 1e-12 {
 		t.Fatalf("F1 = %v, want %v", f1, wantF1)
-	}
-	if !strings.Contains(cm.String(), "a") {
-		t.Fatal("String should include labels")
 	}
 }
 

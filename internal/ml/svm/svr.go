@@ -2,7 +2,7 @@
 // in for Weka's SMOreg: the paper's §3.2 raw-value forecasting baseline
 // ("we use support vector machine for regression to forecast (real value)
 // residential level consumption"). Inputs and targets are min-max
-// normalised like SMOreg; linear and RBF kernels are provided.
+// normalised like SMOreg; the kernel is linear unless Config names another.
 //
 // Training minimises the regularised squared ε-insensitive loss over the
 // kernel expansion f(x) = Σ βᵢ k(xᵢ, x) + b by functional (kernelised)
@@ -31,19 +31,6 @@ func (LinearKernel) Eval(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// RBFKernel is exp(-gamma·|a-b|²).
-type RBFKernel struct{ Gamma float64 }
-
-// Eval returns the Gaussian kernel value.
-func (k RBFKernel) Eval(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Exp(-k.Gamma * s)
 }
 
 // Config controls SVR training.

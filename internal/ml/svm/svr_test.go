@@ -48,32 +48,6 @@ func TestMultiFeatureLinear(t *testing.T) {
 	}
 }
 
-func TestRBFNonlinear(t *testing.T) {
-	// y = sin(x): needs the RBF kernel.
-	rng := rand.New(rand.NewSource(3))
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i < 200; i++ {
-		x := rng.Float64() * 2 * math.Pi
-		xs = append(xs, []float64{x})
-		ys = append(ys, math.Sin(x))
-	}
-	s := New(Config{C: 50, Epsilon: 0.01, Kernel: RBFKernel{Gamma: 10}, Iters: 1500})
-	if err := s.FitRegression(xs, ys); err != nil {
-		t.Fatal(err)
-	}
-	var mae float64
-	n := 0
-	for x := 0.3; x < 2*math.Pi-0.3; x += 0.4 {
-		mae += math.Abs(s.PredictValue([]float64{x}) - math.Sin(x))
-		n++
-	}
-	mae /= float64(n)
-	if mae > 0.25 {
-		t.Fatalf("RBF SVR MAE on sin = %v", mae)
-	}
-}
-
 func TestConstantTarget(t *testing.T) {
 	xs := [][]float64{{1}, {2}, {3}, {4}}
 	ys := []float64{5, 5, 5, 5}
@@ -112,13 +86,6 @@ func TestKernels(t *testing.T) {
 	lin := LinearKernel{}
 	if lin.Eval([]float64{1, 2}, []float64{3, 4}) != 11 {
 		t.Fatal("linear kernel")
-	}
-	rbf := RBFKernel{Gamma: 1}
-	if got := rbf.Eval([]float64{0}, []float64{0}); got != 1 {
-		t.Fatalf("rbf self = %v", got)
-	}
-	if got := rbf.Eval([]float64{0}, []float64{1}); math.Abs(got-math.Exp(-1)) > 1e-12 {
-		t.Fatalf("rbf(0,1) = %v", got)
 	}
 }
 

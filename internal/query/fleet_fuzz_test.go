@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"symmeter/internal/server"
@@ -182,10 +183,11 @@ func FuzzFleetVsPerMeter(f *testing.F) {
 	})
 }
 
-// TestFleetScratchPooled: a fleet aggregate's run state comes from the
-// freelist, so once warm a FleetAggregate allocates no more than a
-// FleetCount, which folds with no scratch at all — the fan-out's own
-// allocations only.
+// TestFleetScratchPooled: a fleet aggregate's run state and a fleet
+// histogram's per-worker counts come from the freelist, so once warm a
+// FleetAggregate, and a FleetHistogramInto into a reused histogram,
+// allocate no more than a FleetCount, which folds with no scratch at all —
+// the fan-out's own allocations only.
 func TestFleetScratchPooled(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	st := server.NewStore(8)
@@ -197,5 +199,26 @@ func TestFleetScratchPooled(t *testing.T) {
 	count := mallocs(100, func() { e.FleetCount(t0, t1) })
 	if agg := mallocs(100, func() { e.FleetAggregate(t0, t1) }); agg > count {
 		t.Fatalf("100 fleet aggregates made %d mallocs, 100 fleet counts %d", agg, count)
+	}
+	// A pooled scratch grows its counts on its first histogram, and the
+	// freelist hands its scratches out in turn: warm every one first, on one
+	// worker, so that each folds a meter.
+	var h Histogram
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for range cap(fleetScratch) {
+		if err := e.FleetHistogramInto(&h, t0, t1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hist := mallocs(100, func() {
+		if err := e.FleetHistogramInto(&h, t0, t1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if hist > count {
+		t.Fatalf("100 fleet histograms made %d mallocs, 100 fleet counts %d", hist, count)
+	}
+	if want, err := e.FleetHistogram(t0, t1); err != nil || h.Level != want.Level || !slices.Equal(h.Counts, want.Counts) || len(h.Counts) == 0 {
+		t.Fatalf("FleetHistogramInto %+v, FleetHistogram %+v (err %v)", h, want, err)
 	}
 }

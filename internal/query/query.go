@@ -239,47 +239,60 @@ func (e *Engine) FleetCount(t0, t1 int64) uint64 {
 	return out
 }
 
-// FleetHistogram computes the fleet-wide per-symbol distribution over
-// [t0, t1) on poolSize workers. All covered blocks must share one level.
-// Each worker stages its meters' edge spans in one buffer
-// (Meter.HistogramRuns) and scans it when it fills.
+// FleetHistogram returns the fleet-wide per-symbol distribution over
+// [t0, t1) (FleetHistogramInto into a new histogram).
 func (e *Engine) FleetHistogram(t0, t1 int64) (Histogram, error) {
-	nw := e.poolSize()
-	partials := make([]Histogram, nw)
-	errs := make([]error, nw)
-	e.fanOut(nw, func(w int, next func() (int, bool)) {
-		var h Histogram
-		var err error
+	var h Histogram
+	if err := e.FleetHistogramInto(&h, t0, t1); err != nil {
+		return Histogram{}, err
+	}
+	return h, nil
+}
+
+// FleetHistogramInto computes the fleet-wide per-symbol distribution over
+// [t0, t1) into h on poolSize workers, reusing h.Counts' capacity, so a
+// caller that polls allocates no more than FleetCount does. All covered
+// blocks must share one level. Each worker folds into the counts of its
+// pooled FleetScratch, staging its meters' edge spans in one buffer
+// (Meter.HistogramRuns) that it scans when it fills.
+func (e *Engine) FleetHistogramInto(h *Histogram, t0, t1 int64) error {
+	type partial struct {
+		fs  *server.FleetScratch
+		h   *Histogram
+		err error
+	}
+	partials := make([]partial, e.poolSize())
+	e.fanOut(len(partials), func(w int, next func() (int, bool)) {
 		fs := fleetScratch.get()
-		for s, ok := next(); ok && err == nil; s, ok = next() {
+		p := partial{fs: fs, h: fs.Histogram()}
+		for s, ok := next(); ok && p.err == nil; s, ok = next() {
 			for _, m := range e.store.ShardMeters(s) {
-				if err = m.HistogramRuns(&h, fs, t0, t1); err != nil {
+				if p.err = m.HistogramRuns(p.h, fs, t0, t1); p.err != nil {
 					break
 				}
 			}
 		}
-		fs.FlushHistogram(&h)
-		fleetScratch.put(fs)
-		partials[w], errs[w] = h, err
+		fs.FlushHistogram(p.h)
+		partials[w] = p
 	})
-	var out Histogram
-	for i := range partials {
-		if errs[i] != nil {
-			return Histogram{}, errs[i]
+	// A scratch goes back to the freelist only once its counts are merged.
+	h.Level, h.Counts = 0, h.Counts[:0]
+	var err error
+	for _, p := range partials {
+		switch {
+		case err != nil:
+		case p.err != nil:
+			err = p.err
+		case len(h.Counts) == 0:
+			h.Level, h.Counts = p.h.Level, append(h.Counts, p.h.Counts...)
+		case len(p.h.Counts) > 0 && h.Level != p.h.Level:
+			err = fmt.Errorf("%w: %d vs %d", ErrMixedLevels, h.Level, p.h.Level)
+		default:
+			for s, c := range p.h.Counts {
+				h.Counts[s] += c
+			}
 		}
-		p := &partials[i]
-		if len(p.Counts) == 0 {
-			continue
-		}
-		if out.Counts == nil {
-			out.Level = p.Level
-			out.Counts = make([]uint64, len(p.Counts))
-		} else if out.Level != p.Level {
-			return Histogram{}, fmt.Errorf("%w: %d vs %d", ErrMixedLevels, out.Level, p.Level)
-		}
-		for s, c := range p.Counts {
-			out.Counts[s] += c
-		}
+		fleetScratch.put(p.fs)
 	}
-	return out, nil
+	return err
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -297,7 +298,13 @@ func TestNonMonotoneRepresentatives(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Symbol 0 reconstructs to the largest value, symbol 3 to the smallest.
-	if err := table.SetRepresentatives([]float64{100, 7, 55, 1}); err != nil {
+	// A table is immutable, so this one is built from bytes: the
+	// representatives are the last four float64s of its wire form.
+	b := symbolic.MarshalTable(table)
+	for i, r := range []float64{100, 7, 55, 1} {
+		binary.LittleEndian.PutUint64(b[len(b)-8*(4-i):], math.Float64bits(r))
+	}
+	if table, err = symbolic.UnmarshalTable(b); err != nil {
 		t.Fatal(err)
 	}
 	st := server.NewStore(2)

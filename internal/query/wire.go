@@ -70,19 +70,16 @@ func (e *Engine) ServeQuery(req transport.QueryRequest, res *transport.QueryResu
 	return nil
 }
 
-// serveHistogram fills res with the request's distribution, per meter into
-// res.Counts' reused backing array.
+// serveHistogram fills res with the request's distribution, per meter or
+// fleet-wide, into res.Counts' reused backing array.
 func (e *Engine) serveHistogram(req transport.QueryRequest, res *transport.QueryResult) error {
-	if req.Fleet {
-		h, err := e.FleetHistogram(req.T0, req.T1)
-		if err != nil {
-			return histogramError(err)
-		}
-		res.Level, res.Counts = h.Level, h.Counts
-		return nil
-	}
 	h := Histogram{Counts: res.Counts}
-	ok, err := e.HistogramInto(&h, req.MeterID, req.T0, req.T1)
+	ok, err := true, error(nil)
+	if req.Fleet {
+		err = e.FleetHistogramInto(&h, req.T0, req.T1)
+	} else {
+		ok, err = e.HistogramInto(&h, req.MeterID, req.T0, req.T1)
+	}
 	res.Level, res.Counts = h.Level, h.Counts
 	if !ok {
 		return unknownMeter(req.MeterID)

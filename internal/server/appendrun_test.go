@@ -153,10 +153,7 @@ func levelTable(tb testing.TB, level int) *symbolic.Table {
 	for i := range repr {
 		repr[i] = float64((i*2654435761)%1000003)/7 + 0.1*float64(i%3)
 	}
-	if err := table.SetRepresentatives(repr); err != nil {
-		tb.Fatal(err)
-	}
-	return table
+	return withRepresentatives(tb, table, repr)
 }
 
 // twin is a store under test (run-granular AppendSeq) beside its per-point

@@ -40,9 +40,9 @@ const (
 // FleetScratch is a fleet worker's reusable edge state: a bounded set of
 // open aggregate runs keyed by interned table, each an integer histogram
 // plus a staging buffer; the run of the meter being folded on its own; and
-// FleetHistogram's one staging buffer (counts do not depend on the table).
-// A caller reuses one per worker goroutine and closes each query with
-// FlushAggregate or FlushHistogram; the zero value is ready.
+// a fleet histogram's counts and one staging buffer (counts do not depend
+// on the table). A caller reuses one per worker goroutine and closes each
+// query with FlushAggregate or FlushHistogram; the zero value is ready.
 type FleetScratch struct {
 	// keys[i] is the table of open run i, for i < open: a lookup reads
 	// nothing else.
@@ -58,9 +58,10 @@ type FleetScratch struct {
 	next int
 	// solo is the per-meter fold's scratch, for meters folded without a run
 	// and for a live tail's edge that cannot join one.
-	solo FoldScratch
-	runs [fleetRuns]edgeRun
-	hist stage
+	solo   FoldScratch
+	runs   [fleetRuns]edgeRun
+	counts Histogram // the worker's fleet histogram, reused (Histogram)
+	hist   stage
 	// The trailing pad keeps every field above at least a cache line from
 	// the end of the struct, so two workers' scratches never share a line
 	// however the allocator places them.
@@ -215,6 +216,14 @@ func (fs *FleetScratch) FlushAggregate(a *Agg) {
 	}
 	fs.open, fs.victim = 0, 0
 	fs.seen, fs.next = [fleetRuns]*symbolic.Table{}, 0
+}
+
+// Histogram returns fs's histogram, emptied, for a worker to fold its
+// meters into with HistogramRuns. Its counts stay in fs, so a warm worker
+// allocates none; they are valid until the next Histogram call.
+func (fs *FleetScratch) Histogram() *Histogram {
+	fs.counts.Level, fs.counts.Counts = 0, fs.counts.Counts[:0]
+	return &fs.counts
 }
 
 // HistogramRuns adds the meter's per-symbol distribution over [t0, t1) into

@@ -449,8 +449,9 @@ func (s *Store) AdmitSeq(meterID, seq uint64, batch bool, n int) (epoch, level i
 // seal itself on the next append): seq == hwm+1 commits the table and
 // advances the mark, seq <= hwm is suppressed as a duplicate (dup=true,
 // nothing written, still to be acked), and a gap is refused. The shard lock
-// is held from the check until the mark advances. The epoch holds the store's
-// interned copy of t (see tableSet), never t itself.
+// is held from the check until the mark advances. The epoch holds the
+// store's interned table with t's bytes (see tableSet): t itself the first
+// time those bytes are seen.
 func (s *Store) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, error) {
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
@@ -459,9 +460,16 @@ func (s *Store) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, erro
 	if dup || err != nil {
 		return dup, err
 	}
-	e.tables = append(e.tables, s.tables.intern(t, false))
+	e.tables = append(e.tables, s.tables.table(t))
 	e.seq = seq
 	return false, nil
+}
+
+// InternTable returns the store's table whose symbolic.MarshalTable bytes are
+// raw, decoding and validating raw only when no interned table has them (see
+// tableSet), for recovery to hand to RestoreMeter. raw is not retained.
+func (s *Store) InternTable(raw []byte) (*symbolic.Table, error) {
+	return s.tables.bytes(raw)
 }
 
 // PushTable is PushTableSeq without a sequence number: it opens a new epoch
@@ -475,7 +483,7 @@ func (s *Store) PushTable(meterID uint64, t *symbolic.Table) error {
 	if e == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownMeter, meterID)
 	}
-	e.tables = append(e.tables, s.tables.intern(t, false))
+	e.tables = append(e.tables, s.tables.table(t))
 	return nil
 }
 
@@ -752,13 +760,12 @@ func (e *meterEntry) spill(sink SealSink, b *block) error {
 // replay then extends the chain through AppendRun, each run under its own
 // epoch. It is the recovery-time counterpart of a session's StartSession +
 // PushTableSeq + AppendSeq and must run before any live traffic for the
-// meter; blocks must be in their original seal order. The history is
-// interned like a live push, so a restart keeps one copy of each distinct
-// table, not one per meter or log record; the store keeps the given tables
-// themselves where it has no bytes-equal one, so the caller hands them over
-// and must not change them afterwards. Every field is validated against
-// the table history — recovery reads untrusted on-disk bytes, and a corrupt
-// block must fail loudly here rather than panic in a query kernel.
+// meter; blocks must be in their original seal order. The tables are
+// installed as given: recovery takes each from InternTable, so a restart
+// keeps one copy of each distinct table, not one per meter or log record.
+// Every field is validated against the table history — recovery reads
+// untrusted on-disk bytes, and a corrupt block must fail loudly here rather
+// than panic in a query kernel.
 func (s *Store) RestoreMeter(meterID, seq uint64, tables []*symbolic.Table, blocks []SealedBlock) error {
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
@@ -766,10 +773,10 @@ func (s *Store) RestoreMeter(meterID, seq uint64, tables []*symbolic.Table, bloc
 	if sh.meter(meterID) != nil {
 		return fmt.Errorf("server: meter %d already registered; restore must precede ingest", meterID)
 	}
-	// Validate first, so a corrupt meter interns nothing and every slice is
-	// sized exactly: the chain plus one tail block, the directory, and the
-	// lanes of every block that keeps its histogram plus one tail's (without
-	// that headroom, the tail that log replay opens would double the slab).
+	// Validate first, so every slice is sized exactly: the chain plus one
+	// tail block, the directory, and the lanes of every block that keeps its
+	// histogram plus one tail's (without that headroom, the tail that log
+	// replay opens would double the slab).
 	lanes := 0
 	for i, rb := range blocks {
 		if err := validateRestored(rb, tables); err != nil {
@@ -779,10 +786,7 @@ func (s *Store) RestoreMeter(meterID, seq uint64, tables []*symbolic.Table, bloc
 			lanes += len(rb.Hist)
 		}
 	}
-	e := &meterEntry{id: meterID, seq: seq, tables: make([]*symbolic.Table, len(tables))}
-	for i, t := range tables {
-		e.tables[i] = s.tables.intern(t, true)
-	}
+	e := &meterEntry{id: meterID, seq: seq, tables: append([]*symbolic.Table(nil), tables...)}
 	e.tailFirstT.Store(noTail)
 	if len(blocks) == 0 {
 		e.idx.Store(&emptyIndex)

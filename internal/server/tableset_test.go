@@ -20,10 +20,7 @@ func internFixture(t testing.TB) *symbolic.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := table.SetRepresentatives([]float64{5, 15.5, 25, 35, 45, 55, 65, math.NaN()}); err != nil {
-		t.Fatal(err)
-	}
-	return table
+	return withRepresentatives(t, table, []float64{5, 15.5, 25, 35, 45, 55, 65, math.NaN()})
 }
 
 // decoded returns a fresh decoded copy of the wire bytes, edited by edit.
@@ -40,10 +37,25 @@ func decoded(t testing.TB, table *symbolic.Table, edit func(b []byte)) *symbolic
 	return c
 }
 
-// TestTablesInterned: byte-identical tables become one store-owned table
-// whichever way they arrive — PushTableSeq, PushTable, RestoreMeter, again
-// on the same meter — while tables differing in one bit stay apart, even a
-// NaN representative's payload that leaves every reconstruction value equal.
+// withRepresentatives returns a table with table's bytes but for its
+// representatives, which are repr: a table is immutable, so one with chosen
+// values is built from its bytes.
+func withRepresentatives(t testing.TB, table *symbolic.Table, repr []float64) *symbolic.Table {
+	t.Helper()
+	return decoded(t, table, func(b []byte) {
+		at := len(b) - 8*len(repr)
+		for i, r := range repr {
+			binary.LittleEndian.PutUint64(b[at+8*i:], math.Float64bits(r))
+		}
+	})
+}
+
+// TestTablesInterned: byte-identical tables become one table whichever way
+// they arrive — PushTableSeq, PushTable, InternTable for RestoreMeter, again
+// on the same meter — and it is the first of them itself, since a table is
+// immutable; a lookup by bytes that hits decodes nothing and allocates
+// nothing. Tables differing in one bit stay apart, even a NaN
+// representative's payload that leaves every reconstruction value equal.
 func TestTablesInterned(t *testing.T) {
 	st := NewStore(4)
 	base := internFixture(t)
@@ -74,12 +86,17 @@ func TestTablesInterned(t *testing.T) {
 	if err := st.PushTable(2, decoded(t, base, nil)); err != nil { // a second epoch, same bytes
 		t.Fatal(err)
 	}
-	if err := st.RestoreMeter(3, 0, []*symbolic.Table{decoded(t, base, nil)}, nil); err != nil {
+	raw := symbolic.MarshalTable(base)
+	restored, err := st.InternTable(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.RestoreMeter(3, 0, []*symbolic.Table{restored}, nil); err != nil {
 		t.Fatal(err)
 	}
 	canon := first(1)
-	if canon == pushed {
-		t.Fatal("the store kept the caller's table, not a copy of its own")
+	if canon != pushed {
+		t.Fatal("the store copied the first table with its bytes instead of keeping it")
 	}
 	snap2, _ := st.Snapshot(2)
 	for _, got := range []*symbolic.Table{first(2), snap2.Tables[1], first(3)} {
@@ -87,11 +104,8 @@ func TestTablesInterned(t *testing.T) {
 			t.Fatal("byte-identical tables were not interned into one")
 		}
 	}
-	if err := pushed.SetRepresentatives([]float64{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(canon.ReconstructionValues(), base.ReconstructionValues()) {
-		t.Fatal("a change to the pushed object reached the stored table")
+	if n := testing.AllocsPerRun(10, func() { st.InternTable(raw) }); n != 0 {
+		t.Fatalf("interning known bytes allocates %v times", n)
 	}
 
 	// The last representative's bytes: the header, min and max, seven
@@ -115,10 +129,11 @@ func TestTablesInterned(t *testing.T) {
 	}
 }
 
-// BenchmarkInternTable is the table set's lookup — one marshal and one map
-// probe under the store mutex — against the stdlib alternative: unique.Make
-// interns the key string (a copy of the bytes per call) and a sync.Map from
-// handle to table still has to sit beside it.
+// BenchmarkInternTable is the table set's lookup of a table (one marshal
+// and one map probe under the store mutex) and of table bytes, as recovery
+// makes it, against the stdlib alternative: unique.Make interns the key
+// string (a copy of the bytes per call) and a sync.Map from handle to table
+// still has to sit beside it.
 func BenchmarkInternTable(b *testing.B) {
 	tables := make([]*symbolic.Table, 8)
 	for i := range tables {
@@ -136,7 +151,21 @@ func BenchmarkInternTable(b *testing.B) {
 		var ts tableSet
 		i := 0
 		for b.Loop() {
-			ts.intern(tables[i%len(tables)], false)
+			ts.table(tables[i%len(tables)])
+			i++
+		}
+	})
+	b.Run("bytes", func(b *testing.B) {
+		raws := make([][]byte, len(tables))
+		for i, t := range tables {
+			raws[i] = symbolic.MarshalTable(t)
+		}
+		var ts tableSet
+		i := 0
+		for b.Loop() {
+			if _, err := ts.bytes(raws[i%len(raws)]); err != nil {
+				b.Fatal(err)
+			}
 			i++
 		}
 	})
@@ -161,28 +190,38 @@ func BenchmarkInternTable(b *testing.B) {
 }
 
 // TestTableSetHashCollision: a table whose hash an interned table with
-// other bytes holds gets a copy of its own bytes, not the other table, and
-// the interned one is still found. A real collision of the 64-bit hash
+// other bytes holds is answered with a table of its own bytes, not the
+// other table — the caller's table itself, or one decoded from the bytes —
+// and the interned one is still found. A real collision of the 64-bit hash
 // cannot be built, so the test plants the first table under the second's
 // hash.
 func TestTableSetHashCollision(t *testing.T) {
 	var ts tableSet
 	a := internFixture(t)
 	b := decoded(t, a, func(b []byte) { b[3] ^= 1 }) // min's low bit
-	ca := ts.intern(a, false)
-	ts.tables[maphash.Bytes(ts.seed, symbolic.MarshalTable(b))] = ca
-	cb := ts.intern(b, false)
-	if cb == ca || cb == b || !slices.Equal(symbolic.MarshalTable(cb), symbolic.MarshalTable(b)) {
-		t.Fatal("a colliding table was not answered with a copy of its own bytes")
+	ca := ts.table(a)
+	rawB := symbolic.MarshalTable(b)
+	ts.tables[maphash.Bytes(tableSeed, rawB)] = ca
+	if cb := ts.table(b); cb != b {
+		t.Fatal("a colliding table was not answered with itself")
 	}
-	if ts.intern(decoded(t, a, nil), false) != ca {
+	cb, err := ts.bytes(rawB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cb == ca || !slices.Equal(symbolic.MarshalTable(cb), rawB) {
+		t.Fatal("colliding bytes were not answered with a table of their own")
+	}
+	if ts.table(decoded(t, a, nil)) != ca {
+		t.Fatal("an interned table was not found again by its bytes")
+	}
+	if c, err := ts.bytes(symbolic.MarshalTable(a)); err != nil || c != ca {
 		t.Fatal("an interned table was not found again by its bytes")
 	}
 }
 
-// TestFailedRestoreInternsNothing: RestoreMeter validates a meter's blocks
-// before it interns the meter's tables, so a corrupt meter leaves no table
-// in the set.
+// TestFailedRestoreInternsNothing: RestoreMeter installs the tables it is
+// given and interns none, so a corrupt meter leaves no table in the set.
 func TestFailedRestoreInternsNothing(t *testing.T) {
 	st := NewStore(4)
 	table := internFixture(t)

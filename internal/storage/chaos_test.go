@@ -7,11 +7,9 @@
 package storage_test
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -837,7 +835,7 @@ func TestFailedOpenLeavesDirectoryUntouched(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := fileHashes(t, dir)
+	before := storage.FileHashes(t, dir)
 
 	ffs := faultfs.New()
 	if _, err := storage.Open(storage.Options{
@@ -854,7 +852,7 @@ func TestFailedOpenLeavesDirectoryUntouched(t *testing.T) {
 	if ob, mb := ffs.OpenBalance(), ffs.MmapBalance(); ob != 0 || mb != 0 {
 		t.Fatalf("failed Open leaked: open balance %d, mmap balance %d", ob, mb)
 	}
-	after := fileHashes(t, dir)
+	after := storage.FileHashes(t, dir)
 	for name, sum := range before {
 		if got, ok := after[name]; !ok || got != sum {
 			t.Errorf("failed Open changed or removed %s", name)
@@ -863,25 +861,6 @@ func TestFailedOpenLeavesDirectoryUntouched(t *testing.T) {
 	if len(after) != len(before) {
 		t.Errorf("failed Open left %d files, want %d", len(after), len(before))
 	}
-}
-
-// fileHashes maps every file under dir, by its path relative to dir, to the
-// SHA-256 of its bytes.
-func fileHashes(t *testing.T, dir string) map[string][sha256.Size]byte {
-	t.Helper()
-	sums := make(map[string][sha256.Size]byte)
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		raw, err := os.ReadFile(path)
-		sums[strings.TrimPrefix(path, dir)] = sha256.Sum256(raw)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sums
 }
 
 // TestFreshOpenSyncsWALDir: acknowledged batches land in the log generation

@@ -300,11 +300,12 @@ func walGenOf(name string) (gen uint64, ok bool) {
 // min(GOMAXPROCS, shards) workers (eachShard). A meter lives in exactly one
 // shard of both the WAL and the store, so the pipelines share nothing but
 // what live ingest already shares across shards. scanShard reads and
-// validates: it writes no file and calls no store mutator. Only once every
-// shard's scan has succeeded does recover delete the orphans and run
-// applyShard, which makes every change. On error the caller (Open) releases
-// every file and mapping opened so far — each phase waits for all its
-// workers first, so nothing is still being opened when it does.
+// validates: it writes no file and changes no meter, and only interns tables
+// in a store that a failed Open throws away. Only once every shard's scan
+// has succeeded does recover delete the orphans and run applyShard, which
+// makes every change. On error the caller (Open) releases every file and
+// mapping opened so far — each phase waits for all its workers first, so
+// nothing is still being opened when it does.
 func (e *Engine) recover() error {
 	start := time.Now()
 	shards := e.opts.Shards
@@ -429,7 +430,7 @@ type meterReplay struct {
 	blocks    []server.SealedBlock // restored from manifest segments, in spill order
 	skip      int64                // leading points of the log those blocks cover
 	installed int                  // tables the blocks reference
-	tables    []*symbolic.Table    // the log's whole table history, in order
+	tables    []*symbolic.Table    // the log's whole table history, in order, interned
 	maxSeq    uint64
 }
 
@@ -463,9 +464,10 @@ type logRec struct {
 
 // scanShard is one shard's read phase: it restores its meters' sealed chains
 // from the manifest segments, then scans its WAL generations once, and leaves
-// the result in p. It writes no file and calls no store mutator; its
-// mappings stay alive for the apply phase (segment mappings as the chains'
-// payloads, log mappings in p).
+// the result in p, each table interned (Store.InternTable decodes a table
+// only the first time any shard's log holds its bytes). It writes no file
+// and changes no meter; its mappings stay alive for the apply phase
+// (segment mappings as the chains' payloads, log mappings in p).
 func (e *Engine) scanShard(shard int, segs []manifestSegment, p *shardPlan) (err error) {
 	p.meters = make(map[uint64]*meterReplay)
 	meter := func(id uint64) *meterReplay {
@@ -501,7 +503,7 @@ func (e *Engine) scanShard(shard int, segs []manifestSegment, p *shardPlan) (err
 	// The shard's log, once — every generation up to the manifest's, oldest
 	// first, each mapped rather than read; the record stream is their
 	// concatenation. Each file may end in its own torn tail; damage anywhere
-	// else is corruption. Every record is validated: framing, table decode,
+	// else is corruption. Every record is validated: framing, table bytes,
 	// each batch's header and its epoch and level against the log position.
 	// Sequenced records ('t'/'b') advance the meter's sequence high-water
 	// mark, covered ones too, since those were committed. A batch the segments
@@ -537,7 +539,7 @@ func (e *Engine) scanShard(shard int, segs []manifestSegment, p *shardPlan) (err
 			}
 			switch typ {
 			case recTable:
-				m, t, err := decodeTable(payload)
+				m, t, err := decodeTable(e.store, payload)
 				if err != nil {
 					return fmt.Errorf("%s: %w", path, err)
 				}

@@ -1,6 +1,13 @@
 package storage
 
 import (
+	"crypto/sha256"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
 	"symmeter/internal/server"
 	"symmeter/internal/symbolic"
 )
@@ -38,4 +45,23 @@ func (e *Engine) AppendLegacy(meterID uint64, pts []symbolic.SymbolPoint) (int, 
 		return 0, err
 	}
 	return e.commitBatch(recBatch, 0, meterID, epoch, level, pts)
+}
+
+// FileHashes maps every file under dir, by its path relative to dir, to the
+// SHA-256 of its bytes: what a failed Open must leave unchanged.
+func FileHashes(t *testing.T, dir string) map[string][sha256.Size]byte {
+	t.Helper()
+	sums := make(map[string][sha256.Size]byte)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		sums[strings.TrimPrefix(path, dir)] = sha256.Sum256(raw)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sums
 }

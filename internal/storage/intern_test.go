@@ -1,6 +1,11 @@
 package storage
 
 import (
+	"bytes"
+	"errors"
+	"maps"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -94,6 +99,90 @@ func TestRecoveryInternsTables(t *testing.T) {
 	}
 }
 
+// TestScanValidatesInternedTableBytes: the scan decodes only table bytes it
+// has not interned yet, and bytes it has not seen are still validated. Meter
+// 2's table record follows meter 1's byte-identical one in the same log, then
+// two of its separators are swapped out of order under a correct CRC: Open
+// fails with ErrWALCorrupt on a clean and on a crash directory, and leaves
+// every file as it was.
+func TestScanValidatesInternedTableBytes(t *testing.T) {
+	table := testTable(t)
+	for _, clean := range []bool{true, false} {
+		dir := t.TempDir()
+		opts := Options{Dir: dir, Shards: 1, Sync: SyncOff, SegmentBytes: 64 << 10}
+		eng, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts := make([]symbolic.SymbolPoint, 600) // a sealed block and a tail
+		for m := uint64(1); m <= 2; m++ {
+			if err := eng.StartSession(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := PushNext(eng, m, table); err != nil {
+				t.Fatal(err)
+			}
+			for i := range pts {
+				pts[i] = symbolic.SymbolPoint{T: int64(i) * 900, S: symbolic.NewSymbol(i%table.K(), table.Level())}
+			}
+			if _, err := AppendNext(eng, m, pts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if clean {
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			eng.Abandon()
+		}
+
+		log := filepath.Join(dir, "wal", "shard-0000.wal")
+		raw, err := os.ReadFile(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _, _, err := parseWAL(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tableRecs []int
+		for i, r := range recs {
+			if r.typ == recSeqTable {
+				tableRecs = append(tableRecs, i)
+			}
+		}
+		// A 't' body after its type byte: seq(8) | meterID(8) | table bytes.
+		const tableAt = 16
+		if len(tableRecs) != 2 || !bytes.Equal(recs[tableRecs[0]].data[tableAt:], recs[tableRecs[1]].data[tableAt:]) {
+			t.Fatalf("clean=%v: fixture must log two byte-identical tables, has %d table records", clean, len(tableRecs))
+		}
+		// The table bytes: 'T' | level | method | min | max | separators.
+		const sep = 1 + tableAt + 3 + 16
+		mut := restamp(raw, recs, tableRecs[1], func(b []byte) []byte {
+			var first [8]byte
+			copy(first[:], b[sep:])
+			copy(b[sep:], b[sep+8:sep+16])
+			copy(b[sep+8:], first[:])
+			if _, err := symbolic.UnmarshalTable(b[1+tableAt:]); err == nil {
+				t.Fatal("fixture: the swapped separators still decode")
+			}
+			return b
+		})
+		if err := os.WriteFile(log, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := FileHashes(t, dir)
+		if _, err := Open(opts); !errors.Is(err, ErrWALCorrupt) {
+			t.Fatalf("clean=%v: Open returned %v, want ErrWALCorrupt", clean, err)
+		}
+		after := FileHashes(t, dir)
+		if !maps.Equal(before, after) {
+			t.Fatalf("clean=%v: the failed Open changed the directory", clean)
+		}
+	}
+}
+
 // BenchmarkRestartHeapPerMeter reports the live heap a meter costs after a
 // clean restart: 4 096 meters of one day (96 symbols) each, recovered by
 // Open, with 8 tables shared by all meters and with one table per meter.
@@ -106,6 +195,7 @@ func BenchmarkRestartHeapPerMeter(b *testing.B) {
 		tables int
 	}{{"8-tables", 8}, {"own-table", meters}} {
 		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
 			dir := sharedTableDir(b, meters, 1, internTables(b, c.tables), true)
 			var perMeter float64
 			for b.Loop() {

@@ -492,12 +492,13 @@ func stripSeq(body []byte) (typ byte, seq uint64, data []byte, err error) {
 	return typ, 0, data, nil
 }
 
-// decodeTable parses a 'T' record payload.
-func decodeTable(data []byte) (uint64, *symbolic.Table, error) {
+// decodeTable parses a 'T' record payload, interning its table in st
+// (Store.InternTable): bytes st has already interned are not decoded again.
+func decodeTable(st *server.Store, data []byte) (uint64, *symbolic.Table, error) {
 	if len(data) < 8 {
 		return 0, nil, fmt.Errorf("%w: table record of %d bytes", ErrWALCorrupt, len(data))
 	}
-	t, err := symbolic.UnmarshalTable(data[8:])
+	t, err := st.InternTable(data[8:])
 	if err != nil {
 		return 0, nil, fmt.Errorf("%w: %v", ErrWALCorrupt, err)
 	}

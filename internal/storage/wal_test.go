@@ -144,7 +144,7 @@ func applyRecords(t testing.TB, recs []walRecord, upto int) *server.Store {
 	for _, rec := range recs[:upto] {
 		switch rec.typ {
 		case recTable:
-			m, tbl, err := decodeTable(rec.data)
+			m, tbl, err := decodeTable(st, rec.data)
 			if err != nil {
 				t.Fatal(err)
 			}

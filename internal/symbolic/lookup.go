@@ -14,6 +14,8 @@ import (
 // real value of its corresponding range", §2) and the observed [Min, Max]
 // of the training data, which defines the outer range centers used for
 // forecasting semantics ("the center of its range", §3.2).
+// A Table is immutable once NewTable, Learn, UnmarshalTable or Coarsen
+// returns it, so one is shared freely.
 type Table struct {
 	alphabet   Alphabet
 	separators []float64
@@ -21,8 +23,8 @@ type Table struct {
 	// training data (Value falls back to the bin center).
 	repr []float64
 	// values[i] is the resolved reconstruction value for bin i — repr[i]
-	// when known, otherwise the bin center. It is rebuilt by refreshValues
-	// after every repr mutation so the hot ingest path can resolve
+	// when known, otherwise the bin center. Each constructor builds it with
+	// refreshValues once repr is set, so the hot ingest path can resolve
 	// symbol→value by direct index with no NaN test, bounds math or error
 	// allocation per point.
 	values []float64
@@ -73,8 +75,8 @@ func ExpertTable(separators []float64, min, max float64) (*Table, error) {
 	return NewTable(len(separators)+1, separators, min, max)
 }
 
-// refreshValues rebuilds the resolved reconstruction cache. Every code path
-// that mutates t.repr must call it before the table is used for decoding.
+// refreshValues builds the resolved reconstruction cache. A constructor that
+// sets t.repr must call it before it returns the table.
 func (t *Table) refreshValues() {
 	if t.values == nil {
 		t.values = make([]float64, len(t.repr))
@@ -93,8 +95,8 @@ func (t *Table) refreshValues() {
 // ReconstructionValues returns the per-bin reconstruction values indexed by
 // symbol index: repr means where training data was seen, bin centers
 // otherwise. The returned slice is owned by the table and must not be
-// modified; it stays valid until the next SetRepresentatives call. Batch
-// decoders use it to resolve symbol→value by direct index on the hot path.
+// modified. Batch decoders use it to resolve symbol→value by direct index
+// on the hot path.
 func (t *Table) ReconstructionValues() []float64 { return t.values }
 
 // K returns the alphabet size.
@@ -194,21 +196,6 @@ func (t *Table) Value(s Symbol) (float64, error) {
 		return 0, fmt.Errorf("symbolic: symbol level %d does not match table level %d", s.Level(), t.Level())
 	}
 	return t.values[s.Index()], nil
-}
-
-// SetRepresentatives installs per-bin reconstruction values (one per
-// symbol). No production path calls it: learners write bin means directly
-// and a wire table carries its own. It is the fixture for tables whose
-// values are not monotone in the symbol index, which server's
-// TestAppendRunEqualsPerPoint and query's TestNonMonotoneRepresentatives
-// need.
-func (t *Table) SetRepresentatives(repr []float64) error {
-	if len(repr) != t.K() {
-		return fmt.Errorf("symbolic: need %d representatives, got %d", t.K(), len(repr))
-	}
-	copy(t.repr, repr)
-	t.refreshValues()
-	return nil
 }
 
 // Coarsen derives the table for a smaller alphabet size k2 (a power of two

@@ -1,6 +1,7 @@
 package symbolic
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -122,14 +123,20 @@ func TestValueFallsBackToCenter(t *testing.T) {
 	if err != nil || v != 5 {
 		t.Fatalf("Value = %v,%v want 5 (center fallback)", v, err)
 	}
-	if err := tab.SetRepresentatives([]float64{3, 17}); err != nil {
+	// A table is immutable, so one with representatives is built from bytes.
+	b := MarshalTable(tab)
+	reprAt := TableWireSize(tab.K()) - 8*tab.K()
+	for i, r := range []float64{3, 17} {
+		binary.LittleEndian.PutUint64(b[reprAt+8*i:], math.Float64bits(r))
+	}
+	if tab, err = UnmarshalTable(b); err != nil {
 		t.Fatal(err)
 	}
 	v, _ = tab.Value(s0)
 	if v != 3 {
 		t.Fatalf("Value = %v, want 3 (representative)", v)
 	}
-	if err := tab.SetRepresentatives([]float64{1}); err == nil {
+	if _, err := UnmarshalTable(b[:len(b)-8]); err == nil {
 		t.Fatal("wrong representative count must error")
 	}
 }
